@@ -19,56 +19,88 @@ pub fn encode(sorted: &[u32]) -> Vec<u8> {
 }
 
 /// Decodes `count` values from a gap-encoded buffer.
-pub fn decode(mut input: &[u8], count: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(count);
-    decode_append(&mut input, count, &mut out)?;
+pub fn decode(input: &[u8], count: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    decode_into(input, count, &mut out)?;
     Some(out)
 }
 
-/// Decodes `count` values into `out`, clearing it first — the
+/// Decodes `count` values into `out`, replacing its contents — the
 /// allocation-free neighborhood decode: once `out` has grown to the
 /// maximum degree it is reused without touching the allocator.
 /// Returns the number of payload bytes consumed, or `None` on
 /// truncated/over-long varints or a prefix-sum overflow.
 #[inline]
-pub fn decode_into(mut input: &[u8], count: usize, out: &mut Vec<u32>) -> Option<usize> {
+pub fn decode_into(input: &[u8], count: usize, out: &mut Vec<u32>) -> Option<usize> {
     out.clear();
-    decode_append(&mut input, count, out)
+    out.resize(count, 0);
+    decode_run(input, 0, out)
 }
 
-/// Decodes `count` values, appending to `out` (the [`decode_into`]
-/// body, exposed separately so a full-graph decode can fill one big
-/// buffer). Advances `input` past the consumed bytes and returns
-/// their number. Four gaps are decoded per step through
-/// [`varint::decode4_u32`], so dense single-byte runs — the common
-/// case after a locality reordering — move four entries per 32-bit
-/// load instead of one per byte-test loop.
-pub fn decode_append(input: &mut &[u8], count: usize, out: &mut Vec<u32>) -> Option<usize> {
-    let start_len = input.len();
-    out.reserve(count);
-    let mut remaining = count;
-    let mut acc = 0u32;
-    if remaining > 0 {
-        // The first entry is absolute, not a gap.
-        acc = varint::decode_u32(input)?;
-        out.push(acc);
-        remaining -= 1;
-    }
-    let mut quad = [0u32; 4];
-    while remaining >= 4 {
-        varint::decode4_u32(input, &mut quad)?;
-        for gap in quad {
-            acc = acc.checked_add(gap)?;
-            out.push(acc);
+/// The bulk gap decoder: reads `out.len()` varint gaps from the front
+/// of `input` and fills `out` with their running sums on top of
+/// `base` (0 for a whole neighborhood, whose first entry is absolute;
+/// the previous value when resuming mid-neighborhood). Returns the
+/// number of bytes consumed, or `None` on truncated/over-long varints
+/// or a sum past `u32::MAX`.
+///
+/// `input` may extend past the encoded run — callers hand over the
+/// rest of the payload — which is what lets the fast path work a word
+/// at a time: one unaligned 8-byte load yields four gaps as long as
+/// each is a 1- or 2-byte code (every gap below 16 384), with no
+/// per-byte loop, no per-element bounds check or `push`, and the
+/// overflow test hoisted out of the loop (the sum is carried in 64
+/// bits, which `out.len() < 2³²` gaps cannot overflow, and checked
+/// once at the end). A wider code drops to [`varint::decode_u32`] for
+/// that one gap, so both paths accept exactly the same encodings.
+pub fn decode_run(input: &[u8], base: u32, out: &mut [u32]) -> Option<usize> {
+    /// Gaps per word: an 8-byte word always holds four ≤2-byte codes.
+    const LANES: usize = 4;
+    let mut pos = 0usize;
+    let mut acc = u64::from(base);
+    let mut quads = out.chunks_exact_mut(LANES);
+    for quad in &mut quads {
+        let mut filled = 0;
+        if let Some(bytes) = input.get(pos..pos + 8) {
+            let mut word = u64::from_le_bytes(bytes.try_into().expect("8-byte slice"));
+            let mut bits = 0u64;
+            for slot in quad.iter_mut() {
+                if word & 0x8080 == 0x8080 {
+                    break; // a code of three or more bytes
+                }
+                // 8 when the first byte carries a continuation flag
+                // (a 2-byte code), else 0: the extra shift, and — as a
+                // mask — whether the second byte belongs to the value.
+                let extra = (word >> 4) & 8;
+                let second = (word >> 1) & 0x3F80 & (extra >> 3).wrapping_neg();
+                acc += (word & 0x7F) | second;
+                *slot = acc as u32;
+                word = (word >> 8) >> extra;
+                bits += 8 + extra;
+                filled += 1;
+            }
+            pos += (bits / 8) as usize;
         }
-        remaining -= 4;
+        // Wide codes and the last few payload bytes: one gap at a time.
+        for slot in &mut quad[filled..] {
+            acc += u64::from(decode_at(input, &mut pos)?);
+            *slot = acc as u32;
+        }
     }
-    for _ in 0..remaining {
-        let gap = varint::decode_u32(input)?;
-        acc = acc.checked_add(gap)?;
-        out.push(acc);
+    for slot in quads.into_remainder() {
+        acc += u64::from(decode_at(input, &mut pos)?);
+        *slot = acc as u32;
     }
-    Some(start_len - input.len())
+    (acc <= u64::from(u32::MAX)).then_some(pos)
+}
+
+/// One scalar varint at byte `pos` of `input`, advancing `pos`.
+#[inline]
+fn decode_at(input: &[u8], pos: &mut usize) -> Option<u32> {
+    let mut cursor = input.get(*pos..)?;
+    let value = varint::decode_u32(&mut cursor)?;
+    *pos = input.len() - cursor.len();
+    Some(value)
 }
 
 /// Iterator-based decoder that avoids materializing the neighborhood.
@@ -164,7 +196,7 @@ mod tests {
 
     #[test]
     fn decode_into_agrees_with_iterator_on_awkward_counts() {
-        // Counts around the quad width exercise the head/quad/tail
+        // Counts around the quad width exercise the quad/remainder
         // split: 0..=9 covers empty, 1 (absolute only), 4, 5, 8, 9.
         for count in 0..10usize {
             let neigh: Vec<u32> = (0..count as u32).map(|i| i * 1000 + 7).collect();
@@ -174,6 +206,116 @@ mod tests {
             let streamed: Vec<u32> = GapDecoder::new(&encoded, count).collect();
             assert_eq!(out, neigh);
             assert_eq!(streamed, neigh);
+        }
+    }
+
+    #[test]
+    fn resuming_from_a_base_continues_the_neighborhood() {
+        let neigh: Vec<u32> = (0..100u32).map(|i| i * i + 3).collect();
+        let encoded = encode(&neigh);
+        let mut head = [0u32; 37];
+        let used = decode_run(&encoded, 0, &mut head).unwrap();
+        let mut tail = [0u32; 63];
+        let rest = decode_run(&encoded[used..], head[36], &mut tail).unwrap();
+        assert_eq!(used + rest, encoded.len());
+        assert_eq!([&head[..], &tail[..]].concat(), neigh);
+    }
+
+    #[test]
+    fn bulk_decoder_shares_the_fifth_byte_rule() {
+        // An overflowing fifth byte in the middle of a run, with
+        // plenty of payload around it so the word path is active.
+        let mut encoded = encode(&(1..=20).collect::<Vec<u32>>());
+        let tail = encoded.split_off(10);
+        encoded.extend_from_slice(&[0x81, 0x80, 0x80, 0x80, 0x70]);
+        encoded.extend_from_slice(&tail);
+        let mut out = [0u32; 21];
+        assert_eq!(decode_run(&encoded, 0, &mut out), None);
+        assert_eq!(scalar_run(&encoded, 0, 21), None);
+    }
+
+    /// The reference the bulk decoder must match: one
+    /// [`varint::decode_u32`] and one checked add per gap.
+    fn scalar_run(mut input: &[u8], base: u32, count: usize) -> Option<(Vec<u32>, usize)> {
+        let len = input.len();
+        let mut acc = base;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            acc = acc.checked_add(varint::decode_u32(&mut input)?)?;
+            out.push(acc);
+        }
+        Some((out, len - input.len()))
+    }
+
+    fn bulk_run(input: &[u8], base: u32, count: usize) -> Option<(Vec<u32>, usize)> {
+        let mut out = vec![0u32; count];
+        let used = decode_run(input, base, &mut out)?;
+        Some((out, used))
+    }
+
+    /// A gap whose varint is exactly `width` bytes long.
+    fn gap_of_width(width: u32, raw: u32) -> u32 {
+        let lo = if width == 1 {
+            0
+        } else {
+            1u64 << (7 * (width - 1))
+        };
+        let hi = (1u64 << (7 * width).min(32)) - 1;
+        (lo + u64::from(raw) % (hi - lo + 1)) as u32
+    }
+
+    /// Gap streams mixing every code width, weighted toward the 1- and
+    /// 2-byte codes real payloads are made of; the rare 5-byte gaps
+    /// also drive some runs past `u32::MAX`.
+    fn gap_stream(counts: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec((0u32..100, 0u32..u32::MAX), counts).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(class, raw)| {
+                    let width = match class {
+                        0..45 => 1,
+                        45..80 => 2,
+                        80..92 => 3,
+                        92..98 => 4,
+                        _ => 5,
+                    };
+                    gap_of_width(width, raw)
+                })
+                .collect()
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Counts 0..70 straddle every quad boundary; `extra` trailing
+        // gaps put 0..=39 payload bytes behind the run, so both the
+        // open-ended word path and the short-input scalar tail run.
+        #[test]
+        fn bulk_decoder_matches_the_scalar_loop(
+            gaps in gap_stream(0..70),
+            extra in gap_stream(0..8),
+            base in 0u32..1000,
+        ) {
+            let mut encoded = varint::encode_slice(&gaps);
+            let run_bytes = encoded.len();
+            encoded.extend_from_slice(&varint::encode_slice(&extra));
+            let expected = scalar_run(&encoded, base, gaps.len());
+            prop_assert_eq!(bulk_run(&encoded, base, gaps.len()), expected.clone());
+            if let Some((_, used)) = expected {
+                prop_assert_eq!(used, run_bytes);
+            }
+        }
+
+        // A stream cut anywhere inside the run is truncated for both.
+        #[test]
+        fn truncated_streams_fail_in_both_decoders(gaps in gap_stream(1..70), cut in 0usize..1000) {
+            let encoded = varint::encode_slice(&gaps);
+            let short = &encoded[..cut % encoded.len()];
+            prop_assert_eq!(scalar_run(short, 0, gaps.len()), None);
+            prop_assert_eq!(bulk_run(short, 0, gaps.len()), None);
         }
     }
 

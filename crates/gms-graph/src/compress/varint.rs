@@ -21,15 +21,18 @@ pub fn encode_u32(value: u32, out: &mut Vec<u8>) {
 }
 
 /// Decodes one varint from the front of `input`, advancing it.
-/// Returns `None` on truncated or over-long input.
+/// Returns `None` on truncated or over-long input: a `u32` takes at
+/// most five bytes, and the fifth carries only the top four payload
+/// bits — a larger fifth byte (or a continuation flag on it) would
+/// shift bits out of the value, so it is refused, never truncated.
 #[inline]
 pub fn decode_u32(input: &mut &[u8]) -> Option<u32> {
     let mut value: u32 = 0;
     let mut shift = 0;
     while input.has_remaining() {
         let byte = input.get_u8();
-        if shift >= 32 {
-            return None; // over-long encoding
+        if shift == 28 && byte > 0x0F {
+            return None; // over-long or overflowing encoding
         }
         value |= u32::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
@@ -38,31 +41,6 @@ pub fn decode_u32(input: &mut &[u8]) -> Option<u32> {
         shift += 7;
     }
     None
-}
-
-/// Decodes four varints from the front of `input` at once, advancing
-/// it. The fast path fires when all four are single-byte — one 32-bit
-/// load, one continuation-bit test, four shifts — which is the common
-/// case for gap streams after a locality reordering (most gaps fit in
-/// 7 bits). Mixed-width quads fall back to the scalar decoder.
-/// Returns `None` on truncated or over-long input.
-#[inline]
-pub fn decode4_u32(input: &mut &[u8], out: &mut [u32; 4]) -> Option<()> {
-    if input.len() >= 4 {
-        let word = u32::from_le_bytes(input[..4].try_into().expect("4-byte slice"));
-        if word & 0x8080_8080 == 0 {
-            out[0] = word & 0x7F;
-            out[1] = (word >> 8) & 0x7F;
-            out[2] = (word >> 16) & 0x7F;
-            out[3] = (word >> 24) & 0x7F;
-            *input = &input[4..];
-            return Some(());
-        }
-    }
-    for slot in out.iter_mut() {
-        *slot = decode_u32(input)?;
-    }
-    Some(())
 }
 
 /// Encodes a whole slice.
@@ -119,47 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn quad_decode_matches_scalar() {
-        // Mix of single-byte runs (fast path) and wide values
-        // (fallback path), plus a tail shorter than 4.
-        let values: Vec<u32> = (0..1003u32)
-            .map(|i| match i % 7 {
-                0 => i % 128,
-                1 => 127,
-                2 => 128,
-                3 => 16_384,
-                4 => u32::MAX - i,
-                _ => i % 90,
-            })
-            .collect();
-        let encoded = encode_slice(&values);
-        let mut cursor = encoded.as_slice();
-        let mut decoded = Vec::new();
-        let mut quad = [0u32; 4];
-        while decoded.len() + 4 <= values.len() {
-            decode4_u32(&mut cursor, &mut quad).unwrap();
-            decoded.extend_from_slice(&quad);
-        }
-        while decoded.len() < values.len() {
-            decoded.push(decode_u32(&mut cursor).unwrap());
-        }
-        assert_eq!(decoded, values);
-        assert!(cursor.is_empty());
-    }
-
-    #[test]
-    fn quad_decode_detects_truncation() {
-        let mut buf = Vec::new();
-        for v in [1u32, 2, 3, 300] {
-            encode_u32(v, &mut buf);
-        }
-        // 300 needs 2 bytes; cut its last byte off.
-        let mut short = &buf[..buf.len() - 1];
-        let mut quad = [0u32; 4];
-        assert_eq!(decode4_u32(&mut short, &mut quad), None);
-    }
-
-    #[test]
     fn truncated_input_is_detected() {
         let mut buf = Vec::new();
         encode_u32(300, &mut buf); // 2 bytes
@@ -172,5 +109,20 @@ mod tests {
         let bytes = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
         let mut slice = bytes.as_slice();
         assert_eq!(decode_u32(&mut slice), None);
+    }
+
+    #[test]
+    fn overflowing_fifth_byte_is_rejected() {
+        // The fifth byte holds bits 28..32 only: anything above 0x0F
+        // used to decode with its high bits silently shifted out.
+        for bytes in [
+            [0xFFu8, 0xFF, 0xFF, 0xFF, 0x7F],
+            [0x81, 0x80, 0x80, 0x80, 0x70],
+            [0x80, 0x80, 0x80, 0x80, 0x10],
+        ] {
+            assert_eq!(decode_u32(&mut bytes.as_slice()), None, "{bytes:02x?}");
+        }
+        let max = [0xFFu8, 0xFF, 0xFF, 0xFF, 0x0F];
+        assert_eq!(decode_u32(&mut max.as_slice()), Some(u32::MAX));
     }
 }

@@ -7,12 +7,40 @@
 //! (see [`crate::io::snapshot`]).
 //!
 //! This is a *serving* structure, not just a storage study, so the
-//! access paths are built for the kernel hot loop:
+//! access paths are built for the kernel hot loop. Everything that
+//! reads neighborhoods goes through two primitives:
 //!
-//! * [`CompressedCsr::decode_into`] decodes a whole neighborhood into
-//!   a caller-owned buffer — allocation-free once the buffer has grown
-//!   to the maximum degree — four varints per step on single-byte gap
-//!   runs ([`crate::compress::varint::decode4_u32`]);
+//! * the **block cursor** (`NbrIndex::walk`): a sequential walk over
+//!   the index pair stream of a run of blocks that carries the payload
+//!   offset forward, so each vertex's byte range and degree cost O(1)
+//!   — a random access ([`CompressedCsr::decode_into`],
+//!   [`Graph::degree`], [`Graph::has_edge`]) is the same cursor
+//!   advanced at most [`INDEX_BLOCK`]` - 1` steps inside one block;
+//! * the **bulk gap decoder** ([`gap::decode_run`]): four gaps per
+//!   8-byte load for 1- and 2-byte codes, written straight into a
+//!   caller-owned slice.
+//!
+//! On top of them sit the *decode-once* whole-graph paths. Both read
+//! every degree in one cursor pass over the pair stream, cut the index
+//! blocks into arc-balanced tasks, and sweep the tasks in parallel:
+//! each starts at its first block's payload anchor, decodes one
+//! neighborhood after another — exactly once each, the byte offset
+//! carried forward by the decoder, no per-vertex index walk — into
+//! its own disjoint range of one preallocated array:
+//!
+//! * [`CompressedCsr::to_csr`] — the plain CSR; the same function
+//!   serves the mmap-ed `.gcsr` v2 view
+//!   ([`crate::io::MmapSnapshot::to_csr`]) straight off the mapped
+//!   payload;
+//! * [`CompressedCsr::orient_by_degree`] — the forward DAG under the
+//!   `(degree, id)` order, filtered while decoding, which is what
+//!   lets set-intersection kernels (triangle counting) run at CSR
+//!   speed. Its transient cost is one `u32` slot per arc while the
+//!   sweep runs, trimmed to one per *edge* (half the raw adjacency)
+//!   plus `n + 1` offsets for the DAG it returns.
+//!
+//! Around them:
+//!
 //! * [`Graph::has_edge`] is skip-sampled: every 32nd neighbor of a
 //!   high-degree vertex is recorded with its payload byte position at
 //!   build time, so a membership probe jumps to the right 32-entry
@@ -26,6 +54,8 @@
 use crate::compress::{gap, varint};
 use crate::transform::{relabel, Rank};
 use gms_core::{CsrGraph, Graph, NodeId};
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Vertices per index block: one absolute payload anchor every
 /// `INDEX_BLOCK` vertices, varint `(byte_len, degree)` pairs in
@@ -43,8 +73,8 @@ const HUB_MIN_DEGREE: usize = 2 * SAMPLE_EVERY;
 /// The per-vertex index of a compressed adjacency payload: absolute
 /// 64-bit payload anchors every [`INDEX_BLOCK`] vertices plus a varint
 /// stream of `(byte_len, degree)` pairs, one pair per vertex. Both the
-/// byte range *and* the degree of a vertex come out of one bounded
-/// decode walk (≤ [`INDEX_BLOCK`] pairs).
+/// byte range *and* the degree of a vertex come out of one
+/// [`BlockCursor`] step.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NbrIndex {
     n: usize,
@@ -100,41 +130,59 @@ impl NbrIndex {
         self.n
     }
 
-    /// `(payload_start, payload_end, degree)` of vertex `v`: jump to
-    /// the block anchor, walk at most `INDEX_BLOCK - 1` preceding
-    /// pairs, read `v`'s pair.
-    #[inline]
-    pub(crate) fn locate(&self, v: usize) -> (usize, usize, usize) {
-        assert!(v < self.n, "vertex {v} out of range ({n})", n = self.n);
-        let block = v / INDEX_BLOCK;
-        let mut cursor = &self.pairs[self.block_starts[block] as usize..];
-        let mut offset = self.anchors[block];
-        for _ in block * INDEX_BLOCK..v {
-            let len = varint::decode_u32(&mut cursor).expect("pair stream");
-            varint::decode_u32(&mut cursor).expect("pair stream");
-            offset += u64::from(len);
-        }
-        let len = varint::decode_u32(&mut cursor).expect("pair stream");
-        let degree = varint::decode_u32(&mut cursor).expect("pair stream");
-        (
-            offset as usize,
-            (offset + u64::from(len)) as usize,
-            degree as usize,
-        )
+    /// Number of index blocks.
+    pub(crate) fn blocks(&self) -> usize {
+        self.anchors.len()
     }
 
-    /// Sequential walk over all vertices in ID order, calling
-    /// `f(v, payload_start, payload_end, degree)` — one linear pass
-    /// over the pair stream, no per-vertex block walk.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
-        let mut cursor = self.pairs.as_slice();
-        let mut offset = 0usize;
-        for v in 0..self.n {
-            let len = varint::decode_u32(&mut cursor).expect("pair stream") as usize;
-            let degree = varint::decode_u32(&mut cursor).expect("pair stream") as usize;
-            f(v, offset, offset + len, degree);
-            offset += len;
+    /// The vertices of a run of index blocks.
+    pub(crate) fn block_vertices(&self, blocks: &Range<usize>) -> Range<usize> {
+        (blocks.start * INDEX_BLOCK).min(self.n)..(blocks.end * INDEX_BLOCK).min(self.n)
+    }
+
+    /// The block cursor: walks the vertices of index blocks `blocks`
+    /// in ID order, one `(byte_len, degree)` pair per step with the
+    /// payload offset carried forward from the first block's anchor —
+    /// O(1) per vertex, no per-vertex block walk.
+    pub(crate) fn walk(&self, blocks: Range<usize>) -> BlockCursor<'_> {
+        let vertices = self.block_vertices(&blocks);
+        let (pairs, offset) = if vertices.is_empty() {
+            (&[][..], 0)
+        } else {
+            (
+                &self.pairs[self.block_starts[blocks.start] as usize..],
+                self.anchors[blocks.start] as usize,
+            )
+        };
+        BlockCursor {
+            pairs,
+            vertices,
+            offset,
         }
+    }
+
+    /// The entry of vertex `v`: the cursor of its block advanced at
+    /// most `INDEX_BLOCK - 1` steps.
+    #[inline]
+    pub(crate) fn locate(&self, v: usize) -> NbrEntry {
+        assert!(v < self.n, "vertex {v} out of range ({n})", n = self.n);
+        let block = v / INDEX_BLOCK;
+        self.walk(block..block + 1)
+            .nth(v % INDEX_BLOCK)
+            .expect("vertex inside its block")
+    }
+
+    /// The raw CSR offset array (`n + 1` entries): one pass over the
+    /// pair stream, summing degrees.
+    fn csr_offsets(&self) -> Vec<usize> {
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut total = 0usize;
+        offsets.push(total);
+        for entry in self.walk(0..self.blocks()) {
+            total += entry.degree;
+            offsets.push(total);
+        }
+        offsets
     }
 
     /// Heap bytes actually used (lengths, not capacities).
@@ -146,6 +194,54 @@ impl NbrIndex {
         self.anchors.shrink_to_fit();
         self.block_starts.shrink_to_fit();
         self.pairs.shrink_to_fit();
+    }
+}
+
+/// One vertex as the index describes it: where its gap payload lives
+/// and how many neighbors it encodes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NbrEntry {
+    pub(crate) vertex: usize,
+    /// Payload byte range of the neighborhood.
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) degree: usize,
+}
+
+/// Sequential cursor over the index entries of a run of blocks (see
+/// [`NbrIndex::walk`]).
+pub(crate) struct BlockCursor<'a> {
+    pairs: &'a [u8],
+    vertices: Range<usize>,
+    offset: usize,
+}
+
+impl Iterator for BlockCursor<'_> {
+    type Item = NbrEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<NbrEntry> {
+        let vertex = self.vertices.next()?;
+        let (len, degree) = match *self.pairs {
+            // Two single-byte varints: every vertex with fewer than
+            // 128 neighbors in fewer than 128 payload bytes.
+            [len, degree, ref rest @ ..] if (len | degree) < 0x80 => {
+                self.pairs = rest;
+                (usize::from(len), usize::from(degree))
+            }
+            _ => (
+                varint::decode_u32(&mut self.pairs).expect("pair stream") as usize,
+                varint::decode_u32(&mut self.pairs).expect("pair stream") as usize,
+            ),
+        };
+        let start = self.offset;
+        self.offset += len;
+        Some(NbrEntry {
+            vertex,
+            start,
+            end: self.offset,
+            degree,
+        })
     }
 }
 
@@ -169,30 +265,32 @@ pub(crate) struct SkipIndex {
 }
 
 impl SkipIndex {
-    /// Builds the samples by decoding every hub neighborhood once.
+    /// Builds the samples by decoding every hub neighborhood once,
+    /// one `SAMPLE_EVERY`-entry window per bulk-decoder call: the
+    /// window's last value and the byte position after it are the
+    /// sample.
     pub(crate) fn build(index: &NbrIndex, payload: &[u8]) -> Self {
         let mut skips = SkipIndex {
             starts: vec![0],
             ..SkipIndex::default()
         };
-        index.for_each(|v, start, end, degree| {
-            if degree < HUB_MIN_DEGREE {
-                return;
+        let mut window = [0u32; SAMPLE_EVERY];
+        for entry in index.walk(0..index.blocks()) {
+            if entry.degree < HUB_MIN_DEGREE {
+                continue;
             }
-            let section = &payload[start..end];
-            let mut cursor = section;
-            let mut acc = 0u32;
-            for i in 0..degree {
-                let gapv = varint::decode_u32(&mut cursor).expect("validated payload");
-                acc = if i == 0 { gapv } else { acc + gapv };
-                if (i + 1) % SAMPLE_EVERY == 0 {
-                    skips.values.push(acc);
-                    skips.positions.push((section.len() - cursor.len()) as u32);
-                }
+            let section = &payload[entry.start..entry.end];
+            let (mut at, mut last) = (0usize, 0u32);
+            for _ in 0..entry.degree / SAMPLE_EVERY {
+                at +=
+                    gap::decode_run(&section[at..], last, &mut window).expect("validated payload");
+                last = window[SAMPLE_EVERY - 1];
+                skips.values.push(last);
+                skips.positions.push(at as u32);
             }
-            skips.hubs.push(v as NodeId);
+            skips.hubs.push(entry.vertex as NodeId);
             skips.starts.push(skips.values.len() as u32);
-        });
+        }
         skips.hubs.shrink_to_fit();
         skips.starts.shrink_to_fit();
         skips.values.shrink_to_fit();
@@ -319,21 +417,23 @@ impl CompressedCsr {
         self.reordered
     }
 
-    /// Decompresses back to plain CSR in two linear passes: the
-    /// offsets come straight from the index walk, the adjacency is
-    /// decoded once into a single preallocated buffer — no per-vertex
-    /// collection.
+    /// Decompresses back to plain CSR: the offsets come straight from
+    /// the index pair stream, the adjacency is decoded block-parallel
+    /// into one preallocated array (see the module docs).
     pub fn to_csr(&self) -> CsrGraph {
-        let n = self.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors: Vec<NodeId> = Vec::with_capacity(self.arcs);
-        self.index.for_each(|_, start, end, degree| {
-            let mut section = &self.payload[start..end];
-            gap::decode_append(&mut section, degree, &mut neighbors).expect("validated payload");
-            offsets.push(neighbors.len());
-        });
-        CsrGraph::from_parts(offsets, neighbors)
+        decode_all(&self.index, &self.payload)
+    }
+
+    /// The forward DAG under the `(degree, id)` order: the arc
+    /// `u -> v` is kept iff `(deg u, u) < (deg v, v)`. Vertex IDs are
+    /// unchanged (no relabel), forward lists stay sorted by ID, and
+    /// out-degrees are at most `√(2m)` — the bound on the
+    /// `|N⁺(u) ∩ N⁺(v)|` work of triangle and clique counting. Every
+    /// neighborhood is decoded exactly once, in parallel; the full raw
+    /// adjacency is never held (see the module docs for the transient
+    /// cost).
+    pub fn orient_by_degree(&self) -> CsrGraph {
+        orient_by_degree(&self.index, &self.payload)
     }
 
     /// Decodes the neighborhood of `v` into `out`, clearing it first.
@@ -342,10 +442,7 @@ impl CompressedCsr {
     /// scratch buffer, e.g. `gms-pattern`'s `with_worker_scratch`).
     #[inline]
     pub fn decode_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        let (start, end, degree) = self.index.locate(v as usize);
-        let consumed =
-            gap::decode_into(&self.payload[start..end], degree, out).expect("validated payload");
-        debug_assert_eq!(consumed, end - start);
+        decode_neighborhood(&self.index, &self.payload, v, out);
     }
 
     /// Decodes the neighborhood of `v` into a fresh vector.
@@ -391,12 +488,12 @@ impl Graph for CompressedCsr {
     }
 
     fn degree(&self, v: NodeId) -> usize {
-        self.index.locate(v as usize).2
+        self.index.locate(v as usize).degree
     }
 
     fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let (start, end, degree) = self.index.locate(v as usize);
-        gap::GapDecoder::new(&self.payload[start..end], degree)
+        let entry = self.index.locate(v as usize);
+        gap::GapDecoder::new(&self.payload[entry.start..entry.end], entry.degree)
     }
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
@@ -415,7 +512,9 @@ pub(crate) fn probe_edge(
     u: NodeId,
     v: NodeId,
 ) -> bool {
-    let (start, end, degree) = index.locate(u as usize);
+    let NbrEntry {
+        start, end, degree, ..
+    } = index.locate(u as usize);
     let mut cursor = &payload[start..end];
     let mut skipped = 0usize;
     let mut acc: Option<u32> = None;
@@ -450,6 +549,181 @@ pub(crate) fn probe_edge(
         acc = Some(value);
     }
     false
+}
+
+/// The per-vertex decode shared by the owned and mmap-served
+/// representations: locate `v`, bulk-decode its payload into `out`.
+#[inline]
+pub(crate) fn decode_neighborhood(
+    index: &NbrIndex,
+    payload: &[u8],
+    v: NodeId,
+    out: &mut Vec<NodeId>,
+) {
+    let entry = index.locate(v as usize);
+    let consumed =
+        gap::decode_into(&payload[entry.start..], entry.degree, out).expect("validated payload");
+    debug_assert_eq!(consumed, entry.end - entry.start);
+}
+
+/// Decode tasks per worker: enough slack for stealing to even out
+/// what the arc-balanced cut leaves (a task is whole blocks, and one
+/// hub block can outweigh its share).
+const TASKS_PER_WORKER: usize = 8;
+
+/// Cuts the index blocks into runs of roughly equal *arc* count —
+/// skewed graphs pack their hubs into a few blocks, so equal block
+/// counts would hand one task half the work — and `targets`, laid out
+/// by the raw CSR `offsets`, into the matching disjoint slices, so the
+/// decode tasks can fill their ranges in parallel.
+fn task_regions<'a>(
+    index: &NbrIndex,
+    offsets: &[usize],
+    mut targets: &'a mut [NodeId],
+) -> Vec<(Range<usize>, &'a mut [NodeId])> {
+    let blocks = index.blocks();
+    let tasks = TASKS_PER_WORKER * rayon::current_num_threads();
+    let arcs = offsets[index.len()];
+    let mut regions = Vec::with_capacity(tasks);
+    let (mut first, mut cut) = (0usize, 0usize);
+    for next in 1..=blocks {
+        let upto = offsets[(next * INDEX_BLOCK).min(index.len())];
+        // Close the task once it has reached its share of the arcs.
+        if next == blocks || upto * tasks >= arcs * (regions.len() + 1) {
+            let (region, rest) = std::mem::take(&mut targets).split_at_mut(upto - cut);
+            targets = rest;
+            regions.push((first..next, region));
+            (first, cut) = (next, upto);
+        }
+    }
+    regions
+}
+
+/// One decode task — the sequential heart of every whole-graph path:
+/// decodes the neighborhoods of index blocks `blocks` one after
+/// another, each exactly once, into `region`. The walk starts at the
+/// first block's payload anchor and carries the byte offset forward by
+/// what each decode consumed; degrees come from the raw CSR `offsets`
+/// — no per-vertex [`NbrIndex::locate`]. Every decoded neighborhood is
+/// handed to `keep(v, nbrs)`, which may pack the entries it wants at
+/// the front of `nbrs` and returns how many it kept; the next
+/// neighborhood is decoded right behind them. Returns the total kept,
+/// i.e. the length of the packed front of `region`.
+fn sweep_blocks(
+    index: &NbrIndex,
+    payload: &[u8],
+    offsets: &[usize],
+    blocks: Range<usize>,
+    region: &mut [NodeId],
+    mut keep: impl FnMut(usize, &mut [NodeId]) -> usize,
+) -> usize {
+    let mut at = index.anchors[blocks.start] as usize;
+    let mut front = 0usize;
+    for v in index.block_vertices(&blocks) {
+        let nbrs = &mut region[front..front + (offsets[v + 1] - offsets[v])];
+        at += gap::decode_run(&payload[at..], 0, nbrs).expect("validated payload");
+        front += keep(v, nbrs);
+    }
+    debug_assert_eq!(
+        at as u64,
+        index
+            .anchors
+            .get(blocks.end)
+            .copied()
+            .unwrap_or(payload.len() as u64),
+        "decoded bytes must end on the next block anchor"
+    );
+    front
+}
+
+/// The decode-all path of both the owned [`CompressedCsr`] and the
+/// mmap-served `.gcsr` v2 view: materializes the plain CSR, decoding
+/// every neighborhood exactly once. The offsets are the degree prefix
+/// sums of one pass over the index pair stream; the adjacency array is
+/// allocated once at its final size and cut at block boundaries into
+/// disjoint ranges that [`sweep_blocks`] tasks fill in parallel.
+pub(crate) fn decode_all(index: &NbrIndex, payload: &[u8]) -> CsrGraph {
+    let offsets = index.csr_offsets();
+    let mut targets: Vec<NodeId> = vec![0; offsets[index.len()]];
+    task_regions(index, &offsets, &mut targets)
+        .into_par_iter()
+        .for_each(|(blocks, region)| {
+            let filled = sweep_blocks(index, payload, &offsets, blocks, region, |_, nbrs| {
+                nbrs.len()
+            });
+            debug_assert_eq!(filled, region.len());
+        });
+    CsrGraph::from_parts(offsets, targets)
+}
+
+/// Decode-once degree orientation: the DAG that keeps the arc
+/// `u -> v` iff `(deg u, u) < (deg v, v)`, with vertex IDs unchanged
+/// (no relabel) and forward lists still sorted by ID. Under this
+/// order out-degrees are at most `√(2m)`, which is what bounds the
+/// `|N⁺(u) ∩ N⁺(v)|` work of triangle and clique counting.
+///
+/// Degrees come from one pass over the index pair stream. The blocks
+/// are then swept in parallel ([`sweep_blocks`]): each task decodes
+/// its neighborhoods once, straight into its own range of one buffer,
+/// and keeps only the forward neighbors, packed at the front of the
+/// range. A last sequential pass closes the gaps between ranges.
+/// Transient memory: the buffer has one slot per arc because a task's
+/// forward count is unknown until it has decoded, and is trimmed to
+/// the forward half — one slot per *edge*, which is what the returned
+/// DAG holds — as soon as the sweep is over.
+pub(crate) fn orient_by_degree(index: &NbrIndex, payload: &[u8]) -> CsrGraph {
+    let n = index.len();
+    let raw = index.csr_offsets();
+    let mut targets: Vec<NodeId> = vec![0; raw[n]];
+    let rank = |v: usize| (raw[v + 1] - raw[v], v);
+
+    // `kept[v + 1]` receives the forward degree of `v`; the counts are
+    // cut at the same block boundaries as the target ranges.
+    let mut kept = vec![0usize; n + 1];
+    let mut counts = &mut kept[1..];
+    let tasks: Vec<_> = task_regions(index, &raw, &mut targets)
+        .into_iter()
+        .map(|(blocks, region)| {
+            let vertices = index.block_vertices(&blocks);
+            let (mine, rest) = std::mem::take(&mut counts).split_at_mut(vertices.len());
+            counts = rest;
+            (blocks, region, mine)
+        })
+        .collect();
+    // Each task reports where its range starts and how long its
+    // packed front is.
+    let fronts: Vec<(usize, usize)> = tasks
+        .into_par_iter()
+        .map(|(blocks, region, counts)| {
+            let first = blocks.start * INDEX_BLOCK;
+            let packed = sweep_blocks(index, payload, &raw, blocks, region, |u, nbrs| {
+                let key = rank(u);
+                let mut forward = 0usize;
+                for i in 0..nbrs.len() {
+                    let v = nbrs[i];
+                    nbrs[forward] = v;
+                    forward += usize::from(rank(v as usize) > key);
+                }
+                counts[u - first] = forward;
+                forward
+            });
+            (raw[first], packed)
+        })
+        .collect();
+
+    // Close the gaps: slide every task's packed front down behind its
+    // predecessor's, then turn the forward degrees into offsets.
+    let mut total = 0usize;
+    for (from, packed) in fronts {
+        targets.copy_within(from..from + packed, total);
+        total += packed;
+    }
+    targets.truncate(total);
+    targets.shrink_to_fit();
+    for v in 0..n {
+        kept[v + 1] += kept[v];
+    }
+    CsrGraph::from_parts(kept, targets)
 }
 
 #[cfg(test)]

@@ -835,11 +835,7 @@ impl MmapSnapshot {
                 index,
                 payload_start,
                 ..
-            } => {
-                let (start, end, degree) = index.locate(v as usize);
-                let payload = &self.map[*payload_start..];
-                gap::decode_into(&payload[start..end], degree, out).expect("validated payload");
-            }
+            } => compressed_csr::decode_neighborhood(index, &self.map[*payload_start..], v, out),
         }
     }
 
@@ -861,8 +857,10 @@ impl MmapSnapshot {
         }
     }
 
-    /// Materializes an owned [`CsrGraph`] (copies — and for v2
-    /// decodes — both sections).
+    /// Materializes an owned [`CsrGraph`]: a copy of both sections for
+    /// v1, the same parallel decode-all as
+    /// [`CompressedCsr::to_csr`] for v2, straight off the mapped
+    /// payload.
     pub fn to_csr(&self) -> CsrGraph {
         match &self.view {
             SnapshotView::Raw { offsets, .. } => {
@@ -871,21 +869,8 @@ impl MmapSnapshot {
             SnapshotView::Compressed {
                 index,
                 payload_start,
-                arcs,
                 ..
-            } => {
-                let payload = &self.map[*payload_start..];
-                let mut offsets = Vec::with_capacity(index.len() + 1);
-                offsets.push(0usize);
-                let mut neighbors: Vec<NodeId> = Vec::with_capacity(*arcs);
-                index.for_each(|_, start, end, degree| {
-                    let mut section = &payload[start..end];
-                    gap::decode_append(&mut section, degree, &mut neighbors)
-                        .expect("validated payload");
-                    offsets.push(neighbors.len());
-                });
-                CsrGraph::from_parts(offsets, neighbors)
-            }
+            } => compressed_csr::decode_all(index, &self.map[*payload_start..]),
         }
     }
 
@@ -932,7 +917,7 @@ impl Graph for MmapSnapshot {
     fn degree(&self, v: NodeId) -> usize {
         match &self.view {
             SnapshotView::Raw { offsets, .. } => offsets[v as usize + 1] - offsets[v as usize],
-            SnapshotView::Compressed { index, .. } => index.locate(v as usize).2,
+            SnapshotView::Compressed { index, .. } => index.locate(v as usize).degree,
         }
     }
 
@@ -947,9 +932,12 @@ impl Graph for MmapSnapshot {
                 payload_start,
                 ..
             } => {
-                let (start, end, degree) = index.locate(v as usize);
+                let entry = index.locate(v as usize);
                 let payload = &self.map[*payload_start..];
-                SnapshotNeighbors::Gap(gap::GapDecoder::new(&payload[start..end], degree))
+                SnapshotNeighbors::Gap(gap::GapDecoder::new(
+                    &payload[entry.start..entry.end],
+                    entry.degree,
+                ))
             }
         }
     }

@@ -609,6 +609,43 @@ fn v2_structural_corruption_holds_even_with_valid_checksums() {
 }
 
 #[test]
+fn v2_overflowing_fifth_varint_byte_is_refused_at_load() {
+    // `[0x81, 0x80, 0x80, 0x80, 0x70]` is a five-byte varint whose
+    // fifth byte carries bits past 2³²: with the high bits shifted
+    // out it used to decode to 1 — exactly vertex 0's first neighbor
+    // in the sample ([1, 2], stored as the gaps [1, 1]). Swap it in
+    // for that first gap, grow vertex 0's byte length (2 → 6, the
+    // first byte of the pair stream behind the one block's 8-byte
+    // anchor and 4-byte block start) and the payload length, and fix
+    // the checksums: every structural check still agrees, so only the
+    // varint rule can refuse the file — which it must, or the
+    // unchecked bulk decode would later see a code validation never
+    // vetted.
+    let pristine = v2_sample_bytes();
+    let index_len = u64::from_le_bytes(pristine[32..40].try_into().unwrap()) as usize;
+    let payload_start = GCSR_V2_HEADER_BYTES + index_len;
+    let pair_start = GCSR_V2_HEADER_BYTES + 12;
+    assert_eq!(&pristine[pair_start..pair_start + 2], &[2, 2]);
+    assert_eq!(&pristine[payload_start..payload_start + 2], &[1, 1]);
+
+    let mut bytes = pristine[..payload_start].to_vec();
+    bytes.extend_from_slice(&[0x81, 0x80, 0x80, 0x80, 0x70]);
+    bytes.extend_from_slice(&pristine[payload_start + 1..]);
+    bytes[pair_start] = 6;
+    let payload_len = (bytes.len() - payload_start) as u64;
+    bytes[40..48].copy_from_slice(&payload_len.to_le_bytes());
+    fix_v2_checksums(&mut bytes);
+    let err = snapshot_err(&bytes, "v2fifthbyte");
+    assert!(
+        matches!(
+            err.cause,
+            GraphIoCause::SnapshotFormat { detail } if detail.contains("truncated neighborhood")
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn edge_list_huge_nodes_header_is_ignored_not_allocated() {
     // Regression: a hostile `# Nodes:` comment must not drive the
     // loader into an unrepresentable allocation; counts beyond the

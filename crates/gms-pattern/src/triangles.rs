@@ -10,17 +10,6 @@ use gms_graph::{orient_by_rank, relabel, CompressedCsr, Rank};
 use gms_order::degree_order;
 use rayon::prelude::*;
 
-use crate::scratch::with_worker_scratch;
-
-/// Per-worker decode buffers for [`triangle_count_compressed`]: one
-/// neighborhood per nesting level, reused across every vertex a rayon
-/// worker processes so the kernel loop never allocates after warm-up.
-#[derive(Default)]
-struct DecodeScratch {
-    outer: Vec<NodeId>,
-    inner: Vec<NodeId>,
-}
-
 /// Node-iterator triangle counting: for every vertex `v` and neighbor
 /// `w`, accumulate `|N(v) ∩ N(w)|`; every triangle is counted six
 /// times (twice per corner). Generic over the set layout.
@@ -47,6 +36,12 @@ pub fn triangle_count_rank_merge(graph: &CsrGraph) -> u64 {
     let rank = degree_order(graph);
     let relabeled = relabel(graph, &rank);
     let dag = orient_by_rank(&relabeled, &Rank::identity(relabeled.num_vertices()));
+    count_forward_wedges(&dag)
+}
+
+/// `Σ |N⁺(u) ∩ N⁺(v)|` over the arcs `u -> v` of an oriented graph:
+/// every triangle is closed exactly once, at its lowest-ranked corner.
+fn count_forward_wedges(dag: &CsrGraph) -> u64 {
     (0..dag.num_vertices() as NodeId)
         .into_par_iter()
         .map(|u| {
@@ -58,34 +53,21 @@ pub fn triangle_count_rank_merge(graph: &CsrGraph) -> u64 {
         .sum()
 }
 
-/// Decode-native triangle counting over a gap-compressed CSR: the
-/// forward-neighbor variant of node-iterator, run directly on the
-/// compressed representation. Each worker decodes `N(u)` and `N(v)`
-/// into thread-local scratch ([`with_worker_scratch`]) and counts
-/// `|N(u) ∩ N(v)|` for `v > u` over the sorted slices, so every
-/// triangle is seen exactly three times (once per corner as the
-/// smallest-by-id pair anchor). No materialized CSR, no per-vertex
-/// allocation: the compressed graph stays the only resident copy.
+/// Triangle counting over a gap-compressed CSR: decode once, orient,
+/// count. [`CompressedCsr::orient_by_degree`] sweeps the index blocks
+/// in parallel, decodes every neighborhood exactly once and keeps only
+/// the forward neighbors under the `(degree, id)` order; the count is
+/// then the same `|N⁺(u) ∩ N⁺(v)|` slice merge as
+/// [`triangle_count_rank_merge`], so each triangle is seen once and
+/// hubs — whose forward lists are short — cost what they cost on a raw
+/// CSR. The compressed graph stays the only resident copy. The
+/// transient cost, freed on return, is the sweep's buffer — one `u32`
+/// slot per arc, of which only the packed forward half is kept — and
+/// then the forward DAG it is trimmed to: one `u32` per *edge* (half
+/// the raw adjacency) plus `n + 1` offsets. The number of allocations
+/// is fixed by the pool width, not by the graph.
 pub fn triangle_count_compressed(graph: &CompressedCsr) -> u64 {
-    let total: u64 = (0..graph.num_vertices() as NodeId)
-        .into_par_iter()
-        .map(|u| {
-            with_worker_scratch(|scratch: &mut DecodeScratch| {
-                graph.decode_into(u, &mut scratch.outer);
-                let mut local = 0u64;
-                for i in 0..scratch.outer.len() {
-                    let v = scratch.outer[i];
-                    if v <= u {
-                        continue;
-                    }
-                    graph.decode_into(v, &mut scratch.inner);
-                    local += intersect_count_sorted_slices(&scratch.outer, &scratch.inner) as u64;
-                }
-                local
-            })
-        })
-        .sum();
-    total / 3
+    count_forward_wedges(&graph.orient_by_degree())
 }
 
 /// Touched-wedge triangle recount: the number of triangles containing
@@ -160,36 +142,102 @@ mod tests {
         assert_eq!(triangle_count_node_iterator(&dense), expected);
     }
 
-    #[test]
-    fn compressed_counter_agrees_with_csr_counters() {
-        let gallery = [
-            gms_gen::gnp(120, 0.08, 4),
-            gms_gen::kronecker_default(8, 6, 7),
-            gms_gen::complete(9),
-            gms_gen::grid(8, 8),
-            CsrGraph::from_undirected_edges(0, &[]),
-            CsrGraph::from_undirected_edges(5, &[]),
-        ];
-        for g in &gallery {
-            let compressed = CompressedCsr::from_csr(g);
-            assert_eq!(
-                triangle_count_compressed(&compressed),
-                triangle_count_rank_merge(g)
-            );
+    /// The generator gallery plus the shapes that stress the decode
+    /// sweep: hubs, paths, nothing at all, vertex counts on both sides
+    /// of an index-block boundary, and an isolated tail.
+    fn compressed_gallery() -> Vec<(&'static str, CsrGraph)> {
+        let star = |n: u32| {
+            let spokes: Vec<_> = (1..n).map(|v| (0, v)).collect();
+            CsrGraph::from_undirected_edges(n as usize, &spokes)
+        };
+        // A hub over a ring: every ring edge closes a triangle with it.
+        let wheel = |n: u32| {
+            let mut edges: Vec<_> = (1..n).map(|v| (0, v)).collect();
+            edges.extend((1..n).map(|v| (v, if v + 1 < n { v + 1 } else { 1 })));
+            CsrGraph::from_undirected_edges(n as usize, &edges)
+        };
+        let path = |n: u32| {
+            let edges: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
+            CsrGraph::from_undirected_edges(n as usize, &edges)
+        };
+        // K5 on the first vertices, the rest of `n` isolated.
+        let isolated_tail = |n: usize| {
+            let edges: Vec<_> = (0..5u32)
+                .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
+                .collect();
+            CsrGraph::from_undirected_edges(n, &edges)
+        };
+        vec![
+            ("gnp", gms_gen::gnp(120, 0.08, 4)),
+            ("kron", gms_gen::kronecker_default(8, 6, 7)),
+            ("kron-skewed", gms_gen::kronecker_default(10, 12, 7)),
+            ("planted", gms_gen::planted_cliques(300, 0.02, 6, 7, 5).0),
+            ("complete", gms_gen::complete(9)),
+            ("grid", gms_gen::grid(8, 8)),
+            ("star", star(200)),
+            ("wheel-64", wheel(64)),
+            ("wheel-65", wheel(65)),
+            ("wheel-127", wheel(127)),
+            ("path", path(130)),
+            ("zero", CsrGraph::from_undirected_edges(0, &[])),
+            ("edgeless", CsrGraph::from_undirected_edges(5, &[])),
+            ("tail-128", isolated_tail(128)),
+            ("tail-129", isolated_tail(129)),
+            ("tail-191", isolated_tail(191)),
+        ]
+    }
+
+    /// A `.gcsr` v2 file written and loaded back through the mmap path.
+    fn through_mmap(compressed: &CompressedCsr, name: &str) -> CompressedCsr {
+        use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed, SnapshotGraph};
+        let path = std::env::temp_dir().join(format!("gms_tri_{}_{name}.gcsr", std::process::id()));
+        save_snapshot_compressed(compressed, &path).unwrap();
+        let loaded = load_snapshot_auto(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        match loaded {
+            SnapshotGraph::Compressed(c) => c,
+            SnapshotGraph::Raw(_) => panic!("v2 must stay compressed"),
         }
     }
 
     #[test]
-    fn compressed_counter_is_order_invariant() {
-        // Locality reordering relabels vertices; the triangle count is
-        // an isomorphism invariant and must not change.
-        let g = gms_gen::gnp(150, 0.06, 11);
-        let rank = degree_order(&g);
-        let reordered = CompressedCsr::from_csr_ordered(&g, &rank);
-        assert_eq!(
-            triangle_count_compressed(&reordered),
-            triangle_count_rank_merge(&g)
-        );
+    fn compressed_counter_agrees_with_rank_merge_on_every_resident() {
+        for (name, g) in &compressed_gallery() {
+            let expected = triangle_count_rank_merge(g);
+            let gap = CompressedCsr::from_csr(g);
+            // Locality reordering relabels vertices; the triangle count
+            // is an isomorphism invariant and must not change.
+            let reordered = CompressedCsr::from_csr_ordered(g, &gms_order::bfs_order(g, 0));
+            let mapped = through_mmap(&gap, name);
+            for (resident, compressed) in [
+                ("gap", &gap),
+                ("gap+reorder", &reordered),
+                ("mmap", &mapped),
+            ] {
+                assert_eq!(
+                    triangle_count_compressed(compressed),
+                    expected,
+                    "{name} / {resident}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degree_orientation_keeps_each_edge_once() {
+        for (name, g) in &compressed_gallery() {
+            let dag = CompressedCsr::from_csr(g).orient_by_degree();
+            assert_eq!(dag.num_vertices(), g.num_vertices(), "{name}");
+            assert_eq!(2 * dag.num_arcs(), g.num_arcs(), "{name}");
+            for u in dag.vertices() {
+                let forward = dag.neighbors_slice(u);
+                assert!(forward.windows(2).all(|w| w[0] < w[1]), "{name}: sorted");
+                for &v in forward {
+                    assert!(g.has_edge(u, v), "{name}: {u} -> {v} is an edge");
+                    assert!((g.degree(u), u) < (g.degree(v), v), "{name}: {u} -> {v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,97 @@
+//! Pins the allocation profile of the compressed triangle kernel.
+//!
+//! `triangle_count_compressed` decodes the graph once into a transient
+//! forward DAG: a fixed handful of whole-graph arrays (degrees,
+//! targets, forward counts) and one task list per parallel dispatch,
+//! sized by the pool width. Nothing is allocated per vertex, per
+//! neighborhood or per arc — so the *number* of allocations must be
+//! the same on a 2 k-vertex and a 20 k-vertex graph at a fixed pool
+//! width. A regression that materializes a `Vec` per neighborhood (or
+//! per index block) would still count correctly; only an allocation
+//! counter can catch it.
+//!
+//! Everything runs in a single `#[test]` because the allocator is
+//! process-global: concurrent tests would pollute the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use gms_graph::CompressedCsr;
+use gms_pattern::{triangle_count_compressed, triangle_count_rank_merge};
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns its result and how many allocations it made.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = f();
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn allocation_count_does_not_grow_with_the_graph() {
+    // 2 k vertices (one skewed, one uniform) against 20 k; built and
+    // compressed BEFORE measurement.
+    let graphs: Vec<_> = [
+        gms_gen::kronecker_default(11, 8, 7),
+        gms_gen::gnp(2_000, 0.008, 7),
+        gms_gen::gnp(20_000, 0.0008, 7),
+    ]
+    .into_iter()
+    .map(|raw| {
+        let compressed = CompressedCsr::from_csr(&raw);
+        (raw, compressed)
+    })
+    .collect();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+
+    // Warm-up: worker threads, their stacks and scratch exist.
+    for (raw, compressed) in &graphs {
+        let expected = triangle_count_rank_merge(raw);
+        assert_eq!(
+            pool.install(|| triangle_count_compressed(compressed)),
+            expected
+        );
+    }
+
+    let counts: Vec<usize> = graphs
+        .iter()
+        .map(|(_, compressed)| {
+            allocations_during(|| pool.install(|| triangle_count_compressed(compressed))).1
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "allocation count depends on the graph: {counts:?} — the kernel \
+         must allocate whole-graph arrays and per-dispatch task lists only"
+    );
+    assert!(
+        counts[0] < 32,
+        "{} allocations for one triangle count",
+        counts[0]
+    );
+}

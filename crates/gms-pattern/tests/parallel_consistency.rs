@@ -131,3 +131,37 @@ fn parallel_kclique_matches_sequential_on_20_seeded_graphs() {
         }
     }
 }
+
+#[test]
+fn compressed_triangle_count_is_pool_width_invariant() {
+    // The decode sweep cuts its tasks by pool width and the counting
+    // phase splits by it; neither may show in the answer. Skewed and
+    // block-straddling graphs, gap and gap+reorder residents.
+    let graphs = [
+        gms_gen::kronecker_default(10, 12, 7),
+        gms_gen::planted_cliques(517, 0.02, 8, 6, 3).0,
+        gms_gen::gnp(191, 0.1, 5),
+    ];
+    for (i, graph) in graphs.iter().enumerate() {
+        let expected = gms_pattern::triangle_count_rank_merge(graph);
+        let gap = gms_graph::CompressedCsr::from_csr(graph);
+        let rank = gms_order::bfs_order(graph, 0);
+        let reordered = gms_graph::CompressedCsr::from_csr_ordered(graph, &rank);
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for (resident, compressed) in [("gap", &gap), ("gap+reorder", &reordered)] {
+                let count = pool.install(|| gms_pattern::triangle_count_compressed(compressed));
+                assert_eq!(count, expected, "graph {i} {resident} threads {threads}");
+                let csr = pool.install(|| compressed.to_csr());
+                assert_eq!(
+                    gms_pattern::triangle_count_rank_merge(&csr),
+                    expected,
+                    "graph {i} {resident} threads {threads}: to_csr"
+                );
+            }
+        }
+    }
+}

@@ -338,11 +338,16 @@ impl Kernel for TriangleKernel {
         Ok(Outcome::new(self.name(), count).with_timings(timings))
     }
 
-    /// Decode-native override: counts triangles directly over the
-    /// compressed neighborhoods through per-worker decode scratch —
-    /// no materialized CSR, no per-vertex allocation. Both `method`
-    /// choices produce the same count, so one compressed path serves
-    /// them.
+    /// Decode-once override: every neighborhood is decoded exactly
+    /// once, in parallel, straight into the `(degree, id)`-oriented
+    /// forward DAG, and the count is the rank-merge `|N⁺(u) ∩ N⁺(v)|`
+    /// over its slices — CSR speed without the CSR. The transient
+    /// cost, freed on return, is the decode buffer (one `u32` slot
+    /// per arc while the sweep runs) trimmed to that DAG (one `u32`
+    /// per edge, half the raw adjacency, plus `n + 1` offsets);
+    /// nothing is charged to `convert` because no CSR is
+    /// materialized. Both `method` choices produce the same count, so
+    /// one compressed path serves them.
     fn run_compressed(
         &self,
         graph: &gms_graph::CompressedCsr,

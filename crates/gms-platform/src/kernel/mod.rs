@@ -132,9 +132,9 @@ pub trait Kernel: Send + Sync {
     /// The default decodes the whole graph once and delegates to
     /// [`Kernel::run`], charging the decode to the `convert` stage of
     /// the outcome's timings — always correct, never resident-memory
-    /// free. Kernels with a decode-native hot path (e.g. triangle
-    /// counting) override this to mine the compressed representation
-    /// directly.
+    /// free. Kernels that need less than the full CSR (triangle
+    /// counting builds only the degree-oriented forward half)
+    /// override this to decode straight into what they use.
     fn run_compressed(
         &self,
         graph: &CompressedCsr,
