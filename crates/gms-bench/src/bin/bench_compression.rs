@@ -3,9 +3,8 @@
 //! archetype in the selected subset, held raw, gap-compressed, and
 //! gap-compressed after a BFS locality reordering, with the pattern
 //! kernels (triangle-count, bk, k-clique) timed on each resident
-//! representation through the same [`Kernel`] entry points the
-//! serving layer uses (`run` on raw CSR, `run_compressed` on the
-//! compressed backend).
+//! representation through the same entry point the serving layer
+//! uses ([`execute`] over a raw or compressed [`GraphView`]).
 //!
 //! Each row reports the representation's adjacency heap footprint in
 //! bytes per stored arc and the kernel's wall-clock slowdown against
@@ -33,7 +32,7 @@
 use gms_bench::{gallery, scale_from_env};
 use gms_core::{CsrGraph, Graph};
 use gms_graph::CompressedCsr;
-use gms_platform::kernel::{Kernel, Params, Registry};
+use gms_platform::kernel::{execute, GraphView, Kernel, Params, Registry, RunCx};
 use std::time::Instant;
 
 const KERNELS: [&str; 3] = ["triangle-count", "bk", "k-clique"];
@@ -110,21 +109,16 @@ fn main() {
 
         for kernel_name in KERNELS {
             let kernel: &dyn Kernel = registry.get(kernel_name).expect("builtin kernel");
-            let (raw_patterns, raw_secs) = timed(|| {
-                kernel
-                    .run(graph, &params)
+            let run = |view| {
+                execute(kernel, &RunCx::new(view, &params))
                     .expect("default params are valid")
                     .patterns
-            });
+            };
+            let (raw_patterns, raw_secs) = timed(|| run(GraphView::Raw(graph)));
             for scheme in &schemes {
                 let (patterns, secs) = match scheme.compressed {
                     None => (raw_patterns, raw_secs),
-                    Some(compressed) => timed(|| {
-                        kernel
-                            .run_compressed(compressed, &params)
-                            .expect("default params are valid")
-                            .patterns
-                    }),
+                    Some(compressed) => timed(|| run(GraphView::Compressed(compressed))),
                 };
                 // The reordered backend is a relabeled isomorph;
                 // pattern counts are isomorphism invariants.

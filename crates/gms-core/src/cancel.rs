@@ -44,7 +44,7 @@ pub struct CancelToken(Option<Arc<Inner>>);
 impl CancelToken {
     /// A token that never fires — the zero-cost default for call
     /// sites without a deadline.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         Self(None)
     }
 

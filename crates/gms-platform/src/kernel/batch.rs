@@ -5,7 +5,7 @@
 //! as stealable tasks on a sized rayon pool.
 
 use super::session::{GraphHandle, Session};
-use super::{CancelToken, KernelError, Outcome, Params};
+use super::{execute, CancelToken, KernelError, Outcome, Params, RunCx};
 use rayon::prelude::*;
 
 /// One kernel request inside a batch.
@@ -127,19 +127,9 @@ impl BatchRunner {
                         .registry()
                         .get(&request.kernel)
                         .expect("validated kernel name");
-                    if cancel.expired() {
-                        return Err(KernelError::DeadlineExceeded);
-                    }
-                    match frozen.store(request.graph)? {
-                        super::GraphStore::Csr(graph) => cache.run_or_wait(key, owner, || {
-                            kernel.run_with_cancel(graph, &request.params, cancel)
-                        }),
-                        super::GraphStore::Compressed(graph) => {
-                            cache.run_or_wait(key, owner, || {
-                                kernel.run_compressed_with_cancel(graph, &request.params, cancel)
-                            })
-                        }
-                    }
+                    let view = frozen.store(request.graph)?.view();
+                    let cx = RunCx::new(view, &request.params).with_cancel(cancel);
+                    cache.run_or_wait(key, owner, || execute(kernel, &cx))
                 })
                 .collect()
         });

@@ -1,14 +1,12 @@
-//! Adapters wrapping every public mining entry point of the suite in
-//! the [`Kernel`] trait — the migration of the legacy signature zoo
-//! (`BkVariant::run`, `k_clique_count`, bespoke VF2/learn/opt
-//! functions) onto the one typed entry point. The legacy functions
-//! remain public in their crates; these adapters are how the
-//! registry, the session cache, the batch runner, and the benchmark
-//! harness reach them.
+//! Adapters wrapping every public mining entry point of the suite
+//! (`BkVariant::run_cancellable`, `k_clique_count_cancellable`, the
+//! VF2/learn/opt functions) in the [`Kernel`] trait. Those functions
+//! stay public in their crates; these adapters are how the registry,
+//! the session cache, the batch runner, and the benchmark harness
+//! reach them.
 
 use super::{
-    CancelToken, Category, DeltaSensitivity, Kernel, KernelError, Outcome, ParamSpec, Params,
-    Payload,
+    Category, DeltaSensitivity, Kernel, KernelError, Outcome, ParamSpec, Params, Payload, RunCx,
 };
 use crate::counters::CountingSet;
 use crate::pipeline::StageTimings;
@@ -89,14 +87,29 @@ fn ordering_specs() -> [ParamSpec; 2] {
     ]
 }
 
-fn ordering_from(params: &Params) -> OrderingKind {
-    match params.get_str("ordering", "adg") {
+/// The ADG epsilon, rejected unless finite and non-negative —
+/// `approx_degeneracy_order` asserts on anything else, and a request
+/// must not be able to panic the thread that serves it.
+fn adg_order(kernel: &str, params: &Params) -> Result<OrderingKind, KernelError> {
+    let eps = params.get_float("eps", 0.25);
+    if !eps.is_finite() || eps < 0.0 {
+        return Err(KernelError::BadParam {
+            kernel: kernel.to_string(),
+            param: "eps".to_string(),
+            message: format!("eps must be finite and >= 0, got {eps}"),
+        });
+    }
+    Ok(OrderingKind::ApproxDegeneracy(eps))
+}
+
+fn ordering_from(kernel: &str, params: &Params) -> Result<OrderingKind, KernelError> {
+    Ok(match params.get_str("ordering", "adg") {
         "natural" => OrderingKind::Natural,
         "degree" => OrderingKind::Degree,
         "degeneracy" => OrderingKind::Degeneracy,
         "triangle" => OrderingKind::TriangleCount,
-        _ => OrderingKind::ApproxDegeneracy(params.get_float("eps", 0.25)),
-    }
+        _ => adg_order(kernel, params)?,
+    })
 }
 
 fn stage(preprocess: std::time::Duration, kernel: std::time::Duration) -> StageTimings {
@@ -145,17 +158,10 @@ impl Kernel for BkKernel {
             ParamSpec::bool("collect", false, "materialize the cliques in the payload"),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
-        self.run_with_cancel(graph, params, &CancelToken::none())
-    }
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
         let config = BkConfig {
-            ordering: ordering_from(params),
+            ordering: ordering_from(self.name(), params)?,
             subgraph: match params.get_str("subgraph", "none") {
                 "outermost" => SubgraphMode::Outermost,
                 "per-level" => SubgraphMode::PerLevel,
@@ -173,9 +179,6 @@ impl Kernel for BkKernel {
             }
             _ => bron_kerbosch_cancellable::<DenseBitSet>(graph, &config, cancel),
         };
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
         Ok(Outcome::new(self.name(), out.clique_count)
             .with_timings(stage(out.preprocess, out.mine))
             .with_payload(match out.cliques {
@@ -212,21 +215,11 @@ impl Kernel for BkVariantKernel {
             "materialize the cliques in the payload",
         )]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
-        self.run_with_cancel(graph, params, &CancelToken::none())
-    }
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
         let out = self
             .0
             .run_cancellable(graph, params.get_bool("collect", false), cancel);
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
         Ok(Outcome::new(self.name(), out.clique_count)
             .with_timings(stage(out.preprocess, out.mine))
             .with_payload(match out.cliques {
@@ -263,15 +256,8 @@ impl Kernel for KCliqueKernel {
             ),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
-        self.run_with_cancel(graph, params, &CancelToken::none())
-    }
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
         let k = params.get_int("k", 4);
         if k < 1 {
             return Err(KernelError::BadParam {
@@ -281,16 +267,13 @@ impl Kernel for KCliqueKernel {
             });
         }
         let config = KcConfig {
-            ordering: ordering_from(params),
+            ordering: ordering_from(self.name(), params)?,
             parallel: match params.get_str("parallel", "edge") {
                 "node" => KcParallel::Node,
                 _ => KcParallel::Edge,
             },
         };
         let out = k_clique_count_cancellable(graph, k as usize, &config, cancel);
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
         Ok(Outcome::new(self.name(), out.count).with_timings(stage(out.preprocess, out.mine)))
     }
 }
@@ -316,48 +299,41 @@ impl Kernel for TriangleKernel {
             "counting strategy",
         )]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    /// On a compressed resident this is the suite's one decode-native
+    /// kernel: every neighborhood is decoded exactly once, in
+    /// parallel, straight into the `(degree, id)`-oriented forward
+    /// DAG, and the count is the rank-merge `|N⁺(u) ∩ N⁺(v)|` over
+    /// its slices — CSR speed without the CSR. The transient cost,
+    /// freed on return, is the decode buffer (one `u32` slot per arc
+    /// while the sweep runs) trimmed to that DAG (one `u32` per edge,
+    /// half the raw adjacency, plus `n + 1` offsets); nothing is
+    /// charged to `convert` because no CSR is materialized. Both
+    /// `method` choices produce the same count, so one compressed
+    /// path serves them.
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         let mut timings = StageTimings::default();
-        let count = match params.get_str("method", "rank-merge") {
-            "node-iterator" => {
+        let count = match (cx.compressed(), cx.params().get_str("method", "rank-merge")) {
+            (Some(compressed), _) => {
                 let t = Instant::now();
-                let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(graph);
+                let count = gms_pattern::triangle_count_compressed(compressed);
+                timings.kernel = t.elapsed();
+                count
+            }
+            (None, "node-iterator") => {
+                let t = Instant::now();
+                let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(cx.csr());
                 timings.convert = t.elapsed();
                 let t = Instant::now();
                 let count = triangle_count_node_iterator(&sg);
                 timings.kernel = t.elapsed();
                 count
             }
-            _ => {
+            (None, _) => {
                 let t = Instant::now();
-                let count = triangle_count_rank_merge(graph);
+                let count = triangle_count_rank_merge(cx.csr());
                 timings.kernel = t.elapsed();
                 count
             }
-        };
-        Ok(Outcome::new(self.name(), count).with_timings(timings))
-    }
-
-    /// Decode-once override: every neighborhood is decoded exactly
-    /// once, in parallel, straight into the `(degree, id)`-oriented
-    /// forward DAG, and the count is the rank-merge `|N⁺(u) ∩ N⁺(v)|`
-    /// over its slices — CSR speed without the CSR. The transient
-    /// cost, freed on return, is the decode buffer (one `u32` slot
-    /// per arc while the sweep runs) trimmed to that DAG (one `u32`
-    /// per edge, half the raw adjacency, plus `n + 1` offsets);
-    /// nothing is charged to `convert` because no CSR is
-    /// materialized. Both `method` choices produce the same count, so
-    /// one compressed path serves them.
-    fn run_compressed(
-        &self,
-        graph: &gms_graph::CompressedCsr,
-        _params: &Params,
-    ) -> Result<Outcome, KernelError> {
-        let t = Instant::now();
-        let count = gms_pattern::triangle_count_compressed(graph);
-        let timings = StageTimings {
-            kernel: t.elapsed(),
-            ..StageTimings::default()
         };
         Ok(Outcome::new(self.name(), count).with_timings(timings))
     }
@@ -421,11 +397,12 @@ impl Kernel for CliqueStarKernel {
             ),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let k = params.get_int("k", 3).max(2) as usize;
         let min_satellites = params.get_int("min-satellites", 1).max(0) as usize;
         let config = KcConfig {
-            ordering: ordering_from(params),
+            ordering: ordering_from(self.name(), params)?,
             parallel: KcParallel::Edge,
         };
         let t = Instant::now();
@@ -508,15 +485,8 @@ impl Kernel for SubgraphIsoKernel {
     fn params(&self) -> Vec<ParamSpec> {
         iso_specs()
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
-        self.run_with_cancel(graph, params, &CancelToken::none())
-    }
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
         let t = Instant::now();
         let query = LabeledGraph::unlabeled(query_graph(params.get_str("query", "triangle")));
         let target = LabeledGraph::unlabeled(graph.clone());
@@ -524,9 +494,6 @@ impl Kernel for SubgraphIsoKernel {
         let t = Instant::now();
         let count = count_embeddings_cancellable(&query, &target, &iso_options(params), cancel);
         let kernel = t.elapsed();
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
         Ok(Outcome::new(self.name(), count).with_timings(StageTimings {
             convert,
             preprocess: std::time::Duration::ZERO,
@@ -562,15 +529,8 @@ impl Kernel for ParallelIsoKernel {
         ));
         specs
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
-        self.run_with_cancel(graph, params, &CancelToken::none())
-    }
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
         let t = Instant::now();
         let query = LabeledGraph::unlabeled(query_graph(params.get_str("query", "triangle")));
         let target = LabeledGraph::unlabeled(graph.clone());
@@ -588,9 +548,6 @@ impl Kernel for ParallelIsoKernel {
         let t = Instant::now();
         let count = count_embeddings_parallel_cancellable(&query, &target, &config, cancel);
         let kernel = t.elapsed();
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
         Ok(Outcome::new(self.name(), count).with_timings(StageTimings {
             convert,
             preprocess: std::time::Duration::ZERO,
@@ -648,7 +605,8 @@ impl Kernel for SimilarityKernel {
     fn params(&self) -> Vec<ParamSpec> {
         vec![measure_spec()]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let t = Instant::now();
         let pairs: Vec<(NodeId, NodeId)> = graph.edges_undirected().collect();
         let convert = t.elapsed();
@@ -690,7 +648,8 @@ impl Kernel for LinkPredictionKernel {
             ParamSpec::int("seed", 7, "hold-out sampling seed"),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let t = Instant::now();
         let (hits, held_out) = evaluate_accuracy(
             graph,
@@ -730,7 +689,8 @@ impl Kernel for JarvisPatrickKernel {
             measure_spec(),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let config = JarvisPatrickConfig {
             k: params.get_int("k", 6).max(1) as usize,
             min_shared: params.get_int("min-shared", 2).max(0) as usize,
@@ -761,7 +721,8 @@ impl Kernel for LabelPropagationKernel {
     fn params(&self) -> Vec<ParamSpec> {
         vec![ParamSpec::int("max-iters", 50, "propagation round limit")]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let t = Instant::now();
         let assignment = label_propagation(graph, params.get_int("max-iters", 50).max(1) as usize);
         let kernel = t.elapsed();
@@ -787,7 +748,8 @@ impl Kernel for LouvainKernel {
     fn params(&self) -> Vec<ParamSpec> {
         Vec::new()
     }
-    fn run(&self, graph: &CsrGraph, _params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let graph = cx.csr();
         let t = Instant::now();
         let assignment = louvain(graph);
         let kernel = t.elapsed();
@@ -827,9 +789,10 @@ impl Kernel for ColoringKernel {
             ParamSpec::int("seed", 1, "Johansson randomness seed"),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let t0 = Instant::now();
-        let rank = ordering_from(params).compute(graph);
+        let rank = ordering_from(self.name(), params)?.compute(graph);
         let preprocess = t0.elapsed();
         let t = Instant::now();
         let colors = match params.get_str("algo", "greedy") {
@@ -877,7 +840,8 @@ impl Kernel for MstKernel {
     fn params(&self) -> Vec<ParamSpec> {
         vec![ParamSpec::int("seed", 1, "edge-weight seed")]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let seed = params.get_int("seed", 1) as u64;
         let t = Instant::now();
         let edges: Vec<WeightedEdge> = graph
@@ -922,7 +886,8 @@ impl Kernel for MinCutKernel {
             ParamSpec::int("seed", 7, "contraction randomness seed"),
         ]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let t = Instant::now();
         let cut = min_cut(
             graph,
@@ -952,7 +917,8 @@ impl Kernel for KCoreKernel {
     fn params(&self) -> Vec<ParamSpec> {
         vec![ParamSpec::int("k", 2, "minimum degree within the core")]
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let k = params.get_int("k", 2).max(0) as u32;
         let t = Instant::now();
         let mut core = k_core_by_peeling(graph, k);
@@ -1109,15 +1075,14 @@ impl Kernel for OrderKernel {
             _ => Vec::new(),
         }
     }
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (graph, params) = (cx.csr(), cx.params());
         let n = graph.num_vertices();
         let t = Instant::now();
         let rank = match self.0 {
             OrderWhich::Degree => OrderingKind::Degree.compute(graph),
             OrderWhich::Degeneracy => OrderingKind::Degeneracy.compute(graph),
-            OrderWhich::Adg => {
-                OrderingKind::ApproxDegeneracy(params.get_float("eps", 0.25)).compute(graph)
-            }
+            OrderWhich::Adg => adg_order(self.name(), params)?.compute(graph),
             OrderWhich::TriangleCount => OrderingKind::TriangleCount.compute(graph),
             OrderWhich::Bfs => {
                 let root = params.get_int("root", 0).max(0) as usize % n.max(1);

@@ -1,15 +1,23 @@
 //! The unified kernel API — one typed entry point for every mining
-//! kernel in the suite.
+//! kernel in the suite, and one way to run it.
 //!
 //! GMS pitches graph mining as *one* programmable pipeline (load →
-//! represent → preprocess → kernel), yet the crates below expose a
-//! zoo of ad-hoc signatures (`BkVariant::run`, `k_clique_count`,
-//! bespoke VF2/learn/opt functions). This module is the uniform
-//! surface a service layer can sit on:
+//! represent → preprocess → kernel) in which the graph representation
+//! is a swappable element. The crates below expose each algorithm
+//! through its own signature (`BkVariant::run`, `k_clique_count`,
+//! bespoke VF2/learn/opt functions); this module is the uniform
+//! surface a service layer sits on:
 //!
 //! * [`Kernel`] — the trait every mining entry point adapts to:
-//!   `name()`, a typed parameter schema ([`ParamSpec`]), and
-//!   `run(&CsrGraph, &Params) -> Outcome`;
+//!   `name()`, a typed parameter schema ([`ParamSpec`]), and a single
+//!   `run(&RunCx) -> Outcome`;
+//! * [`RunCx`] — what a run is given: the graph as it is resident
+//!   (raw CSR or gap-compressed, decoded at most once per run), the
+//!   validated [`Params`], and the request's [`CancelToken`];
+//! * [`execute`] — the only caller of [`Kernel::run`]: it enforces
+//!   the fired-token-is-an-error contract and books the decode time,
+//!   for sessions, batches, benchmarks and the network front end
+//!   alike;
 //! * [`Registry`] — enumerates all kernels by name and [`Category`]
 //!   (pattern / matching / learn / opt / order); the benchmark
 //!   binaries iterate it, so registering a kernel automatically adds
@@ -43,21 +51,23 @@ mod delta;
 mod outcome;
 mod params;
 mod registry;
+mod run;
 mod session;
 
 pub use batch::{BatchRequest, BatchRunner};
 pub use cache::{next_owner, CacheKey, CacheStats, MigrationDecision, MigrationStats, ResultCache};
-pub use delta::{migrate_for_delta, DeltaSensitivity, GraphLineage, MutationOutcome};
+pub use delta::{apply_mutation, DeltaSensitivity, GraphLineage, MutationOutcome};
 pub use outcome::{Outcome, Payload};
 pub use params::{ParamSpec, Params, Value, ValueKind};
 pub use registry::Registry;
+pub use run::{execute, GraphView, RunCx};
 pub use session::{
     fingerprint, fingerprint_graph, GraphHandle, GraphStore, Session, SessionStats,
     SnapshotCompression,
 };
 
 use gms_core::CsrGraph;
-use gms_graph::{CompressedCsr, EdgeDelta};
+use gms_graph::EdgeDelta;
 
 pub use gms_core::CancelToken;
 
@@ -103,7 +113,10 @@ impl Category {
 
 /// A uniformly-invocable mining kernel: the adapter trait every
 /// public entry point of gms-pattern / gms-match / gms-learn /
-/// gms-opt / gms-order is wrapped in.
+/// gms-opt / gms-order is wrapped in. One method runs it —
+/// [`Kernel::run`], called only by [`execute`]; representation,
+/// cancellation and whatever cross-cutting concern comes next travel
+/// in the [`RunCx`], not in further methods.
 pub trait Kernel: Send + Sync {
     /// Stable kebab-case name the kernel is requested by.
     fn name(&self) -> &'static str;
@@ -119,84 +132,21 @@ pub trait Kernel: Send + Sync {
     /// kernel runs, and the schema's defaults complete the cache key.
     fn params(&self) -> Vec<ParamSpec>;
 
-    /// Runs the kernel on `graph` with validated parameters.
+    /// Runs the kernel on the graph, parameters and cancellation
+    /// token `cx` carries. Callers go through [`execute`].
     ///
-    /// Implementations may assume `params` passed
-    /// [`Params::validate`] against [`Kernel::params`]; they read
-    /// values through the typed accessors with the same defaults the
-    /// schema declares.
-    fn run(&self, graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError>;
-
-    /// Runs the kernel on a gap-compressed graph.
-    ///
-    /// The default decodes the whole graph once and delegates to
-    /// [`Kernel::run`], charging the decode to the `convert` stage of
-    /// the outcome's timings — always correct, never resident-memory
-    /// free. Kernels that need less than the full CSR (triangle
-    /// counting builds only the degree-oriented forward half)
-    /// override this to decode straight into what they use.
-    fn run_compressed(
-        &self,
-        graph: &CompressedCsr,
-        params: &Params,
-    ) -> Result<Outcome, KernelError> {
-        let start = std::time::Instant::now();
-        let csr = graph.to_csr();
-        let decode = start.elapsed();
-        let mut outcome = self.run(&csr, params)?;
-        outcome.timings.convert += decode;
-        Ok(outcome)
-    }
-
-    /// Runs the kernel under a cooperative [`CancelToken`] — the
-    /// entry point request deadlines travel through.
-    ///
-    /// The default runs [`Kernel::run`] to completion and fails with
-    /// [`KernelError::DeadlineExceeded`] afterwards if the token has
-    /// fired — always correct, never early. Kernels with cancellable
-    /// hot loops (Bron–Kerbosch, k-clique, subgraph isomorphism)
-    /// override this to probe the token mid-search, so an expired
-    /// request stops burning CPU instead of finishing an answer
-    /// nobody is waiting for. A fired token must surface as
-    /// [`KernelError::DeadlineExceeded`], never as a partial
-    /// [`Outcome`] — the result cache would memoize the truncation.
-    fn run_with_cancel(
-        &self,
-        graph: &CsrGraph,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
-        let outcome = self.run(graph, params)?;
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
-        Ok(outcome)
-    }
-
-    /// [`Kernel::run_compressed`] under a cooperative [`CancelToken`].
-    ///
-    /// The default delegates to [`Kernel::run_compressed`] (so
-    /// decode-native overrides keep their hot path) and applies the
-    /// same fired-token-becomes-error contract as
-    /// [`Kernel::run_with_cancel`].
-    fn run_compressed_with_cancel(
-        &self,
-        graph: &CompressedCsr,
-        params: &Params,
-        cancel: &CancelToken,
-    ) -> Result<Outcome, KernelError> {
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
-        let outcome = self.run_compressed(graph, params)?;
-        if cancel.expired() {
-            return Err(KernelError::DeadlineExceeded);
-        }
-        Ok(outcome)
-    }
+    /// The parameters passed [`Params::validate`] against
+    /// [`Kernel::params`]: read them through the typed accessors with
+    /// the defaults the schema declares, and reject what its types
+    /// cannot rule out (a negative `eps`, `k < 1`) as
+    /// [`KernelError::BadParam`]. [`RunCx::csr`] always reaches the
+    /// graph; a kernel that needs less than the full CSR of a
+    /// compressed resident takes [`RunCx::compressed`] instead.
+    /// Kernels with long hot loops (Bron–Kerbosch, k-clique, subgraph
+    /// isomorphism) probe [`RunCx::cancel`] mid-search and return
+    /// early with whatever they have, which [`execute`] discards; the
+    /// rest run to completion and are discarded afterwards.
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError>;
 
     /// How this kernel's result depends on structural deltas — the
     /// declaration delta-aware cache invalidation acts on. The

@@ -3,7 +3,7 @@
 //! hard-wiring calls, so a newly registered kernel shows up in the
 //! benchmarks (and the integration suite) for free.
 
-use super::{builtin, Category, Kernel, KernelError, Outcome, Params};
+use super::{builtin, execute, Category, GraphView, Kernel, KernelError, Outcome, Params, RunCx};
 use gms_core::CsrGraph;
 
 /// An ordered collection of [`Kernel`]s with unique names.
@@ -88,7 +88,7 @@ impl Registry {
             .get(name)
             .ok_or_else(|| KernelError::UnknownKernel(name.to_string()))?;
         params.validate(name, &kernel.params())?;
-        kernel.run(graph, params)
+        execute(kernel, &RunCx::new(GraphView::Raw(graph), params))
     }
 }
 

@@ -10,13 +10,13 @@
 //! them — with single-flight deduplication for identical requests
 //! that are in flight at the same time.
 
-use super::cache::{next_owner, CacheKey, CacheStats, MigrationStats, ResultCache};
-use super::delta::{migrate_for_delta, GraphLineage, MutationOutcome};
-use super::{KernelError, Outcome, Params, Registry};
+use super::cache::{next_owner, CacheKey, CacheStats, ResultCache};
+use super::delta::{apply_mutation, GraphLineage, MutationOutcome};
+use super::{execute, GraphView, KernelError, Outcome, Params, Registry, RunCx};
 use gms_core::hash::FxHasher;
 use gms_core::{CsrGraph, Edge, Graph, NodeId};
 use gms_graph::io::{GraphIoError, SnapshotGraph};
-use gms_graph::{patch_csr, CompressedCsr};
+use gms_graph::CompressedCsr;
 use std::hash::Hasher;
 use std::io::BufRead;
 use std::path::Path;
@@ -126,6 +126,14 @@ impl GraphStore {
             GraphStore::Csr(_) => "raw",
             GraphStore::Compressed(c) if c.is_reordered() => "gap+reorder",
             GraphStore::Compressed(_) => "gap",
+        }
+    }
+
+    /// The borrowed view kernels run on ([`RunCx::new`]).
+    pub fn view(&self) -> GraphView<'_> {
+        match self {
+            GraphStore::Csr(g) => GraphView::Raw(g),
+            GraphStore::Compressed(c) => GraphView::Compressed(c),
         }
     }
 
@@ -354,82 +362,32 @@ impl Session {
         add: &[Edge],
         remove: &[Edge],
     ) -> Result<MutationOutcome, KernelError> {
-        let (old_fp, old_csr, was_compressed, lineage) = {
-            let r = self
-                .graphs
-                .get(handle.0)
-                .ok_or(KernelError::InvalidHandle)?;
-            (
-                r.fingerprint,
-                r.store.to_csr(),
-                matches!(r.store, GraphStore::Compressed(_)),
-                r.lineage,
-            )
-        };
-        let (new_csr, delta) =
-            patch_csr(&old_csr, add, remove).map_err(|e| KernelError::BadMutation {
-                message: e.to_string(),
-            })?;
-        if delta.is_empty() {
-            // Every requested change already held: same content, same
-            // fingerprint, no version bump, nothing to migrate.
-            return Ok(MutationOutcome {
-                fingerprint: old_fp,
-                base_fingerprint: lineage.base_fingerprint,
-                version: lineage.version,
-                added: 0,
-                removed: 0,
-                touched: 0,
-                vertices: old_csr.num_vertices(),
-                edges: old_csr.num_arcs() / 2,
-                cache: MigrationStats::default(),
-            });
-        }
-        let new_fp = fingerprint(&new_csr);
+        let resident = self
+            .graphs
+            .get(handle.0)
+            .ok_or(KernelError::InvalidHandle)?;
         let still_referenced = self
             .graphs
             .iter()
             .enumerate()
-            .any(|(i, r)| i != handle.0 && r.fingerprint == old_fp);
-        let cache = if still_referenced {
-            // The old content's cache entries must stay keyed to the
-            // handle that still serves it.
-            MigrationStats::default()
-        } else {
-            migrate_for_delta(
-                &self.cache,
-                &self.registry,
-                &old_csr,
-                &new_csr,
-                old_fp,
-                new_fp,
-                &delta,
-            )
-        };
-        let vertices = new_csr.num_vertices();
-        let edges = new_csr.num_arcs() / 2;
-        let (added, removed, touched) =
-            (delta.added.len(), delta.removed.len(), delta.touched.len());
-        let store = if was_compressed {
-            GraphStore::Compressed(CompressedCsr::from_csr(&new_csr))
-        } else {
-            GraphStore::Csr(new_csr)
-        };
-        let resident = &mut self.graphs[handle.0];
-        resident.store = store;
-        resident.fingerprint = new_fp;
-        resident.lineage.version += 1;
-        Ok(MutationOutcome {
-            fingerprint: new_fp,
-            base_fingerprint: resident.lineage.base_fingerprint,
-            version: resident.lineage.version,
-            added,
-            removed,
-            touched,
-            vertices,
-            edges,
-            cache,
-        })
+            .any(|(i, r)| i != handle.0 && r.fingerprint == resident.fingerprint);
+        let (store, outcome) = apply_mutation(
+            &resident.store,
+            resident.fingerprint,
+            resident.lineage,
+            add,
+            remove,
+            &self.cache,
+            &self.registry,
+            still_referenced,
+        )?;
+        if let Some(store) = store {
+            let resident = &mut self.graphs[handle.0];
+            resident.store = store;
+            resident.fingerprint = outcome.fingerprint;
+            resident.lineage.version = outcome.version;
+        }
+        Ok(outcome)
     }
 
     /// Streams an undirected SNAP-style edge list from disk into the
@@ -625,19 +583,10 @@ impl Session {
         params: &Params,
     ) -> Result<Outcome, KernelError> {
         let key = self.cache_key(kernel, handle, params)?;
-        let cache = Arc::clone(&self.cache);
-        let result = {
-            // Key construction validated the name; unwrap is safe.
-            let k = self.registry.get(kernel).expect("validated kernel name");
-            match self.store(handle)? {
-                GraphStore::Csr(graph) => {
-                    cache.run_or_wait(&key, self.owner, || k.run(graph, params))
-                }
-                GraphStore::Compressed(graph) => {
-                    cache.run_or_wait(&key, self.owner, || k.run_compressed(graph, params))
-                }
-            }
-        };
+        // Key construction validated the name and the handle.
+        let k = self.registry.get(kernel).expect("validated kernel name");
+        let cx = RunCx::new(self.store(handle)?.view(), params);
+        let result = self.cache.run_or_wait(&key, self.owner, || execute(k, &cx));
         if let Ok(outcome) = &result {
             self.note_outcome(outcome.cached);
         }
@@ -653,6 +602,7 @@ impl Default for Session {
 
 #[cfg(test)]
 mod tests {
+    use super::super::MigrationStats;
     use super::*;
 
     fn small() -> CsrGraph {

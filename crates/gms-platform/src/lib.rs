@@ -25,8 +25,8 @@ pub mod stats;
 pub use counters::{CounterRegion, CounterSnapshot, CountingSet};
 pub use kernel::{
     BatchRequest, BatchRunner, CacheKey, CacheStats, Category, GraphHandle, Kernel, KernelError,
-    Outcome, ParamSpec, Params, Payload, Registry, ResultCache, Session, SessionStats, Value,
-    ValueKind,
+    Outcome, ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session, SessionStats,
+    Value, ValueKind,
 };
 pub use metrics::{Measurement, Throughput};
 pub use pipeline::{run_pipeline, Pipeline, StageTimings};

@@ -29,12 +29,11 @@ use crate::protocol::{
     ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource, LoadSpec, MutateSpec,
     Request, RunSpec, WireError,
 };
-use gms_core::Graph;
 use gms_graph::io::SnapshotGraph;
-use gms_graph::{patch_csr, CompressedCsr};
+use gms_graph::CompressedCsr;
 use gms_platform::kernel::{
-    fingerprint, migrate_for_delta, next_owner, CacheKey, CancelToken, GraphStore, MigrationStats,
-    MutationOutcome, Registry, ResultCache,
+    apply_mutation, execute, next_owner, CacheKey, CancelToken, GraphLineage, GraphStore,
+    KernelError, MutationOutcome, Registry, ResultCache, RunCx,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -93,11 +92,9 @@ pub(crate) struct GraphEntry {
     store: Arc<GraphStore>,
     fingerprint: u64,
     /// Fingerprint at registration time — the stable identity edge
-    /// mutations preserve (the router places shards by it).
-    base_fingerprint: u64,
-    /// Number of effective mutation batches applied since
-    /// registration.
-    version: u64,
+    /// mutations preserve (the router places shards by it) — and the
+    /// number of effective mutation batches applied since.
+    lineage: GraphLineage,
     vertices: usize,
     edges: usize,
 }
@@ -693,66 +690,53 @@ pub(crate) fn submit(shared: &Arc<Shared>, job: Job, client: &str, weight: u32) 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     let owner = next_owner();
     while let Some(job) = shared.queue.dequeue() {
-        let deadline_error = || {
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
+        let id = job.id.as_ref();
+        let lapsed = || {
             ApiError::new(
                 ErrorCode::DeadlineExceeded,
                 "deadline exceeded before the request completed",
             )
         };
-        // A request whose deadline passed while queued fails without
-        // costing any kernel time — the worker is immediately free
-        // for the next job.
-        let response = if job.cancel.expired() {
-            error_json(&deadline_error(), job.id.as_ref())
-        } else {
-            match job.op {
-                DataOp::Load(spec) => match execute_load(shared, &spec) {
-                    Ok(body) => with_id(body, job.id.as_ref()),
-                    Err(e) => error_json(&e, job.id.as_ref()),
-                },
-                DataOp::Mutate(spec) => match execute_mutate(shared, &spec) {
-                    Ok(outcome) => mutation_json(&spec.graph, &outcome, job.id.as_ref()),
-                    Err(e) => error_json(&e, job.id.as_ref()),
-                },
-                DataOp::Run(spec) => match execute_run(shared, owner, &spec, &job.cancel) {
-                    Ok(outcome) if job.full_payload => {
-                        outcome_json_full(&spec, &outcome, job.id.as_ref())
-                    }
-                    Ok(outcome) => outcome_json(&spec, &outcome, job.id.as_ref()),
-                    Err(e) => {
-                        if e.code == ErrorCode::DeadlineExceeded {
-                            let _ = deadline_error();
-                        }
-                        error_json(&e, job.id.as_ref())
-                    }
-                },
-                DataOp::Batch(specs) => {
-                    let results: Vec<Json> = specs
-                        .iter()
-                        .map(|spec| {
-                            if job.cancel.expired() {
-                                return error_json(&deadline_error(), None);
-                            }
-                            match execute_run(shared, owner, spec, &job.cancel) {
-                                Ok(outcome) => outcome_json(spec, &outcome, None),
-                                Err(e) => {
-                                    if e.code == ErrorCode::DeadlineExceeded {
-                                        let _ = deadline_error();
-                                    }
-                                    error_json(&e, None)
-                                }
-                            }
-                        })
-                        .collect();
-                    with_id(
-                        vec![("ok", Json::Bool(true)), ("results", Json::Array(results))],
-                        job.id.as_ref(),
-                    )
-                }
+        let fail = |e: &ApiError, id: Option<&Json>| {
+            if e.code == ErrorCode::DeadlineExceeded {
+                shared
+                    .counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            error_json(e, id)
+        };
+        // A request whose deadline passed while queued — or, for a
+        // batch item, while earlier items ran — fails without costing
+        // any kernel time: the worker is immediately free for the
+        // next job.
+        let run = |spec: &RunSpec, id: Option<&Json>| {
+            if job.cancel.expired() {
+                return fail(&lapsed(), id);
+            }
+            match execute_run(shared, owner, spec, &job.cancel) {
+                Ok(outcome) if job.full_payload => outcome_json_full(spec, &outcome, id),
+                Ok(outcome) => outcome_json(spec, &outcome, id),
+                Err(e) => fail(&e, id),
+            }
+        };
+        let response = match &job.op {
+            _ if job.cancel.expired() => fail(&lapsed(), id),
+            DataOp::Load(spec) => match execute_load(shared, spec) {
+                Ok(body) => with_id(body, id),
+                Err(e) => error_json(&e, id),
+            },
+            DataOp::Mutate(spec) => match execute_mutate(shared, spec) {
+                Ok(outcome) => mutation_json(&spec.graph, &outcome, id),
+                Err(e) => error_json(&e, id),
+            },
+            DataOp::Run(spec) => run(spec, id),
+            DataOp::Batch(specs) => {
+                let results = specs.iter().map(|spec| run(spec, None)).collect();
+                with_id(
+                    vec![("ok", Json::Bool(true)), ("results", Json::Array(results))],
+                    id,
+                )
             }
         };
         job.reply.deliver(response);
@@ -807,7 +791,7 @@ fn execute_load(
     let edges = store.num_arcs() / 2;
     let compression = store.compression();
     let resident_bytes = store.resident_bytes();
-    let (replaced, invalidated, base_fp, version) = {
+    let (replaced, invalidated, lineage) = {
         let mut graphs = shared.graphs.write().unwrap_or_else(|e| e.into_inner());
         match graphs.get(&spec.name) {
             // Idempotent re-registration: a retried `load` whose
@@ -815,35 +799,28 @@ fn execute_load(
             // mid-body) finds identical content already under the
             // name and keeps the existing entry — lineage, version
             // and store untouched, nothing invalidated.
-            Some(existing) if existing.fingerprint == fp => {
-                (true, 0, existing.base_fingerprint, existing.version)
-            }
+            Some(existing) if existing.fingerprint == fp => (true, 0, existing.lineage),
             old => {
                 let old_fp = old.map(|e| e.fingerprint);
+                let lineage = GraphLineage::new(fp);
                 let entry = GraphEntry {
                     store: Arc::new(store),
                     fingerprint: fp,
-                    base_fingerprint: fp,
-                    version: 0,
+                    lineage,
                     vertices,
                     edges,
                 };
                 graphs.insert(spec.name.clone(), entry);
-                match old_fp {
-                    None => (false, 0, fp, 0),
-                    Some(old_fp) => {
-                        // Replacing a graph drops the old content's
-                        // cached outcomes — unless the content is
-                        // still reachable under another name.
-                        let still_referenced = graphs.values().any(|e| e.fingerprint == old_fp);
-                        let invalidated = if still_referenced {
-                            0
-                        } else {
-                            shared.cache.invalidate_fingerprint(old_fp)
-                        };
-                        (true, invalidated, fp, 0)
+                // Replacing a graph drops the old content's cached
+                // outcomes — unless the content is still reachable
+                // under another name.
+                let invalidated = match old_fp {
+                    Some(old_fp) if !graphs.values().any(|e| e.fingerprint == old_fp) => {
+                        shared.cache.invalidate_fingerprint(old_fp)
                     }
-                }
+                    _ => 0,
+                };
+                (old_fp.is_some(), invalidated, lineage)
             }
         }
     };
@@ -853,8 +830,11 @@ fn execute_load(
         ("vertices", Json::from(vertices)),
         ("edges", Json::from(edges)),
         ("fingerprint", fingerprint_json(fp)),
-        ("base_fingerprint", fingerprint_json(base_fp)),
-        ("version", Json::from(version)),
+        (
+            "base_fingerprint",
+            fingerprint_json(lineage.base_fingerprint),
+        ),
+        ("version", Json::from(lineage.version)),
         ("compression", Json::from(compression)),
         ("resident_bytes", Json::from(resident_bytes)),
         ("replaced", Json::from(replaced)),
@@ -878,67 +858,33 @@ fn execute_mutate(shared: &Arc<Shared>, spec: &MutateSpec) -> Result<MutationOut
             format!("no graph loaded under {:?}", spec.graph),
         )
     })?;
-    let old_fp = entry.fingerprint;
-    let (base_fp, version) = (entry.base_fingerprint, entry.version);
-    let was_compressed = matches!(&*entry.store, GraphStore::Compressed(_));
-    let old_csr = entry.store.to_csr();
-    let (new_csr, delta) = patch_csr(&old_csr, &spec.add, &spec.remove)
-        .map_err(|e| WireError::new(ErrorCode::BadMutation, e.to_string()))?;
-    if delta.is_empty() {
-        return Ok(MutationOutcome {
-            fingerprint: old_fp,
-            base_fingerprint: base_fp,
-            version,
-            added: 0,
-            removed: 0,
-            touched: 0,
-            vertices: old_csr.num_vertices(),
-            edges: old_csr.num_arcs() / 2,
-            cache: MigrationStats::default(),
-        });
-    }
-    let new_fp = fingerprint(&new_csr);
     let still_referenced = graphs
         .iter()
-        .any(|(name, e)| name != &spec.graph && e.fingerprint == old_fp);
-    let cache = if still_referenced {
-        MigrationStats::default()
-    } else {
-        migrate_for_delta(
-            &shared.cache,
-            &shared.registry,
-            &old_csr,
-            &new_csr,
-            old_fp,
-            new_fp,
-            &delta,
-        )
-    };
-    let vertices = new_csr.num_vertices();
-    let edges = new_csr.num_arcs() / 2;
-    let (added, removed, touched) = (delta.added.len(), delta.removed.len(), delta.touched.len());
-    let store = if was_compressed {
-        GraphStore::Compressed(CompressedCsr::from_csr(&new_csr))
-    } else {
-        GraphStore::Csr(new_csr)
-    };
-    let entry = graphs.get_mut(&spec.graph).expect("entry checked above");
-    entry.store = Arc::new(store);
-    entry.fingerprint = new_fp;
-    entry.version += 1;
-    entry.vertices = vertices;
-    entry.edges = edges;
-    Ok(MutationOutcome {
-        fingerprint: new_fp,
-        base_fingerprint: base_fp,
-        version: entry.version,
-        added,
-        removed,
-        touched,
-        vertices,
-        edges,
-        cache,
-    })
+        .any(|(name, e)| name != &spec.graph && e.fingerprint == entry.fingerprint);
+    let (store, outcome) = apply_mutation(
+        &entry.store,
+        entry.fingerprint,
+        entry.lineage,
+        &spec.add,
+        &spec.remove,
+        &shared.cache,
+        &shared.registry,
+        still_referenced,
+    )
+    .map_err(|e| match e {
+        // The bare patch error, as the router words its own rejections.
+        KernelError::BadMutation { message } => WireError::new(ErrorCode::BadMutation, message),
+        other => WireError::from_kernel(&other),
+    })?;
+    if let Some(store) = store {
+        let entry = graphs.get_mut(&spec.graph).expect("entry checked above");
+        entry.store = Arc::new(store);
+        entry.fingerprint = outcome.fingerprint;
+        entry.lineage.version = outcome.version;
+        entry.vertices = outcome.vertices;
+        entry.edges = outcome.edges;
+    }
+    Ok(outcome)
 }
 
 fn execute_run(
@@ -976,14 +922,10 @@ fn execute_run(
     // `run_or_wait` never caches (and a waiting duplicate request is
     // promoted to leader with its *own* token, so one client's tight
     // deadline cannot poison another's identical request).
+    let cx = RunCx::new(store.view(), &spec.params).with_cancel(cancel);
     shared
         .cache
-        .run_or_wait(&key, owner, || match &*store {
-            GraphStore::Csr(graph) => kernel.run_with_cancel(graph, &spec.params, cancel),
-            GraphStore::Compressed(graph) => {
-                kernel.run_compressed_with_cancel(graph, &spec.params, cancel)
-            }
-        })
+        .run_or_wait(&key, owner, || execute(kernel, &cx))
         .map_err(|e| WireError::from_kernel(&e))
 }
 
@@ -1058,8 +1000,11 @@ pub(crate) fn stats_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
                     ("vertices", Json::from(entry.vertices)),
                     ("edges", Json::from(entry.edges)),
                     ("fingerprint", fingerprint_json(entry.fingerprint)),
-                    ("base_fingerprint", fingerprint_json(entry.base_fingerprint)),
-                    ("version", Json::from(entry.version)),
+                    (
+                        "base_fingerprint",
+                        fingerprint_json(entry.lineage.base_fingerprint),
+                    ),
+                    ("version", Json::from(entry.lineage.version)),
                     ("compression", Json::from(entry.store.compression())),
                     ("resident_bytes", Json::from(entry.store.resident_bytes())),
                 ])

@@ -989,6 +989,39 @@ fn deadline_expiry_mid_kernel_returns_typed_error_and_frees_the_worker() {
     handle.join();
 }
 
+/// Regression: `eps: -1.0` used to reach an `assert!` inside the ADG
+/// ordering and panic the worker thread — no reply, and with one
+/// worker a dead data plane. It is a `bad-param` now, and the same
+/// worker answers the next request.
+#[test]
+fn a_negative_eps_is_a_typed_error_and_the_worker_survives() {
+    let (handle, mut client) = start(1, 8);
+    // At the parent commit the reply never comes: fail, don't hang.
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let graph = gms_gen::planted_cliques(120, 0.03, 2, 6, 9).0;
+    assert_ok(
+        &client
+            .load_inline("g", "edge-list", &edge_list(&graph))
+            .unwrap(),
+    );
+    for kernel in ["bk", "k-clique", "clique-star", "coloring", "order-adg"] {
+        let reply = client
+            .run(kernel, "g", &[("eps", Json::Float(-1.0))])
+            .unwrap_or_else(|e| panic!("{kernel}: no reply ({e}) — worker died?"));
+        assert_eq!(error_code(&reply), "bad-param", "{kernel}");
+    }
+    let next = client.run("triangle-count", "g", &[]).unwrap();
+    assert_ok(&next);
+    assert_eq!(
+        next.get("patterns").and_then(Json::as_i64),
+        Some(gms_pattern::triangle_count_rank_merge(&graph) as i64)
+    );
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// Abuse: a client that exhausts its token bucket is answered 429
 /// (`rate-limited`) while a second client's identical request
 /// proceeds — and the shed is attributed to the right client in

@@ -156,7 +156,7 @@ pub mod prelude {
     };
     pub use gms_platform::kernel::{
         BatchRequest, BatchRunner, CacheKey, CacheStats, Category, GraphHandle, GraphStore, Kernel,
-        KernelError, Outcome, ParamSpec, Params, Payload, Registry, ResultCache, Session,
+        KernelError, Outcome, ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session,
         SessionStats, SnapshotCompression, Value, ValueKind,
     };
     pub use gms_platform::{GraphStats, Measurement, Pipeline, Throughput};

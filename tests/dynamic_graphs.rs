@@ -241,7 +241,7 @@ impl Kernel for GatedKernel {
     fn params(&self) -> Vec<ParamSpec> {
         Vec::new()
     }
-    fn run(&self, _graph: &CsrGraph, _params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, _cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         self.executions.fetch_add(1, Ordering::SeqCst);
         if self.gate_armed.swap(false, Ordering::SeqCst) {
             self.started.wait();

@@ -9,6 +9,7 @@
 //! kernel is covered automatically (and fails fast if it returns
 //! trivial outcomes).
 
+use gms::platform::kernel::{execute, CancelToken, GraphView};
 use gms::prelude::*;
 
 /// A seeded planted-clique graph with a Hamiltonian ring stitched
@@ -113,6 +114,25 @@ fn bad_requests_fail_with_typed_errors() {
         session.run("bk", g, &Params::new().with("layout", "cuckoo")),
         Err(KernelError::BadParam { .. })
     ));
+
+    // Regression: a negative (or non-finite) ADG epsilon used to
+    // reach `approx_degeneracy_order`'s assert and panic the calling
+    // thread — a serve worker, for a request off the wire. Every
+    // kernel that reads `eps` must answer with a typed error.
+    let registry = Registry::with_builtins();
+    let graph = planted_connected();
+    for kernel in ["bk", "k-clique", "clique-star", "coloring", "order-adg"] {
+        for eps in [-1.0, f64::NAN, f64::INFINITY] {
+            let result = registry.run(kernel, &graph, &Params::new().with("eps", eps));
+            assert!(
+                matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "eps"),
+                "{kernel} with eps={eps}: {result:?}"
+            );
+        }
+    }
+    // The epsilon is only read when the ADG order is the one asked for.
+    let ignored = Params::new().with("ordering", "degree").with("eps", -1.0);
+    assert!(registry.run("k-clique", &graph, &ignored).is_ok());
 }
 
 #[test]
@@ -268,4 +288,152 @@ fn batch_runner_serves_mixed_requests_through_the_facade() {
         .as_ref()
         .unwrap()
         .same_result(outcomes[0].as_ref().unwrap()));
+}
+
+/// Calls [`RunCx::csr`] twice and reports whether both calls handed
+/// out the same arrays — on a compressed resident, the one decode the
+/// run shares. With `fire` it also trips the request's token before
+/// returning, the way a cancellable hot loop bails out mid-search.
+struct ProbeKernel;
+
+impl Kernel for ProbeKernel {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+    fn category(&self) -> Category {
+        Category::Pattern
+    }
+    fn about(&self) -> &'static str {
+        "RunCx contract probe"
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::bool("fire", false, "cancel the token mid-run")]
+    }
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+        let (first, second) = (cx.csr(), cx.csr());
+        if cx.params().get_bool("fire", false) {
+            cx.cancel().cancel();
+        }
+        Ok(Outcome::new("probe", std::ptr::eq(first, second) as u64))
+    }
+}
+
+/// The graph resident three ways: raw, gap, and gap after a BFS
+/// relabeling (an isomorph under different vertex ids).
+fn three_residents() -> (CsrGraph, CompressedCsr, CompressedCsr) {
+    let graph = planted_connected();
+    let gap = CompressedCsr::from_csr(&graph);
+    let rank = gms::order::bfs_order(&graph, 0);
+    let reordered = CompressedCsr::from_csr_ordered(&graph, &rank);
+    (graph, gap, reordered)
+}
+
+#[test]
+fn one_entry_point_gives_one_answer_on_every_representation() {
+    let (graph, gap, reordered) = three_residents();
+    let relabeled = reordered.to_csr();
+    let params = Params::new();
+    let registry = Registry::with_builtins();
+    for kernel in registry.iter() {
+        let name = kernel.name();
+        let run = |view| {
+            execute(kernel, &RunCx::new(view, &params))
+                .unwrap_or_else(|e| panic!("{name} failed: {e}"))
+        };
+        let raw = run(GraphView::Raw(&graph));
+        let on_gap = run(GraphView::Compressed(&gap));
+        assert!(on_gap.same_result(&raw), "{name}: gap != raw");
+
+        // The relabeled resident answers exactly like the raw arrays
+        // of the same relabeled graph, and — pattern and embedding
+        // counts being isomorphism invariants — counts what the
+        // original counts.
+        let on_reordered = run(GraphView::Compressed(&reordered));
+        assert!(
+            on_reordered.same_result(&run(GraphView::Raw(&relabeled))),
+            "{name}: gap+reorder != raw arrays of the same relabeled graph"
+        );
+        if matches!(kernel.category(), Category::Pattern | Category::Matching) {
+            assert_eq!(on_reordered.patterns, raw.patterns, "{name}: gap+reorder");
+        }
+
+        // Every kernel pays one whole-graph decode on a compressed
+        // resident, booked under `convert` — except the decode-native
+        // one, which never materializes a CSR.
+        for (scheme, outcome) in [("gap", &on_gap), ("gap+reorder", &on_reordered)] {
+            let convert = outcome.timings.convert;
+            if name == "triangle-count" {
+                assert!(convert.is_zero(), "{name} on {scheme}: decode-native");
+            } else {
+                assert!(!convert.is_zero(), "{name} on {scheme}: decode not booked");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_compressed_resident_is_decoded_once_per_run() {
+    let (graph, gap, _) = three_residents();
+    let params = Params::new();
+    for view in [GraphView::Raw(&graph), GraphView::Compressed(&gap)] {
+        let outcome = execute(&ProbeKernel, &RunCx::new(view, &params)).unwrap();
+        assert_eq!(outcome.patterns, 1, "two csr() calls, one set of arrays");
+        assert_eq!(
+            outcome.timings.convert.is_zero(),
+            matches!(view, GraphView::Raw(_)),
+            "only the compressed view has a decode to book"
+        );
+    }
+}
+
+#[test]
+fn a_fired_token_is_an_error_for_every_kernel_and_nothing_is_cached() {
+    let (graph, gap, reordered) = three_residents();
+    let fired = CancelToken::manual();
+    fired.cancel();
+    let params = Params::new();
+
+    // Straight through the entry point, on both views.
+    let registry = Registry::with_builtins();
+    for kernel in registry.iter() {
+        for view in [GraphView::Raw(&graph), GraphView::Compressed(&gap)] {
+            let cx = RunCx::new(view, &params).with_cancel(&fired);
+            assert_eq!(
+                execute(kernel, &cx).unwrap_err(),
+                KernelError::DeadlineExceeded,
+                "{}",
+                kernel.name()
+            );
+        }
+    }
+
+    // Through the cached callers: the raw and the relabeled resident
+    // have different fingerprints, so neither batch job is a
+    // duplicate of the other.
+    let mut session = Session::new();
+    session.registry_mut().register(Box::new(ProbeKernel));
+    let handles = [session.add_graph(graph), session.add_compressed(reordered)];
+    let names = session.registry().names();
+    let requests: Vec<BatchRequest> = names
+        .iter()
+        .flat_map(|name| handles.map(|h| BatchRequest::new(name, h, Params::new())))
+        .collect();
+    for result in BatchRunner::new(2).run_cancellable(&mut session, &requests, &fired) {
+        assert_eq!(result.unwrap_err(), KernelError::DeadlineExceeded);
+    }
+    assert_eq!(session.cached_outcomes(), 0, "failures are never cached");
+
+    // A token that fires *during* the run: the kernel returns an
+    // outcome, the entry point discards it.
+    let live = CancelToken::manual();
+    let firing = Params::new().with("fire", true);
+    let cx = RunCx::new(GraphView::Compressed(&gap), &firing).with_cancel(&live);
+    assert_eq!(
+        execute(&ProbeKernel, &cx).unwrap_err(),
+        KernelError::DeadlineExceeded
+    );
+    // Without `fire` the same kernel is served and cached as usual.
+    let served = session.run("probe", handles[1], &Params::new()).unwrap();
+    assert_eq!(served.patterns, 1);
+    assert_eq!(session.cached_outcomes(), 1);
 }

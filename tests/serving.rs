@@ -34,12 +34,12 @@ impl Kernel for CountingKernel {
         vec![ParamSpec::int("x", 0, "distinguishes requests")]
     }
 
-    fn run(&self, _graph: &CsrGraph, params: &Params) -> Result<Outcome, KernelError> {
+    fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         self.executions.fetch_add(1, Ordering::SeqCst);
         std::thread::sleep(self.delay);
         Ok(Outcome::new(
             "counting",
-            100 + params.get_int("x", 0) as u64,
+            100 + cx.params().get_int("x", 0) as u64,
         ))
     }
 }
