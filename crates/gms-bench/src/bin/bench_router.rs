@@ -23,8 +23,9 @@
 //! cargo run --release -p gms-bench --bin bench_router
 //! ```
 
+use gms_platform::kernel::Params;
 use gms_router::{Router, RouterConfig, RouterHandle};
-use gms_serve::{Client, Json, ServeConfig, Server, ServerHandle};
+use gms_serve::{Client, Envelope, Json, Request, RunSpec, ServeConfig, Server, ServerHandle};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -181,37 +182,22 @@ fn stop_backend(handle: ServerHandle) {
 /// one worker, so the wall time of the scattered batch is where the
 /// fleet's capacity scaling shows.
 fn cold_batch() -> Json {
+    let item = |kernel: &str, graph: &str, params: Params| RunSpec {
+        kernel: kernel.to_string(),
+        graph: graph.to_string(),
+        params,
+    };
     let mut items = Vec::new();
     for i in 0..GRAPHS {
         let graph = graph_name(i);
-        items.push(Json::object([
-            ("op", Json::from("run")),
-            ("kernel", Json::from("triangle-count")),
-            ("graph", Json::from(graph.clone())),
-        ]));
+        items.push(item("triangle-count", &graph, Params::new()));
         for k in 3..=5i64 {
-            items.push(Json::object([
-                ("op", Json::from("run")),
-                ("kernel", Json::from("k-clique")),
-                ("graph", Json::from(graph.clone())),
-                ("params", Json::object([("k", Json::Int(k))])),
-            ]));
+            items.push(item("k-clique", &graph, Params::new().with("k", k)));
         }
-        items.push(Json::object([
-            ("op", Json::from("run")),
-            ("kernel", Json::from("order-degree")),
-            ("graph", Json::from(graph.clone())),
-        ]));
-        items.push(Json::object([
-            ("op", Json::from("run")),
-            ("kernel", Json::from("coloring")),
-            ("graph", Json::from(graph)),
-        ]));
+        items.push(item("order-degree", &graph, Params::new()));
+        items.push(item("coloring", &graph, Params::new()));
     }
-    Json::object([
-        ("op", Json::from("batch")),
-        ("requests", Json::Array(items)),
-    ])
+    Envelope::new(Request::Batch(items)).to_json()
 }
 
 /// One point of the scaling curve.
@@ -405,23 +391,14 @@ fn external_smoke(addr_text: &str) -> Json {
 
     // Scatter-gather: one batch over every graph, answered per item
     // in request order.
-    let batch = Json::object([
-        ("op", Json::from("batch")),
-        (
-            "requests",
-            Json::Array(
-                (0..GRAPHS)
-                    .map(|i| {
-                        Json::object([
-                            ("op", Json::from("run")),
-                            ("kernel", Json::from("triangle-count")),
-                            ("graph", Json::from(graph_name(i))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let items = (0..GRAPHS)
+        .map(|i| RunSpec {
+            kernel: "triangle-count".to_string(),
+            graph: graph_name(i),
+            params: Params::new(),
+        })
+        .collect();
+    let batch = Envelope::new(Request::Batch(items)).to_json();
     let sent = Instant::now();
     let response = control.request(&batch).expect("batch round trip");
     let batch_ms = sent.elapsed().as_secs_f64() * 1e3;

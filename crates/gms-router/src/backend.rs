@@ -9,7 +9,7 @@
 //! while a backend that is actually gone surfaces as an I/O error
 //! the router turns into failover.
 
-use gms_serve::{Client, ClientConfig, Json};
+use gms_serve::{Client, ClientBuilder, Json};
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,16 +43,27 @@ pub struct Backend {
     pub weight: usize,
     healthy: AtomicBool,
     idle: Mutex<Vec<Client>>,
-    config: ClientConfig,
+    /// Dials pooled connections; its read timeout is the failover
+    /// death watch.
+    dialer: ClientBuilder,
+    read_timeout: Duration,
     /// Requests this shard served through the router.
     pub served: AtomicU64,
 }
 
 impl Backend {
     /// Registers a backend: dials it, probes `health` to learn its
-    /// capacity (worker count), and starts with an empty pool.
-    pub fn register(addr: SocketAddr, config: ClientConfig) -> std::io::Result<Self> {
-        let mut client = Client::connect_with(addr, config)?;
+    /// capacity (worker count), and starts with that connection
+    /// pooled.
+    pub fn register(
+        addr: SocketAddr,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+    ) -> std::io::Result<Self> {
+        let dialer = ClientBuilder::new()
+            .connect_timeout(connect_timeout)
+            .read_timeout(read_timeout);
+        let mut client = dialer.connect(addr)?;
         let health = client.health()?;
         let weight = health
             .get("workers")
@@ -64,7 +75,8 @@ impl Backend {
             weight,
             healthy: AtomicBool::new(true),
             idle: Mutex::new(Vec::new()),
-            config,
+            dialer,
+            read_timeout,
             served: AtomicU64::new(0),
         };
         backend.put(client);
@@ -91,7 +103,7 @@ impl Backend {
         if let Some(client) = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             return Ok(client);
         }
-        Client::connect_with(self.addr, self.config)
+        self.dialer.connect(self.addr)
     }
 
     fn put(&self, client: Client) {
@@ -132,7 +144,7 @@ impl Backend {
     ) -> Result<Json, RequestError> {
         let tightened = deadline_ms
             .map(|ms| Duration::from_millis(ms) + DEADLINE_SLACK)
-            .filter(|t| self.config.read_timeout.is_none_or(|cfg| *t < cfg));
+            .filter(|t| *t < self.read_timeout);
         let Some(timeout) = tightened else {
             return self.request(request).map_err(RequestError::Dead);
         };
@@ -158,7 +170,7 @@ impl Backend {
                 self.served.fetch_add(1, Ordering::Relaxed);
                 // Restore the configured timeout before pooling so
                 // the next request is not stuck with this deadline.
-                if client.set_read_timeout(self.config.read_timeout).is_ok() {
+                if client.set_read_timeout(Some(self.read_timeout)).is_ok() {
                     self.put(client);
                 }
                 Ok(response)
@@ -171,11 +183,10 @@ impl Backend {
     /// A liveness probe with its own (short) deadline, independent of
     /// the pool: `true` iff the backend answers `health` in time.
     pub fn probe(&self, timeout: Duration) -> bool {
-        let config = ClientConfig {
-            connect_timeout: Some(timeout),
-            read_timeout: Some(timeout),
-        };
-        match Client::connect_with(self.addr, config) {
+        let dialer = ClientBuilder::new()
+            .connect_timeout(timeout)
+            .read_timeout(timeout);
+        match dialer.connect(self.addr) {
             Ok(mut client) => matches!(
                 client.health(),
                 Ok(ref h) if h.get("ok") == Some(&Json::Bool(true))

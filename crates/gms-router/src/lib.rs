@@ -20,6 +20,22 @@
 //!                   workers  workers  workers       backends
 //! ```
 //!
+//! The router is a [`gms_serve::service::Service`] whose executor is
+//! remote: the connection front end (accept loop, bounded NDJSON
+//! line reader, envelope parsing, `id` echo) is `gms-serve`'s, shared
+//! verbatim, and what this crate adds is everything behind
+//! `Service::call` — placement, forwarding, failover. Requests are
+//! forwarded as the re-rendered [`gms_serve::Envelope`] (one parse
+//! per line; the caller's `id` stays at the router).
+//!
+//! ```text
+//!  framings                seam                  executors
+//!  NDJSON line ─┐                          ┌─ gms-serve: admission queue → workers
+//!               ├──► Service::call ────────┤
+//!  HTTP /v1 ────┘  (Envelope, Reply)       └─ gms-router: place → forward → failover
+//!  (gms-serve only)                                         └──► gms-serve × N
+//! ```
+//!
 //! - **Placement** — a graph's home shard is the consistent-hash
 //!   owner of its content fingerprint, with ring points weighted by
 //!   each backend's worker count ([`ring`]). Placement is a pure

@@ -1,6 +1,10 @@
-//! The router: a front-end process speaking the same
-//! newline-delimited JSON protocol as `gms-serve`, owning the
-//! fleet-wide graph table and fanning work across N backend shards.
+//! The router: a [`Service`] whose executor is remote. The
+//! connection front end — accept loop, bounded NDJSON line reader,
+//! envelope parsing, `id` echo — is `gms-serve`'s own
+//! ([`gms_serve::service`]); this module is what happens behind
+//! [`Service::call`]: own the fleet-wide graph table, place each
+//! request on a shard, forward it, and fail over when the shard is
+//! gone.
 //!
 //! ```text
 //!                      ┌────────────── gms-router ──────────────┐
@@ -37,22 +41,19 @@
 use crate::backend::{Backend, RequestError};
 use crate::ring::{HashRing, RingMember};
 use gms_serve::protocol::{
-    error_json, error_json_with, parse_envelope, with_id, Envelope, ErrorCode, LoadFormat,
-    LoadSource, LoadSpec, MutateSpec, Request, RunSpec, WireError,
+    error_json, fingerprint_json, response, ApiError, Envelope, ErrorCode, LoadFormat, LoadSource,
+    LoadSpec, MutateSpec, Request, RunSpec,
 };
-use gms_serve::{ClientConfig, Json};
+use gms_serve::service::{spawn_acceptor, FrontCounters, Reply, Service};
+use gms_serve::{Json, LoadCompression, ServeConfig};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long a blocked connection read may go unanswered before the
-/// thread re-checks the shutdown flag (same poll the backends use).
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Router construction parameters.
 #[derive(Clone, Debug)]
@@ -74,7 +75,9 @@ pub struct RouterConfig {
     /// Deadline for one liveness probe.
     pub probe_timeout: Duration,
     /// Where inline-loaded graphs are spilled as `.gcsr` snapshots
-    /// for failover reloads; default is a per-process temp dir.
+    /// for failover reloads; default is a temp dir of this router
+    /// instance's own (named by pid and bound port), removed by
+    /// [`RouterHandle::join`].
     pub spill_dir: Option<PathBuf>,
     /// Propagate a router `shutdown` to the backends (the self-managed
     /// `--spawn` mode owns its children and sets this).
@@ -119,15 +122,39 @@ struct GraphRecord {
     vertices: usize,
     edges: usize,
     reload: ReloadSource,
-    /// Forward `"compression":"gap"` on reloads.
-    gap: bool,
+    /// The resident representation the client asked for, repeated on
+    /// reloads.
+    compression: LoadCompression,
+}
+
+impl GraphRecord {
+    /// The load request that re-creates this graph, as `name`, on a
+    /// shard.
+    fn reload_json(&self, name: &str) -> Json {
+        let (format, path) = match &self.reload {
+            ReloadSource::Spill(path) => (LoadFormat::Gcsr, path.display().to_string()),
+            ReloadSource::ClientPath { path, format } => (*format, path.clone()),
+        };
+        Envelope::new(Request::Load(LoadSpec {
+            name: name.to_string(),
+            format,
+            source: LoadSource::Path(path),
+            compression: self.compression,
+        }))
+        .to_json()
+    }
+
+    fn spill(&self) -> Option<&PathBuf> {
+        match &self.reload {
+            ReloadSource::Spill(path) => Some(path),
+            ReloadSource::ClientPath { .. } => None,
+        }
+    }
 }
 
 #[derive(Default)]
 struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    malformed: AtomicU64,
+    front: FrontCounters,
     routed: AtomicU64,
     mutations: AtomicU64,
     failovers: AtomicU64,
@@ -135,8 +162,6 @@ struct Counters {
     moved: AtomicU64,
     unavailable: AtomicU64,
     not_found: AtomicU64,
-    /// Requests that arrived without `"v":1` (deprecation grace).
-    legacy_requests: AtomicU64,
     /// Requests answered `deadline-exceeded` at the router because
     /// the owning shard did not reply within the caller's deadline.
     deadline_exceeded: AtomicU64,
@@ -163,11 +188,98 @@ struct Core {
     shutdown_backends: bool,
 }
 
-impl Core {
+/// One answered exchange with a shard.
+struct Routed {
+    response: Json,
+    owner: usize,
+    /// Whether a shard died (and was failed over) before this answer.
+    failover: bool,
+}
+
+impl Routed {
+    fn ok(&self) -> bool {
+        self.response.get("ok") == Some(&Json::Bool(true))
+    }
+
+    /// The shard's response with the router's members appended: the
+    /// shard address, and `failover` when one happened. (The `id`
+    /// echo after them is the [`Reply`]'s.)
+    fn annotated(self, core: &Core) -> Json {
+        let Json::Object(mut fields) = self.response else {
+            return self.response;
+        };
+        let shard = core.backends[self.owner].addr.to_string();
+        fields.push(("shard".to_string(), Json::from(shard)));
+        if self.failover {
+            fields.push(("failover".to_string(), Json::Bool(true)));
+        }
+        Json::Object(fields)
+    }
+}
+
+fn error_code_of(response: &Json) -> Option<&str> {
+    response
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
+}
+
+/// The remote executor: control ops are answered from the router's
+/// own state (or proxied), data ops are placed on a shard, forwarded
+/// and failed over — inline, on the connection thread that read the
+/// request.
+impl Service for Core {
     fn running(&self) -> bool {
         self.running.load(Ordering::SeqCst)
     }
 
+    fn call(&self, envelope: Envelope, reply: Reply) {
+        let request = &envelope.request;
+        if !self.running() && !matches!(request, Request::Health | Request::Stats) {
+            let error = ApiError::new(ErrorCode::ShuttingDown, "router is shutting down");
+            return reply.deliver(error_json(&error));
+        }
+        if !matches!(
+            request,
+            Request::Health | Request::Stats | Request::Kernels | Request::Shutdown
+        ) {
+            self.counters.routed.fetch_add(1, Ordering::Relaxed);
+        }
+        reply.deliver(match request {
+            Request::Health => self.health_json(),
+            Request::Stats => self.stats_json(),
+            Request::Kernels => self.proxy_kernels(),
+            Request::Shutdown => {
+                self.begin_shutdown();
+                response(vec![
+                    ("ok", Json::Bool(true)),
+                    ("status", Json::from("shutting-down")),
+                ])
+            }
+            Request::Load(spec) => self.route_load(&envelope, spec),
+            Request::Mutate(spec) => self.route_mutate(&envelope, spec),
+            Request::Run(spec) => self.route_run(&envelope, spec),
+            Request::Batch(specs) => self.route_batch(&envelope, specs),
+        })
+    }
+
+    fn front(&self) -> &FrontCounters {
+        &self.counters.front
+    }
+
+    /// Not configurable here: a line a default backend would refuse
+    /// is refused at the router.
+    fn max_body_bytes(&self) -> usize {
+        ServeConfig::default().max_body_bytes
+    }
+
+    /// The router speaks NDJSON only.
+    fn http(&self) -> Option<Duration> {
+        None
+    }
+}
+
+impl Core {
     fn rebuild_ring(&self) {
         let members: Vec<Option<RingMember>> = self
             .backends
@@ -190,25 +302,76 @@ impl Core {
             .owner(fingerprint)
     }
 
-    /// Marks a backend dead and re-places every graph it owned on
-    /// the survivors. Only the thread that wins the down-transition
-    /// does the re-placement; latecomers return immediately and find
-    /// the healed table.
-    fn on_backend_death(&self, index: usize) {
+    /// Marks a backend dead, rebuilds the ring without it and orphans
+    /// its graphs. `true` only for the caller that wins the
+    /// down-transition.
+    fn fail(&self, index: usize) -> bool {
         if !self.backends[index].mark_down() {
-            return;
+            return false;
         }
         self.counters.failovers.fetch_add(1, Ordering::Relaxed);
         self.rebuild_ring();
-        {
-            let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
-            for record in graphs.values_mut() {
-                if record.owner == Some(index) {
-                    record.owner = None;
+        let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
+        for record in graphs.values_mut() {
+            if record.owner == Some(index) {
+                record.owner = None;
+            }
+        }
+        true
+    }
+
+    /// Fails a dead backend and re-places every graph it owned on the
+    /// survivors. Only the thread that wins the down-transition does
+    /// the re-placement; latecomers return immediately and find the
+    /// healed table. Takes the placement lock.
+    fn on_backend_death(&self, index: usize) {
+        if self.fail(index) {
+            self.heal_orphans();
+        }
+    }
+
+    /// The one place a request meets a shard: ask `place` for the
+    /// owner, send `request` there, and when that shard turns out to
+    /// be dead let `bury` fail it and ask `place` again — so the loop
+    /// ends with an answer from a live shard or with `place`'s own
+    /// verdict (its `Err`) that the request has no home. `place` is
+    /// told whether a failover already happened. When the shard
+    /// denies holding `heal` (`unknown-graph`: it restarted, or
+    /// dropped the graph) the graph is reloaded there and the request
+    /// retried. A `deadline_ms` tightens the wait; a shard that
+    /// overruns it is answered for with `deadline-exceeded`, not
+    /// declared dead — it is probably alive, and failover would
+    /// re-place every graph it holds.
+    fn exchange(
+        &self,
+        request: &Json,
+        deadline_ms: Option<u64>,
+        heal: Option<&str>,
+        bury: impl Fn(usize),
+        mut place: impl FnMut(bool) -> Result<usize, Json>,
+    ) -> Result<Routed, Json> {
+        let mut failover = false;
+        loop {
+            let owner = place(failover)?;
+            match self.backends[owner].request_with_deadline(request, deadline_ms) {
+                Ok(response) => {
+                    let denied = error_code_of(&response) == Some("unknown-graph");
+                    if denied && heal.is_some_and(|graph| self.heal_missing(graph, owner)) {
+                        continue;
+                    }
+                    return Ok(Routed {
+                        response,
+                        owner,
+                        failover,
+                    });
+                }
+                Err(RequestError::DeadlineLapsed) => return Err(self.lapsed(deadline_ms, owner)),
+                Err(RequestError::Dead(_)) => {
+                    bury(owner);
+                    failover = true;
                 }
             }
         }
-        self.heal_orphans();
     }
 
     /// Ensures `name` is resident on a healthy shard and returns its
@@ -232,7 +395,7 @@ impl Core {
     /// walking the ring as further shards die. Returns the new owner
     /// or `None` when the fleet has no shard that can take it.
     fn place_locked(&self, name: &str) -> Option<usize> {
-        let (fingerprint, load_request, current) = {
+        let (fingerprint, reload) = {
             let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
             let record = graphs.get(name)?;
             if let Some(owner) = record.owner {
@@ -240,47 +403,35 @@ impl Core {
                     return Some(owner); // another thread healed it first
                 }
             }
-            (
-                record.base_fingerprint,
-                reload_request(name, record),
-                record.owner,
-            )
+            (record.base_fingerprint, record.reload_json(name))
         };
-        debug_assert!(current.is_none() || !self.backends[current.unwrap()].healthy());
-        loop {
-            let owner = self.ring_owner(fingerprint)?;
-            match self.backends[owner].request(&load_request) {
-                Ok(response) => {
-                    if response.get("ok") != Some(&Json::Bool(true)) {
-                        // The shard is alive but the reload failed
-                        // (spill deleted, client path gone): the
-                        // graph stays orphaned.
-                        return None;
-                    }
-                    let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
-                    if let Some(record) = graphs.get_mut(name) {
-                        record.owner = Some(owner);
-                    }
-                    self.counters.replaced.fetch_add(1, Ordering::Relaxed);
-                    return Some(owner);
-                }
-                Err(_) => {
-                    // This shard is dead too: fail it (without
-                    // recursing into re-placement — we hold the
-                    // placement lock) and try the next ring owner.
-                    if self.backends[owner].mark_down() {
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                        self.rebuild_ring();
-                        let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
-                        for record in graphs.values_mut() {
-                            if record.owner == Some(owner) {
-                                record.owner = None;
-                            }
-                        }
-                    }
-                }
-            }
+        // A shard that dies here is failed without re-placing what it
+        // owned — that would re-enter the placement lock we hold; the
+        // `heal_orphans` pass (or the next `ensure_placed`) picks its
+        // graphs up. There is no caller to answer here, so "no shard
+        // left" needs no error body.
+        let placed = self
+            .exchange(
+                &reload,
+                None,
+                None,
+                |dead| {
+                    self.fail(dead);
+                },
+                |_| self.ring_owner(fingerprint).ok_or(Json::Null),
+            )
+            .ok()?;
+        if !placed.ok() {
+            // The shard is alive but the reload failed (spill
+            // deleted, client path gone): the graph stays orphaned.
+            return None;
         }
+        let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(record) = graphs.get_mut(name) {
+            record.owner = Some(placed.owner);
+        }
+        self.counters.replaced.fetch_add(1, Ordering::Relaxed);
+        Some(placed.owner)
     }
 
     /// Re-places every orphaned graph, looping because
@@ -311,12 +462,30 @@ impl Core {
         }
     }
 
+    /// Reloads a graph the router believes `owner` holds but the
+    /// shard denies. Returns `true` when the reload succeeded (retry
+    /// the request).
+    fn heal_missing(&self, name: &str, owner: usize) -> bool {
+        let _guard = self.placement.lock().unwrap_or_else(|e| e.into_inner());
+        let reload = {
+            let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+            match graphs.get(name) {
+                Some(record) => record.reload_json(name),
+                None => return false,
+            }
+        };
+        matches!(
+            self.backends[owner].request(&reload),
+            Ok(ref r) if r.get("ok") == Some(&Json::Bool(true))
+        )
+    }
+
     fn begin_shutdown(&self) {
         if !self.running.swap(false, Ordering::SeqCst) {
             return;
         }
         if self.shutdown_backends {
-            let shutdown = Json::object([("op", Json::from("shutdown"))]);
+            let shutdown = Envelope::new(Request::Shutdown).to_json();
             for backend in &self.backends {
                 if backend.healthy() {
                     let _ = backend.request(&shutdown);
@@ -326,70 +495,619 @@ impl Core {
         // Unblock the acceptor.
         let _ = TcpStream::connect(self.addr);
     }
-}
 
-/// Builds the load request that re-creates `name` on a shard.
-fn reload_request(name: &str, record: &GraphRecord) -> Json {
-    let (format, path) = match &record.reload {
-        ReloadSource::Spill(path) => ("gcsr", path.display().to_string()),
-        ReloadSource::ClientPath { path, format } => {
-            let format = match format {
-                LoadFormat::EdgeList => "edge-list",
-                LoadFormat::Metis => "metis",
-                LoadFormat::Gcsr => "gcsr",
-            };
-            (format, path.clone())
+    fn knows(&self, graph: &str) -> bool {
+        self.graphs
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains_key(graph)
+    }
+
+    /// `graph-not-found`: the fleet-wide table has no such graph.
+    fn not_found(&self, graph: &str) -> Json {
+        self.counters.not_found.fetch_add(1, Ordering::Relaxed);
+        error_json(&ApiError::new(
+            ErrorCode::GraphNotFound,
+            format!("graph {graph:?} is not loaded anywhere in the fleet"),
+        ))
+    }
+
+    /// `backend-unavailable`: `graph` is known but no live shard
+    /// holds it or can take it.
+    fn no_home(&self, graph: &str) -> Json {
+        self.unavailable(format!("no healthy backend holds graph {graph:?}"))
+    }
+
+    fn unavailable(&self, message: String) -> Json {
+        self.counters.unavailable.fetch_add(1, Ordering::Relaxed);
+        error_json(&ApiError::new(ErrorCode::BackendUnavailable, message))
+    }
+
+    /// `deadline-exceeded` on behalf of a shard that overran the
+    /// caller's deadline.
+    fn lapsed(&self, deadline_ms: Option<u64>, owner: usize) -> Json {
+        self.counters
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
+        error_json(&ApiError::new(
+            ErrorCode::DeadlineExceeded,
+            format!(
+                "deadline of {}ms lapsed waiting on shard {}",
+                deadline_ms.unwrap_or(0),
+                self.backends[owner].addr
+            ),
+        ))
+    }
+
+    /// Materializes the graph once at the router (for the placement
+    /// fingerprint and the failover spill), then forwards the load to
+    /// the owning shard.
+    fn route_load(&self, envelope: &Envelope, spec: &LoadSpec) -> Json {
+        use gms_core::Graph as _;
+        use gms_graph::io::{self, SnapshotGraph};
+        let loaded = match (&spec.format, &spec.source) {
+            (LoadFormat::EdgeList, LoadSource::Data(d)) => {
+                io::load_undirected_from(d.as_bytes()).map(SnapshotGraph::Raw)
+            }
+            (LoadFormat::EdgeList, LoadSource::Path(p)) => {
+                io::load_undirected(p).map(SnapshotGraph::Raw)
+            }
+            (LoadFormat::Metis, LoadSource::Data(d)) => {
+                io::load_metis_from(d.as_bytes()).map(SnapshotGraph::Raw)
+            }
+            (LoadFormat::Metis, LoadSource::Path(p)) => io::load_metis(p).map(SnapshotGraph::Raw),
+            (LoadFormat::Gcsr, LoadSource::Path(p)) => io::load_snapshot_auto(p),
+            // The request parser rejects this before routing.
+            (LoadFormat::Gcsr, LoadSource::Data(_)) => {
+                let error = ApiError::new(ErrorCode::BadRequest, "gcsr loads require a path");
+                return error_json(&error);
+            }
+        };
+        // Only an inline load needs the materialized graph again (to
+        // spill it); a compressed snapshot always arrives by path.
+        let (fingerprint, vertices, arcs, graph) = match loaded {
+            Ok(SnapshotGraph::Raw(g)) => {
+                let fingerprint = gms_platform::kernel::fingerprint(&g);
+                (fingerprint, g.num_vertices(), g.num_arcs(), Some(g))
+            }
+            Ok(SnapshotGraph::Compressed(c)) => {
+                let fingerprint = gms_platform::kernel::fingerprint_graph(&c);
+                (fingerprint, c.num_vertices(), c.num_arcs(), None)
+            }
+            Err(e) => return error_json(&ApiError::new(ErrorCode::Io, e.to_string())),
+        };
+        let reload = match &spec.source {
+            LoadSource::Path(path) => ReloadSource::ClientPath {
+                path: path.clone(),
+                format: spec.format,
+            },
+            LoadSource::Data(_) => {
+                let graph = graph.as_ref().expect("inline loads materialize a CSR");
+                let path = self.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
+                if !path.exists() {
+                    if let Err(e) = io::save_snapshot(graph, &path) {
+                        let error = ApiError::new(ErrorCode::Io, format!("spill failed: {e}"));
+                        return error_json(&error);
+                    }
+                }
+                ReloadSource::Spill(path)
+            }
+        };
+        drop(graph);
+        let record = GraphRecord {
+            owner: None,
+            fingerprint,
+            base_fingerprint: fingerprint,
+            version: 0,
+            vertices,
+            edges: arcs / 2,
+            reload,
+            compression: spec.compression,
+        };
+
+        let routed = self.exchange(
+            &envelope.to_json(),
+            None,
+            None,
+            |dead| self.on_backend_death(dead),
+            |_| {
+                self.ring_owner(fingerprint).ok_or_else(|| {
+                    self.unavailable("no healthy backend can take the graph".to_string())
+                })
+            },
+        );
+        let mut routed = match routed {
+            Ok(routed) => routed,
+            Err(answer) => return answer,
+        };
+        if !routed.ok() {
+            // The shard rejected the load (bad path, parse error):
+            // forward its typed error untouched.
+            return routed.annotated(self);
         }
-    };
-    let mut fields = vec![
-        ("op", Json::from("load")),
-        ("graph", Json::from(name)),
-        ("format", Json::from(format)),
-        ("path", Json::from(path)),
-    ];
-    if record.gap {
-        fields.push(("compression", Json::from("gap")));
+        let (replaced, stale_spill) = {
+            let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
+            let old = graphs.insert(
+                spec.name.clone(),
+                GraphRecord {
+                    owner: Some(routed.owner),
+                    ..record
+                },
+            );
+            // A replaced-away inline graph leaves its spill snapshot
+            // behind; delete it once nothing else reloads from it —
+            // replacing must not leak disk.
+            let stale = old
+                .as_ref()
+                .and_then(|o| o.spill().cloned())
+                .filter(|path| !spill_referenced(&graphs, path));
+            (old.is_some(), stale)
+        };
+        if let Some(path) = stale_spill {
+            let _ = std::fs::remove_file(path);
+        }
+        // The router's table is the fleet-wide truth for "replaced":
+        // the shard only sees its own slice.
+        if let Json::Object(fields) = &mut routed.response {
+            for (key, value) in fields.iter_mut() {
+                if key == "replaced" {
+                    *value = Json::Bool(replaced);
+                }
+            }
+        }
+        routed.annotated(self)
     }
-    Json::object(fields)
-}
 
-/// The raw request minus its `id`: what the router forwards (the
-/// router matches backend responses itself; ids are echoed to the
-/// client by the router alone).
-fn without_id(value: &Json) -> Json {
-    match value {
-        Json::Object(fields) => Json::Object(
-            fields
+    /// Routes an edge mutation to the shard owning the graph, keeping
+    /// the router's failover state in sync: the same patch is applied
+    /// to the router's copy of the graph and written as a fresh spill
+    /// snapshot keyed by the post-mutation fingerprint **before** the
+    /// batch is forwarded, so a shard death at any point reloads
+    /// content no older than what the fleet last acknowledged.
+    /// Placement stays on the base fingerprint — mutating never moves
+    /// a graph. A path-loaded graph converts to a spill reload here
+    /// (its client file no longer matches the resident content), and
+    /// the pre-mutation spill is deleted once nothing references it.
+    fn route_mutate(&self, envelope: &Envelope, spec: &MutateSpec) -> Json {
+        use gms_core::Graph as _;
+        let _one_at_a_time = self.mutation.lock().unwrap_or_else(|e| e.into_inner());
+        // Patch the router's copy first.
+        let (patched, delta, old_spill) = {
+            let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+            let Some(record) = graphs.get(&spec.graph) else {
+                return self.not_found(&spec.graph);
+            };
+            let old = match materialize_reload(record) {
+                Ok(graph) => graph,
+                Err(e) => {
+                    return error_json(&ApiError::new(
+                        ErrorCode::Io,
+                        format!("reload source unreadable: {e}"),
+                    ))
+                }
+            };
+            match gms_graph::patch_csr(&old, &spec.add, &spec.remove) {
+                Ok((patched, delta)) => (patched, delta, record.spill().cloned()),
+                Err(e) => return error_json(&ApiError::new(ErrorCode::BadMutation, e.to_string())),
+            }
+        };
+        let new_spill = if delta.is_empty() {
+            // Content unchanged: forward for the authoritative no-op
+            // response, nothing router-side to refresh.
+            None
+        } else {
+            let fingerprint = gms_platform::kernel::fingerprint(&patched);
+            let path = self.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
+            if !path.exists() {
+                if let Err(e) = gms_graph::io::save_snapshot(&patched, &path) {
+                    return error_json(&ApiError::new(ErrorCode::Io, format!("spill failed: {e}")));
+                }
+            }
+            Some((fingerprint, path))
+        };
+        let new_edges = patched.num_arcs() / 2;
+        drop(patched);
+
+        let routed = self.exchange(
+            &envelope.to_json(),
+            None,
+            Some(&spec.graph),
+            |dead| self.on_backend_death(dead),
+            |_| {
+                self.ensure_placed(&spec.graph)
+                    .ok_or_else(|| self.no_home(&spec.graph))
+            },
+        );
+        let routed = match routed {
+            Ok(routed) if routed.ok() => routed,
+            uncommitted => {
+                // The mutation never committed (dead fleet, shard-side
+                // rejection): drop the freshly written spill.
+                if let Some((_, path)) = &new_spill {
+                    let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+                    if !spill_referenced(&graphs, path) {
+                        let _ = std::fs::remove_file(path);
+                    }
+                }
+                return uncommitted.map_or_else(|answer| answer, |routed| routed.annotated(self));
+            }
+        };
+        self.counters.mutations.fetch_add(1, Ordering::Relaxed);
+        if let Some((fingerprint, path)) = new_spill {
+            let stale_spill = {
+                let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
+                if let Some(record) = graphs.get_mut(&spec.graph) {
+                    record.fingerprint = fingerprint;
+                    record.version += 1;
+                    record.edges = new_edges;
+                    record.reload = ReloadSource::Spill(path);
+                }
+                old_spill.filter(|p| !spill_referenced(&graphs, p))
+            };
+            if let Some(path) = stale_spill {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        routed.annotated(self)
+    }
+
+    fn route_run(&self, envelope: &Envelope, spec: &RunSpec) -> Json {
+        if !self.knows(&spec.graph) {
+            return self.not_found(&spec.graph);
+        }
+        let place = |failover: bool| {
+            let owner = self
+                .ensure_placed(&spec.graph)
+                .ok_or_else(|| self.no_home(&spec.graph))?;
+            if failover && envelope.redirect {
+                // The graph moved while this request was in flight
+                // and the client asked to manage its own retries.
+                self.counters.moved.fetch_add(1, Ordering::Relaxed);
+                let moved = ApiError::new(
+                    ErrorCode::Moved,
+                    format!("graph {:?} moved to a new shard", spec.graph),
+                )
+                .with_detail("addr", Json::from(self.backends[owner].addr.to_string()));
+                return Err(error_json(&moved));
+            }
+            Ok(owner)
+        };
+        self.exchange(
+            &envelope.to_json(),
+            envelope.deadline_ms,
+            Some(&spec.graph),
+            |dead| self.on_backend_death(dead),
+            place,
+        )
+        .map_or_else(|answer| answer, |routed| routed.annotated(self))
+    }
+
+    /// Scatter-gather: splits a batch by graph ownership, runs the
+    /// sub-batches on their shards concurrently, and reassembles the
+    /// results in request order. Backend deaths mid-batch trigger
+    /// failover and bounded retry rounds — each failed round marks at
+    /// least one shard down, so the loop terminates with either
+    /// results or typed errors, never a hang.
+    fn route_batch(&self, envelope: &Envelope, specs: &[RunSpec]) -> Json {
+        let deadline_ms = envelope.deadline_ms;
+        let mut results: Vec<Option<Json>> = vec![None; specs.len()];
+        let mut shards_used: Vec<SocketAddr> = Vec::new();
+
+        // Slots still needing execution, grouped fresh each round.
+        let mut pending: Vec<usize> = (0..specs.len()).collect();
+        // Each failed round kills ≥1 backend; one extra round drains
+        // the no-healthy-backends case into typed errors.
+        let max_rounds = self.backends.len() + 1;
+        for _round in 0..max_rounds {
+            if pending.is_empty() {
+                break;
+            }
+            // Resolve owners; unknown / unplaceable graphs answer
+            // typed errors without costing a shard round trip.
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for &slot in &pending {
+                let graph = &specs[slot].graph;
+                if !self.knows(graph) {
+                    results[slot] = Some(self.not_found(graph));
+                    continue;
+                }
+                match self.ensure_placed(graph) {
+                    Some(owner) => groups.entry(owner).or_default().push(slot),
+                    None => results[slot] = Some(self.no_home(graph)),
+                }
+            }
+            // Scatter concurrently, one thread per owning shard.
+            let round_results: Vec<(usize, Vec<usize>, Result<Json, RequestError>)> =
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = groups
+                        .into_iter()
+                        .map(|(owner, slots)| {
+                            // The sub-batch keeps the caller's
+                            // deadline and fairness identity, so the
+                            // shard enforces the same deadline and
+                            // accounts the work to the right client.
+                            let sub_request = Envelope {
+                                deadline_ms,
+                                client: envelope.client.clone(),
+                                weight: envelope.weight,
+                                ..Envelope::new(Request::Batch(
+                                    slots.iter().map(|&s| specs[s].clone()).collect(),
+                                ))
+                            }
+                            .to_json();
+                            scope.spawn(move || {
+                                let outcome = self.backends[owner]
+                                    .request_with_deadline(&sub_request, deadline_ms);
+                                (owner, slots, outcome)
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+            // Gather: successes fill their slots; failures re-enter
+            // the next round after failover.
+            pending.clear();
+            for (owner, slots, outcome) in round_results {
+                match outcome {
+                    Ok(response) => {
+                        let sub_results = response
+                            .get("results")
+                            .and_then(Json::as_array)
+                            .map(|r| r.to_vec())
+                            .unwrap_or_default();
+                        if sub_results.len() != slots.len() {
+                            for &slot in &slots {
+                                results[slot] = Some(error_json(&ApiError::new(
+                                    ErrorCode::BackendUnavailable,
+                                    "shard answered a malformed batch response",
+                                )));
+                            }
+                            continue;
+                        }
+                        if !shards_used.contains(&self.backends[owner].addr) {
+                            shards_used.push(self.backends[owner].addr);
+                        }
+                        for (slot, result) in slots.into_iter().zip(sub_results) {
+                            results[slot] = Some(result);
+                        }
+                    }
+                    Err(RequestError::DeadlineLapsed) => {
+                        // Retrying elsewhere cannot beat an
+                        // already-spent deadline: answer the slots
+                        // typed, keep the shard.
+                        let lapsed = self.lapsed(deadline_ms, owner);
+                        for &slot in &slots {
+                            results[slot] = Some(lapsed.clone());
+                        }
+                    }
+                    Err(RequestError::Dead(_)) => {
+                        self.on_backend_death(owner);
+                        pending.extend(slots);
+                    }
+                }
+            }
+        }
+        // Anything still pending after the bounded rounds has no shard.
+        for slot in pending {
+            results[slot] = Some(self.unavailable("no healthy backends".to_string()));
+        }
+        response(vec![
+            ("ok", Json::Bool(true)),
+            (
+                "results",
+                Json::Array(
+                    results
+                        .into_iter()
+                        .map(|r| r.expect("slot filled"))
+                        .collect(),
+                ),
+            ),
+            ("shards", Json::from(shards_used.len())),
+        ])
+    }
+
+    fn proxy_kernels(&self) -> Json {
+        let request = Envelope::new(Request::Kernels).to_json();
+        for (owner, backend) in self.backends.iter().enumerate() {
+            if !backend.healthy() {
+                continue;
+            }
+            match backend.request(&request) {
+                Ok(response) => {
+                    let routed = Routed {
+                        response,
+                        owner,
+                        failover: false,
+                    };
+                    return routed.annotated(self);
+                }
+                Err(_) => self.on_backend_death(owner),
+            }
+        }
+        self.unavailable("no healthy backends".to_string())
+    }
+
+    fn health_json(&self) -> Json {
+        let healthy = self.backends.iter().filter(|b| b.healthy()).count();
+        let workers: usize = self
+            .backends
+            .iter()
+            .filter(|b| b.healthy())
+            .map(|b| b.weight)
+            .sum();
+        let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner()).len();
+        response(vec![
+            ("ok", Json::Bool(true)),
+            (
+                "status",
+                Json::from(if self.running() {
+                    "serving"
+                } else {
+                    "shutting-down"
+                }),
+            ),
+            ("role", Json::from("router")),
+            ("addr", Json::from(self.addr.to_string())),
+            ("backends", Json::from(self.backends.len())),
+            ("healthy", Json::from(healthy)),
+            ("workers", Json::from(workers)),
+            ("graphs", Json::from(graphs)),
+        ])
+    }
+
+    /// Fleet-wide stats: per-backend blocks straight from the shards,
+    /// their cache/server counters summed into one fleet aggregate,
+    /// the router's own counters, and the authoritative graph table.
+    fn stats_json(&self) -> Json {
+        const CACHE_KEYS: &[&str] = &[
+            "hits",
+            "misses",
+            "evictions",
+            "coalesced",
+            "cross_hits",
+            "invalidated",
+            "migrated",
+            "refreshed",
+            "stale_drops",
+            "entries",
+            "capacity",
+        ];
+        const SERVER_KEYS: &[&str] = &[
+            "connections",
+            "requests",
+            "completed",
+            "rejected",
+            "malformed",
+        ];
+        let request = Envelope::new(Request::Stats).to_json();
+        let mut cache_totals: BTreeMap<&str, i64> = BTreeMap::new();
+        let mut server_totals: BTreeMap<&str, i64> = BTreeMap::new();
+        let mut backend_blocks: Vec<Json> = Vec::new();
+        for (index, backend) in self.backends.iter().enumerate() {
+            let mut fields: Vec<(String, Json)> = vec![
+                ("addr".to_string(), Json::from(backend.addr.to_string())),
+                ("healthy".to_string(), Json::Bool(backend.healthy())),
+                ("weight".to_string(), Json::from(backend.weight)),
+                (
+                    "served".to_string(),
+                    Json::from(backend.served.load(Ordering::Relaxed)),
+                ),
+            ];
+            if backend.healthy() {
+                match backend.request(&request) {
+                    Ok(stats) => {
+                        for (section, keys, totals) in [
+                            ("cache", CACHE_KEYS, &mut cache_totals),
+                            ("server", SERVER_KEYS, &mut server_totals),
+                        ] {
+                            if let Some(block) = stats.get(section) {
+                                for &key in keys {
+                                    if let Some(v) = block.get(key).and_then(Json::as_i64) {
+                                        *totals.entry(key).or_insert(0) += v;
+                                    }
+                                }
+                                fields.push((section.to_string(), block.clone()));
+                            }
+                        }
+                    }
+                    Err(_) => self.on_backend_death(index),
+                }
+            }
+            backend_blocks.push(Json::Object(fields));
+        }
+        let totals_json = |keys: &[&str], totals: &BTreeMap<&str, i64>| {
+            Json::Object(
+                keys.iter()
+                    .map(|&k| (k.to_string(), Json::from(*totals.get(k).unwrap_or(&0))))
+                    .collect(),
+            )
+        };
+        let graphs: Vec<Json> = {
+            let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+            graphs
                 .iter()
-                .filter(|(key, _)| key != "id")
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
+                .map(|(name, record)| {
+                    Json::object([
+                        ("name", Json::from(name.clone())),
+                        (
+                            "shard",
+                            match record.owner {
+                                Some(owner) => Json::from(self.backends[owner].addr.to_string()),
+                                None => Json::Null,
+                            },
+                        ),
+                        ("fingerprint", fingerprint_json(record.fingerprint)),
+                        (
+                            "base_fingerprint",
+                            fingerprint_json(record.base_fingerprint),
+                        ),
+                        ("version", Json::from(record.version)),
+                        ("vertices", Json::from(record.vertices)),
+                        ("edges", Json::from(record.edges)),
+                    ])
+                })
+                .collect()
+        };
+        let counters = &self.counters;
+        let router_block = [
+            ("connections", &counters.front.connections),
+            ("requests", &counters.front.requests),
+            ("routed", &counters.routed),
+            ("mutations", &counters.mutations),
+            ("malformed", &counters.front.malformed),
+            ("failovers", &counters.failovers),
+            ("graphs_replaced", &counters.replaced),
+            ("moved", &counters.moved),
+            ("unavailable", &counters.unavailable),
+            ("not_found", &counters.not_found),
+            ("deadline_exceeded", &counters.deadline_exceeded),
+        ]
+        .map(|(name, counter)| (name, Json::from(counter.load(Ordering::Relaxed))));
+        let healthy = self.backends.iter().filter(|b| b.healthy()).count();
+        response(vec![
+            ("ok", Json::Bool(true)),
+            ("role", Json::from("router")),
+            (
+                "fleet",
+                Json::object([
+                    ("backends", Json::from(self.backends.len())),
+                    ("healthy", Json::from(healthy)),
+                    ("cache", totals_json(CACHE_KEYS, &cache_totals)),
+                    ("server", totals_json(SERVER_KEYS, &server_totals)),
+                ]),
+            ),
+            ("router", Json::object(router_block)),
+            ("backends", Json::Array(backend_blocks)),
+            ("graphs", Json::Array(graphs)),
+        ])
     }
 }
 
-/// Appends router-added members (shard address, id echo) to a
-/// backend response.
-fn annotate(response: Json, shard: SocketAddr, failover: bool, id: Option<&Json>) -> Json {
-    let Json::Object(mut fields) = response else {
-        return response;
+/// Whether any record still reloads from `path` — shared-content
+/// graphs share spill files (the path is keyed by fingerprint), so a
+/// spill is only deletable once the last referent is gone.
+fn spill_referenced(graphs: &BTreeMap<String, GraphRecord>, path: &Path) -> bool {
+    graphs
+        .values()
+        .any(|r| r.spill().is_some_and(|p| p == path))
+}
+
+/// Materializes the current content of a record's reload source —
+/// the graph a failover reload would hand a survivor.
+fn materialize_reload(record: &GraphRecord) -> Result<gms_core::CsrGraph, String> {
+    let from_snapshot = |path: &Path| match gms_graph::io::load_snapshot_auto(path) {
+        Ok(gms_graph::io::SnapshotGraph::Raw(g)) => Ok(g),
+        Ok(gms_graph::io::SnapshotGraph::Compressed(c)) => Ok(c.to_csr()),
+        Err(e) => Err(e.to_string()),
     };
-    fields.push(("shard".to_string(), Json::from(shard.to_string())));
-    if failover {
-        fields.push(("failover".to_string(), Json::Bool(true)));
+    match &record.reload {
+        ReloadSource::Spill(path) => from_snapshot(path),
+        ReloadSource::ClientPath { path, format } => match format {
+            LoadFormat::EdgeList => gms_graph::io::load_undirected(path).map_err(|e| e.to_string()),
+            LoadFormat::Metis => gms_graph::io::load_metis(path).map_err(|e| e.to_string()),
+            LoadFormat::Gcsr => from_snapshot(Path::new(path)),
+        },
     }
-    if let Some(id) = id {
-        fields.push(("id".to_string(), id.clone()));
-    }
-    Json::Object(fields)
-}
-
-fn error_code_of(response: &Json) -> Option<&str> {
-    response
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
 }
 
 /// The routing front end. [`Router::start`] probes every backend,
@@ -407,32 +1125,35 @@ impl Router {
                 "a router needs at least one backend",
             ));
         }
-        let client_config = ClientConfig {
-            connect_timeout: Some(config.connect_timeout),
-            read_timeout: Some(config.read_timeout),
-        };
         let mut backends = Vec::new();
         for text in &config.backends {
             let addr = text
                 .to_socket_addrs()?
                 .next()
                 .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "bad backend addr"))?;
-            let backend = Backend::register(addr, client_config).map_err(|e| {
-                std::io::Error::new(e.kind(), format!("backend {text} failed registration: {e}"))
-            })?;
+            let backend = Backend::register(addr, config.connect_timeout, config.read_timeout)
+                .map_err(|e| {
+                    std::io::Error::new(
+                        e.kind(),
+                        format!("backend {text} failed registration: {e}"),
+                    )
+                })?;
             backends.push(backend);
         }
+        let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
+        // The default spill dir is this instance's alone — pid plus
+        // bound port — so two routers in one process never share (or
+        // delete) each other's failover state.
         let (spill_dir, owns_spill_dir) = match &config.spill_dir {
             Some(dir) => (dir.clone(), false),
-            None => (
-                std::env::temp_dir().join(format!("gms-router-spill-{}", std::process::id())),
-                true,
-            ),
+            None => {
+                let name = format!("gms-router-spill-{}-{}", std::process::id(), addr.port());
+                (std::env::temp_dir().join(name), true)
+            }
         };
         std::fs::create_dir_all(&spill_dir)?;
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let core = Arc::new(Core {
             backends,
             ring: RwLock::new(HashRing::default()),
@@ -447,13 +1168,7 @@ impl Router {
         });
         core.rebuild_ring();
 
-        let acceptor = {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("gms-router-acceptor".to_string())
-                .spawn(move || accept_loop(listener, &core))
-                .expect("spawn acceptor thread")
-        };
+        let acceptor = spawn_acceptor(listener, Arc::clone(&core), "gms-router");
         let prober = (config.probe_interval > Duration::ZERO).then(|| {
             let core = Arc::clone(&core);
             let interval = config.probe_interval;
@@ -506,10 +1221,8 @@ impl RouterHandle {
         }
         {
             let graphs = self.core.graphs.read().unwrap_or_else(|e| e.into_inner());
-            for record in graphs.values() {
-                if let ReloadSource::Spill(path) = &record.reload {
-                    let _ = std::fs::remove_file(path);
-                }
+            for path in graphs.values().filter_map(GraphRecord::spill) {
+                let _ = std::fs::remove_file(path);
             }
         }
         if self.owns_spill_dir {
@@ -518,7 +1231,7 @@ impl RouterHandle {
     }
 }
 
-fn probe_loop(core: &Arc<Core>, interval: Duration, timeout: Duration) {
+fn probe_loop(core: &Core, interval: Duration, timeout: Duration) {
     while core.running() {
         std::thread::sleep(interval);
         for index in 0..core.backends.len() {
@@ -531,1015 +1244,4 @@ fn probe_loop(core: &Arc<Core>, interval: Duration, timeout: Duration) {
             }
         }
     }
-}
-
-fn accept_loop(listener: TcpListener, core: &Arc<Core>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while core.running() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if !core.running() {
-                    break;
-                }
-                core.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let core = Arc::clone(core);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("gms-router-conn".to_string())
-                    .spawn(move || connection_loop(stream, &core))
-                {
-                    connections.push(handle);
-                }
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(_) => {
-                if !core.running() {
-                    break;
-                }
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-fn connection_loop(stream: TcpStream, core: &Arc<Core>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut send = |response: &Json| {
-        let mut line = response.render();
-        line.push('\n');
-        let _ = writer.write_all(line.as_bytes());
-        let _ = writer.flush();
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let keep_going = match std::str::from_utf8(&line) {
-                    Ok(text) => {
-                        let trimmed = text.trim();
-                        if trimmed.is_empty() {
-                            true
-                        } else {
-                            let (response, keep_going) = handle_line(trimmed, core);
-                            send(&response);
-                            keep_going
-                        }
-                    }
-                    Err(_) => {
-                        core.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        send(&error_json(
-                            &WireError::new(ErrorCode::BadJson, "request line is not valid UTF-8"),
-                            None,
-                        ));
-                        true
-                    }
-                };
-                line.clear();
-                if !keep_going {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !core.running() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Handles one request line; returns the response and whether the
-/// connection stays open.
-fn handle_line(line: &str, core: &Arc<Core>) -> (Json, bool) {
-    let Envelope {
-        request,
-        id,
-        versioned,
-        deadline_ms,
-        ..
-    } = match parse_envelope(line) {
-        Ok(parsed) => parsed,
-        Err((error, id)) => {
-            core.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            return (error_json(&error, id.as_ref()), true);
-        }
-    };
-    core.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if !versioned {
-        core.counters
-            .legacy_requests
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    // The raw value re-parsed once: forwarded bodies keep exactly
-    // what the client sent (params, compression, ...), id excluded.
-    let raw = Json::parse(line).expect("parse_request accepted the line");
-    if !core.running() && !matches!(request, Request::Health | Request::Stats) {
-        return (
-            error_json(
-                &WireError::new(ErrorCode::ShuttingDown, "router is shutting down"),
-                id.as_ref(),
-            ),
-            true,
-        );
-    }
-    match request {
-        Request::Health => (health_json(core, id.as_ref()), true),
-        Request::Stats => (stats_json(core, id.as_ref()), true),
-        Request::Kernels => (proxy_kernels(core, id.as_ref()), true),
-        Request::Shutdown => {
-            let ack = with_id(
-                vec![
-                    ("ok", Json::Bool(true)),
-                    ("status", Json::from("shutting-down")),
-                ],
-                id.as_ref(),
-            );
-            core.begin_shutdown();
-            (ack, false)
-        }
-        Request::Load(spec) => {
-            core.counters.routed.fetch_add(1, Ordering::Relaxed);
-            (handle_load(core, &raw, &spec, id.as_ref()), true)
-        }
-        Request::Mutate(spec) => {
-            core.counters.routed.fetch_add(1, Ordering::Relaxed);
-            (handle_mutate(core, &raw, &spec, id.as_ref()), true)
-        }
-        Request::Run(spec) => {
-            core.counters.routed.fetch_add(1, Ordering::Relaxed);
-            let redirect = raw.get("redirect").and_then(Json::as_bool).unwrap_or(false);
-            (
-                handle_run(core, &raw, &spec, redirect, deadline_ms, id.as_ref()),
-                true,
-            )
-        }
-        Request::Batch(specs) => {
-            core.counters.routed.fetch_add(1, Ordering::Relaxed);
-            (
-                handle_batch(core, &raw, &specs, deadline_ms, id.as_ref()),
-                true,
-            )
-        }
-    }
-}
-
-/// Materializes the graph once at the router (for the placement
-/// fingerprint and the failover spill), then forwards the original
-/// load to the owning shard.
-fn handle_load(core: &Arc<Core>, raw: &Json, spec: &LoadSpec, id: Option<&Json>) -> Json {
-    let io_error = |e: gms_graph::io::GraphIoError| {
-        error_json(&WireError::new(ErrorCode::Io, e.to_string()), id)
-    };
-    // (fingerprint, vertices, edges)
-    let summary = match (&spec.format, &spec.source) {
-        (LoadFormat::EdgeList, LoadSource::Data(d)) => {
-            match gms_graph::io::load_undirected_from(d.as_bytes()) {
-                Ok(g) => (gms_platform::kernel::fingerprint(&g), Some(g)),
-                Err(e) => return io_error(e),
-            }
-        }
-        (LoadFormat::EdgeList, LoadSource::Path(p)) => match gms_graph::io::load_undirected(p) {
-            Ok(g) => (gms_platform::kernel::fingerprint(&g), Some(g)),
-            Err(e) => return io_error(e),
-        },
-        (LoadFormat::Metis, LoadSource::Data(d)) => {
-            match gms_graph::io::load_metis_from(d.as_bytes()) {
-                Ok(g) => (gms_platform::kernel::fingerprint(&g), Some(g)),
-                Err(e) => return io_error(e),
-            }
-        }
-        (LoadFormat::Metis, LoadSource::Path(p)) => match gms_graph::io::load_metis(p) {
-            Ok(g) => (gms_platform::kernel::fingerprint(&g), Some(g)),
-            Err(e) => return io_error(e),
-        },
-        (LoadFormat::Gcsr, LoadSource::Path(p)) => match gms_graph::io::load_snapshot_auto(p) {
-            Ok(gms_graph::io::SnapshotGraph::Raw(g)) => {
-                (gms_platform::kernel::fingerprint(&g), Some(g))
-            }
-            Ok(gms_graph::io::SnapshotGraph::Compressed(c)) => {
-                use gms_core::Graph as _;
-                let fp = gms_platform::kernel::fingerprint_graph(&c);
-                let record = build_record(core, spec, fp, c.num_vertices(), c.num_arcs() / 2, None);
-                return forward_load(core, raw, spec, record, id);
-            }
-            Err(e) => return io_error(e),
-        },
-        (LoadFormat::Gcsr, LoadSource::Data(_)) => {
-            // parse_request rejects this before routing.
-            return error_json(
-                &WireError::new(ErrorCode::BadRequest, "gcsr loads require a path"),
-                id,
-            );
-        }
-    };
-    let (fingerprint, graph) = summary;
-    let graph = graph.expect("non-compressed loads materialize a CSR");
-    use gms_core::Graph as _;
-    let record = build_record(
-        core,
-        spec,
-        fingerprint,
-        graph.num_vertices(),
-        graph.num_arcs() / 2,
-        Some(&graph),
-    );
-    forward_load(core, raw, spec, record, id)
-}
-
-/// Builds the router-side record for a load: reload source (spilling
-/// inline data to a `.gcsr` snapshot) plus placement metadata.
-fn build_record(
-    core: &Arc<Core>,
-    spec: &LoadSpec,
-    fingerprint: u64,
-    vertices: usize,
-    edges: usize,
-    graph: Option<&gms_core::CsrGraph>,
-) -> Result<GraphRecord, WireError> {
-    let reload = match &spec.source {
-        LoadSource::Path(path) => ReloadSource::ClientPath {
-            path: path.clone(),
-            format: spec.format,
-        },
-        LoadSource::Data(_) => {
-            let graph = graph.expect("inline loads materialize a CSR");
-            let path = core.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
-            if !path.exists() {
-                gms_graph::io::save_snapshot(graph, &path)
-                    .map_err(|e| WireError::new(ErrorCode::Io, format!("spill failed: {e}")))?;
-            }
-            ReloadSource::Spill(path)
-        }
-    };
-    Ok(GraphRecord {
-        owner: None,
-        fingerprint,
-        base_fingerprint: fingerprint,
-        version: 0,
-        vertices,
-        edges,
-        reload,
-        gap: matches!(spec.compression, gms_serve::LoadCompression::Gap),
-    })
-}
-
-/// Whether any record still reloads from `path` — shared-content
-/// graphs share spill files (the path is keyed by fingerprint), so a
-/// spill is only deletable once the last referent is gone.
-fn spill_referenced(graphs: &BTreeMap<String, GraphRecord>, path: &Path) -> bool {
-    graphs
-        .values()
-        .any(|r| matches!(&r.reload, ReloadSource::Spill(p) if p == path))
-}
-
-/// Materializes the current content of a record's reload source —
-/// the graph a failover reload would hand a survivor.
-fn materialize_reload(record: &GraphRecord) -> Result<gms_core::CsrGraph, String> {
-    let from_snapshot = |path: &Path| match gms_graph::io::load_snapshot_auto(path) {
-        Ok(gms_graph::io::SnapshotGraph::Raw(g)) => Ok(g),
-        Ok(gms_graph::io::SnapshotGraph::Compressed(c)) => Ok(c.to_csr()),
-        Err(e) => Err(e.to_string()),
-    };
-    match &record.reload {
-        ReloadSource::Spill(path) => from_snapshot(path),
-        ReloadSource::ClientPath { path, format } => match format {
-            LoadFormat::EdgeList => gms_graph::io::load_undirected(path).map_err(|e| e.to_string()),
-            LoadFormat::Metis => gms_graph::io::load_metis(path).map_err(|e| e.to_string()),
-            LoadFormat::Gcsr => from_snapshot(Path::new(path)),
-        },
-    }
-}
-
-fn forward_load(
-    core: &Arc<Core>,
-    raw: &Json,
-    spec: &LoadSpec,
-    record: Result<GraphRecord, WireError>,
-    id: Option<&Json>,
-) -> Json {
-    let record = match record {
-        Ok(record) => record,
-        Err(e) => return error_json(&e, id),
-    };
-    let forward = without_id(raw);
-    let mut failover = false;
-    loop {
-        let Some(owner) = core.ring_owner(record.base_fingerprint) else {
-            core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-            return error_json(
-                &WireError::new(
-                    ErrorCode::BackendUnavailable,
-                    "no healthy backend can take the graph",
-                ),
-                id,
-            );
-        };
-        match core.backends[owner].request(&forward) {
-            Ok(response) => {
-                if response.get("ok") != Some(&Json::Bool(true)) {
-                    // The shard rejected the load (bad path, parse
-                    // error): forward its typed error untouched.
-                    return annotate(response, core.backends[owner].addr, failover, id);
-                }
-                let (replaced, stale_spill) = {
-                    let mut graphs = core.graphs.write().unwrap_or_else(|e| e.into_inner());
-                    let mut record = record;
-                    record.owner = Some(owner);
-                    let old = graphs.insert(spec.name.clone(), record);
-                    let replaced = old.is_some();
-                    // A replaced-away inline graph leaves its spill
-                    // snapshot behind; delete it once nothing else
-                    // reloads from it — replacing must not leak disk.
-                    let stale = old
-                        .and_then(|o| match o.reload {
-                            ReloadSource::Spill(path) => Some(path),
-                            ReloadSource::ClientPath { .. } => None,
-                        })
-                        .filter(|path| !spill_referenced(&graphs, path));
-                    (replaced, stale)
-                };
-                if let Some(path) = stale_spill {
-                    let _ = std::fs::remove_file(path);
-                }
-                // The router's table is the fleet-wide truth for
-                // "replaced": the shard only sees its own slice.
-                let response = match response {
-                    Json::Object(mut fields) => {
-                        for (key, value) in fields.iter_mut() {
-                            if key == "replaced" {
-                                *value = Json::Bool(replaced);
-                            }
-                        }
-                        Json::Object(fields)
-                    }
-                    other => other,
-                };
-                return annotate(response, core.backends[owner].addr, failover, id);
-            }
-            Err(_) => {
-                core.on_backend_death(owner);
-                failover = true;
-            }
-        }
-    }
-}
-
-/// Routes an edge mutation to the shard owning the graph, keeping
-/// the router's failover state in sync: the same patch is applied to
-/// the router's copy of the graph and written as a fresh spill
-/// snapshot keyed by the post-mutation fingerprint **before** the
-/// batch is forwarded, so a shard death at any point reloads content
-/// no older than what the fleet last acknowledged. Placement stays
-/// on the base fingerprint — mutating never moves a graph. A
-/// path-loaded graph converts to a spill reload here (its client
-/// file no longer matches the resident content), and the
-/// pre-mutation spill is deleted once nothing references it.
-fn handle_mutate(core: &Arc<Core>, raw: &Json, spec: &MutateSpec, id: Option<&Json>) -> Json {
-    if !core
-        .graphs
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains_key(&spec.graph)
-    {
-        core.counters.not_found.fetch_add(1, Ordering::Relaxed);
-        return error_json(
-            &WireError::new(
-                ErrorCode::GraphNotFound,
-                format!("graph {:?} is not loaded anywhere in the fleet", spec.graph),
-            ),
-            id,
-        );
-    }
-    let _one_at_a_time = core.mutation.lock().unwrap_or_else(|e| e.into_inner());
-    // Patch the router's copy first.
-    let (patched, delta, old_spill) = {
-        let graphs = core.graphs.read().unwrap_or_else(|e| e.into_inner());
-        let Some(record) = graphs.get(&spec.graph) else {
-            core.counters.not_found.fetch_add(1, Ordering::Relaxed);
-            return error_json(
-                &WireError::new(
-                    ErrorCode::GraphNotFound,
-                    format!("graph {:?} is not loaded anywhere in the fleet", spec.graph),
-                ),
-                id,
-            );
-        };
-        let old = match materialize_reload(record) {
-            Ok(graph) => graph,
-            Err(e) => {
-                return error_json(
-                    &WireError::new(ErrorCode::Io, format!("reload source unreadable: {e}")),
-                    id,
-                )
-            }
-        };
-        match gms_graph::patch_csr(&old, &spec.add, &spec.remove) {
-            Ok((patched, delta)) => {
-                let old_spill = match &record.reload {
-                    ReloadSource::Spill(path) => Some(path.clone()),
-                    ReloadSource::ClientPath { .. } => None,
-                };
-                (patched, delta, old_spill)
-            }
-            Err(e) => {
-                return error_json(&WireError::new(ErrorCode::BadMutation, e.to_string()), id)
-            }
-        }
-    };
-    let forward = without_id(raw);
-    let new_spill = if delta.is_empty() {
-        // Content unchanged: forward for the authoritative no-op
-        // response, nothing router-side to refresh.
-        None
-    } else {
-        let fingerprint = gms_platform::kernel::fingerprint(&patched);
-        let path = core.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
-        if !path.exists() {
-            if let Err(e) = gms_graph::io::save_snapshot(&patched, &path) {
-                return error_json(
-                    &WireError::new(ErrorCode::Io, format!("spill failed: {e}")),
-                    id,
-                );
-            }
-        }
-        Some((fingerprint, path))
-    };
-    use gms_core::Graph as _;
-    let new_edges = patched.num_arcs() / 2;
-    drop(patched);
-    // Drops the freshly written spill when the mutation never
-    // commits (dead fleet, shard-side rejection).
-    let discard_new_spill = |spill: &Option<(u64, PathBuf)>| {
-        if let Some((_, path)) = spill {
-            let referenced = {
-                let graphs = core.graphs.read().unwrap_or_else(|e| e.into_inner());
-                spill_referenced(&graphs, path)
-            };
-            if !referenced {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    };
-    let mut failover = false;
-    loop {
-        let Some(owner) = core.ensure_placed(&spec.graph) else {
-            core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-            discard_new_spill(&new_spill);
-            return error_json(
-                &WireError::new(
-                    ErrorCode::BackendUnavailable,
-                    format!("no healthy backend holds graph {:?}", spec.graph),
-                ),
-                id,
-            );
-        };
-        match core.backends[owner].request(&forward) {
-            Ok(response) => {
-                if error_code_of(&response) == Some("unknown-graph")
-                    && heal_missing(core, &spec.graph, owner)
-                {
-                    continue;
-                }
-                if response.get("ok") != Some(&Json::Bool(true)) {
-                    discard_new_spill(&new_spill);
-                    return annotate(response, core.backends[owner].addr, failover, id);
-                }
-                core.counters.mutations.fetch_add(1, Ordering::Relaxed);
-                if let Some((fingerprint, path)) = new_spill {
-                    let stale_spill = {
-                        let mut graphs = core.graphs.write().unwrap_or_else(|e| e.into_inner());
-                        if let Some(record) = graphs.get_mut(&spec.graph) {
-                            record.fingerprint = fingerprint;
-                            record.version += 1;
-                            record.edges = new_edges;
-                            record.reload = ReloadSource::Spill(path);
-                        }
-                        old_spill.filter(|p| !spill_referenced(&graphs, p))
-                    };
-                    if let Some(path) = stale_spill {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-                return annotate(response, core.backends[owner].addr, failover, id);
-            }
-            Err(_) => {
-                core.on_backend_death(owner);
-                failover = true;
-            }
-        }
-    }
-}
-
-fn handle_run(
-    core: &Arc<Core>,
-    raw: &Json,
-    spec: &RunSpec,
-    redirect: bool,
-    deadline_ms: Option<u64>,
-    id: Option<&Json>,
-) -> Json {
-    if !core
-        .graphs
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains_key(&spec.graph)
-    {
-        core.counters.not_found.fetch_add(1, Ordering::Relaxed);
-        return error_json(
-            &WireError::new(
-                ErrorCode::GraphNotFound,
-                format!("graph {:?} is not loaded anywhere in the fleet", spec.graph),
-            ),
-            id,
-        );
-    }
-    let forward = without_id(raw);
-    let mut failover = false;
-    loop {
-        let Some(owner) = core.ensure_placed(&spec.graph) else {
-            core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-            return error_json(
-                &WireError::new(
-                    ErrorCode::BackendUnavailable,
-                    format!("no healthy backend holds graph {:?}", spec.graph),
-                ),
-                id,
-            );
-        };
-        if failover && redirect {
-            // The graph moved while this request was in flight and
-            // the client asked to manage its own retries.
-            core.counters.moved.fetch_add(1, Ordering::Relaxed);
-            return error_json_with(
-                &WireError::new(
-                    ErrorCode::Moved,
-                    format!("graph {:?} moved to a new shard", spec.graph),
-                ),
-                &[("addr", Json::from(core.backends[owner].addr.to_string()))],
-                id,
-            );
-        }
-        match core.backends[owner].request_with_deadline(&forward, deadline_ms) {
-            Ok(response) => {
-                if error_code_of(&response) == Some("unknown-graph") {
-                    // Router/shard disagreement (the shard restarted
-                    // or dropped it): heal by reloading, then retry.
-                    if heal_missing(core, &spec.graph, owner) {
-                        continue;
-                    }
-                }
-                return annotate(response, core.backends[owner].addr, failover, id);
-            }
-            Err(RequestError::DeadlineLapsed) => {
-                // The shard is (probably) alive but over the caller's
-                // budget — answer the typed error without failover,
-                // which would re-place every graph on a healthy shard.
-                core.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                return error_json(
-                    &WireError::new(
-                        ErrorCode::DeadlineExceeded,
-                        format!(
-                            "deadline of {}ms lapsed waiting on shard {}",
-                            deadline_ms.unwrap_or(0),
-                            core.backends[owner].addr
-                        ),
-                    ),
-                    id,
-                );
-            }
-            Err(RequestError::Dead(_)) => {
-                core.on_backend_death(owner);
-                failover = true;
-            }
-        }
-    }
-}
-
-/// Reloads a graph the router believes `owner` holds but the shard
-/// denies. Returns `true` when the reload succeeded (retry the run).
-fn heal_missing(core: &Arc<Core>, name: &str, owner: usize) -> bool {
-    let _guard = core.placement.lock().unwrap_or_else(|e| e.into_inner());
-    let load_request = {
-        let graphs = core.graphs.read().unwrap_or_else(|e| e.into_inner());
-        match graphs.get(name) {
-            Some(record) => reload_request(name, record),
-            None => return false,
-        }
-    };
-    matches!(
-        core.backends[owner].request(&load_request),
-        Ok(ref r) if r.get("ok") == Some(&Json::Bool(true))
-    )
-}
-
-/// Scatter-gather: splits a batch by graph ownership, runs the
-/// sub-batches on their shards concurrently, and reassembles the
-/// results in request order. Backend deaths mid-batch trigger
-/// failover and bounded retry rounds — each failed round marks at
-/// least one shard down, so the loop terminates with either results
-/// or typed errors, never a hang.
-fn handle_batch(
-    core: &Arc<Core>,
-    raw: &Json,
-    specs: &[RunSpec],
-    deadline_ms: Option<u64>,
-    id: Option<&Json>,
-) -> Json {
-    let raw_items: Vec<Json> = raw
-        .get("requests")
-        .and_then(Json::as_array)
-        .map(|items| items.to_vec())
-        .unwrap_or_default();
-    debug_assert_eq!(raw_items.len(), specs.len());
-    let mut results: Vec<Option<Json>> = vec![None; specs.len()];
-    let mut shards_used: Vec<SocketAddr> = Vec::new();
-
-    // Slots still needing execution, grouped fresh each round.
-    let mut pending: Vec<usize> = (0..specs.len()).collect();
-    // Each failed round kills ≥1 backend; one extra round drains the
-    // no-healthy-backends case into typed errors.
-    let max_rounds = core.backends.len() + 1;
-    for _round in 0..max_rounds {
-        if pending.is_empty() {
-            break;
-        }
-        // Resolve owners; unknown / unplaceable graphs answer typed
-        // errors without costing a shard round trip.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &slot in &pending {
-            let spec = &specs[slot];
-            let known = core
-                .graphs
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains_key(&spec.graph);
-            if !known {
-                core.counters.not_found.fetch_add(1, Ordering::Relaxed);
-                results[slot] = Some(error_json(
-                    &WireError::new(
-                        ErrorCode::GraphNotFound,
-                        format!("graph {:?} is not loaded anywhere in the fleet", spec.graph),
-                    ),
-                    None,
-                ));
-                continue;
-            }
-            match core.ensure_placed(&spec.graph) {
-                Some(owner) => groups.entry(owner).or_default().push(slot),
-                None => {
-                    core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-                    results[slot] = Some(error_json(
-                        &WireError::new(
-                            ErrorCode::BackendUnavailable,
-                            format!("no healthy backend holds graph {:?}", spec.graph),
-                        ),
-                        None,
-                    ));
-                }
-            }
-        }
-        // Scatter concurrently, one thread per owning shard.
-        let round_results: Vec<(usize, Vec<usize>, Result<Json, RequestError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|(owner, slots)| {
-                        // The sub-batch keeps the caller's envelope
-                        // (version, deadline, fairness identity), so
-                        // the shard enforces the same deadline and
-                        // accounts the work to the right client.
-                        let mut fields: Vec<(String, Json)> = vec![
-                            ("op".to_string(), Json::from("batch")),
-                            (
-                                "requests".to_string(),
-                                Json::Array(
-                                    slots.iter().map(|&s| without_id(&raw_items[s])).collect(),
-                                ),
-                            ),
-                        ];
-                        for key in ["v", "deadline_ms", "client", "weight"] {
-                            if let Some(value) = raw.get(key) {
-                                fields.push((key.to_string(), value.clone()));
-                            }
-                        }
-                        let sub_request = Json::Object(fields);
-                        let core = Arc::clone(core);
-                        scope.spawn(move || {
-                            let outcome = core.backends[owner]
-                                .request_with_deadline(&sub_request, deadline_ms);
-                            (owner, slots, outcome)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-        // Gather: successes fill their slots; failures re-enter the
-        // next round after failover.
-        pending.clear();
-        for (owner, slots, outcome) in round_results {
-            match outcome {
-                Ok(response) => {
-                    let sub_results = response
-                        .get("results")
-                        .and_then(Json::as_array)
-                        .map(|r| r.to_vec())
-                        .unwrap_or_default();
-                    if sub_results.len() != slots.len() {
-                        for &slot in &slots {
-                            results[slot] = Some(error_json(
-                                &WireError::new(
-                                    ErrorCode::BackendUnavailable,
-                                    "shard answered a malformed batch response",
-                                ),
-                                None,
-                            ));
-                        }
-                        continue;
-                    }
-                    if !shards_used.contains(&core.backends[owner].addr) {
-                        shards_used.push(core.backends[owner].addr);
-                    }
-                    for (slot, result) in slots.into_iter().zip(sub_results) {
-                        results[slot] = Some(result);
-                    }
-                }
-                Err(RequestError::DeadlineLapsed) => {
-                    // Retrying elsewhere cannot beat an already-spent
-                    // deadline: answer the slots typed, keep the shard.
-                    core.counters
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    for &slot in &slots {
-                        results[slot] = Some(error_json(
-                            &WireError::new(
-                                ErrorCode::DeadlineExceeded,
-                                format!(
-                                    "deadline of {}ms lapsed waiting on shard {}",
-                                    deadline_ms.unwrap_or(0),
-                                    core.backends[owner].addr
-                                ),
-                            ),
-                            None,
-                        ));
-                    }
-                }
-                Err(RequestError::Dead(_)) => {
-                    core.on_backend_death(owner);
-                    pending.extend(slots);
-                }
-            }
-        }
-    }
-    // Anything still pending after the bounded rounds has no shard.
-    for slot in pending {
-        core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-        results[slot] = Some(error_json(
-            &WireError::new(ErrorCode::BackendUnavailable, "no healthy backends"),
-            None,
-        ));
-    }
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            (
-                "results",
-                Json::Array(
-                    results
-                        .into_iter()
-                        .map(|r| r.expect("slot filled"))
-                        .collect(),
-                ),
-            ),
-            ("shards", Json::from(shards_used.len())),
-        ],
-        id,
-    )
-}
-
-fn proxy_kernels(core: &Arc<Core>, id: Option<&Json>) -> Json {
-    let request = Json::object([("op", Json::from("kernels"))]);
-    for (index, backend) in core.backends.iter().enumerate() {
-        if !backend.healthy() {
-            continue;
-        }
-        match backend.request(&request) {
-            Ok(response) => return annotate(response, backend.addr, false, id),
-            Err(_) => core.on_backend_death(index),
-        }
-    }
-    core.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-    error_json(
-        &WireError::new(ErrorCode::BackendUnavailable, "no healthy backends"),
-        id,
-    )
-}
-
-fn health_json(core: &Arc<Core>, id: Option<&Json>) -> Json {
-    let healthy = core.backends.iter().filter(|b| b.healthy()).count();
-    let workers: usize = core
-        .backends
-        .iter()
-        .filter(|b| b.healthy())
-        .map(|b| b.weight)
-        .sum();
-    let graphs = core.graphs.read().unwrap_or_else(|e| e.into_inner()).len();
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            (
-                "status",
-                Json::from(if core.running() {
-                    "serving"
-                } else {
-                    "shutting-down"
-                }),
-            ),
-            ("role", Json::from("router")),
-            ("addr", Json::from(core.addr.to_string())),
-            ("backends", Json::from(core.backends.len())),
-            ("healthy", Json::from(healthy)),
-            ("workers", Json::from(workers)),
-            ("graphs", Json::from(graphs)),
-        ],
-        id,
-    )
-}
-
-/// Fleet-wide stats: per-backend blocks straight from the shards,
-/// their cache/server counters summed into one fleet aggregate, the
-/// router's own counters, and the authoritative graph table.
-fn stats_json(core: &Arc<Core>, id: Option<&Json>) -> Json {
-    const CACHE_KEYS: &[&str] = &[
-        "hits",
-        "misses",
-        "evictions",
-        "coalesced",
-        "cross_hits",
-        "invalidated",
-        "migrated",
-        "refreshed",
-        "stale_drops",
-        "entries",
-        "capacity",
-    ];
-    const SERVER_KEYS: &[&str] = &[
-        "connections",
-        "requests",
-        "completed",
-        "rejected",
-        "malformed",
-    ];
-    let request = Json::object([("op", Json::from("stats"))]);
-    let mut cache_totals: BTreeMap<&str, i64> = BTreeMap::new();
-    let mut server_totals: BTreeMap<&str, i64> = BTreeMap::new();
-    let mut backend_blocks: Vec<Json> = Vec::new();
-    for (index, backend) in core.backends.iter().enumerate() {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("addr".to_string(), Json::from(backend.addr.to_string())),
-            ("healthy".to_string(), Json::Bool(backend.healthy())),
-            ("weight".to_string(), Json::from(backend.weight)),
-            (
-                "served".to_string(),
-                Json::from(backend.served.load(Ordering::Relaxed)),
-            ),
-        ];
-        if backend.healthy() {
-            match backend.request(&request) {
-                Ok(stats) => {
-                    for (section, keys, totals) in [
-                        ("cache", CACHE_KEYS, &mut cache_totals),
-                        ("server", SERVER_KEYS, &mut server_totals),
-                    ] {
-                        if let Some(block) = stats.get(section) {
-                            for &key in keys {
-                                if let Some(v) = block.get(key).and_then(Json::as_i64) {
-                                    *totals.entry(key).or_insert(0) += v;
-                                }
-                            }
-                            fields.push((section.to_string(), block.clone()));
-                        }
-                    }
-                }
-                Err(_) => core.on_backend_death(index),
-            }
-        }
-        backend_blocks.push(Json::Object(fields));
-    }
-    let totals_json = |keys: &[&str], totals: &BTreeMap<&str, i64>| {
-        Json::Object(
-            keys.iter()
-                .map(|&k| (k.to_string(), Json::from(*totals.get(k).unwrap_or(&0))))
-                .collect(),
-        )
-    };
-    let graphs: Vec<Json> = {
-        let graphs = core.graphs.read().unwrap_or_else(|e| e.into_inner());
-        graphs
-            .iter()
-            .map(|(name, record)| {
-                Json::object([
-                    ("name", Json::from(name.clone())),
-                    (
-                        "shard",
-                        match record.owner {
-                            Some(owner) => Json::from(core.backends[owner].addr.to_string()),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "fingerprint",
-                        gms_serve::protocol::fingerprint_json(record.fingerprint),
-                    ),
-                    (
-                        "base_fingerprint",
-                        gms_serve::protocol::fingerprint_json(record.base_fingerprint),
-                    ),
-                    ("version", Json::from(record.version)),
-                    ("vertices", Json::from(record.vertices)),
-                    ("edges", Json::from(record.edges)),
-                ])
-            })
-            .collect()
-    };
-    let counters = &core.counters;
-    let healthy = core.backends.iter().filter(|b| b.healthy()).count();
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            ("role", Json::from("router")),
-            (
-                "fleet",
-                Json::object([
-                    ("backends", Json::from(core.backends.len())),
-                    ("healthy", Json::from(healthy)),
-                    ("cache", totals_json(CACHE_KEYS, &cache_totals)),
-                    ("server", totals_json(SERVER_KEYS, &server_totals)),
-                ]),
-            ),
-            (
-                "router",
-                Json::object([
-                    (
-                        "connections",
-                        Json::from(counters.connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "requests",
-                        Json::from(counters.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "routed",
-                        Json::from(counters.routed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "mutations",
-                        Json::from(counters.mutations.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "malformed",
-                        Json::from(counters.malformed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "failovers",
-                        Json::from(counters.failovers.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "graphs_replaced",
-                        Json::from(counters.replaced.load(Ordering::Relaxed)),
-                    ),
-                    ("moved", Json::from(counters.moved.load(Ordering::Relaxed))),
-                    (
-                        "unavailable",
-                        Json::from(counters.unavailable.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "not_found",
-                        Json::from(counters.not_found.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "legacy_requests",
-                        Json::from(counters.legacy_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deadline_exceeded",
-                        Json::from(counters.deadline_exceeded.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            ("backends", Json::Array(backend_blocks)),
-            ("graphs", Json::Array(graphs)),
-        ],
-        id,
-    )
 }

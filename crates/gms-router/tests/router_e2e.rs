@@ -559,3 +559,149 @@ fn fleet_errors_are_typed_never_hangs() {
     router.shutdown();
     router.join();
 }
+
+/// Regression: the router used to assemble request lines with an
+/// uncapped `read_until`, so a newline-free stream grew its memory
+/// without bound and was never answered. It now reads through the
+/// same bounded line loop as `gms-serve`: one byte past the cap is a
+/// typed `payload-too-large`, the stream resyncs on the next newline,
+/// and the connection keeps serving.
+#[test]
+fn newline_free_flood_at_the_router_is_bounded_and_resyncs() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (backends, router) = start_fleet(1);
+    let cap = ServeConfig::default().max_body_bytes;
+    let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect router");
+    // Fail, don't hang, where the flood is swallowed silently.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    stream
+        .write_all(&vec![b'{'; cap + 1])
+        .expect("stream the flood");
+    stream.flush().expect("flush");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("an answer while the line is still unterminated");
+    let refused = Json::parse(reply.trim()).expect("a JSON reply");
+    assert_eq!(error_code(&refused), Some("payload-too-large"), "{reply}");
+
+    // Terminate the flooded line: the next request is served.
+    stream
+        .write_all(b"\n{\"op\":\"health\",\"id\":5}\n")
+        .expect("resync");
+    reply.clear();
+    reader.read_line(&mut reply).expect("health reply");
+    let health = Json::parse(reply.trim()).expect("a JSON reply");
+    assert_eq!(health.get("ok"), Some(&Json::Bool(true)), "{reply}");
+    assert_eq!(health.get("role").and_then(Json::as_str), Some("router"));
+    assert_eq!(health.get("id"), Some(&Json::Int(5)));
+
+    router.shutdown();
+    router.join();
+    for backend in backends {
+        kill_backend(backend);
+    }
+}
+
+/// Regression: every router in a process used to default to the same
+/// `$TMPDIR/gms-router-spill-<pid>`, and one handle's `join` removed
+/// it under the others — taking their failover snapshots with it. The
+/// default is per instance now.
+#[test]
+fn two_routers_in_one_process_keep_their_own_spill_dirs() {
+    let (first_backends, first) = start_fleet(1);
+    let (second_backends, second) = start_fleet(2);
+    let mut via_first = Client::connect(first.addr()).expect("connect first router");
+    let mut via_second = Client::connect(second.addr()).expect("connect second router");
+    load_graphs(&mut via_first, 1);
+    load_graphs(&mut via_second, 1);
+    let expected = via_second
+        .run("triangle-count", "g0", &[])
+        .expect("warm run")
+        .get("patterns")
+        .and_then(Json::as_i64)
+        .expect("patterns");
+
+    // The first router goes away, cleaning up after itself.
+    first.shutdown();
+    first.join();
+    for backend in first_backends {
+        kill_backend(backend);
+    }
+
+    // The second router's spill must have survived that: kill g0's
+    // shard and the failover reload still finds its snapshot.
+    let victim_addr = shard_of(&via_second.stats().expect("stats"), "g0");
+    let mut survivors = Vec::new();
+    for backend in second_backends {
+        if backend.addr().to_string() == victim_addr {
+            kill_backend(backend);
+        } else {
+            survivors.push(backend);
+        }
+    }
+    let failed_over = via_second
+        .run("triangle-count", "g0", &[])
+        .expect("failover run");
+    assert_eq!(
+        failed_over.get("patterns").and_then(Json::as_i64),
+        Some(expected),
+        "the reload from the second router's own spill succeeded: {}",
+        failed_over.render()
+    );
+    assert_eq!(failed_over.get("failover"), Some(&Json::Bool(true)));
+
+    second.shutdown();
+    second.join();
+    for backend in survivors {
+        kill_backend(backend);
+    }
+}
+
+/// The router forwards the request it parsed, re-rendered — so the
+/// rendering must keep what the shard's cache keys on. A float
+/// parameter spelled `2.0` stays a float: the routed run and the same
+/// run sent straight to the shard share one cache line.
+#[test]
+fn a_routed_float_param_hits_the_same_cache_line_as_a_direct_one() {
+    let (backends, router) = start_fleet(2);
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    load_graphs(&mut via_router, 1);
+    let params = [
+        ("ordering", Json::from("adg")),
+        ("eps", Json::Float(2.0)),
+        ("k", Json::Int(3)),
+    ];
+
+    let routed = via_router
+        .run("k-clique", "g0", &params)
+        .expect("routed run");
+    assert_eq!(
+        routed.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        routed.render()
+    );
+    assert_eq!(routed.get("cached"), Some(&Json::Bool(false)));
+    let shard = routed.get("shard").and_then(Json::as_str).expect("shard");
+
+    let mut direct = Client::connect(shard).expect("connect shard");
+    let again = direct.run("k-clique", "g0", &params).expect("direct run");
+    assert_eq!(
+        again.get("cached"),
+        Some(&Json::Bool(true)),
+        "{}",
+        again.render()
+    );
+    assert_eq!(again.get("patterns"), routed.get("patterns"));
+
+    router.shutdown();
+    router.join();
+    for backend in backends {
+        kill_backend(backend);
+    }
+}

@@ -1,26 +1,26 @@
 //! Clients for both faces of the server: the newline-delimited JSON
 //! protocol and the `/v1` HTTP gateway.
 //!
-//! Three layers, lowest first:
-//!
-//! - [`Client`] — one NDJSON connection, one request in flight.
-//!   The raw `io::Result<Json>` methods (`request`, `health`, `run`,
-//!   ...) predate v1 and stay for the router's pool and for tests
-//!   that send deliberately malformed lines.
-//! - The **typed v1 surface** on the same [`Client`]
-//!   ([`Client::check_health`], [`Client::run_kernel`], ...): every
-//!   method stamps the v1 envelope (`"v":1` plus the builder's
-//!   default deadline / client identity / weight) and returns
-//!   `Result<T, ApiError>` — transport failures and server-side
-//!   failures arrive as the same typed error.
+//! - [`Client`] — one NDJSON connection, one request in flight. Every
+//!   op helper (`health`, `load_inline`, `run`, `add_edges`, ...)
+//!   builds a typed [`Request`], renders it through
+//!   [`Envelope::to_json`] — `"v":1` plus the builder's default
+//!   deadline / client identity / weight — and returns the response
+//!   as `io::Result<Json>`: transport failures are the `Err`, a
+//!   server-side failure is an `Ok` response with `"ok":false`.
+//!   Callers that would rather `?` a typed failure pass the response
+//!   through [`response_or_error`](crate::response_or_error).
+//!   [`Client::request`] / [`Client::request_raw`] send anything
+//!   else, including deliberately malformed lines.
 //! - [`HttpClient`] — a minimal HTTP/1.1 client for the gateway,
 //!   chunk-aware so tests and the benchmark can observe how many
-//!   chunks a streamed response actually arrived in.
+//!   chunks a streamed response actually arrived in. Its bodies come
+//!   from the same renderer.
 //!
 //! Construction goes through [`ClientBuilder`]:
 //!
 //! ```no_run
-//! use gms_serve::ClientBuilder;
+//! use gms_serve::{response_or_error, ClientBuilder};
 //! use std::time::Duration;
 //!
 //! let mut client = ClientBuilder::new()
@@ -31,8 +31,8 @@
 //!     .weight(4)
 //!     .connect("127.0.0.1:7001")
 //!     .unwrap();
-//! let health = client.check_health().unwrap();
-//! assert_eq!(health.status, "serving");
+//! let health = response_or_error(client.health().unwrap()).unwrap();
+//! assert_eq!(health.get("status").and_then(|s| s.as_str()), Some("serving"));
 //! ```
 //!
 //! Built for reuse inside connection pools: the client remembers its
@@ -44,36 +44,31 @@
 //! every pool hits after a server restart.
 
 use crate::json::Json;
-use crate::protocol::{ApiError, ErrorCode, PROTOCOL_VERSION};
+use crate::protocol::{
+    edges_json, params_from_json, ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat,
+    LoadSource, LoadSpec, MutateSpec, Request, RunSpec,
+};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Connection-behavior knobs, all optional: `None` means block
-/// indefinitely (the pre-pooling behavior).
-///
-/// The positional-config era of this struct is over — new code
-/// should go through [`ClientBuilder`] — but it remains the pooled
-/// router's configuration unit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientConfig {
-    /// Give up dialing after this long.
-    pub connect_timeout: Option<Duration>,
-    /// Give up waiting for a response line after this long. The
-    /// failed read surfaces as a `WouldBlock`/`TimedOut` I/O error
-    /// and poisons the connection (the next use reconnects).
-    pub read_timeout: Option<Duration>,
-}
-
-/// Builder for [`Client`] and [`HttpClient`]: timeouts plus the v1
-/// request defaults (deadline, client identity, fairness weight)
-/// stamped onto every typed request.
-#[derive(Clone, Debug, Default)]
+/// Builder for [`Client`] and [`HttpClient`]: connection timeouts
+/// (unset = block indefinitely) plus the request defaults (deadline,
+/// client identity, fairness weight) stamped onto every helper's
+/// request.
+#[derive(Clone, Debug)]
 pub struct ClientBuilder {
-    config: ClientConfig,
+    connect_timeout: Option<Duration>,
+    read_timeout: Option<Duration>,
     deadline_ms: Option<u64>,
     client_name: Option<String>,
     weight: u32,
+}
+
+impl Default for ClientBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ClientBuilder {
@@ -81,65 +76,78 @@ impl ClientBuilder {
     /// identity, and weight 1.
     pub fn new() -> Self {
         Self {
+            connect_timeout: None,
+            read_timeout: None,
+            deadline_ms: None,
+            client_name: None,
             weight: 1,
-            ..Self::default()
         }
     }
 
     /// Give up dialing after this long.
     pub fn connect_timeout(mut self, timeout: Duration) -> Self {
-        self.config.connect_timeout = Some(timeout);
+        self.connect_timeout = Some(timeout);
         self
     }
 
-    /// Give up waiting for a response after this long.
+    /// Give up waiting for a response after this long. The failed
+    /// read surfaces as a `WouldBlock`/`TimedOut` I/O error and
+    /// poisons the connection (the next use reconnects).
     pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.config.read_timeout = Some(timeout);
+        self.read_timeout = Some(timeout);
         self
     }
 
-    /// Default relative deadline stamped on every typed request; the
-    /// server propagates it into kernel cancellation points.
+    /// Default relative deadline stamped on every helper's request;
+    /// the server propagates it into kernel cancellation points.
     pub fn deadline_ms(mut self, ms: u64) -> Self {
         self.deadline_ms = Some(ms);
         self
     }
 
-    /// The fairness / rate-limit identity sent with every typed
+    /// The fairness / rate-limit identity sent with every helper's
     /// request.
     pub fn client_name(mut self, name: impl Into<String>) -> Self {
         self.client_name = Some(name.into());
         self
     }
 
-    /// Weighted-fair-queuing weight (1..=1024) sent with every typed
-    /// request.
+    /// Weighted-fair-queuing weight (1..=1024) sent with every
+    /// helper's request.
     pub fn weight(mut self, weight: u32) -> Self {
         self.weight = weight;
         self
     }
 
     /// Dials an NDJSON [`Client`].
-    pub fn connect<A: ToSocketAddrs>(self, addr: A) -> std::io::Result<Client> {
-        let mut client = Client::connect_with(addr, self.config)?;
-        client.deadline_ms = self.deadline_ms;
-        client.client_name = self.client_name;
-        client.weight = self.weight;
+    pub fn connect<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<Client> {
+        let mut client = Client {
+            addr: resolve(addr)?,
+            config: self.clone(),
+            conn: None,
+        };
+        client.reconnect()?;
         Ok(client)
     }
 
     /// Builds an [`HttpClient`] for the `/v1` gateway at `addr`
     /// (connections are per-request, so this only resolves the
     /// address).
-    pub fn connect_http<A: ToSocketAddrs>(self, addr: A) -> std::io::Result<HttpClient> {
-        let addr = resolve(addr)?;
+    pub fn connect_http<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<HttpClient> {
         Ok(HttpClient {
-            addr,
-            config: self.config,
-            deadline_ms: self.deadline_ms,
-            client_name: self.client_name,
-            weight: self.weight,
+            addr: resolve(addr)?,
+            config: self.clone(),
         })
+    }
+
+    fn dial(&self, addr: &SocketAddr) -> std::io::Result<TcpStream> {
+        let stream = match self.connect_timeout {
+            Some(timeout) => TcpStream::connect_timeout(addr, timeout)?,
+            None => TcpStream::connect(addr)?,
+        };
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(self.read_timeout)?;
+        Ok(stream)
     }
 }
 
@@ -158,11 +166,8 @@ struct Conn {
 /// the one-line response; drop the client to close the connection.
 pub struct Client {
     addr: SocketAddr,
-    config: ClientConfig,
+    config: ClientBuilder,
     conn: Option<Conn>,
-    deadline_ms: Option<u64>,
-    client_name: Option<String>,
-    weight: u32,
 }
 
 /// Whether an I/O failure means the connection itself is unusable
@@ -180,25 +185,16 @@ fn is_connection_death(kind: ErrorKind) -> bool {
     )
 }
 
+/// A helper's arguments do not form a request (unknown format name,
+/// non-scalar parameter): nothing was sent.
+fn invalid_input(error: ApiError) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidInput, error.message)
+}
+
 impl Client {
     /// Connects to a running server with default (blocking) timeouts.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connects with explicit connect/read timeouts.
-    pub fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> std::io::Result<Self> {
-        let addr = resolve(addr)?;
-        let mut client = Self {
-            addr,
-            config,
-            conn: None,
-            deadline_ms: None,
-            client_name: None,
-            weight: 1,
-        };
-        client.reconnect()?;
-        Ok(client)
+        ClientBuilder::new().connect(addr)
     }
 
     /// The resolved peer address.
@@ -218,12 +214,7 @@ impl Client {
     /// Drops any existing connection and dials a fresh one.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
         self.conn = None;
-        let stream = match self.config.connect_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
-            None => TcpStream::connect(self.addr)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.config.read_timeout)?;
+        let stream = self.config.dial(&self.addr)?;
         let reader = BufReader::new(stream.try_clone()?);
         self.conn = Some(Conn {
             reader,
@@ -296,209 +287,52 @@ impl Client {
         }
     }
 
-    /// Wraps op members in the v1 envelope: protocol version first,
-    /// then the builder's default deadline / identity / weight.
-    fn envelope(&self, members: Vec<(&'static str, Json)>) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = Vec::with_capacity(members.len() + 4);
-        fields.push(("v", Json::Int(PROTOCOL_VERSION)));
-        fields.extend(members);
-        if let Some(ms) = self.deadline_ms {
-            fields.push(("deadline_ms", Json::from(ms)));
+    /// Renders `request` under the builder's defaults and sends it.
+    /// Mutations ride the reconnect-and-retry path: set semantics
+    /// make replaying a batch after a lost response safe.
+    fn send(&mut self, request: Request) -> std::io::Result<Json> {
+        let idempotent = matches!(request, Request::Mutate(_));
+        let line = Envelope {
+            deadline_ms: self.config.deadline_ms,
+            client: self.config.client_name.clone(),
+            weight: self.config.weight,
+            ..Envelope::new(request)
         }
-        if let Some(name) = &self.client_name {
-            fields.push(("client", Json::from(name.clone())));
+        .to_json();
+        if idempotent {
+            self.request_idempotent(&line)
+        } else {
+            self.request(&line)
         }
-        if self.weight != 1 {
-            fields.push(("weight", Json::from(u64::from(self.weight))));
-        }
-        Json::object(fields)
     }
 
-    /// One typed round trip: transport failures become
-    /// [`ErrorCode::Transport`], server-side `error` objects parse
-    /// back into their original typed form.
-    fn typed_request(&mut self, request: &Json) -> Result<Json, ApiError> {
-        let response = self
-            .request(request)
-            .map_err(|e| ApiError::new(ErrorCode::Transport, e.to_string()))?;
-        response_or_error(response)
-    }
-
-    /// Typed v1 `health`.
-    pub fn check_health(&mut self) -> Result<HealthInfo, ApiError> {
-        let v = self.typed_request(&self.envelope(vec![("op", Json::from("health"))]))?;
-        Ok(HealthInfo {
-            status: req_str(&v, "status")?,
-            kernels: req_usize(&v, "kernels")?,
-            graphs: req_usize(&v, "graphs")?,
-            workers: req_usize(&v, "workers")?,
-            queue_depth: req_usize(&v, "queue_depth")?,
-            queue_capacity: req_usize(&v, "queue_capacity")?,
-        })
-    }
-
-    /// Typed v1 `kernels`.
-    pub fn list_kernels(&mut self) -> Result<Vec<KernelInfo>, ApiError> {
-        let v = self.typed_request(&self.envelope(vec![("op", Json::from("kernels"))]))?;
-        let items = v.get("kernels").and_then(Json::as_array).ok_or_else(|| {
-            ApiError::new(ErrorCode::Transport, "kernels response without a list")
-        })?;
-        items
-            .iter()
-            .map(|k| {
-                Ok(KernelInfo {
-                    name: req_str(k, "name")?,
-                    category: req_str(k, "category")?,
-                    about: req_str(k, "about")?,
-                })
-            })
-            .collect()
-    }
-
-    /// Typed v1 `stats` (the shape is deliberately open-ended, so
-    /// the full object is returned).
-    pub fn fetch_stats(&mut self) -> Result<Json, ApiError> {
-        self.typed_request(&self.envelope(vec![("op", Json::from("stats"))]))
-    }
-
-    /// Typed v1 `load` with the graph text inline.
-    pub fn load_graph_inline(
-        &mut self,
-        name: &str,
-        format: &str,
-        data: &str,
-    ) -> Result<LoadOutcome, ApiError> {
-        let request = self.envelope(vec![
-            ("op", Json::from("load")),
-            ("graph", Json::from(name)),
-            ("format", Json::from(format)),
-            ("data", Json::from(data)),
-        ]);
-        LoadOutcome::from_json(&self.typed_request(&request)?)
-    }
-
-    /// Typed v1 `load` from a path on the server's filesystem.
-    pub fn load_graph_path(
-        &mut self,
-        name: &str,
-        format: &str,
-        path: &str,
-    ) -> Result<LoadOutcome, ApiError> {
-        let request = self.envelope(vec![
-            ("op", Json::from("load")),
-            ("graph", Json::from(name)),
-            ("format", Json::from(format)),
-            ("path", Json::from(path)),
-        ]);
-        LoadOutcome::from_json(&self.typed_request(&request)?)
-    }
-
-    /// Typed v1 `run`.
-    pub fn run_kernel(
-        &mut self,
-        kernel: &str,
-        graph: &str,
-        params: &[(&str, Json)],
-    ) -> Result<RunOutcome, ApiError> {
-        let request = self.envelope(vec![
-            ("op", Json::from("run")),
-            ("kernel", Json::from(kernel)),
-            ("graph", Json::from(graph)),
-            (
-                "params",
-                Json::Object(
-                    params
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.clone()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let v = self.typed_request(&request)?;
-        Ok(RunOutcome {
-            kernel: req_str(&v, "kernel")?,
-            graph: req_str(&v, "graph")?,
-            patterns: v.get("patterns").and_then(Json::as_i64).unwrap_or(0) as u64,
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-            kernel_ms: v.get("kernel_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            total_ms: v.get("total_ms").and_then(Json::as_f64).unwrap_or(0.0),
-        })
-    }
-
-    /// Typed v1 `add_edges`/`remove_edges`: applies `add` then
-    /// `remove` (skipping empty batches) and returns the final graph
-    /// identity. Both ops are idempotent, so they ride the
-    /// reconnect-and-retry path.
-    pub fn mutate_graph(
-        &mut self,
-        graph: &str,
-        add: &[(u32, u32)],
-        remove: &[(u32, u32)],
-    ) -> Result<MutateOutcome, ApiError> {
-        let mut last: Option<MutateOutcome> = None;
-        for (op, edges) in [("add_edges", add), ("remove_edges", remove)] {
-            if edges.is_empty() {
-                continue;
-            }
-            let request = self.envelope(vec![
-                ("op", Json::from(op)),
-                ("graph", Json::from(graph)),
-                ("edges", edges_json(edges)),
-            ]);
-            let response = self
-                .request_idempotent(&request)
-                .map_err(|e| ApiError::new(ErrorCode::Transport, e.to_string()))?;
-            let v = response_or_error(response)?;
-            last = Some(MutateOutcome {
-                fingerprint: req_str(&v, "fingerprint")?,
-                version: req_usize(&v, "version")? as u64,
-                added: req_usize(&v, "added")?,
-                removed: req_usize(&v, "removed")?,
-                vertices: req_usize(&v, "vertices")?,
-                edges: req_usize(&v, "edges")?,
-            })
-        }
-        last.ok_or_else(|| {
-            ApiError::new(
-                ErrorCode::BadRequest,
-                "mutate_graph needs at least one edge to add or remove",
-            )
-        })
-    }
-
-    /// `{"op":"health"}`.
+    /// `health`: liveness and capacity.
     pub fn health(&mut self) -> std::io::Result<Json> {
-        self.request(&Json::object([("op", Json::from("health"))]))
+        self.send(Request::Health)
     }
 
-    /// `{"op":"stats"}`.
+    /// `stats`: cache / server / graph statistics.
     pub fn stats(&mut self) -> std::io::Result<Json> {
-        self.request(&Json::object([("op", Json::from("stats"))]))
+        self.send(Request::Stats)
     }
 
-    /// `{"op":"kernels"}`.
+    /// `kernels`: the kernel listing with parameter schemas.
     pub fn kernels(&mut self) -> std::io::Result<Json> {
-        self.request(&Json::object([("op", Json::from("kernels"))]))
+        self.send(Request::Kernels)
     }
 
     /// Loads a graph from text sent inline with the request.
     pub fn load_inline(&mut self, name: &str, format: &str, data: &str) -> std::io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::from("load")),
-            ("graph", Json::from(name)),
-            ("format", Json::from(format)),
-            ("data", Json::from(data)),
-        ]))
+        let source = LoadSource::Data(data.to_string());
+        let request = build_load(name, format, source).map_err(invalid_input)?;
+        self.send(request)
     }
 
     /// Loads a graph from a path on the server's filesystem.
     pub fn load_path(&mut self, name: &str, format: &str, path: &str) -> std::io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::from("load")),
-            ("graph", Json::from(name)),
-            ("format", Json::from(format)),
-            ("path", Json::from(path)),
-        ]))
+        let source = LoadSource::Path(path.to_string());
+        let request = build_load(name, format, source).map_err(invalid_input)?;
+        self.send(request)
     }
 
     /// Adds a batch of undirected edges to a loaded graph. Set
@@ -506,27 +340,14 @@ impl Client {
     /// no-ops), so the request rides the reconnect-and-retry path —
     /// a lost response is safe to replay.
     pub fn add_edges(&mut self, graph: &str, edges: &[(u32, u32)]) -> std::io::Result<Json> {
-        self.mutate_edges("add_edges", graph, edges)
+        self.send(build_mutate(graph, edges, &[]))
     }
 
     /// Removes a batch of undirected edges from a loaded graph. Set
     /// semantics make the batch idempotent (already-absent edges are
     /// no-ops), so the request rides the reconnect-and-retry path.
     pub fn remove_edges(&mut self, graph: &str, edges: &[(u32, u32)]) -> std::io::Result<Json> {
-        self.mutate_edges("remove_edges", graph, edges)
-    }
-
-    fn mutate_edges(
-        &mut self,
-        op: &str,
-        graph: &str,
-        edges: &[(u32, u32)],
-    ) -> std::io::Result<Json> {
-        self.request_idempotent(&Json::object([
-            ("op", Json::from(op)),
-            ("graph", Json::from(graph)),
-            ("edges", edges_json(edges)),
-        ]))
+        self.send(build_mutate(graph, &[], edges))
     }
 
     /// Runs a kernel on a loaded graph with parameter overrides.
@@ -536,168 +357,51 @@ impl Client {
         graph: &str,
         params: &[(&str, Json)],
     ) -> std::io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::from("run")),
-            ("kernel", Json::from(kernel)),
-            ("graph", Json::from(graph)),
-            (
-                "params",
-                Json::Object(
-                    params
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.clone()))
-                        .collect(),
-                ),
-            ),
-        ]))
+        let request = build_run(kernel, graph, params).map_err(invalid_input)?;
+        self.send(request)
     }
 
     /// Requests a graceful shutdown and returns the acknowledgment.
     pub fn shutdown(&mut self) -> std::io::Result<Json> {
-        self.request(&Json::object([("op", Json::from("shutdown"))]))
+        self.send(Request::Shutdown)
     }
 }
 
-fn edges_json(edges: &[(u32, u32)]) -> Json {
-    Json::Array(
-        edges
+fn build_load(name: &str, format: &str, source: LoadSource) -> Result<Request, ApiError> {
+    let format = LoadFormat::parse(format).ok_or_else(|| {
+        ApiError::new(
+            ErrorCode::BadRequest,
+            format!("unknown graph format {format:?}"),
+        )
+    })?;
+    Ok(Request::Load(LoadSpec {
+        name: name.to_string(),
+        format,
+        source,
+        compression: LoadCompression::None,
+    }))
+}
+
+fn build_mutate(graph: &str, add: &[(u32, u32)], remove: &[(u32, u32)]) -> Request {
+    Request::Mutate(MutateSpec {
+        graph: graph.to_string(),
+        add: add.to_vec(),
+        remove: remove.to_vec(),
+    })
+}
+
+fn build_run(kernel: &str, graph: &str, params: &[(&str, Json)]) -> Result<Request, ApiError> {
+    let params = Json::Object(
+        params
             .iter()
-            .map(|&(u, v)| Json::Array(vec![Json::from(u as i64), Json::from(v as i64)]))
+            .map(|(k, v)| (k.to_string(), v.clone()))
             .collect(),
-    )
-}
-
-/// Splits a response into success (`Ok(response)`) or its typed
-/// error.
-fn response_or_error(response: Json) -> Result<Json, ApiError> {
-    if response.get("ok").and_then(Json::as_bool) == Some(true) {
-        return Ok(response);
-    }
-    match response.get("error") {
-        Some(error) => Err(ApiError::from_json(error)),
-        None => Err(ApiError::new(
-            ErrorCode::Transport,
-            format!(
-                "response carries neither ok nor error: {}",
-                response.render()
-            ),
-        )),
-    }
-}
-
-fn missing(key: &str) -> ApiError {
-    ApiError::new(
-        ErrorCode::Transport,
-        format!("response is missing the {key:?} member"),
-    )
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, ApiError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| missing(key))
-}
-
-fn req_usize(v: &Json, key: &str) -> Result<usize, ApiError> {
-    v.get(key)
-        .and_then(Json::as_i64)
-        .filter(|&n| n >= 0)
-        .map(|n| n as usize)
-        .ok_or_else(|| missing(key))
-}
-
-/// Typed v1 `health` response.
-#[derive(Clone, Debug)]
-pub struct HealthInfo {
-    /// `"serving"` or `"shutting-down"`.
-    pub status: String,
-    /// Registered kernels.
-    pub kernels: usize,
-    /// Loaded graphs.
-    pub graphs: usize,
-    /// Worker sessions.
-    pub workers: usize,
-    /// Requests waiting in the admission queue.
-    pub queue_depth: usize,
-    /// Admission-queue bound.
-    pub queue_capacity: usize,
-}
-
-/// One kernel from the typed v1 `kernels` listing.
-#[derive(Clone, Debug)]
-pub struct KernelInfo {
-    /// Registered name.
-    pub name: String,
-    /// Category label.
-    pub category: String,
-    /// One-line description.
-    pub about: String,
-}
-
-/// Typed v1 `load` response.
-#[derive(Clone, Debug)]
-pub struct LoadOutcome {
-    /// Registered graph name.
-    pub graph: String,
-    /// Vertex count.
-    pub vertices: usize,
-    /// Undirected edge count.
-    pub edges: usize,
-    /// Content fingerprint (hex).
-    pub fingerprint: String,
-    /// Resident representation (`"none"` or `"gap"`).
-    pub compression: String,
-    /// Whether an existing graph under this name was replaced.
-    pub replaced: bool,
-}
-
-impl LoadOutcome {
-    fn from_json(v: &Json) -> Result<Self, ApiError> {
-        Ok(Self {
-            graph: req_str(v, "graph")?,
-            vertices: req_usize(v, "vertices")?,
-            edges: req_usize(v, "edges")?,
-            fingerprint: req_str(v, "fingerprint")?,
-            compression: req_str(v, "compression")?,
-            replaced: v.get("replaced").and_then(Json::as_bool).unwrap_or(false),
-        })
-    }
-}
-
-/// Typed v1 `run` response (payload summarized, not materialized —
-/// stream over HTTP for the items).
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// Kernel that ran.
-    pub kernel: String,
-    /// Graph it ran on.
-    pub graph: String,
-    /// Pattern count (cliques, triangles, embeddings, ...).
-    pub patterns: u64,
-    /// Whether the result came from the result cache.
-    pub cached: bool,
-    /// Kernel time in milliseconds (zero for cache hits).
-    pub kernel_ms: f64,
-    /// End-to-end pipeline time in milliseconds.
-    pub total_ms: f64,
-}
-
-/// Typed v1 mutation response: the graph's new identity.
-#[derive(Clone, Debug)]
-pub struct MutateOutcome {
-    /// New content fingerprint (hex).
-    pub fingerprint: String,
-    /// Mutation batches applied since registration.
-    pub version: u64,
-    /// Edges actually added by the batch.
-    pub added: usize,
-    /// Edges actually removed by the batch.
-    pub removed: usize,
-    /// Vertex count after the batch.
-    pub vertices: usize,
-    /// Undirected edge count after the batch.
-    pub edges: usize,
+    );
+    Ok(Request::Run(RunSpec {
+        kernel: kernel.to_string(),
+        graph: graph.to_string(),
+        params: params_from_json(&params)?,
+    }))
 }
 
 /// A minimal HTTP/1.1 client for the `/v1` gateway. One connection
@@ -706,10 +410,7 @@ pub struct MutateOutcome {
 /// arrived in ([`HttpResponse::chunks`]).
 pub struct HttpClient {
     addr: SocketAddr,
-    config: ClientConfig,
-    deadline_ms: Option<u64>,
-    client_name: Option<String>,
-    weight: u32,
+    config: ClientBuilder,
 }
 
 /// One parsed HTTP response.
@@ -790,14 +491,8 @@ impl HttpClient {
         format: &str,
         data: &str,
     ) -> Result<HttpResponse, ApiError> {
-        self.post(
-            "/v1/graphs",
-            &Json::object([
-                ("graph", Json::from(name)),
-                ("format", Json::from(format)),
-                ("data", Json::from(data)),
-            ]),
-        )
+        let request = build_load(name, format, LoadSource::Data(data.to_string()))?;
+        self.post("/v1/graphs", &Envelope::new(request).to_json())
     }
 
     /// `POST /v1/graphs/{graph}/run`.
@@ -807,9 +502,10 @@ impl HttpClient {
         kernel: &str,
         params: &[(&str, Json)],
     ) -> Result<HttpResponse, ApiError> {
+        let request = build_run(kernel, graph, params)?;
         self.post(
             &format!("/v1/graphs/{graph}/run"),
-            &run_body(kernel, params),
+            &Envelope::new(request).to_json(),
         )
     }
 
@@ -822,9 +518,10 @@ impl HttpClient {
         params: &[(&str, Json)],
         limit: usize,
     ) -> Result<HttpResponse, ApiError> {
+        let request = build_run(kernel, graph, params)?;
         self.post(
             &format!("/v1/graphs/{graph}/run?stream=1&limit={limit}"),
-            &run_body(kernel, params),
+            &Envelope::new(request).to_json(),
         )
     }
 
@@ -848,29 +545,21 @@ impl HttpClient {
         body: Option<&Json>,
     ) -> Result<HttpResponse, ApiError> {
         let transport = |e: std::io::Error| ApiError::new(ErrorCode::Transport, e.to_string());
-        let mut stream = match self.config.connect_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout),
-            None => TcpStream::connect(self.addr),
-        }
-        .map_err(transport)?;
-        stream.set_nodelay(true).map_err(transport)?;
-        stream
-            .set_read_timeout(self.config.read_timeout)
-            .map_err(transport)?;
+        let mut stream = self.config.dial(&self.addr).map_err(transport)?;
 
         let payload = body.map(|b| b.render()).unwrap_or_default();
         let mut head = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n",
             self.addr
         );
-        if let Some(ms) = self.deadline_ms {
+        if let Some(ms) = self.config.deadline_ms {
             head.push_str(&format!("X-Gms-Deadline-Ms: {ms}\r\n"));
         }
-        if let Some(name) = &self.client_name {
+        if let Some(name) = &self.config.client_name {
             head.push_str(&format!("X-Gms-Client: {name}\r\n"));
         }
-        if self.weight != 1 {
-            head.push_str(&format!("X-Gms-Weight: {}\r\n", self.weight));
+        if self.config.weight != 1 {
+            head.push_str(&format!("X-Gms-Weight: {}\r\n", self.config.weight));
         }
         if body.is_some() {
             head.push_str(&format!(
@@ -888,21 +577,6 @@ impl HttpClient {
         stream.read_to_end(&mut raw).map_err(transport)?;
         parse_http_response(&raw)
     }
-}
-
-fn run_body(kernel: &str, params: &[(&str, Json)]) -> Json {
-    Json::object([
-        ("kernel", Json::from(kernel)),
-        (
-            "params",
-            Json::Object(
-                params
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 fn parse_http_response(raw: &[u8]) -> Result<HttpResponse, ApiError> {

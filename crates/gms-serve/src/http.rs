@@ -2,10 +2,14 @@
 //!
 //! The server listens on **one** port and sniffs the first byte of
 //! each connection: `{` means the NDJSON wire protocol, an ASCII
-//! method letter means HTTP. Both planes map onto the same typed
-//! [`Request`](crate::protocol::Request) structs, pass the same
-//! admission queue, and are executed by the same worker pool — the
-//! gateway is an adapter, not a second server.
+//! method letter means HTTP. This module is only the HTTP part —
+//! head/body framing, the route table, status mapping, chunked
+//! streaming. A request's route, path segment, `X-Gms-*` headers and
+//! JSON body are folded into the same members an NDJSON line
+//! carries, validated by the same
+//! [`envelope_from`](crate::protocol::envelope_from), and enter the
+//! same [`Service::call`] — the gateway is a framing, not a second
+//! server.
 //!
 //! ```text
 //! GET  /v1/health                  liveness + capacity probe
@@ -40,13 +44,12 @@
 //! pages of `N`, each page flushed as its own chunk.
 
 use crate::json::Json;
-use crate::protocol::{error_json, ApiError, ErrorCode, MutateSpec};
-use crate::server::{
-    health_json, kernels_json, stats_json, submit, DataOp, Job, Reply, Shared, SyncReply, READ_POLL,
+use crate::protocol::{
+    envelope_from, error_json, http_mutate_request, load_request, run_request, ApiError, ErrorCode,
+    Request, RequestBuilder,
 };
+use crate::service::{Reply, Service, SyncReply, READ_POLL};
 use crate::stream::{stream_outcome, DEFAULT_PAGE_LIMIT};
-use gms_core::{Edge, NodeId};
-use gms_platform::kernel::CancelToken;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -104,8 +107,12 @@ enum RecvError {
 }
 
 /// Serves HTTP requests on one sniffed connection until the peer
-/// closes, an abuse guard fires, or the server shuts down.
-pub(crate) fn http_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+/// closes, an abuse guard fires, or the service shuts down.
+pub(crate) fn http_connection<S: Service>(
+    mut stream: TcpStream,
+    service: &S,
+    request_timeout: Duration,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let peer = stream
@@ -116,57 +123,45 @@ pub(crate) fn http_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // carry over to the next `recv_request` instead of being dropped.
     let mut carry: Vec<u8> = Vec::new();
     loop {
-        let request = match recv_request(&mut stream, shared, &mut carry) {
+        let request = match recv_request(&mut stream, service, request_timeout, &mut carry) {
             Ok(request) => request,
-            Err(RecvError::Done) => return,
-            Err(RecvError::Timeout) => {
-                let error = ApiError::new(
-                    ErrorCode::Timeout,
-                    format!(
-                        "request not completed within {:?} (slow-loris guard)",
-                        shared.request_timeout
+            Err(refused) => {
+                let error = match refused {
+                    RecvError::Done => return,
+                    RecvError::Timeout => ApiError::new(
+                        ErrorCode::Timeout,
+                        format!(
+                            "request not completed within {request_timeout:?} (slow-loris guard)"
+                        ),
                     ),
-                );
-                let _ = send_error(&mut stream, &error, false);
-                return;
-            }
-            Err(RecvError::HeadTooLarge) => {
-                let error = ApiError::new(
-                    ErrorCode::PayloadTooLarge,
-                    format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-                );
-                let _ = send_error(&mut stream, &error, false);
-                return;
-            }
-            Err(RecvError::BodyTooLarge(declared)) => {
-                // Rejected on the Content-Length header alone — the
-                // oversized body was never read, let alone parsed.
-                let error = ApiError::new(
-                    ErrorCode::PayloadTooLarge,
-                    format!(
-                        "declared body of {declared} bytes exceeds the {}-byte cap",
-                        shared.max_body_bytes
+                    RecvError::HeadTooLarge => ApiError::new(
+                        ErrorCode::PayloadTooLarge,
+                        format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
                     ),
-                );
-                let _ = send_error(&mut stream, &error, false);
-                return;
-            }
-            Err(RecvError::Bad(message)) => {
-                let error = ApiError::new(ErrorCode::BadRequest, message);
+                    // Rejected on the Content-Length header alone —
+                    // the oversized body was never read, let alone
+                    // parsed.
+                    RecvError::BodyTooLarge(declared) => ApiError::new(
+                        ErrorCode::PayloadTooLarge,
+                        format!(
+                            "declared body of {declared} bytes exceeds the {}-byte cap",
+                            service.max_body_bytes()
+                        ),
+                    ),
+                    RecvError::Bad(message) => ApiError::new(ErrorCode::BadRequest, message),
+                };
                 let _ = send_error(&mut stream, &error, false);
                 return;
             }
         };
-        shared
-            .counters
-            .http_requests
-            .fetch_add(1, Ordering::Relaxed);
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let front = service.front();
+        front.http_requests.fetch_add(1, Ordering::Relaxed);
+        front.requests.fetch_add(1, Ordering::Relaxed);
         let keep_alive = !request.wants_close();
-        if handle_request(&mut stream, shared, &request, &peer, keep_alive).is_err() {
+        if handle_request(&mut stream, service, &request, &peer, keep_alive).is_err() {
             return; // peer hung up mid-response
         }
-        if !keep_alive || !shared.running() {
+        if !keep_alive || !service.running() {
             return;
         }
     }
@@ -174,12 +169,13 @@ pub(crate) fn http_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Reads one complete request. Idle waiting between requests is
 /// unbounded (keep-alive), but once the first byte arrives the whole
-/// head+body must land within `shared.request_timeout`. `carry`
-/// seeds the parse with bytes already read past the previous body
-/// (pipelining) and receives this request's own overrun on return.
-fn recv_request(
+/// head+body must land within `request_timeout`. `carry` seeds the
+/// parse with bytes already read past the previous body (pipelining)
+/// and receives this request's own overrun on return.
+fn recv_request<S: Service>(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    service: &S,
+    request_timeout: Duration,
     carry: &mut Vec<u8>,
 ) -> Result<HttpRequest, RecvError> {
     // Phase 0: wait for the first byte (poll so shutdown is noticed)
@@ -191,7 +187,7 @@ fn recv_request(
                 Ok(0) => return Err(RecvError::Done),
                 Ok(_) => break,
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if !shared.running() {
+                    if !service.running() {
                         return Err(RecvError::Done);
                     }
                 }
@@ -199,7 +195,7 @@ fn recv_request(
             }
         }
     }
-    let deadline = Instant::now() + shared.request_timeout;
+    let deadline = Instant::now() + request_timeout;
 
     // Phase 1: the head, terminated by CRLFCRLF.
     let mut buf: Vec<u8> = std::mem::take(carry);
@@ -243,7 +239,7 @@ fn recv_request(
         .transpose()
         .map_err(|_| RecvError::Bad("unparseable Content-Length".to_string()))?
         .unwrap_or(0);
-    if content_length > shared.max_body_bytes {
+    if content_length > service.max_body_bytes() {
         return Err(RecvError::BodyTooLarge(content_length));
     }
     while buf.len() < content_length {
@@ -302,198 +298,89 @@ fn read_some(
     }
 }
 
-/// Routes one parsed request and writes the response.
-fn handle_request(
+/// Routes one parsed request: the route names the operation, the
+/// path segment, `X-Gms-*` headers and JSON body become the members
+/// an NDJSON line would carry, and the resulting envelope crosses
+/// the same [`Service::call`]. The answer is rendered with the
+/// status its error code maps to (or streamed chunked when asked).
+fn handle_request<S: Service>(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    service: &S,
     request: &HttpRequest,
     peer: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["v1", "health"]) => send_json(stream, 200, &health_json(shared, None), keep_alive),
-        ("GET", ["v1", "kernels"]) => {
-            send_json(stream, 200, &kernels_json(shared, None), keep_alive)
-        }
-        ("GET", ["v1", "stats"]) => send_json(stream, 200, &stats_json(shared, None), keep_alive),
-        ("POST", ["v1", "graphs"]) => {
-            data_plane(stream, shared, request, peer, keep_alive, |body| {
-                Ok(DataOp::Load(crate::protocol::load_spec(body)?))
-            })
-        }
-        ("POST", ["v1", "graphs", name, "run"]) => {
-            let graph = (*name).to_string();
-            data_plane(stream, shared, request, peer, keep_alive, move |body| {
-                let kernel = body
-                    .get("kernel")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| {
-                        ApiError::new(ErrorCode::BadRequest, "body requires a string \"kernel\"")
-                    })?
-                    .to_string();
-                let params = match body.get("params") {
-                    None => gms_platform::kernel::Params::new(),
-                    Some(v) => crate::protocol::params_from_json(v)?,
-                };
-                Ok(DataOp::Run(crate::protocol::RunSpec {
-                    kernel,
-                    graph: graph.clone(),
-                    params,
-                }))
-            })
-        }
-        ("POST", ["v1", "graphs", name, "mutate"]) => {
-            let graph = (*name).to_string();
-            data_plane(stream, shared, request, peer, keep_alive, move |body| {
-                let add = edges_member(body, "add")?;
-                let remove = edges_member(body, "remove")?;
-                if add.is_empty() && remove.is_empty() {
-                    return Err(ApiError::new(
-                        ErrorCode::BadRequest,
-                        "mutation body requires \"add\" and/or \"remove\" edge arrays",
-                    ));
-                }
-                Ok(DataOp::Mutate(MutateSpec {
-                    graph: graph.clone(),
-                    add,
-                    remove,
-                }))
-            })
-        }
-        _ => {
-            let error = ApiError::new(
-                ErrorCode::GraphNotFound,
-                format!(
-                    "no endpoint {} {} (see crates/gms-serve/README.md for the /v1 reference)",
-                    request.method, request.path
-                ),
-            );
-            send_error(stream, &error, keep_alive)
-        }
-    }
-}
-
-/// Parses an optional `[[u,v],...]` member into edges.
-fn edges_member(body: &Json, key: &str) -> Result<Vec<Edge>, ApiError> {
-    let Some(value) = body.get(key) else {
-        return Ok(Vec::new());
+    let (build, graph): (RequestBuilder, Option<&str>) =
+        match (request.method.as_str(), segments.as_slice()) {
+            ("GET", ["v1", "health"]) => (|_| Ok(Request::Health), None),
+            ("GET", ["v1", "kernels"]) => (|_| Ok(Request::Kernels), None),
+            ("GET", ["v1", "stats"]) => (|_| Ok(Request::Stats), None),
+            ("POST", ["v1", "graphs"]) => (load_request, None),
+            ("POST", ["v1", "graphs", name, "run"]) => (run_request, Some(*name)),
+            ("POST", ["v1", "graphs", name, "mutate"]) => (http_mutate_request, Some(*name)),
+            _ => {
+                let error = ApiError::new(
+                    ErrorCode::GraphNotFound,
+                    format!(
+                        "no endpoint {} {} (see crates/gms-serve/README.md for the /v1 reference)",
+                        request.method, request.path
+                    ),
+                );
+                return send_error(stream, &error, keep_alive);
+            }
+        };
+    let malformed = |stream: &mut TcpStream, error: &ApiError| {
+        service.front().malformed.fetch_add(1, Ordering::Relaxed);
+        send_error(stream, error, keep_alive)
     };
-    let items = value.as_array().ok_or_else(|| {
-        ApiError::new(
-            ErrorCode::BadRequest,
-            format!("\"{key}\" must be an array of [u,v] pairs"),
-        )
-    })?;
-    items
-        .iter()
-        .map(|item| {
-            let pair = item.as_array().filter(|p| p.len() == 2);
-            let endpoint = |v: &Json| -> Option<NodeId> {
-                match v {
-                    Json::Int(i) if (0..=i64::from(NodeId::MAX)).contains(i) => Some(*i as NodeId),
-                    _ => None,
-                }
-            };
-            pair.and_then(|p| Some((endpoint(&p[0])?, endpoint(&p[1])?)))
-                .ok_or_else(|| {
-                    ApiError::new(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "every \"{key}\" entry must be a [u,v] pair of non-negative integers"
-                        ),
-                    )
-                })
-        })
-        .collect()
-}
 
-/// The shared data-plane path: parse the JSON body, build the op,
-/// thread deadline/client/weight from headers, pass admission, block
-/// on the worker's reply, and render it with the right status line
-/// (or stream it chunked when asked).
-fn data_plane(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &HttpRequest,
-    peer: &str,
-    keep_alive: bool,
-    build: impl FnOnce(&Json) -> Result<DataOp, ApiError>,
-) -> std::io::Result<()> {
-    let body = if request.body.is_empty() {
-        Json::Object(Vec::new())
-    } else {
+    // Path and headers first: `Json::get` answers the first match, so
+    // they win over same-named body members.
+    let mut members: Vec<(String, Json)> = Vec::new();
+    if let Some(graph) = graph {
+        members.push(("graph".to_string(), Json::from(graph)));
+    }
+    // A header that is not a number stays a string, which the
+    // envelope's integer rules then reject.
+    let number = |raw: &str| raw.parse().map_or_else(|_| Json::from(raw), Json::Int);
+    if let Some(raw) = request.header("x-gms-deadline-ms") {
+        members.push(("deadline_ms".to_string(), number(raw)));
+    }
+    if let Some(raw) = request.header("x-gms-weight") {
+        members.push(("weight".to_string(), number(raw)));
+    }
+    let client = request.header("x-gms-client").filter(|c| !c.is_empty());
+    members.push(("client".to_string(), Json::from(client.unwrap_or(peer))));
+    if !request.body.is_empty() {
         match std::str::from_utf8(&request.body)
             .ok()
             .and_then(|text| Json::parse(text).ok())
         {
-            Some(parsed) => parsed,
+            Some(Json::Object(body)) => members.extend(body),
+            // A non-object body has no members to offer.
+            Some(_) => {}
             None => {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
                 let error = ApiError::new(ErrorCode::BadJson, "body is not valid JSON");
-                return send_error(stream, &error, keep_alive);
+                return malformed(stream, &error);
             }
         }
+    }
+    let mut envelope = match envelope_from(&Json::Object(members), build) {
+        Ok(envelope) => envelope,
+        Err(error) => return malformed(stream, &error),
     };
-    let op = match build(&body) {
-        Ok(op) => op,
-        Err(error) => {
-            shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            return send_error(stream, &error, keep_alive);
-        }
-    };
-
-    let deadline_ms = match request.header("x-gms-deadline-ms") {
-        None => None,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) if ms > 0 => Some(ms),
-            _ => {
-                let error = ApiError::new(
-                    ErrorCode::BadRequest,
-                    "X-Gms-Deadline-Ms must be a positive integer",
-                );
-                return send_error(stream, &error, keep_alive);
-            }
-        },
-    };
-    let weight = match request.header("x-gms-weight") {
-        None => 1,
-        Some(raw) => match raw.parse::<u32>() {
-            Ok(w) if (1..=1024).contains(&w) => w,
-            _ => {
-                let error = ApiError::new(
-                    ErrorCode::BadRequest,
-                    "X-Gms-Weight must be an integer in 1..=1024",
-                );
-                return send_error(stream, &error, keep_alive);
-            }
-        },
-    };
-    let client = request
-        .header("x-gms-client")
-        .map(str::to_string)
-        .unwrap_or_else(|| peer.to_string());
     let streaming = request.query_param("stream").is_some_and(|v| v == "1");
     let limit = request
         .query_param("limit")
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or(DEFAULT_PAGE_LIMIT);
+    envelope.full_payload = streaming;
 
-    let cancel = match deadline_ms {
-        Some(ms) => CancelToken::after(Duration::from_millis(ms)),
-        None => CancelToken::none(),
-    };
-    let reply = SyncReply::new();
-    let job = Job {
-        op,
-        id: None,
-        reply: Reply::Sync(Arc::clone(&reply)),
-        cancel,
-        full_payload: streaming,
-    };
-    submit(shared, job, &client, weight);
-    let response = reply.recv();
+    let slot = SyncReply::new();
+    service.call(envelope, Reply::sync(Arc::clone(&slot)));
+    let response = slot.recv();
 
     // An error response carries its own status; success is 200.
     if let Some(error) = response.get("error") {
@@ -549,7 +436,7 @@ fn send_error(stream: &mut TcpStream, error: &ApiError, keep_alive: bool) -> std
     send_json(
         stream,
         error.code.http_status(),
-        &error_json(error, None),
+        &error_json(error),
         keep_alive,
     )
 }

@@ -19,6 +19,13 @@
 //! wherever they land, and replacing a loaded graph invalidates the
 //! old content's cached outcomes.
 //!
+//! Transports are framings over one seam: the [`service`] module
+//! owns the connection front end (accept loop, protocol sniff,
+//! bounded NDJSON lines, envelope parsing, `id` echo) and hands every
+//! request — NDJSON line or HTTP `/v1` call — to one
+//! [`Service::call`] as a parsed [`Envelope`]; this crate's server is
+//! the local executor behind it, `gms-router`'s core the remote one.
+//!
 //! See `crates/gms-serve/README.md` for the protocol reference, and
 //! run the server with `cargo run --release -p gms-serve`.
 //!
@@ -41,13 +48,15 @@ mod http;
 pub mod json;
 pub mod protocol;
 pub mod server;
+pub mod service;
 mod stream;
 
 pub use admission::{ClientStats, RateLimit};
-pub use client::{Client, ClientBuilder, ClientConfig, HttpClient, HttpResponse};
+pub use client::{Client, ClientBuilder, HttpClient, HttpResponse};
 pub use json::{Json, JsonError};
 pub use protocol::{
-    ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource, LoadSpec, Request,
-    RunSpec, WireError, PROTOCOL_VERSION,
+    response_or_error, ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource,
+    LoadSpec, MutateSpec, Request, RunSpec, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server, ServerHandle};
+pub use service::{Reply, Service};

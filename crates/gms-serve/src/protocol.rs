@@ -1,20 +1,30 @@
-//! The wire protocol: newline-delimited JSON requests and responses.
+//! The wire protocol and the one request model behind every
+//! transport.
 //!
 //! One request is one JSON object on one line; the server answers
 //! with exactly one JSON object on one line. Every request may carry
-//! an `"id"` member (any scalar), echoed verbatim in the response so
-//! clients that pipeline requests over one connection can match
-//! answers to questions. The full format, endpoint by endpoint, is
-//! documented in `crates/gms-serve/README.md`.
+//! an `"id"` member (any scalar), echoed verbatim as the last member
+//! of the response so clients that pipeline requests over one
+//! connection can match answers to questions. The full format,
+//! endpoint by endpoint, is documented in
+//! `crates/gms-serve/README.md`.
+//!
+//! **One model, one parser, one renderer.** An [`Envelope`] is a
+//! parsed [`Request`] plus the members every operation shares: the
+//! `id`, `"deadline_ms"` (a relative deadline propagated into the
+//! kernel as a cancellation token), `"client"` (the fairness
+//! identity), `"weight"` (its scheduling weight) and `"redirect"`
+//! (fleet failover policy). [`parse_envelope`] is the only way a
+//! line becomes one — the HTTP plane turns its route, path segment,
+//! `X-Gms-*` headers and body into the same members and enters
+//! through the same validation — and [`Envelope::to_json`] is its
+//! inverse, the only place a request is rendered: the
+//! [`Client`](crate::Client) helpers and the router's forwarding
+//! both go through it.
 //!
 //! **Versioning (v1).** Every response carries `"v":1` as its first
-//! member. Requests *may* send `"v":1`; requests without it are
-//! accepted for back-compatibility but counted as `legacy_requests`
-//! in `stats` — the deprecation signal for pre-v1 clients. A request
-//! envelope may further carry `"deadline_ms"` (a relative deadline
-//! propagated into the kernel as a cancellation token), `"client"`
-//! (the fairness identity), and `"weight"` (its scheduling weight);
-//! see [`Envelope`].
+//! member. Requests *may* send `"v":1`; a request without it means
+//! v1, any other version is a `bad-request`.
 //!
 //! Errors are typed ([`ApiError`]): `{"ok":false,"error":{"code":...,
 //! "message":...,"retryable":...}}` with the closed set of codes in
@@ -170,10 +180,6 @@ impl std::fmt::Display for ErrorCode {
 /// is one of these. Rendered as
 /// `{"code":...,"message":...,"retryable":...}` plus any `details`
 /// members (e.g. `moved` carries the new shard under `"addr"`).
-///
-/// This replaced three ad-hoc shapes (bare `WireError`, the router's
-/// extra-member errors, and client-side `io::Error` strings); the
-/// old [`WireError`] name remains as an alias for one release.
 #[derive(Clone, Debug)]
 pub struct ApiError {
     /// Which of the closed error codes.
@@ -184,11 +190,6 @@ pub struct ApiError {
     /// after `retryable`. Empty for most errors.
     pub details: Vec<(String, Json)>,
 }
-
-/// Deprecated spelling of [`ApiError`] — the pre-v1 name. Kept as an
-/// alias so existing constructors keep compiling; new code should
-/// say [`ApiError`].
-pub type WireError = ApiError;
 
 impl ApiError {
     /// Convenience constructor.
@@ -288,7 +289,7 @@ impl std::fmt::Display for ApiError {
 impl std::error::Error for ApiError {}
 
 /// On-disk / inline source of a graph to load.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LoadSource {
     /// Load from a path on the server's filesystem.
     Path(String),
@@ -309,12 +310,19 @@ pub enum LoadFormat {
 }
 
 impl LoadFormat {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "edge-list" => Some(LoadFormat::EdgeList),
-            "metis" => Some(LoadFormat::Metis),
-            "gcsr" => Some(LoadFormat::Gcsr),
-            _ => None,
+    /// The format a wire spelling names, if any.
+    pub fn parse(s: &str) -> Option<Self> {
+        [LoadFormat::EdgeList, LoadFormat::Metis, LoadFormat::Gcsr]
+            .into_iter()
+            .find(|format| format.as_str() == s)
+    }
+
+    /// The wire spelling.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            LoadFormat::EdgeList => "edge-list",
+            LoadFormat::Metis => "metis",
+            LoadFormat::Gcsr => "gcsr",
         }
     }
 }
@@ -346,7 +354,7 @@ impl LoadCompression {
 }
 
 /// A parsed `load` request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadSpec {
     /// Server-side name to register the graph under; loading onto an
     /// existing name replaces that graph and invalidates its cached
@@ -364,7 +372,10 @@ pub struct LoadSpec {
 /// mutation against a named graph. Set semantics — already-satisfied
 /// requests are no-ops — so replaying a batch after a lost response
 /// is safe (the client's idempotent-retry path uses this).
-#[derive(Clone, Debug)]
+///
+/// An NDJSON line fills one side (`add_edges` or `remove_edges`);
+/// only the HTTP `mutate` route can fill both.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MutateSpec {
     /// Server-side graph name.
     pub graph: String,
@@ -375,7 +386,7 @@ pub struct MutateSpec {
 }
 
 /// One kernel invocation inside a `run` or `batch` request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
     /// Registered kernel name.
     pub kernel: String,
@@ -386,7 +397,7 @@ pub struct RunSpec {
 }
 
 /// A fully parsed request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness and capacity probe (answered inline).
     Health,
@@ -407,38 +418,23 @@ pub enum Request {
     Batch(Vec<RunSpec>),
 }
 
-impl Request {
-    /// Control-plane requests are answered by the connection thread
-    /// itself; data-plane requests go through admission control.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Request::Health | Request::Kernels | Request::Stats | Request::Shutdown
-        )
-    }
+fn bad_request(message: impl Into<String>) -> ApiError {
+    ApiError::new(ErrorCode::BadRequest, message)
 }
 
-fn required_str(obj: &Json, key: &str, op: &str) -> Result<String, WireError> {
+fn required_str(obj: &Json, key: &str, op: &str) -> Result<String, ApiError> {
     obj.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)
-        .ok_or_else(|| {
-            WireError::new(
-                ErrorCode::BadRequest,
-                format!("op {op:?} requires a string {key:?} member"),
-            )
-        })
+        .ok_or_else(|| bad_request(format!("op {op:?} requires a string {key:?} member")))
 }
 
 /// Converts a JSON `params` object into typed kernel [`Params`].
 /// Only scalar members are admissible; `null`, arrays and nested
 /// objects are rejected up front.
-pub fn params_from_json(value: &Json) -> Result<Params, WireError> {
+pub fn params_from_json(value: &Json) -> Result<Params, ApiError> {
     let Some(fields) = value.as_object() else {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "\"params\" must be an object",
-        ));
+        return Err(bad_request("\"params\" must be an object"));
     };
     let mut params = Params::new();
     for (key, v) in fields {
@@ -447,19 +443,31 @@ pub fn params_from_json(value: &Json) -> Result<Params, WireError> {
             Json::Float(x) => Value::Float(*x),
             Json::Bool(b) => Value::Bool(*b),
             Json::Str(s) => Value::Str(s.clone()),
-            _ => {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    format!("parameter {key:?} must be a scalar"),
-                ))
-            }
+            _ => return Err(bad_request(format!("parameter {key:?} must be a scalar"))),
         };
         params.set(key, value);
     }
     Ok(params)
 }
 
-fn run_spec(obj: &Json, op: &str) -> Result<RunSpec, WireError> {
+fn params_json(params: &Params) -> Json {
+    Json::Object(
+        params
+            .iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    Value::Int(i) => Json::Int(*i),
+                    Value::Float(x) => Json::Float(*x),
+                    Value::Bool(b) => Json::Bool(*b),
+                    Value::Str(s) => Json::Str(s.clone()),
+                };
+                (key.to_string(), value)
+            })
+            .collect(),
+    )
+}
+
+fn run_spec(obj: &Json, op: &str) -> Result<RunSpec, ApiError> {
     let params = match obj.get("params") {
         None => Params::new(),
         Some(v) => params_from_json(v)?,
@@ -471,42 +479,43 @@ fn run_spec(obj: &Json, op: &str) -> Result<RunSpec, WireError> {
     })
 }
 
-/// Parses a load body (`graph`, `format`, `path`|`data`, optional
-/// `compression`) — shared by the NDJSON `load` op and the HTTP
-/// `POST /v1/graphs` endpoint.
-pub(crate) fn load_spec(obj: &Json) -> Result<LoadSpec, WireError> {
+fn run_spec_members(spec: &RunSpec) -> Vec<(&'static str, Json)> {
+    vec![
+        ("kernel", Json::from(spec.kernel.as_str())),
+        ("graph", Json::from(spec.graph.as_str())),
+        ("params", params_json(&spec.params)),
+    ]
+}
+
+/// `load` from its members — the NDJSON op and `POST /v1/graphs`.
+pub(crate) fn load_request(obj: &Json) -> Result<Request, ApiError> {
     let name = required_str(obj, "graph", "load")?;
     let format_name = required_str(obj, "format", "load")?;
     let format = LoadFormat::parse(&format_name).ok_or_else(|| {
-        WireError::new(
-            ErrorCode::BadRequest,
-            format!("unknown format {format_name:?} (expected edge-list, metis, or gcsr)"),
-        )
+        bad_request(format!(
+            "unknown format {format_name:?} (expected edge-list, metis, or gcsr)"
+        ))
     })?;
     let source = match (obj.get("path"), obj.get("data")) {
         (Some(p), None) => LoadSource::Path(
             p.as_str()
-                .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "\"path\" must be a string"))?
+                .ok_or_else(|| bad_request("\"path\" must be a string"))?
                 .to_string(),
         ),
         (None, Some(d)) => {
             if format == LoadFormat::Gcsr {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
+                return Err(bad_request(
                     "gcsr is a binary format: send a \"path\", not inline \"data\"",
                 ));
             }
             LoadSource::Data(
                 d.as_str()
-                    .ok_or_else(|| {
-                        WireError::new(ErrorCode::BadRequest, "\"data\" must be a string")
-                    })?
+                    .ok_or_else(|| bad_request("\"data\" must be a string"))?
                     .to_string(),
             )
         }
         _ => {
-            return Err(WireError::new(
-                ErrorCode::BadRequest,
+            return Err(bad_request(
                 "op \"load\" requires exactly one of \"path\" or \"data\"",
             ))
         }
@@ -514,37 +523,42 @@ pub(crate) fn load_spec(obj: &Json) -> Result<LoadSpec, WireError> {
     let compression = match obj.get("compression") {
         None => LoadCompression::default(),
         Some(v) => {
-            let text = v.as_str().ok_or_else(|| {
-                WireError::new(ErrorCode::BadRequest, "\"compression\" must be a string")
-            })?;
+            let text = v
+                .as_str()
+                .ok_or_else(|| bad_request("\"compression\" must be a string"))?;
             LoadCompression::parse(text).ok_or_else(|| {
-                WireError::new(
-                    ErrorCode::BadRequest,
-                    format!("unknown compression {text:?} (expected none or gap)"),
-                )
+                bad_request(format!(
+                    "unknown compression {text:?} (expected none or gap)"
+                ))
             })?
         }
     };
-    Ok(LoadSpec {
+    Ok(Request::Load(LoadSpec {
         name,
         format,
         source,
         compression,
-    })
+    }))
 }
 
-/// Parses a JSON `edges` array — `[[u,v],...]` with `u32` endpoints —
-/// as sent by `add_edges` / `remove_edges`.
-fn edges_from_json(obj: &Json, op: &str) -> Result<Vec<Edge>, WireError> {
-    let items = obj.get("edges").and_then(Json::as_array).ok_or_else(|| {
-        WireError::new(
-            ErrorCode::BadRequest,
-            format!("op {op:?} requires an \"edges\" array of [u,v] pairs"),
-        )
-    })?;
+fn edges_required(key: &str, op: &str) -> ApiError {
+    bad_request(format!(
+        "op {op:?} requires an {key:?} array of [u,v] pairs"
+    ))
+}
+
+/// Parses the edge array under `key` — `[[u,v],...]` with `u32`
+/// endpoints; `None` when the member is absent. The one edge parser:
+/// `add_edges` / `remove_edges` read `"edges"` through it, the HTTP
+/// `mutate` body `"add"` / `"remove"`.
+fn edges_from_json(obj: &Json, key: &str, op: &str) -> Result<Option<Vec<Edge>>, ApiError> {
+    let Some(value) = obj.get(key) else {
+        return Ok(None);
+    };
+    let items = value.as_array().ok_or_else(|| edges_required(key, op))?;
     let endpoint = |v: &Json| -> Option<NodeId> {
         match v {
-            Json::Int(i) if (0..=NodeId::MAX as i64).contains(i) => Some(*i as NodeId),
+            Json::Int(i) if (0..=i64::from(NodeId::MAX)).contains(i) => Some(*i as NodeId),
             _ => None,
         }
     };
@@ -554,219 +568,293 @@ fn edges_from_json(obj: &Json, op: &str) -> Result<Vec<Edge>, WireError> {
             let pair = item.as_array().filter(|p| p.len() == 2);
             pair.and_then(|p| Some((endpoint(&p[0])?, endpoint(&p[1])?)))
                 .ok_or_else(|| {
-                    WireError::new(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "every edge of op {op:?} must be a [u,v] pair of non-negative integers"
-                        ),
-                    )
+                    bad_request(format!(
+                        "every edge of op {op:?} must be a [u,v] pair of non-negative integers"
+                    ))
                 })
         })
-        .collect()
+        .collect::<Result<Vec<Edge>, ApiError>>()
+        .map(Some)
 }
 
-fn mutate_spec(obj: &Json, op: &str) -> Result<MutateSpec, WireError> {
-    let graph = required_str(obj, "graph", op)?;
-    let edges = edges_from_json(obj, op)?;
-    let (add, remove) = if op == "add_edges" {
-        (edges, Vec::new())
-    } else {
-        (Vec::new(), edges)
+/// Renders an edge batch the way [`edges_from_json`] reads it.
+pub(crate) fn edges_json(edges: &[Edge]) -> Json {
+    Json::Array(
+        edges
+            .iter()
+            .map(|&(u, v)| Json::Array(vec![Json::from(i64::from(u)), Json::from(i64::from(v))]))
+            .collect(),
+    )
+}
+
+/// Reads the operation an NDJSON line names under `"op"`.
+fn request_from_op(obj: &Json) -> Result<Request, ApiError> {
+    if obj.as_object().is_none() {
+        return Err(bad_request("a request is a JSON object"));
+    }
+    let op = obj
+        .get("op")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad_request("missing string \"op\""))?;
+    Ok(match op {
+        "health" => Request::Health,
+        "kernels" => Request::Kernels,
+        "stats" => Request::Stats,
+        "shutdown" => Request::Shutdown,
+        "load" => load_request(obj)?,
+        // One op per side: a required `"edges"` array.
+        "add_edges" | "remove_edges" => {
+            let graph = required_str(obj, "graph", op)?;
+            let edges =
+                edges_from_json(obj, "edges", op)?.ok_or_else(|| edges_required("edges", op))?;
+            let (add, remove) = if op == "add_edges" {
+                (edges, Vec::new())
+            } else {
+                (Vec::new(), edges)
+            };
+            Request::Mutate(MutateSpec { graph, add, remove })
+        }
+        "run" => run_request(obj)?,
+        "batch" => {
+            let items = obj
+                .get("requests")
+                .and_then(Json::as_array)
+                .ok_or_else(|| bad_request("op \"batch\" requires a \"requests\" array"))?;
+            Request::Batch(
+                items
+                    .iter()
+                    .map(|item| run_spec(item, "batch"))
+                    .collect::<Result<_, _>>()?,
+            )
+        }
+        other => return Err(bad_request(format!("unknown op {other:?}"))),
+    })
+}
+
+/// `run` from its members — the NDJSON op and
+/// `POST /v1/graphs/{name}/run`.
+pub(crate) fn run_request(obj: &Json) -> Result<Request, ApiError> {
+    run_spec(obj, "run").map(Request::Run)
+}
+
+/// The body of `POST /v1/graphs/{name}/mutate`: optional `"add"` and
+/// `"remove"` arrays, at least one non-empty — both sides of a batch
+/// in one request, which no single NDJSON op can say.
+pub(crate) fn http_mutate_request(obj: &Json) -> Result<Request, ApiError> {
+    let spec = MutateSpec {
+        graph: required_str(obj, "graph", "mutate")?,
+        add: edges_from_json(obj, "add", "mutate")?.unwrap_or_default(),
+        remove: edges_from_json(obj, "remove", "mutate")?.unwrap_or_default(),
     };
-    Ok(MutateSpec { graph, add, remove })
+    if spec.add.is_empty() && spec.remove.is_empty() {
+        return Err(bad_request(
+            "mutation body requires \"add\" and/or \"remove\" edge arrays",
+        ));
+    }
+    Ok(Request::Mutate(spec))
 }
 
-/// The v1 request envelope: the parsed [`Request`] plus the members
-/// every endpoint shares — the echoed `id`, the optional protocol
-/// version, and the admission metadata (deadline, client identity,
-/// fairness weight) that travels alongside the operation.
-#[derive(Clone, Debug)]
+/// The request model every transport shares: the parsed [`Request`]
+/// plus the members that travel alongside any operation — the echoed
+/// `id` and the admission metadata (deadline, client identity,
+/// fairness weight).
+#[derive(Clone, Debug, PartialEq)]
 pub struct Envelope {
     /// The parsed operation.
     pub request: Request,
-    /// The echoed `"id"` member, if one was sent.
+    /// The `"id"` member to echo, if one was sent. The serving front
+    /// end moves it into the [`Reply`](crate::service::Reply) before
+    /// [`Service::call`](crate::service::Service::call), so a service
+    /// that forwards the envelope does not forward the caller's id.
     pub id: Option<Json>,
-    /// Whether the request carried `"v":1`. Version-less requests
-    /// are accepted (deprecation grace) but counted in `stats` as
-    /// `legacy_requests`.
-    pub versioned: bool,
     /// `"deadline_ms"`: relative deadline for the whole request,
     /// propagated into kernels as a cancellation token.
     pub deadline_ms: Option<u64>,
     /// `"client"`: the fairness / rate-limit identity. Connections
     /// that never say fall back to a per-transport default.
     pub client: Option<String>,
-    /// `"weight"`: weighted-fair-queuing weight (≥ 1; default 1).
+    /// `"weight"`: weighted-fair-queuing weight (1..=1024; default 1).
     pub weight: u32,
+    /// `"redirect"`: a routed `run` whose graph moved mid-request is
+    /// answered a typed `moved` error naming the new shard instead
+    /// of being retried there. A single server ignores it.
+    pub redirect: bool,
+    /// Render a `run` outcome with its payload items materialized —
+    /// set by the HTTP plane for `?stream=1`, which pages over them.
+    /// Not a wire member: [`Envelope::to_json`] does not render it.
+    pub full_payload: bool,
 }
 
-/// Parses one request line into the full v1 [`Envelope`]. On failure
-/// the error still carries whatever `id` could be recovered, so even
+impl Envelope {
+    /// `request` with no id, no deadline, anonymous, weight 1.
+    pub fn new(request: Request) -> Self {
+        Self {
+            request,
+            id: None,
+            deadline_ms: None,
+            client: None,
+            weight: 1,
+            redirect: false,
+            full_payload: false,
+        }
+    }
+
+    /// Renders the request line [`parse_envelope`] reads back into an
+    /// equal envelope: `"v":1`, the op and its members, then whichever
+    /// of `deadline_ms` / `client` / `weight` / `redirect` / `id`
+    /// differ from their defaults. The only place a request is
+    /// rendered — client helpers and router forwarding alike.
+    ///
+    /// # Panics
+    ///
+    /// On a [`MutateSpec`] with both sides filled: the line protocol
+    /// has one op per side, and only the HTTP `mutate` route — which
+    /// is never re-rendered — can produce such a spec.
+    pub fn to_json(&self) -> Json {
+        let (op, members) = match &self.request {
+            Request::Health => ("health", Vec::new()),
+            Request::Kernels => ("kernels", Vec::new()),
+            Request::Stats => ("stats", Vec::new()),
+            Request::Shutdown => ("shutdown", Vec::new()),
+            Request::Load(spec) => {
+                let mut members = vec![
+                    ("graph", Json::from(spec.name.as_str())),
+                    ("format", Json::from(spec.format.as_str())),
+                    match &spec.source {
+                        LoadSource::Path(path) => ("path", Json::from(path.as_str())),
+                        LoadSource::Data(data) => ("data", Json::from(data.as_str())),
+                    },
+                ];
+                if spec.compression == LoadCompression::Gap {
+                    members.push(("compression", Json::from("gap")));
+                }
+                ("load", members)
+            }
+            Request::Mutate(spec) => {
+                assert!(
+                    spec.add.is_empty() || spec.remove.is_empty(),
+                    "a two-sided mutation has no single-line form"
+                );
+                let (op, edges) = if spec.remove.is_empty() {
+                    ("add_edges", &spec.add)
+                } else {
+                    ("remove_edges", &spec.remove)
+                };
+                let graph = Json::from(spec.graph.as_str());
+                (op, vec![("graph", graph), ("edges", edges_json(edges))])
+            }
+            Request::Run(spec) => ("run", run_spec_members(spec)),
+            Request::Batch(specs) => {
+                let items = specs
+                    .iter()
+                    .map(|spec| Json::object(run_spec_members(spec)))
+                    .collect();
+                ("batch", vec![("requests", Json::Array(items))])
+            }
+        };
+        let mut fields = Vec::with_capacity(members.len() + 7);
+        fields.push(("v", Json::Int(PROTOCOL_VERSION)));
+        fields.push(("op", Json::from(op)));
+        fields.extend(members);
+        if let Some(ms) = self.deadline_ms {
+            fields.push(("deadline_ms", Json::from(ms)));
+        }
+        if let Some(client) = &self.client {
+            fields.push(("client", Json::from(client.as_str())));
+        }
+        if self.weight != 1 {
+            fields.push(("weight", Json::from(u64::from(self.weight))));
+        }
+        if self.redirect {
+            fields.push(("redirect", Json::Bool(true)));
+        }
+        if let Some(id) = &self.id {
+            fields.push(("id", id.clone()));
+        }
+        Json::object(fields)
+    }
+}
+
+/// Parses one request line into an [`Envelope`]. On failure the
+/// error still carries whatever `id` could be recovered, so even
 /// malformed requests get a matchable response.
 pub fn parse_envelope(line: &str) -> Result<Envelope, (ApiError, Option<Json>)> {
     let value =
         Json::parse(line).map_err(|e| (ApiError::new(ErrorCode::BadJson, e.to_string()), None))?;
-    let id = value.get("id").cloned();
-    let fail = |e: ApiError| (e, id.clone());
-    let versioned = match value.get("v") {
-        None => false,
-        Some(Json::Int(v)) if *v == PROTOCOL_VERSION => true,
+    envelope_from(&value, request_from_op).map_err(|e| (e, value.get("id").cloned()))
+}
+
+/// Builds a [`Request`] from the members of one JSON object.
+pub(crate) type RequestBuilder = fn(&Json) -> Result<Request, ApiError>;
+
+/// The one validation every transport's request passes: the shared
+/// members of `obj` (`v`, `deadline_ms`, `client`, `weight`,
+/// `redirect`, `id`) are checked here, the operation's own by
+/// `build` — [`request_from_op`] for an NDJSON line, the route's
+/// builder for an HTTP request whose path, headers and body were
+/// folded into `obj`.
+pub(crate) fn envelope_from(obj: &Json, build: RequestBuilder) -> Result<Envelope, ApiError> {
+    match obj.get("v") {
+        None => {}
+        Some(Json::Int(v)) if *v == PROTOCOL_VERSION => {}
         Some(other) => {
-            return Err(fail(ApiError::new(
-                ErrorCode::BadRequest,
-                format!(
-                    "unsupported protocol version {} (this server speaks \"v\":{PROTOCOL_VERSION})",
-                    other.render()
-                ),
+            return Err(bad_request(format!(
+                "unsupported protocol version {} (this server speaks \"v\":{PROTOCOL_VERSION})",
+                other.render()
             )))
         }
-    };
-    let deadline_ms = match value.get("deadline_ms") {
+    }
+    let deadline_ms = match obj.get("deadline_ms") {
         None => None,
         Some(Json::Int(ms)) if *ms > 0 => Some(*ms as u64),
-        Some(_) => {
-            return Err(fail(ApiError::new(
-                ErrorCode::BadRequest,
-                "\"deadline_ms\" must be a positive integer",
-            )))
-        }
+        Some(_) => return Err(bad_request("\"deadline_ms\" must be a positive integer")),
     };
-    let client = match value.get("client") {
+    let client = match obj.get("client") {
         None => None,
         Some(Json::Str(name)) if !name.is_empty() => Some(name.clone()),
-        Some(_) => {
-            return Err(fail(ApiError::new(
-                ErrorCode::BadRequest,
-                "\"client\" must be a non-empty string",
-            )))
-        }
+        Some(_) => return Err(bad_request("\"client\" must be a non-empty string")),
     };
-    let weight = match value.get("weight") {
+    let weight = match obj.get("weight") {
         None => 1,
         Some(Json::Int(w)) if (1..=1024).contains(w) => *w as u32,
-        Some(_) => {
-            return Err(fail(ApiError::new(
-                ErrorCode::BadRequest,
-                "\"weight\" must be an integer in 1..=1024",
-            )))
-        }
+        Some(_) => return Err(bad_request("\"weight\" must be an integer in 1..=1024")),
     };
-    let (request, id) = parse_request_value(value, id)?;
     Ok(Envelope {
-        request,
-        id,
-        versioned,
+        request: build(obj)?,
+        id: obj.get("id").cloned(),
         deadline_ms,
         client,
         weight,
+        redirect: obj.get("redirect").and_then(Json::as_bool).unwrap_or(false),
+        full_payload: false,
     })
 }
 
-/// Parses one request line. On success returns the request plus the
-/// echoed `id`; on failure the error still carries whatever `id`
-/// could be recovered, so even malformed requests get a matchable
-/// response.
-///
-/// The pre-v1 entry point: ignores the envelope members
-/// ([`parse_envelope`] reads those) but accepts the same lines.
-#[allow(clippy::type_complexity)]
-pub fn parse_request(line: &str) -> Result<(Request, Option<Json>), (WireError, Option<Json>)> {
-    let value =
-        Json::parse(line).map_err(|e| (WireError::new(ErrorCode::BadJson, e.to_string()), None))?;
-    let id = value.get("id").cloned();
-    parse_request_value(value, id)
-}
-
-#[allow(clippy::type_complexity)]
-fn parse_request_value(
-    value: Json,
-    id: Option<Json>,
-) -> Result<(Request, Option<Json>), (WireError, Option<Json>)> {
-    let fail = |e: WireError| (e, id.clone());
-    if value.as_object().is_none() {
-        return Err(fail(WireError::new(
-            ErrorCode::BadRequest,
-            "a request is a JSON object",
-        )));
-    }
-    let op = value.get("op").and_then(Json::as_str).ok_or_else(|| {
-        fail(WireError::new(
-            ErrorCode::BadRequest,
-            "missing string \"op\"",
-        ))
-    })?;
-    let request = match op {
-        "health" => Request::Health,
-        "kernels" => Request::Kernels,
-        "stats" => Request::Stats,
-        "shutdown" => Request::Shutdown,
-        "load" => Request::Load(load_spec(&value).map_err(&fail)?),
-        "add_edges" | "remove_edges" => Request::Mutate(mutate_spec(&value, op).map_err(&fail)?),
-        "run" => Request::Run(run_spec(&value, "run").map_err(&fail)?),
-        "batch" => {
-            let items = value
-                .get("requests")
-                .and_then(Json::as_array)
-                .ok_or_else(|| {
-                    fail(WireError::new(
-                        ErrorCode::BadRequest,
-                        "op \"batch\" requires a \"requests\" array",
-                    ))
-                })?;
-            let specs = items
-                .iter()
-                .map(|item| run_spec(item, "batch"))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(&fail)?;
-            Request::Batch(specs)
-        }
-        other => {
-            return Err(fail(WireError::new(
-                ErrorCode::BadRequest,
-                format!("unknown op {other:?}"),
-            )))
-        }
-    };
-    Ok((request, id))
-}
-
-/// Assembles a response object: stamps the protocol version
-/// (`"v":1`) as the first member and echoes the request's `id` (when
-/// one was sent) as the last — the one envelope implementation every
-/// response goes through (public so the `gms-router` front end
-/// composes responses the same way).
-pub fn with_id(fields: Vec<(&'static str, Json)>, id: Option<&Json>) -> Json {
+/// Assembles a response object: the protocol version (`"v":1`)
+/// first, then `fields`. The request's `id` is appended as the last
+/// member by the [`Reply`](crate::service::Reply) that delivers it —
+/// public so the `gms-router` front end composes responses the same
+/// way.
+pub fn response(fields: Vec<(&'static str, Json)>) -> Json {
     let mut members = Vec::with_capacity(fields.len() + 2);
     members.push(("v", Json::Int(PROTOCOL_VERSION)));
     members.extend(fields);
-    if let Some(id) = id {
-        members.push(("id", id.clone()));
-    }
     Json::object(members)
 }
 
-/// Renders a typed error response: the [`ApiError`]'s own `details`
-/// members ride inside the error object.
-pub fn error_json(error: &ApiError, id: Option<&Json>) -> Json {
-    error_json_with(error, &[], id)
+/// Renders a typed error response; the [`ApiError`]'s own `details`
+/// members ride inside the error object (how `moved` carries the new
+/// shard under `"addr"`).
+pub fn error_json(error: &ApiError) -> Json {
+    response(vec![
+        ("ok", Json::Bool(false)),
+        ("error", error_object(error)),
+    ])
 }
 
-/// Renders a typed error response with extra members inside the
-/// error object — how `moved` carries the new shard under `"addr"`.
-pub fn error_json_with(error: &ApiError, extra: &[(&str, Json)], id: Option<&Json>) -> Json {
-    with_id(
-        vec![
-            ("ok", Json::Bool(false)),
-            ("error", error_object(error, extra)),
-        ],
-        id,
-    )
-}
-
-/// Renders just the error *object* (the value under `"error"`) — the
-/// piece the HTTP gateway reuses as a response body so both surfaces
-/// spell failures identically.
-pub fn error_object(error: &ApiError, extra: &[(&str, Json)]) -> Json {
+/// Renders just the error *object* (the value under `"error"`),
+/// which [`ApiError::from_json`] reads back.
+pub fn error_object(error: &ApiError) -> Json {
     let mut members = vec![
         ("code", Json::from(error.code.as_str())),
         ("message", Json::from(error.message.clone())),
@@ -775,10 +863,26 @@ pub fn error_object(error: &ApiError, extra: &[(&str, Json)]) -> Json {
     for (key, value) in &error.details {
         members.push((key.as_str(), value.clone()));
     }
-    for (key, value) in extra {
-        members.push((key, value.clone()));
-    }
     Json::object(members)
+}
+
+/// Splits a response into success (`Ok(response)`) or the typed
+/// error it carries — for callers of the [`Client`](crate::Client)
+/// helpers that want `?`-able failures instead of inspecting `"ok"`.
+pub fn response_or_error(response: Json) -> Result<Json, ApiError> {
+    if response.get("ok").and_then(Json::as_bool) == Some(true) {
+        return Ok(response);
+    }
+    match response.get("error") {
+        Some(error) => Err(ApiError::from_json(error)),
+        None => Err(ApiError::new(
+            ErrorCode::Transport,
+            format!(
+                "response carries neither ok nor error: {}",
+                response.render()
+            ),
+        )),
+    }
 }
 
 fn payload_json(payload: &Payload) -> Json {
@@ -866,17 +970,18 @@ fn outcome_members(spec: &RunSpec, outcome: &Outcome, payload: Json) -> Vec<(&'s
 /// Renders a successful `run` response (also one element of a
 /// `batch` response's `results` array). The payload is summarized
 /// (counts, not items); [`outcome_json_full`] materializes it.
-pub fn outcome_json(spec: &RunSpec, outcome: &Outcome, id: Option<&Json>) -> Json {
-    with_id(
-        outcome_members(spec, outcome, payload_json(&outcome.payload)),
-        id,
-    )
+pub fn outcome_json(spec: &RunSpec, outcome: &Outcome) -> Json {
+    response(outcome_members(
+        spec,
+        outcome,
+        payload_json(&outcome.payload),
+    ))
 }
 
 /// Renders a successful `run` response with the payload's items
 /// materialized under `payload.items` (plus `payload.items_total`) —
 /// the form the streaming HTTP endpoints page over chunk by chunk.
-pub fn outcome_json_full(spec: &RunSpec, outcome: &Outcome, id: Option<&Json>) -> Json {
+pub fn outcome_json_full(spec: &RunSpec, outcome: &Outcome) -> Json {
     let summary = payload_json(&outcome.payload);
     let mut members: Vec<(String, Json)> = summary
         .as_object()
@@ -891,7 +996,7 @@ pub fn outcome_json_full(spec: &RunSpec, outcome: &Outcome, id: Option<&Json>) -
         payload_items_json(&outcome.payload, 0, usize::MAX),
     ));
     let payload = Json::Object(members);
-    with_id(outcome_members(spec, outcome, payload), id)
+    response(outcome_members(spec, outcome, payload))
 }
 
 /// Renders a hexadecimal graph fingerprint the way every endpoint
@@ -903,33 +1008,30 @@ pub fn fingerprint_json(fingerprint: u64) -> Json {
 /// Renders a successful `add_edges` / `remove_edges` response: the
 /// graph's new identity (fingerprint, base fingerprint, version), the
 /// effective delta, and how the result cache fared.
-pub fn mutation_json(graph: &str, outcome: &MutationOutcome, id: Option<&Json>) -> Json {
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            ("graph", Json::from(graph)),
-            ("fingerprint", fingerprint_json(outcome.fingerprint)),
-            (
-                "base_fingerprint",
-                fingerprint_json(outcome.base_fingerprint),
-            ),
-            ("version", Json::from(outcome.version)),
-            ("added", Json::from(outcome.added)),
-            ("removed", Json::from(outcome.removed)),
-            ("touched", Json::from(outcome.touched)),
-            ("vertices", Json::from(outcome.vertices)),
-            ("edges", Json::from(outcome.edges)),
-            (
-                "cache",
-                Json::object([
-                    ("survived", Json::from(outcome.cache.survived)),
-                    ("refreshed", Json::from(outcome.cache.refreshed)),
-                    ("invalidated", Json::from(outcome.cache.invalidated)),
-                ]),
-            ),
-        ],
-        id,
-    )
+pub fn mutation_json(graph: &str, outcome: &MutationOutcome) -> Json {
+    response(vec![
+        ("ok", Json::Bool(true)),
+        ("graph", Json::from(graph)),
+        ("fingerprint", fingerprint_json(outcome.fingerprint)),
+        (
+            "base_fingerprint",
+            fingerprint_json(outcome.base_fingerprint),
+        ),
+        ("version", Json::from(outcome.version)),
+        ("added", Json::from(outcome.added)),
+        ("removed", Json::from(outcome.removed)),
+        ("touched", Json::from(outcome.touched)),
+        ("vertices", Json::from(outcome.vertices)),
+        ("edges", Json::from(outcome.edges)),
+        (
+            "cache",
+            Json::object([
+                ("survived", Json::from(outcome.cache.survived)),
+                ("refreshed", Json::from(outcome.cache.refreshed)),
+                ("invalidated", Json::from(outcome.cache.invalidated)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -960,14 +1062,18 @@ mod tests {
                 false,
             ),
         ] {
-            let (request, _) = parse_request(line).unwrap();
-            assert_eq!(request.is_control(), control, "{line}");
+            let request = parse_envelope(line).unwrap().request;
+            let is_control = matches!(
+                request,
+                Request::Health | Request::Kernels | Request::Stats | Request::Shutdown
+            );
+            assert_eq!(is_control, control, "{line}");
         }
     }
 
     #[test]
     fn run_params_convert_and_reject_non_scalars() {
-        let (request, id) = parse_request(
+        let Envelope { request, id, .. } = parse_envelope(
             r#"{"op":"run","id":7,"kernel":"k-clique","graph":"g","params":{"k":5,"eps":0.5,"ordering":"adg","collect":true}}"#,
         )
         .unwrap();
@@ -980,37 +1086,37 @@ mod tests {
         assert_eq!(spec.params.get_str("ordering", ""), "adg");
         assert!(spec.params.get_bool("collect", false));
 
-        let err = parse_request(r#"{"op":"run","kernel":"k","graph":"g","params":{"k":[1]}}"#)
+        let err = parse_envelope(r#"{"op":"run","kernel":"k","graph":"g","params":{"k":[1]}}"#)
             .unwrap_err();
         assert_eq!(err.0.code, ErrorCode::BadRequest);
     }
 
     #[test]
     fn malformed_lines_carry_typed_codes_and_recovered_ids() {
-        let (err, id) = parse_request("{nope").unwrap_err();
+        let (err, id) = parse_envelope("{nope").unwrap_err();
         assert_eq!(err.code, ErrorCode::BadJson);
         assert!(id.is_none());
 
-        let (err, id) = parse_request(r#"{"op":"warp","id":"x"}"#).unwrap_err();
+        let (err, id) = parse_envelope(r#"{"op":"warp","id":"x"}"#).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
         assert_eq!(id, Some(Json::Str("x".into())), "id survives a bad op");
 
         let (err, _) =
-            parse_request(r#"{"op":"load","graph":"g","format":"xml","path":"p"}"#).unwrap_err();
+            parse_envelope(r#"{"op":"load","graph":"g","format":"xml","path":"p"}"#).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
 
         let (err, _) =
-            parse_request(r#"{"op":"load","graph":"g","format":"gcsr","data":"x"}"#).unwrap_err();
+            parse_envelope(r#"{"op":"load","graph":"g","format":"gcsr","data":"x"}"#).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest, "inline gcsr is rejected");
 
-        let (err, _) = parse_request(
+        let (err, _) = parse_envelope(
             r#"{"op":"load","graph":"g","format":"metis","path":"p","compression":"zip"}"#,
         )
         .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest, "unknown compression");
 
         let (err, _) =
-            parse_request(r#"{"op":"load","graph":"g","format":"metis","path":"a","data":"b"}"#)
+            parse_envelope(r#"{"op":"load","graph":"g","format":"metis","path":"a","data":"b"}"#)
                 .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
     }
@@ -1024,27 +1130,26 @@ mod tests {
         ] {
             assert_eq!(code.as_str(), spelling);
         }
-        let rendered = error_json_with(
-            &WireError::new(ErrorCode::Moved, "graph \"g\" moved"),
-            &[("addr", Json::from("127.0.0.1:7002"))],
-            Some(&Json::Int(9)),
+        let rendered = error_json(
+            &ApiError::new(ErrorCode::Moved, "graph \"g\" moved")
+                .with_detail("addr", Json::from("127.0.0.1:7002")),
         );
         assert_eq!(
             rendered.render(),
-            r#"{"v":1,"ok":false,"error":{"code":"moved","message":"graph \"g\" moved","retryable":true,"addr":"127.0.0.1:7002"},"id":9}"#
+            r#"{"v":1,"ok":false,"error":{"code":"moved","message":"graph \"g\" moved","retryable":true,"addr":"127.0.0.1:7002"}}"#
         );
     }
 
     #[test]
     fn error_and_outcome_rendering() {
-        let rendered = error_json(
-            &WireError::new(ErrorCode::QueueFull, "admission queue at capacity (4)"),
-            Some(&Json::Int(3)),
-        )
+        let rendered = error_json(&ApiError::new(
+            ErrorCode::QueueFull,
+            "admission queue at capacity (4)",
+        ))
         .render();
         assert_eq!(
             rendered,
-            r#"{"v":1,"ok":false,"error":{"code":"queue-full","message":"admission queue at capacity (4)","retryable":true},"id":3}"#
+            r#"{"v":1,"ok":false,"error":{"code":"queue-full","message":"admission queue at capacity (4)","retryable":true}}"#
         );
 
         let spec = RunSpec {
@@ -1053,7 +1158,7 @@ mod tests {
             params: Params::new(),
         };
         let outcome = Outcome::new("triangle-count", 12);
-        let v = outcome_json(&spec, &outcome, None);
+        let v = outcome_json(&spec, &outcome);
         assert_eq!(v.get("v"), Some(&Json::Int(1)), "responses are versioned");
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get("patterns"), Some(&Json::Int(12)));
@@ -1072,17 +1177,14 @@ mod tests {
             r#"{"v":1,"op":"run","id":4,"kernel":"t","graph":"g","deadline_ms":250,"client":"alice","weight":4}"#,
         )
         .unwrap();
-        assert!(env.versioned);
         assert_eq!(env.deadline_ms, Some(250));
         assert_eq!(env.client.as_deref(), Some("alice"));
         assert_eq!(env.weight, 4);
         assert_eq!(env.id, Some(Json::Int(4)));
 
-        // Version-less requests still parse (deprecation grace)...
-        let legacy = parse_envelope(r#"{"op":"health"}"#).unwrap();
-        assert!(!legacy.versioned);
-        assert_eq!(legacy.weight, 1);
-        assert!(legacy.deadline_ms.is_none());
+        // A request without "v" means v1 and takes every default...
+        let bare = parse_envelope(r#"{"op":"health"}"#).unwrap();
+        assert_eq!(bare, Envelope::new(Request::Health));
 
         // ...but a *wrong* version, bad deadline, or bad weight is a
         // typed bad-request.
@@ -1112,7 +1214,7 @@ mod tests {
 
         let original = ApiError::new(ErrorCode::Moved, "graph \"g\" moved")
             .with_detail("addr", Json::from("10.0.0.2:7002"));
-        let parsed = ApiError::from_json(&error_object(&original, &[]));
+        let parsed = ApiError::from_json(&error_object(&original));
         assert_eq!(parsed.code, ErrorCode::Moved);
         assert_eq!(parsed.message, original.message);
         assert_eq!(parsed.details.len(), 1);

@@ -1,34 +1,37 @@
-//! The server: acceptor, connection readers, admission queue, and a
-//! fixed pool of worker sessions over one shared [`ResultCache`].
+//! The server: the local executor behind the
+//! [`Service`] seam — an admission queue
+//! and a fixed pool of worker sessions over one shared
+//! [`ResultCache`].
 //!
 //! ```text
-//!            ┌─ conn thread ─┐   try_submit   ┌─ worker 0 ─┐
-//!  TCP ──────┤ parse, answer ├───────────────►│  session   │──► response
-//!  accept ───┤ control plane │  bounded queue └─ worker 1 ─┘    (writer
-//!            └───────────────┘  (queue-full ⇒ shared cache       mutex)
-//!                                429 analog)   + single-flight
+//!  front end (service.rs)         try_submit   ┌─ worker 0 ─┐
+//!  NDJSON | HTTP ─► Shared::call ─────────────►│  session   │──► Reply
+//!                   control ops   bounded queue└─ worker 1 ─┘
+//!                   answered      (queue-full ⇒ shared cache
+//!                   inline         429 analog)  + single-flight
 //! ```
 //!
 //! The split mirrors the admission/execution separation of HTAP
-//! serving systems: connection threads only parse and answer cheap
-//! control-plane requests (`health`, `stats`, `kernels`,
-//! `shutdown`); everything that costs kernel or I/O time (`load`,
-//! `run`, `batch`) must pass the bounded [`AdmissionQueue`] first,
-//! so a traffic spike degrades into fast `queue-full` rejections
-//! instead of oversubscribing the compute pool. The worker count is
-//! fixed at startup; each worker is one serving session with its own
-//! owner tag on the shared result cache, so duplicate requests
-//! landing on different workers still resolve to one kernel
-//! execution (single-flight) and show up as cross-session hits in
-//! the stats endpoint.
+//! serving systems: `call` answers the cheap control-plane requests
+//! (`health`, `stats`, `kernels`, `shutdown`) on the connection
+//! thread; everything that costs kernel or I/O time (`load`, `run`,
+//! `batch`, mutations) must pass the bounded [`AdmissionQueue`]
+//! first, so a traffic spike degrades into fast `queue-full`
+//! rejections instead of oversubscribing the compute pool. The
+//! worker count is fixed at startup; each worker is one serving
+//! session with its own owner tag on the shared result cache, so
+//! duplicate requests landing on different workers still resolve to
+//! one kernel execution (single-flight) and show up as cross-session
+//! hits in the stats endpoint.
 
 use crate::admission::{AdmissionQueue, RateLimit, SubmitError};
 use crate::json::Json;
 use crate::protocol::{
-    error_json, fingerprint_json, mutation_json, outcome_json, outcome_json_full, with_id,
+    error_json, fingerprint_json, mutation_json, outcome_json, outcome_json_full, response,
     ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource, LoadSpec, MutateSpec,
-    Request, RunSpec, WireError,
+    Request, RunSpec,
 };
+use crate::service::{spawn_acceptor, FrontCounters, Reply, Service};
 use gms_graph::io::SnapshotGraph;
 use gms_graph::CompressedCsr;
 use gms_platform::kernel::{
@@ -36,17 +39,11 @@ use gms_platform::kernel::{
     KernelError, MutationOutcome, Registry, ResultCache, RunCx,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long a blocked connection read may go unanswered before the
-/// thread re-checks the shutdown flag. Bounds shutdown latency for
-/// idle connections.
-pub(crate) const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Server construction parameters.
 #[derive(Clone, Debug)]
@@ -100,41 +97,30 @@ pub(crate) struct GraphEntry {
 }
 
 #[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) connections: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) malformed: AtomicU64,
-    /// Requests accepted without a `"v"` member — the deprecation
-    /// gauge for pre-v1 clients.
-    pub(crate) legacy_requests: AtomicU64,
+struct Counters {
+    front: FrontCounters,
+    completed: AtomicU64,
+    rejected: AtomicU64,
     /// Requests refused by a per-client token bucket.
-    pub(crate) rate_limited: AtomicU64,
+    rate_limited: AtomicU64,
     /// Requests that failed with `deadline-exceeded`.
-    pub(crate) deadline_exceeded: AtomicU64,
-    /// HTTP requests served by the `/v1` gateway (any method).
-    pub(crate) http_requests: AtomicU64,
+    deadline_exceeded: AtomicU64,
 }
 
 pub(crate) struct Shared {
-    pub(crate) registry: Registry,
-    pub(crate) cache: Arc<ResultCache>,
-    pub(crate) graphs: RwLock<BTreeMap<String, GraphEntry>>,
-    pub(crate) queue: AdmissionQueue<Job>,
-    pub(crate) running: AtomicBool,
-    pub(crate) counters: Counters,
-    pub(crate) worker_served: Vec<AtomicU64>,
-    pub(crate) addr: SocketAddr,
-    pub(crate) max_body_bytes: usize,
-    pub(crate) request_timeout: Duration,
+    registry: Registry,
+    cache: Arc<ResultCache>,
+    graphs: RwLock<BTreeMap<String, GraphEntry>>,
+    queue: AdmissionQueue<Job>,
+    running: AtomicBool,
+    counters: Counters,
+    worker_served: Vec<AtomicU64>,
+    addr: SocketAddr,
+    max_body_bytes: usize,
+    request_timeout: Duration,
 }
 
 impl Shared {
-    pub(crate) fn running(&self) -> bool {
-        self.running.load(Ordering::SeqCst)
-    }
-
     /// Idempotent: stop admitting, drain the queue, wake the
     /// acceptor.
     fn begin_shutdown(&self) {
@@ -148,77 +134,59 @@ impl Shared {
     }
 }
 
-/// A shared, mutex-guarded handle on one connection's write half.
-/// Workers serving requests from the same connection serialize their
-/// response lines through it.
-#[derive(Clone)]
-pub(crate) struct ResponseWriter {
-    stream: Arc<Mutex<TcpStream>>,
-}
-
-impl ResponseWriter {
-    fn send(&self, response: &Json) {
-        let mut line = response.render();
-        line.push('\n');
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        // The client may have hung up; nothing useful to do then.
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.flush();
-    }
-}
-
-/// A one-shot rendezvous an HTTP connection thread blocks on while
-/// its admitted job crosses the worker pool.
-pub(crate) struct SyncReply {
-    slot: Mutex<Option<Json>>,
-    ready: Condvar,
-}
-
-impl SyncReply {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
+/// The local executor: control ops are answered here, on the
+/// connection thread; data ops must pass admission control and are
+/// answered by whichever worker dequeues them.
+impl Service for Shared {
+    fn running(&self) -> bool {
+        self.running.load(Ordering::SeqCst)
     }
 
-    fn deliver(&self, response: Json) {
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(response);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the worker delivers. Workers answer every job
-    /// they dequeue and close() drains, so admitted jobs always
-    /// resolve.
-    pub(crate) fn recv(&self) -> Json {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(response) = slot.take() {
-                return response;
+    fn call(&self, envelope: Envelope, reply: Reply) {
+        let op = match envelope.request {
+            Request::Health => return reply.deliver(health_json(self)),
+            Request::Kernels => return reply.deliver(kernels_json(self)),
+            Request::Stats => return reply.deliver(stats_json(self)),
+            Request::Shutdown => {
+                reply.deliver(response(vec![
+                    ("ok", Json::Bool(true)),
+                    ("status", Json::from("shutting-down")),
+                ]));
+                return self.begin_shutdown();
             }
-            slot = self.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
+            Request::Load(spec) => DataOp::Load(spec),
+            Request::Mutate(spec) => DataOp::Mutate(spec),
+            Request::Run(spec) => DataOp::Run(spec),
+            Request::Batch(specs) => DataOp::Batch(specs),
+        };
+        let cancel = match envelope.deadline_ms {
+            Some(ms) => CancelToken::after(Duration::from_millis(ms)),
+            None => CancelToken::none(),
+        };
+        let job = Job {
+            op,
+            reply,
+            cancel,
+            full_payload: envelope.full_payload,
+        };
+        let client = envelope.client.as_deref().unwrap_or("");
+        self.submit(job, client, envelope.weight);
+    }
+
+    fn front(&self) -> &FrontCounters {
+        &self.counters.front
+    }
+
+    fn max_body_bytes(&self) -> usize {
+        self.max_body_bytes
+    }
+
+    fn http(&self) -> Option<Duration> {
+        Some(self.request_timeout)
     }
 }
 
-/// Where a finished job's response goes: back onto an NDJSON
-/// connection's write half, or into the [`SyncReply`] an HTTP thread
-/// is blocked on.
-pub(crate) enum Reply {
-    Line(ResponseWriter),
-    Sync(Arc<SyncReply>),
-}
-
-impl Reply {
-    fn deliver(&self, response: Json) {
-        match self {
-            Reply::Line(writer) => writer.send(&response),
-            Reply::Sync(reply) => reply.deliver(response),
-        }
-    }
-}
-
-pub(crate) enum DataOp {
+enum DataOp {
     Load(LoadSpec),
     Mutate(MutateSpec),
     Run(RunSpec),
@@ -226,16 +194,15 @@ pub(crate) enum DataOp {
 }
 
 pub(crate) struct Job {
-    pub(crate) op: DataOp,
-    pub(crate) id: Option<Json>,
-    pub(crate) reply: Reply,
+    op: DataOp,
+    reply: Reply,
     /// The propagated request deadline; workers probe it before and
     /// during kernel execution.
-    pub(crate) cancel: CancelToken,
+    cancel: CancelToken,
     /// Render the full payload items into the response (the
     /// streaming HTTP endpoints page over them); NDJSON responses
     /// keep the compact summary.
-    pub(crate) full_payload: bool,
+    full_payload: bool,
 }
 
 /// The serving front end. [`Server::start`] binds, spawns the
@@ -272,13 +239,7 @@ impl Server {
             })
             .collect();
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gms-serve-acceptor".to_string())
-                .spawn(move || accept_loop(listener, &shared))
-                .expect("spawn acceptor thread")
-        };
+        let acceptor = spawn_acceptor(listener, Arc::clone(&shared), "gms-serve");
 
         Ok(ServerHandle {
             addr,
@@ -322,434 +283,109 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while shared.running() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if !shared.running() {
-                    break;
-                }
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("gms-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared))
-                {
-                    connections.push(handle);
-                }
-                // Opportunistically reap finished connection threads
-                // so a long-lived server does not accumulate handles.
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(_) => {
-                if !shared.running() {
-                    break;
-                }
-            }
+impl Shared {
+    /// Admission control: data-plane requests either enter the
+    /// bounded queue under their client's identity and weight, or are
+    /// rejected right here on the connection thread — the rejection
+    /// travels back through the job's own reply, so NDJSON and HTTP
+    /// callers share one code path.
+    fn submit(&self, job: Job, client: &str, weight: u32) {
+        let shutting_down = || ApiError::new(ErrorCode::ShuttingDown, "server is shutting down");
+        if !self.running() {
+            return job.reply.deliver(error_json(&shutting_down()));
         }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// Sniffs the first byte to pick a protocol: NDJSON requests start
-/// with `{` (or leading whitespace); anything else — an HTTP method
-/// letter — goes to the `/v1` HTTP gateway. Both planes share one
-/// port, one admission queue, and one worker pool.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut first = [0u8; 1];
-    loop {
-        match stream.peek(&mut first) {
-            Ok(0) => return, // closed before the first byte
-            Ok(_) => {
-                if first[0] == b'{' || first[0].is_ascii_whitespace() {
-                    return ndjson_connection(stream, shared);
-                }
-                return crate::http::http_connection(stream, shared);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !shared.running() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn ndjson_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    // Responses are short: send them as soon as they are written.
-    let _ = stream.set_nodelay(true);
-    // Poll reads so an idle connection notices shutdown.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = ResponseWriter {
-        stream: Arc::new(Mutex::new(stream)),
-    };
-    let mut reader = BufReader::new(read_half);
-    // Byte-oriented line assembly with the body cap enforced *while*
-    // bytes arrive: a newline-free stream is cut off at
-    // `max_body_bytes`, never materialized — the same
-    // reject-before-buffering guarantee the HTTP plane gets from
-    // Content-Length. Partial lines survive timeout polls intact,
-    // even mid-multibyte-character.
-    let mut line: Vec<u8> = Vec::new();
-    // Set after a too-long line: the remainder is consumed without
-    // being stored, so memory stays bounded while the stream resyncs
-    // on the next newline.
-    let mut discarding = false;
-    loop {
-        if discarding {
-            match discard_line(&mut reader) {
-                Ok(true) => discarding = false, // resynced past the newline
-                Ok(false) => break,             // client closed
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if !shared.running() {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-            continue;
-        }
-        match read_line_bounded(&mut reader, &mut line, shared.max_body_bytes) {
-            Ok(LineRead::Closed) => break,
-            Ok(LineRead::Line) => {
-                let keep_going = match std::str::from_utf8(&line) {
-                    Ok(text) => handle_line(text.trim(), shared, &writer),
-                    Err(_) => {
-                        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        writer.send(&error_json(
-                            &WireError::new(ErrorCode::BadJson, "request line is not valid UTF-8"),
-                            None,
-                        ));
-                        true
-                    }
-                };
-                line.clear();
-                if !keep_going {
-                    break;
-                }
-            }
-            Ok(LineRead::TooLong) => {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                writer.send(&error_json(
-                    &ApiError::new(
-                        ErrorCode::PayloadTooLarge,
-                        format!(
-                            "request line exceeds the {}-byte cap",
-                            shared.max_body_bytes
-                        ),
-                    ),
-                    None,
-                ));
-                line.clear();
-                discarding = true;
-            }
-            // Timeout poll: `line` keeps any partial read; loop
-            // appends the rest once it arrives.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !shared.running() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-enum LineRead {
-    /// A full line (newline included) landed in the buffer.
-    Line,
-    /// The line under assembly outgrew `cap` before its newline.
-    TooLong,
-    /// EOF: the peer closed the connection.
-    Closed,
-}
-
-/// Appends bytes up to and including the next `\n` onto `line`,
-/// refusing to buffer more than `cap` bytes of a newline-free
-/// stream. Timeouts surface as errors with the partial line kept.
-fn read_line_bounded(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    cap: usize,
-) -> std::io::Result<LineRead> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            // EOF terminates a non-empty final line, like `read_until`.
-            return Ok(if line.is_empty() {
-                LineRead::Closed
-            } else {
-                LineRead::Line
-            });
-        }
-        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-            line.extend_from_slice(&available[..=pos]);
-            reader.consume(pos + 1);
-            return Ok(LineRead::Line);
-        }
-        let n = available.len();
-        line.extend_from_slice(available);
-        reader.consume(n);
-        if line.len() > cap {
-            return Ok(LineRead::TooLong);
-        }
-    }
-}
-
-/// Consumes bytes without storing them until a newline goes by.
-/// Returns `Ok(true)` once resynced, `Ok(false)` at EOF; timeouts
-/// surface as errors and the discard resumes on the next call.
-fn discard_line(reader: &mut impl BufRead) -> std::io::Result<bool> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(false);
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
-                return Ok(true);
-            }
-            None => {
-                let n = available.len();
-                reader.consume(n);
-            }
-        }
-    }
-}
-
-/// Processes one request line; returns `false` when the connection
-/// should close (shutdown acknowledged).
-fn handle_line(line: &str, shared: &Arc<Shared>, writer: &ResponseWriter) -> bool {
-    if line.is_empty() {
-        return true; // tolerate blank keep-alive lines
-    }
-    if line.len() > shared.max_body_bytes {
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        writer.send(&error_json(
-            &ApiError::new(
-                ErrorCode::PayloadTooLarge,
-                format!(
-                    "request line of {} bytes exceeds the {}-byte cap",
-                    line.len(),
-                    shared.max_body_bytes
-                ),
-            ),
-            None,
-        ));
-        return true;
-    }
-    let envelope = match crate::protocol::parse_envelope(line) {
-        Ok(envelope) => envelope,
-        Err((error, id)) => {
-            shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            writer.send(&error_json(&error, id.as_ref()));
-            return true;
-        }
-    };
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if !envelope.versioned {
-        shared
-            .counters
-            .legacy_requests
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let Envelope {
-        request,
-        id,
-        deadline_ms,
-        client,
-        weight,
-        ..
-    } = envelope;
-    // `Request::is_control` is the single source of truth for the
-    // plane split; the matches below panic loudly if it drifts.
-    if request.is_control() {
-        return answer_control(request, shared, writer, id);
-    }
-    let op = match request {
-        Request::Load(spec) => DataOp::Load(spec),
-        Request::Mutate(spec) => DataOp::Mutate(spec),
-        Request::Run(spec) => DataOp::Run(spec),
-        Request::Batch(specs) => DataOp::Batch(specs),
-        control => unreachable!("control op routed to the data plane: {control:?}"),
-    };
-    let cancel = match deadline_ms {
-        Some(ms) => CancelToken::after(Duration::from_millis(ms)),
-        None => CancelToken::none(),
-    };
-    let job = Job {
-        op,
-        id,
-        reply: Reply::Line(writer.clone()),
-        cancel,
-        full_payload: false,
-    };
-    submit(shared, job, client.as_deref().unwrap_or(""), weight);
-    true
-}
-
-/// Answers a control-plane request inline on the connection thread;
-/// returns `false` when the connection should close (shutdown).
-fn answer_control(
-    request: Request,
-    shared: &Arc<Shared>,
-    writer: &ResponseWriter,
-    id: Option<Json>,
-) -> bool {
-    match request {
-        Request::Health => {
-            writer.send(&health_json(shared, id.as_ref()));
-            true
-        }
-        Request::Kernels => {
-            writer.send(&kernels_json(shared, id.as_ref()));
-            true
-        }
-        Request::Stats => {
-            writer.send(&stats_json(shared, id.as_ref()));
-            true
-        }
-        Request::Shutdown => {
-            writer.send(&with_id(
-                vec![
-                    ("ok", Json::Bool(true)),
-                    ("status", Json::from("shutting-down")),
-                ],
-                id.as_ref(),
-            ));
-            shared.begin_shutdown();
-            false
-        }
-        data => unreachable!("data-plane op answered inline: {data:?}"),
-    }
-}
-
-/// Admission control: data-plane requests either enter the bounded
-/// queue under their client's identity and weight, or are rejected
-/// right here on the connection thread — the rejection travels back
-/// through the job's own reply channel, so NDJSON and HTTP callers
-/// share one code path.
-pub(crate) fn submit(shared: &Arc<Shared>, job: Job, client: &str, weight: u32) {
-    if !shared.running() {
-        let response = error_json(
-            &WireError::new(ErrorCode::ShuttingDown, "server is shutting down"),
-            job.id.as_ref(),
-        );
-        job.reply.deliver(response);
-        return;
-    }
-    match shared.queue.try_submit_as(client, weight, job) {
-        Ok(()) => {}
-        Err(SubmitError::Full(job)) => {
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let response = error_json(
-                &WireError::new(
+        let (job, error) = match self.queue.try_submit_as(client, weight, job) {
+            Ok(()) => return,
+            Err(SubmitError::Full(job)) => {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                let error = ApiError::new(
                     ErrorCode::QueueFull,
                     format!(
                         "admission queue at capacity ({}); retry later",
-                        shared.queue.capacity()
+                        self.queue.capacity()
                     ),
-                ),
-                job.id.as_ref(),
-            );
-            job.reply.deliver(response);
-        }
-        Err(SubmitError::RateLimited(job)) => {
-            shared.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-            let response = error_json(
-                &WireError::new(
+                );
+                (job, error)
+            }
+            Err(SubmitError::RateLimited(job)) => {
+                self.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
+                let error = ApiError::new(
                     ErrorCode::RateLimited,
                     format!("client {client:?} is over its rate limit; slow down"),
-                ),
-                job.id.as_ref(),
-            );
-            job.reply.deliver(response);
-        }
-        Err(SubmitError::Closed(job)) => {
-            let response = error_json(
-                &WireError::new(ErrorCode::ShuttingDown, "server is shutting down"),
-                job.id.as_ref(),
-            );
-            job.reply.deliver(response);
-        }
+                );
+                (job, error)
+            }
+            Err(SubmitError::Closed(job)) => (job, shutting_down()),
+        };
+        job.reply.deliver(error_json(&error));
     }
 }
 
 /// One worker session: drains the admission queue until the server
 /// shuts down. The owner tag attributes this worker's cache traffic,
 /// so hits on entries another worker paid for count as cross-session.
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
+fn worker_loop(shared: &Shared, index: usize) {
     let owner = next_owner();
     while let Some(job) = shared.queue.dequeue() {
-        let id = job.id.as_ref();
+        let Job {
+            op,
+            reply,
+            cancel,
+            full_payload,
+        } = job;
         let lapsed = || {
             ApiError::new(
                 ErrorCode::DeadlineExceeded,
                 "deadline exceeded before the request completed",
             )
         };
-        let fail = |e: &ApiError, id: Option<&Json>| {
+        let fail = |e: &ApiError| {
             if e.code == ErrorCode::DeadlineExceeded {
                 shared
                     .counters
                     .deadline_exceeded
                     .fetch_add(1, Ordering::Relaxed);
             }
-            error_json(e, id)
+            error_json(e)
         };
         // A request whose deadline passed while queued — or, for a
         // batch item, while earlier items ran — fails without costing
         // any kernel time: the worker is immediately free for the
         // next job.
-        let run = |spec: &RunSpec, id: Option<&Json>| {
-            if job.cancel.expired() {
-                return fail(&lapsed(), id);
+        let run = |spec: &RunSpec| {
+            if cancel.expired() {
+                return fail(&lapsed());
             }
-            match execute_run(shared, owner, spec, &job.cancel) {
-                Ok(outcome) if job.full_payload => outcome_json_full(spec, &outcome, id),
-                Ok(outcome) => outcome_json(spec, &outcome, id),
-                Err(e) => fail(&e, id),
+            match execute_run(shared, owner, spec, &cancel) {
+                Ok(outcome) if full_payload => outcome_json_full(spec, &outcome),
+                Ok(outcome) => outcome_json(spec, &outcome),
+                Err(e) => fail(&e),
             }
         };
-        let response = match &job.op {
-            _ if job.cancel.expired() => fail(&lapsed(), id),
+        let answer = match &op {
+            _ if cancel.expired() => fail(&lapsed()),
             DataOp::Load(spec) => match execute_load(shared, spec) {
-                Ok(body) => with_id(body, id),
-                Err(e) => error_json(&e, id),
+                Ok(body) => response(body),
+                Err(e) => error_json(&e),
             },
             DataOp::Mutate(spec) => match execute_mutate(shared, spec) {
-                Ok(outcome) => mutation_json(&spec.graph, &outcome, id),
-                Err(e) => error_json(&e, id),
+                Ok(outcome) => mutation_json(&spec.graph, &outcome),
+                Err(e) => error_json(&e),
             },
-            DataOp::Run(spec) => run(spec, id),
-            DataOp::Batch(specs) => {
-                let results = specs.iter().map(|spec| run(spec, None)).collect();
-                with_id(
-                    vec![("ok", Json::Bool(true)), ("results", Json::Array(results))],
-                    id,
-                )
-            }
+            DataOp::Run(spec) => run(spec),
+            DataOp::Batch(specs) => response(vec![
+                ("ok", Json::Bool(true)),
+                ("results", Json::Array(specs.iter().map(run).collect())),
+            ]),
         };
-        job.reply.deliver(response);
+        reply.deliver(answer);
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         shared.worker_served[index].fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn execute_load(
-    shared: &Arc<Shared>,
-    spec: &LoadSpec,
-) -> Result<Vec<(&'static str, Json)>, WireError> {
-    let io_err = |e: gms_graph::io::GraphIoError| WireError::new(ErrorCode::Io, e.to_string());
+fn execute_load(shared: &Shared, spec: &LoadSpec) -> Result<Vec<(&'static str, Json)>, ApiError> {
+    let io_err = |e: gms_graph::io::GraphIoError| ApiError::new(ErrorCode::Io, e.to_string());
     let store = match (&spec.format, &spec.source) {
         (LoadFormat::EdgeList, LoadSource::Path(p)) => {
             GraphStore::Csr(gms_graph::io::load_undirected(p).map_err(io_err)?)
@@ -772,7 +408,7 @@ fn execute_load(
         }
         // The parser rejects inline gcsr before a job is built.
         (LoadFormat::Gcsr, LoadSource::Data(_)) => {
-            return Err(WireError::new(
+            return Err(ApiError::new(
                 ErrorCode::BadRequest,
                 "gcsr is a binary format: send a \"path\", not inline \"data\"",
             ))
@@ -850,10 +486,10 @@ fn execute_load(
 /// declarations; an in-flight kernel still computing against the old
 /// content cannot resurrect a migrated-away entry — its late insert
 /// is dropped by the cache's invalidation epoch (`stale_drops`).
-fn execute_mutate(shared: &Arc<Shared>, spec: &MutateSpec) -> Result<MutationOutcome, WireError> {
+fn execute_mutate(shared: &Shared, spec: &MutateSpec) -> Result<MutationOutcome, ApiError> {
     let mut graphs = shared.graphs.write().unwrap_or_else(|e| e.into_inner());
     let entry = graphs.get(&spec.graph).ok_or_else(|| {
-        WireError::new(
+        ApiError::new(
             ErrorCode::UnknownGraph,
             format!("no graph loaded under {:?}", spec.graph),
         )
@@ -873,8 +509,8 @@ fn execute_mutate(shared: &Arc<Shared>, spec: &MutateSpec) -> Result<MutationOut
     )
     .map_err(|e| match e {
         // The bare patch error, as the router words its own rejections.
-        KernelError::BadMutation { message } => WireError::new(ErrorCode::BadMutation, message),
-        other => WireError::from_kernel(&other),
+        KernelError::BadMutation { message } => ApiError::new(ErrorCode::BadMutation, message),
+        other => ApiError::from_kernel(&other),
     })?;
     if let Some(store) = store {
         let entry = graphs.get_mut(&spec.graph).expect("entry checked above");
@@ -888,15 +524,15 @@ fn execute_mutate(shared: &Arc<Shared>, spec: &MutateSpec) -> Result<MutationOut
 }
 
 fn execute_run(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     owner: u64,
     spec: &RunSpec,
     cancel: &CancelToken,
-) -> Result<gms_platform::kernel::Outcome, WireError> {
+) -> Result<gms_platform::kernel::Outcome, ApiError> {
     let (store, fp) = {
         let graphs = shared.graphs.read().unwrap_or_else(|e| e.into_inner());
         let entry = graphs.get(&spec.graph).ok_or_else(|| {
-            WireError::new(
+            ApiError::new(
                 ErrorCode::UnknownGraph,
                 format!("no graph loaded under {:?}", spec.graph),
             )
@@ -904,7 +540,7 @@ fn execute_run(
         (Arc::clone(&entry.store), entry.fingerprint)
     };
     let kernel = shared.registry.get(&spec.kernel).ok_or_else(|| {
-        WireError::new(
+        ApiError::new(
             ErrorCode::UnknownKernel,
             format!("unknown kernel {:?}", spec.kernel),
         )
@@ -916,7 +552,7 @@ fn execute_run(
         fp,
         &spec.params,
     )
-    .map_err(|e| WireError::from_kernel(&e))?;
+    .map_err(|e| ApiError::from_kernel(&e))?;
     // The cancel token rides into the kernel's own cancellation
     // points; a fired token surfaces as `DeadlineExceeded`, which
     // `run_or_wait` never caches (and a waiting duplicate request is
@@ -926,34 +562,31 @@ fn execute_run(
     shared
         .cache
         .run_or_wait(&key, owner, || execute(kernel, &cx))
-        .map_err(|e| WireError::from_kernel(&e))
+        .map_err(|e| ApiError::from_kernel(&e))
 }
 
-pub(crate) fn health_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
+fn health_json(shared: &Shared) -> Json {
     let graphs = shared.graphs.read().unwrap_or_else(|e| e.into_inner());
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            (
-                "status",
-                Json::from(if shared.running() {
-                    "serving"
-                } else {
-                    "shutting-down"
-                }),
-            ),
-            ("addr", Json::from(shared.addr.to_string())),
-            ("kernels", Json::from(shared.registry.len())),
-            ("graphs", Json::from(graphs.len())),
-            ("workers", Json::from(shared.worker_served.len())),
-            ("queue_depth", Json::from(shared.queue.depth())),
-            ("queue_capacity", Json::from(shared.queue.capacity())),
-        ],
-        id,
-    )
+    response(vec![
+        ("ok", Json::Bool(true)),
+        (
+            "status",
+            Json::from(if shared.running() {
+                "serving"
+            } else {
+                "shutting-down"
+            }),
+        ),
+        ("addr", Json::from(shared.addr.to_string())),
+        ("kernels", Json::from(shared.registry.len())),
+        ("graphs", Json::from(graphs.len())),
+        ("workers", Json::from(shared.worker_served.len())),
+        ("queue_depth", Json::from(shared.queue.depth())),
+        ("queue_capacity", Json::from(shared.queue.capacity())),
+    ])
 }
 
-pub(crate) fn kernels_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
+fn kernels_json(shared: &Shared) -> Json {
     let kernels: Vec<Json> = shared
         .registry
         .iter()
@@ -981,13 +614,13 @@ pub(crate) fn kernels_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
             ])
         })
         .collect();
-    with_id(
-        vec![("ok", Json::Bool(true)), ("kernels", Json::Array(kernels))],
-        id,
-    )
+    response(vec![
+        ("ok", Json::Bool(true)),
+        ("kernels", Json::Array(kernels)),
+    ])
 }
 
-pub(crate) fn stats_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
+fn stats_json(shared: &Shared) -> Json {
     let cache = shared.cache.stats();
     let counters = &shared.counters;
     let graphs: Vec<Json> = {
@@ -1011,98 +644,64 @@ pub(crate) fn stats_json(shared: &Arc<Shared>, id: Option<&Json>) -> Json {
             })
             .collect()
     };
-    let worker_served: Vec<Json> = shared
-        .worker_served
-        .iter()
-        .map(|count| Json::from(count.load(Ordering::Relaxed)))
-        .collect();
-    with_id(
-        vec![
-            ("ok", Json::Bool(true)),
-            (
-                "cache",
-                Json::object([
-                    ("hits", Json::from(cache.hits)),
-                    ("misses", Json::from(cache.misses)),
-                    ("evictions", Json::from(cache.evictions)),
-                    ("coalesced", Json::from(cache.coalesced)),
-                    ("cross_hits", Json::from(cache.cross_hits)),
-                    ("invalidated", Json::from(cache.invalidated)),
-                    ("migrated", Json::from(cache.migrated)),
-                    ("refreshed", Json::from(cache.refreshed)),
-                    ("stale_drops", Json::from(cache.stale_drops)),
-                    ("entries", Json::from(cache.entries)),
-                    ("capacity", Json::from(cache.capacity)),
-                ]),
+    let count = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
+    let worker_served: Vec<Json> = shared.worker_served.iter().map(count).collect();
+    response(vec![
+        ("ok", Json::Bool(true)),
+        (
+            "cache",
+            Json::object([
+                ("hits", Json::from(cache.hits)),
+                ("misses", Json::from(cache.misses)),
+                ("evictions", Json::from(cache.evictions)),
+                ("coalesced", Json::from(cache.coalesced)),
+                ("cross_hits", Json::from(cache.cross_hits)),
+                ("invalidated", Json::from(cache.invalidated)),
+                ("migrated", Json::from(cache.migrated)),
+                ("refreshed", Json::from(cache.refreshed)),
+                ("stale_drops", Json::from(cache.stale_drops)),
+                ("entries", Json::from(cache.entries)),
+                ("capacity", Json::from(cache.capacity)),
+            ]),
+        ),
+        (
+            "server",
+            Json::object([
+                ("workers", Json::from(shared.worker_served.len())),
+                ("connections", count(&counters.front.connections)),
+                ("requests", count(&counters.front.requests)),
+                ("completed", count(&counters.completed)),
+                ("rejected", count(&counters.rejected)),
+                ("malformed", count(&counters.front.malformed)),
+                ("rate_limited", count(&counters.rate_limited)),
+                ("deadline_exceeded", count(&counters.deadline_exceeded)),
+                ("http_requests", count(&counters.front.http_requests)),
+                ("queue_depth", Json::from(shared.queue.depth())),
+                ("queue_capacity", Json::from(shared.queue.capacity())),
+                ("worker_served", Json::Array(worker_served)),
+            ]),
+        ),
+        (
+            "clients",
+            Json::Array(
+                shared
+                    .queue
+                    .client_stats()
+                    .into_iter()
+                    .map(|c| {
+                        Json::object([
+                            ("client", Json::from(c.client)),
+                            ("weight", Json::from(u64::from(c.weight))),
+                            ("pending", Json::from(c.pending)),
+                            ("admitted", Json::from(c.admitted)),
+                            ("served", Json::from(c.served)),
+                            ("shed", Json::from(c.shed)),
+                            ("rate_limited", Json::from(c.rate_limited)),
+                        ])
+                    })
+                    .collect(),
             ),
-            (
-                "server",
-                Json::object([
-                    ("workers", Json::from(shared.worker_served.len())),
-                    (
-                        "connections",
-                        Json::from(counters.connections.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "requests",
-                        Json::from(counters.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "completed",
-                        Json::from(counters.completed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "rejected",
-                        Json::from(counters.rejected.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "malformed",
-                        Json::from(counters.malformed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "legacy_requests",
-                        Json::from(counters.legacy_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "rate_limited",
-                        Json::from(counters.rate_limited.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deadline_exceeded",
-                        Json::from(counters.deadline_exceeded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "http_requests",
-                        Json::from(counters.http_requests.load(Ordering::Relaxed)),
-                    ),
-                    ("queue_depth", Json::from(shared.queue.depth())),
-                    ("queue_capacity", Json::from(shared.queue.capacity())),
-                    ("worker_served", Json::Array(worker_served)),
-                ]),
-            ),
-            (
-                "clients",
-                Json::Array(
-                    shared
-                        .queue
-                        .client_stats()
-                        .into_iter()
-                        .map(|c| {
-                            Json::object([
-                                ("client", Json::from(c.client)),
-                                ("weight", Json::from(u64::from(c.weight))),
-                                ("pending", Json::from(c.pending)),
-                                ("admitted", Json::from(c.admitted)),
-                                ("served", Json::from(c.served)),
-                                ("shed", Json::from(c.shed)),
-                                ("rate_limited", Json::from(c.rate_limited)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("graphs", Json::Array(graphs)),
-        ],
-        id,
-    )
+        ),
+        ("graphs", Json::Array(graphs)),
+    ])
 }

@@ -744,6 +744,137 @@ fn http_gateway_round_trip() {
     handle.join();
 }
 
+/// One logical request, two framings: the NDJSON line and the HTTP
+/// route + headers + body are parsed by the same envelope rules and
+/// cross the same `Service::call`, so they must agree on every
+/// verdict — same `code` and `retryable` on failure (with the HTTP
+/// status that code maps to), same result members on success.
+#[test]
+fn ndjson_and_http_framings_of_one_request_answer_alike() {
+    use gms_serve::{ApiError, ClientBuilder};
+
+    struct Case {
+        what: &'static str,
+        /// The NDJSON framing: one request line.
+        line: String,
+        /// The HTTP framing: `X-Gms-*` headers (via the builder),
+        /// path and body.
+        headers: ClientBuilder,
+        path: &'static str,
+        body: String,
+        /// Members a success must agree on; empty = expect an error.
+        same: &'static [&'static str],
+    }
+    let case = |what, line: &str, path, body: &str, same| Case {
+        what,
+        line: line.to_string(),
+        headers: ClientBuilder::new(),
+        path,
+        body: body.to_string(),
+        same,
+    };
+
+    let (handle, mut ndjson) = start(2, 16);
+    let load = r#""graph":"g","format":"edge-list","data":"0 1\n1 2\n2 0\n2 3\n""#;
+    let run_g = r#"{"kernel":"triangle-count"}"#;
+    let cases = vec![
+        case(
+            "load",
+            &format!(r#"{{"op":"load",{load}}}"#),
+            "/v1/graphs",
+            &format!("{{{load}}}"),
+            &["graph", "vertices", "edges", "fingerprint", "compression"],
+        ),
+        case(
+            "run",
+            r#"{"op":"run","kernel":"k-clique","graph":"g","params":{"k":3}}"#,
+            "/v1/graphs/g/run",
+            r#"{"kernel":"k-clique","params":{"k":3}}"#,
+            &["kernel", "graph", "patterns"],
+        ),
+        case(
+            "mutate",
+            r#"{"op":"add_edges","graph":"g","edges":[[0,3]]}"#,
+            "/v1/graphs/g/mutate",
+            r#"{"add":[[0,3]]}"#,
+            &["graph", "fingerprint", "version", "vertices", "edges"],
+        ),
+        case(
+            "unknown graph",
+            r#"{"op":"run","kernel":"triangle-count","graph":"nope"}"#,
+            "/v1/graphs/nope/run",
+            run_g,
+            &[],
+        ),
+        Case {
+            headers: ClientBuilder::new().deadline_ms(0),
+            ..case(
+                "bad deadline",
+                r#"{"op":"run","kernel":"triangle-count","graph":"g","deadline_ms":0}"#,
+                "/v1/graphs/g/run",
+                run_g,
+                &[],
+            )
+        },
+        Case {
+            headers: ClientBuilder::new().weight(4096),
+            ..case(
+                "bad weight",
+                r#"{"op":"run","kernel":"triangle-count","graph":"g","weight":4096}"#,
+                "/v1/graphs/g/run",
+                run_g,
+                &[],
+            )
+        },
+        case(
+            "malformed edge",
+            r#"{"op":"add_edges","graph":"g","edges":[[0,-1]]}"#,
+            "/v1/graphs/g/mutate",
+            r#"{"add":[[0,-1]]}"#,
+            &[],
+        ),
+    ];
+    for Case {
+        what,
+        line,
+        headers,
+        path,
+        body,
+        same,
+    } in cases
+    {
+        let over_line = ndjson.request_raw(&line).unwrap();
+        let over_http = headers
+            .connect_http(handle.addr())
+            .unwrap()
+            .post(path, &Json::parse(&body).unwrap())
+            .unwrap();
+        let http_body = over_http.json().unwrap();
+        assert_eq!(over_line.get("ok"), http_body.get("ok"), "{what}");
+        if same.is_empty() {
+            let line_error = ApiError::from_json(over_line.get("error").expect(what));
+            let http_error = over_http.error().expect(what);
+            assert_eq!(line_error.code, http_error.code, "{what}");
+            assert_eq!(line_error.retryable(), http_error.retryable(), "{what}");
+            assert_eq!(over_http.status, line_error.code.http_status(), "{what}");
+        } else {
+            assert_ok(&over_line);
+            assert_eq!(over_http.status, 200, "{what}");
+            for member in same {
+                assert!(over_line.get(member).is_some(), "{what}: {member}");
+                assert_eq!(
+                    over_line.get(member),
+                    http_body.get(member),
+                    "{what}: {member}"
+                );
+            }
+        }
+    }
+
+    ndjson.shutdown().unwrap();
+    handle.join();
+}
+
 /// Acceptance: a streamed clique listing whose payload exceeds the
 /// page limit arrives in at least two data chunks, each a complete
 /// JSON line, with the totals announced up front.
@@ -949,30 +1080,48 @@ fn pipelined_http_requests_are_both_answered() {
 
 /// Acceptance: an over-deadline Bron-Kerbosch run on a large graph
 /// answers a typed `deadline-exceeded` in under 2x the deadline, and
-/// the worker it ran on is freed for the next request.
+/// the worker it ran on is freed for the next request. The graph and
+/// the deadline are calibrated first, so "large" and "over-deadline"
+/// hold on whatever machine and build profile runs the test.
 #[test]
 fn deadline_expiry_mid_kernel_returns_typed_error_and_frees_the_worker() {
-    use gms_serve::{ClientBuilder, ErrorCode};
+    use gms_serve::{response_or_error, ClientBuilder, ErrorCode};
     use std::time::{Duration, Instant};
 
     let (handle, mut loader) = start(1, 8);
-    // Dense enough that maximal-clique listing takes far longer than
-    // the deadline; cancellation must cut it short from inside the
-    // kernel's hot loop.
-    let graph = gms_gen::gnp(1200, 0.08, 7);
-    let loaded = loader
-        .load_inline("big", "edge-list", &edge_list(&graph))
-        .unwrap();
-    assert_ok(&loaded);
+    // Calibrate: grow a dense graph until one full maximal-clique
+    // listing takes long enough here that a quarter of it is still a
+    // deadline well above scheduling noise.
+    let mut vertices = 1200;
+    let full = loop {
+        let graph = gms_gen::gnp(vertices, 0.08, 7);
+        let loaded = loader
+            .load_inline("big", "edge-list", &edge_list(&graph))
+            .unwrap();
+        assert_ok(&loaded);
+        let started = Instant::now();
+        assert_ok(&loader.run("bk", "big", &[]).unwrap());
+        let full = started.elapsed();
+        if full >= Duration::from_millis(800) {
+            break full;
+        }
+        vertices += vertices / 2;
+    };
 
-    let deadline = Duration::from_millis(500);
+    // The kernel outlasts this deadline fourfold; cancellation must
+    // cut it short from inside its hot loop. A parameter override
+    // keeps the run off the calibration run's cache line.
+    let deadline = full / 4;
     let mut client = ClientBuilder::new()
         .deadline_ms(deadline.as_millis() as u64)
         .connect(handle.addr())
         .unwrap();
     let started = Instant::now();
-    let error = client.run_kernel("bk", "big", &[]).unwrap_err();
+    let reply = client
+        .run("bk", "big", &[("par-depth", Json::Int(3))])
+        .unwrap();
     let elapsed = started.elapsed();
+    let error = response_or_error(reply).unwrap_err();
     assert_eq!(error.code, ErrorCode::DeadlineExceeded);
     assert!(error.retryable());
     assert!(
@@ -1028,7 +1177,7 @@ fn a_negative_eps_is_a_typed_error_and_the_worker_survives() {
 /// `stats`.
 #[test]
 fn rate_limited_client_gets_429_while_second_client_proceeds() {
-    use gms_serve::{ClientBuilder, ErrorCode, RateLimit};
+    use gms_serve::{response_or_error, ClientBuilder, ErrorCode, RateLimit};
 
     let handle = Server::start(ServeConfig {
         rate_limit: Some(RateLimit {
@@ -1048,8 +1197,10 @@ fn rate_limited_client_gets_429_while_second_client_proceeds() {
         .client_name("alice")
         .connect(handle.addr())
         .unwrap();
-    alice.run_kernel("triangle-count", "g", &[]).unwrap();
-    let refused = alice.run_kernel("triangle-count", "g", &[]).unwrap_err();
+    let run_as =
+        |client: &mut Client| response_or_error(client.run("triangle-count", "g", &[]).unwrap());
+    run_as(&mut alice).unwrap();
+    let refused = run_as(&mut alice).unwrap_err();
     assert_eq!(refused.code, ErrorCode::RateLimited);
     assert!(refused.retryable());
 
@@ -1058,7 +1209,7 @@ fn rate_limited_client_gets_429_while_second_client_proceeds() {
         .client_name("bob")
         .connect(handle.addr())
         .unwrap();
-    bob.run_kernel("triangle-count", "g", &[]).unwrap();
+    run_as(&mut bob).unwrap();
 
     // The same identity over HTTP shares the same drained bucket.
     let http = ClientBuilder::new()

@@ -11,8 +11,8 @@
 //! forks two local `gms-serve` children and fronts them on one
 //! address, speaking the unchanged `gms-serve` protocol.
 
-use gms::prelude::{Router, RouterConfig};
-use gms::serve::{Client, Json, ServeConfig, Server};
+use gms::prelude::{Params, Router, RouterConfig};
+use gms::serve::{Client, Envelope, Json, Request, RunSpec, ServeConfig, Server};
 
 fn edge_list(graph: &gms::core::CsrGraph) -> String {
     let mut text = Vec::new();
@@ -51,23 +51,14 @@ fn main() -> std::io::Result<()> {
     // One batch over all four graphs: the router scatters it by
     // ownership, the shards mine their slices concurrently, and the
     // results come back in request order.
-    let batch = Json::object([
-        ("op", Json::from("batch")),
-        (
-            "requests",
-            Json::Array(
-                (0..4)
-                    .map(|i| {
-                        Json::object([
-                            ("op", Json::from("run")),
-                            ("kernel", Json::from("triangle-count")),
-                            ("graph", Json::from(format!("g{i}"))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let items = (0..4)
+        .map(|i| RunSpec {
+            kernel: "triangle-count".to_string(),
+            graph: format!("g{i}"),
+            params: Params::new(),
+        })
+        .collect();
+    let batch = Envelope::new(Request::Batch(items)).to_json();
     let response = client.request(&batch)?;
     let results = response.get("results").and_then(Json::as_array).unwrap();
     for (i, result) in results.iter().enumerate() {

@@ -230,6 +230,153 @@ fn facade_serves_over_tcp() {
     handle.join();
 }
 
+/// Strategies for the request model: every op, all four scalar
+/// parameter kinds (floats include integral ones like `2.0`, which
+/// must not come back as integers), edge batches, and the shared
+/// envelope members.
+mod envelopes {
+    use gms::platform::kernel::{Params, Value};
+    use gms::serve::{
+        Envelope, Json, LoadCompression, LoadFormat, LoadSource, LoadSpec, MutateSpec, Request,
+        RunSpec,
+    };
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Text that exercises JSON string escaping; `min` 1 for members
+    /// that must not be empty.
+    fn text(min: usize) -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 10] = ['a', 'Z', '7', '-', ' ', '"', '\\', '\n', '\u{1}', 'é'];
+        vec(0usize..ALPHABET.len(), min..9)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (-1_000_000i64..1_000_000).prop_map(Value::Int),
+            prop_oneof![
+                Just(2.0),
+                Just(-0.0),
+                Just(0.1),
+                Just(1e300),
+                (0u32..4096).prop_map(|x| f64::from(x) / 8.0 - 100.0),
+            ]
+            .prop_map(Value::Float),
+            (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+            text(0).prop_map(Value::Str),
+        ]
+    }
+
+    fn run_spec() -> impl Strategy<Value = RunSpec> {
+        (text(0), text(0), vec((text(1), value()), 0..5)).prop_map(|(kernel, graph, overrides)| {
+            let mut params = Params::new();
+            for (name, value) in overrides {
+                params.set(&name, value);
+            }
+            RunSpec {
+                kernel,
+                graph,
+                params,
+            }
+        })
+    }
+
+    fn load_spec() -> impl Strategy<Value = LoadSpec> {
+        // (format, inline?) — gcsr is path-only on the wire.
+        let shape = prop_oneof![
+            Just((LoadFormat::EdgeList, true)),
+            Just((LoadFormat::EdgeList, false)),
+            Just((LoadFormat::Metis, true)),
+            Just((LoadFormat::Metis, false)),
+            Just((LoadFormat::Gcsr, false)),
+        ];
+        (text(0), shape, text(0), 0u8..2).prop_map(|(name, (format, inline), content, gap)| {
+            LoadSpec {
+                name,
+                format,
+                source: if inline {
+                    LoadSource::Data(content)
+                } else {
+                    LoadSource::Path(content)
+                },
+                compression: if gap == 1 {
+                    LoadCompression::Gap
+                } else {
+                    LoadCompression::None
+                },
+            }
+        })
+    }
+
+    fn request() -> impl Strategy<Value = Request> {
+        let edges = vec((0u32..u32::MAX, 0u32..u32::MAX), 0..6);
+        prop_oneof![
+            Just(Request::Health),
+            Just(Request::Kernels),
+            Just(Request::Stats),
+            Just(Request::Shutdown),
+            load_spec().prop_map(Request::Load),
+            // One op per line: an NDJSON mutation fills one side.
+            (text(0), edges, 0u8..2).prop_map(|(graph, edges, side)| {
+                let (add, remove) = if side == 0 {
+                    (edges, Vec::new())
+                } else {
+                    (Vec::new(), edges)
+                };
+                Request::Mutate(MutateSpec { graph, add, remove })
+            }),
+            run_spec().prop_map(Request::Run),
+            vec(run_spec(), 0..4).prop_map(Request::Batch),
+        ]
+    }
+
+    fn optional<S>(some: S) -> impl Strategy<Value = Option<S::Value>>
+    where
+        S: Strategy + 'static,
+        S::Value: Clone + 'static,
+    {
+        prop_oneof![Just(None), some.prop_map(Some)]
+    }
+
+    pub fn envelope() -> impl Strategy<Value = Envelope> {
+        let id = prop_oneof![
+            (0i64..1_000_000).prop_map(Json::Int),
+            text(0).prop_map(Json::Str)
+        ];
+        let admission = (
+            optional(1u64..10_000_000),
+            optional(text(1)),
+            1u32..1025,
+            0u8..2,
+        );
+        (request(), optional(id), admission).prop_map(
+            |(request, id, (deadline_ms, client, weight, redirect))| Envelope {
+                id,
+                deadline_ms,
+                client,
+                weight,
+                redirect: redirect == 1,
+                ..Envelope::new(request)
+            },
+        )
+    }
+}
+
+// The request renderer is the parser's inverse: whatever the
+// `Client` helpers or the router's forwarding render, a server reads
+// back as the same request.
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn envelope_rendering_round_trips_through_the_parser(envelope in envelopes::envelope()) {
+        let line = envelope.to_json().render();
+        let parsed = gms::serve::protocol::parse_envelope(&line)
+            .unwrap_or_else(|(e, _)| panic!("{e}: {line}"));
+        proptest::prop_assert_eq!(parsed, envelope, "{}", line);
+    }
+}
+
 /// Placement is a pure function of (fleet membership, graph
 /// content): the same graph built twice fingerprints identically,
 /// and two independently constructed rings over the same fleet agree
