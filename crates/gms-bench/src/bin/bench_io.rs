@@ -14,7 +14,7 @@
 //! ```
 
 use gms_core::{CsrGraph, Graph};
-use gms_graph::io;
+use gms_graph::io::{self, GraphFormat, GraphSource};
 use gms_platform::kernel::{fingerprint, Params, Session};
 use std::path::Path;
 use std::time::Instant;
@@ -126,11 +126,15 @@ fn main() {
     // Service-layer smoke: snapshot → mmap load → kernel run, then
     // the same graph as an edge list must be served from the cache.
     let mut session = Session::new();
-    let from_snapshot = session.load_snapshot(dir.join("g.gcsr")).unwrap();
+    let from_snapshot = session
+        .load(GraphFormat::Gcsr, GraphSource::Path(&dir.join("g.gcsr")))
+        .unwrap();
     let miss = session
         .run("triangle-count", from_snapshot, &Params::new())
         .unwrap();
-    let from_text = session.load_edge_list(dir.join("g.el")).unwrap();
+    let from_text = session
+        .load(GraphFormat::EdgeList, GraphSource::Path(&dir.join("g.el")))
+        .unwrap();
     let hit = session
         .run("triangle-count", from_text, &Params::new())
         .unwrap();

@@ -13,6 +13,13 @@
 //! | METIS | [`metis`] | header + 1-indexed adjacency lines | DIMACS / METIS / KaHIP ecosystems |
 //! | `.gcsr` snapshot | [`snapshot`] | versioned, checksummed binary CSR | this suite's own save path |
 //!
+//! [`load_graph`] is the one entry point the platform, the server and
+//! the router load through: a [`GraphFormat`] and a path-or-text
+//! [`GraphSource`] in, a [`GraphStore`] out — in
+//! the representation the source stored. The per-format functions
+//! below it stay public for callers that hold a reader or want a
+//! plain CSR.
+//!
 //! Text loaders stream line by line over any [`std::io::BufRead`]
 //! source (a multi-gigabyte dump is never materialized as one
 //! `String`); the binary snapshot has both a copying reader and an
@@ -103,9 +110,83 @@ pub use metis::{
 pub use snapshot::{
     load_snapshot, load_snapshot_auto, read_snapshot, read_snapshot_auto, save_snapshot,
     save_snapshot_compressed, section_checksum, write_snapshot, write_snapshot_compressed,
-    MmapSnapshot, SnapshotGraph, SnapshotNeighbors, GCSR_FLAG_REORDERED, GCSR_HEADER_BYTES,
-    GCSR_MAGIC, GCSR_SCHEME_GAP, GCSR_V2_HEADER_BYTES, GCSR_VERSION, GCSR_VERSION_COMPRESSED,
+    MmapSnapshot, SnapshotNeighbors, GCSR_FLAG_REORDERED, GCSR_HEADER_BYTES, GCSR_MAGIC,
+    GCSR_SCHEME_GAP, GCSR_V2_HEADER_BYTES, GCSR_VERSION, GCSR_VERSION_COMPRESSED,
 };
+
+use crate::GraphStore;
+use std::path::Path;
+
+/// The on-disk graph formats [`load_graph`] reads (and the `load`
+/// endpoint of the serving protocol names).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GraphFormat {
+    /// SNAP-style whitespace-separated edge list.
+    EdgeList,
+    /// METIS adjacency format.
+    Metis,
+    /// `.gcsr` binary CSR snapshot (path only — the binary format
+    /// does not survive a text channel).
+    Gcsr,
+}
+
+impl GraphFormat {
+    /// The format a spelling names, if any.
+    pub fn parse(s: &str) -> Option<Self> {
+        [GraphFormat::EdgeList, GraphFormat::Metis, GraphFormat::Gcsr]
+            .into_iter()
+            .find(|format| format.as_str() == s)
+    }
+
+    /// The spelling (`"edge-list"`, `"metis"`, `"gcsr"`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            GraphFormat::EdgeList => "edge-list",
+            GraphFormat::Metis => "metis",
+            GraphFormat::Gcsr => "gcsr",
+        }
+    }
+}
+
+/// Where [`load_graph`] reads from.
+#[derive(Clone, Copy, Debug)]
+pub enum GraphSource<'a> {
+    /// A file on the local filesystem.
+    Path(&'a Path),
+    /// The graph text itself, already in memory.
+    Text(&'a str),
+}
+
+/// The one loader: reads `source` as `format` into the representation
+/// the source stored — the text formats and a v1 `.gcsr` materialize
+/// CSR arrays, a v2 `.gcsr` stays compressed — with the same content
+/// fingerprint whichever way the graph arrives. A `.gcsr` snapshot is
+/// binary and has no inline form: asking for one as
+/// [`GraphSource::Text`] is [`GraphIoCause::Io`] with
+/// [`InvalidInput`](std::io::ErrorKind::InvalidInput).
+pub fn load_graph(
+    format: GraphFormat,
+    source: GraphSource<'_>,
+) -> Result<GraphStore, GraphIoError> {
+    Ok(match (format, source) {
+        (GraphFormat::EdgeList, GraphSource::Path(path)) => GraphStore::Csr(load_undirected(path)?),
+        (GraphFormat::EdgeList, GraphSource::Text(text)) => {
+            GraphStore::Csr(load_undirected_from(text.as_bytes())?)
+        }
+        (GraphFormat::Metis, GraphSource::Path(path)) => GraphStore::Csr(load_metis(path)?),
+        (GraphFormat::Metis, GraphSource::Text(text)) => {
+            GraphStore::Csr(load_metis_from(text.as_bytes())?)
+        }
+        (GraphFormat::Gcsr, GraphSource::Path(path)) => load_snapshot_auto(path)?,
+        (GraphFormat::Gcsr, GraphSource::Text(_)) => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "gcsr is a binary format: load it from a path, not inline text",
+            )
+            .into())
+        }
+    })
+}
 
 /// Why a graph read failed (the cause half of [`GraphIoError`]).
 #[derive(Debug)]

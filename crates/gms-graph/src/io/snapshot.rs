@@ -26,6 +26,7 @@
 use super::{GraphIoCause, GraphIoError};
 use crate::compress::{gap, varint};
 use crate::compressed_csr::{self, CompressedCsr, NbrIndex, SkipIndex, INDEX_BLOCK};
+use crate::GraphStore;
 use gms_core::{CsrGraph, Graph, NodeId};
 use std::io::Write;
 use std::path::Path;
@@ -553,28 +554,6 @@ fn validate_v2(bytes: &[u8]) -> Result<RawSnapshotV2, GraphIoError> {
     })
 }
 
-/// A graph loaded from a snapshot of either version, kept in the
-/// representation the file stored: raw snapshots stay raw, compressed
-/// snapshots stay compressed (serving code decides whether to
-/// materialize).
-#[derive(Debug)]
-pub enum SnapshotGraph {
-    /// A v1 snapshot's plain CSR.
-    Raw(CsrGraph),
-    /// A v2 snapshot's compressed CSR.
-    Compressed(CompressedCsr),
-}
-
-impl SnapshotGraph {
-    /// Materializes a plain CSR whichever variant this is.
-    pub fn into_csr(self) -> CsrGraph {
-        match self {
-            SnapshotGraph::Raw(csr) => csr,
-            SnapshotGraph::Compressed(compressed) => compressed.to_csr(),
-        }
-    }
-}
-
 /// Deserializes a snapshot from an in-memory byte buffer into an
 /// owned [`CsrGraph`], validating everything first; a v2 snapshot is
 /// decompressed. This path decodes field by field and has no
@@ -585,7 +564,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<CsrGraph, GraphIoError> {
 
 /// Deserializes a snapshot of either version, keeping the stored
 /// representation (raw stays raw, compressed stays compressed).
-pub fn read_snapshot_auto(bytes: &[u8]) -> Result<SnapshotGraph, GraphIoError> {
+pub fn read_snapshot_auto(bytes: &[u8]) -> Result<GraphStore, GraphIoError> {
     match validate_any(bytes)? {
         RawBody::Raw(raw) => {
             let offsets_bytes = &bytes[raw.offsets_start..raw.targets_start];
@@ -594,16 +573,16 @@ pub fn read_snapshot_auto(bytes: &[u8]) -> Result<SnapshotGraph, GraphIoError> {
                 .map(|i| u64_at(offsets_bytes, i) as usize)
                 .collect();
             let targets: Vec<NodeId> = (0..raw.arcs).map(|i| u32_at(targets_bytes, i)).collect();
-            Ok(SnapshotGraph::Raw(CsrGraph::from_parts(offsets, targets)))
+            Ok(GraphStore::Csr(CsrGraph::from_parts(offsets, targets)))
         }
-        RawBody::Compressed(raw) => Ok(SnapshotGraph::Compressed(
-            CompressedCsr::from_validated_parts(
+        RawBody::Compressed(raw) => {
+            Ok(GraphStore::Compressed(CompressedCsr::from_validated_parts(
                 raw.index,
                 bytes[raw.payload_start..].to_vec(),
                 raw.arcs,
                 raw.reordered,
-            ),
-        )),
+            )))
+        }
     }
 }
 
@@ -619,7 +598,7 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphIoError> 
 /// keeping the stored representation: a v1 file yields a plain CSR, a
 /// v2 file yields a [`CompressedCsr`] without ever materializing the
 /// raw adjacency.
-pub fn load_snapshot_auto<P: AsRef<Path>>(path: P) -> Result<SnapshotGraph, GraphIoError> {
+pub fn load_snapshot_auto<P: AsRef<Path>>(path: P) -> Result<GraphStore, GraphIoError> {
     Ok(MmapSnapshot::open(path)?.into_graph())
 }
 
@@ -877,16 +856,16 @@ impl MmapSnapshot {
     /// Converts into an owned graph in the representation the file
     /// stored: raw stays raw, compressed stays compressed (one copy of
     /// the payload; the decoded index and skip samples move over).
-    pub fn into_graph(self) -> SnapshotGraph {
+    pub fn into_graph(self) -> GraphStore {
         match self.view {
-            SnapshotView::Raw { .. } => SnapshotGraph::Raw(self.to_csr()),
+            SnapshotView::Raw { .. } => GraphStore::Csr(self.to_csr()),
             SnapshotView::Compressed {
                 index,
                 skips,
                 payload_start,
                 arcs,
                 reordered,
-            } => SnapshotGraph::Compressed(CompressedCsr::assemble(
+            } => GraphStore::Compressed(CompressedCsr::assemble(
                 index,
                 skips,
                 self.map[payload_start..].to_vec(),
@@ -1099,12 +1078,12 @@ mod tests {
         assert_eq!(read_snapshot(&v2_bytes(&g)).unwrap(), g);
         // Auto path keeps the stored representation per version.
         match read_snapshot_auto(&v2_bytes(&g)).unwrap() {
-            SnapshotGraph::Compressed(c) => assert_eq!(c.to_csr(), g),
-            SnapshotGraph::Raw(_) => panic!("v2 must stay compressed"),
+            GraphStore::Compressed(c) => assert_eq!(c.to_csr(), g),
+            GraphStore::Csr(_) => panic!("v2 must stay compressed"),
         }
         match read_snapshot_auto(&snapshot_bytes(&g)).unwrap() {
-            SnapshotGraph::Raw(csr) => assert_eq!(csr, g),
-            SnapshotGraph::Compressed(_) => panic!("v1 must stay raw"),
+            GraphStore::Csr(csr) => assert_eq!(csr, g),
+            GraphStore::Compressed(_) => panic!("v1 must stay raw"),
         }
     }
 
@@ -1135,8 +1114,8 @@ mod tests {
         assert_eq!(snap.to_csr(), g);
         // Consuming conversion keeps the compressed representation.
         match snap.into_graph() {
-            SnapshotGraph::Compressed(c) => assert_eq!(c.to_csr(), g),
-            SnapshotGraph::Raw(_) => panic!("v2 must stay compressed"),
+            GraphStore::Compressed(c) => assert_eq!(c.to_csr(), g),
+            GraphStore::Csr(_) => panic!("v2 must stay compressed"),
         }
         assert_eq!(load_snapshot(&path).unwrap(), g);
         std::fs::remove_file(path).ok();
@@ -1153,8 +1132,8 @@ mod tests {
         let flags = u32::from_le_bytes(buf[12..16].try_into().unwrap());
         assert_eq!(flags, GCSR_FLAG_REORDERED);
         match read_snapshot_auto(&buf).unwrap() {
-            SnapshotGraph::Compressed(c) => assert!(c.is_reordered()),
-            SnapshotGraph::Raw(_) => panic!("v2 must stay compressed"),
+            GraphStore::Compressed(c) => assert!(c.is_reordered()),
+            GraphStore::Csr(_) => panic!("v2 must stay compressed"),
         }
     }
 

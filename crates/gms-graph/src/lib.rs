@@ -4,7 +4,9 @@
 //! (relabeling, rank orientation, induced subgraphs), multi-format
 //! dataset I/O ([`io`]: SNAP edge lists, METIS files, and versioned
 //! `.gcsr` binary CSR snapshots with an mmap-backed zero-copy read
-//! path), and the compression schemes of the paper's storage taxonomy
+//! path), the resident representations a loaded graph is held in
+//! ([`GraphStore`]: raw CSR or gap-compressed, one fingerprint), and
+//! the compression schemes of the paper's storage taxonomy
 //! (Figure 3): varint/gap/run-length/reference encodings, bit packing,
 //! compact offsets, k²-trees, and a compressed CSR that serves the
 //! standard [`Graph`](gms_core::Graph) interface.
@@ -17,6 +19,7 @@ pub mod compress;
 pub mod compressed_csr;
 pub mod io;
 pub mod patch;
+pub mod store;
 pub mod transform;
 pub mod traverse;
 
@@ -24,5 +27,6 @@ pub use adjacency_matrix::AdjacencyMatrix;
 pub use bitpacked_csr::BitPackedCsr;
 pub use compressed_csr::CompressedCsr;
 pub use patch::{patch_csr, EdgeDelta, PatchError};
+pub use store::{fingerprint, fingerprint_graph, GraphStore, GraphView};
 pub use transform::{degrees, induced_subgraph, orient_by_rank, relabel, Rank};
 pub use traverse::{bfs_distances, connected_components, largest_component_size, pseudo_diameter};

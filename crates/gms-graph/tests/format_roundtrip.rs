@@ -10,8 +10,8 @@
 //! hubs, bipartite halves) is caught automatically.
 
 use gms_core::{CsrGraph, Edge, Graph, NodeId};
-use gms_graph::io::{self, SnapshotGraph};
-use gms_graph::CompressedCsr;
+use gms_graph::io;
+use gms_graph::{CompressedCsr, GraphStore};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -54,8 +54,8 @@ fn through_v2_snapshot(g: &CsrGraph, tag: &str) -> CsrGraph {
     let mut buf = Vec::new();
     io::write_snapshot_compressed(&CompressedCsr::from_csr(g), &mut buf).unwrap();
     match io::read_snapshot_auto(&buf).unwrap() {
-        SnapshotGraph::Compressed(c) => c.to_csr(),
-        SnapshotGraph::Raw(_) => panic!("{tag}: v2 snapshot must reload compressed"),
+        GraphStore::Compressed(c) => c.to_csr(),
+        GraphStore::Csr(_) => panic!("{tag}: v2 snapshot must reload compressed"),
     }
 }
 
@@ -177,4 +177,94 @@ fn mmap_view_equals_owned_graph_without_copying_targets() {
         assert_eq!(snap.neighbors_slice(v), g.neighbors_slice(v));
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The one loader's matrix: every format by path, the text formats
+/// also inline, all arriving at one fingerprint — a v1 snapshot
+/// materialized, a v2 snapshot still compressed — and a `.gcsr`
+/// asked for inline refused with a typed error.
+#[test]
+fn load_graph_reaches_one_fingerprint_from_every_format_and_source() {
+    use io::{load_graph, GraphFormat, GraphIoCause, GraphSource};
+    let g = gms_gen::planted_cliques(140, 0.02, 3, 7, 13).0;
+    let want = gms_graph::fingerprint(&g);
+    let dir = std::env::temp_dir().join(format!("gms_load_graph_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut edge_list = Vec::new();
+    io::write_edge_list(&g, &mut edge_list).unwrap();
+    let mut metis = Vec::new();
+    io::write_metis(&g, &mut metis).unwrap();
+    let edge_list = String::from_utf8(edge_list).unwrap();
+    let metis = String::from_utf8(metis).unwrap();
+    std::fs::write(dir.join("g.el"), &edge_list).unwrap();
+    std::fs::write(dir.join("g.metis"), &metis).unwrap();
+    io::save_snapshot(&g, dir.join("v1.gcsr")).unwrap();
+    io::save_snapshot_compressed(&CompressedCsr::from_csr(&g), dir.join("v2.gcsr")).unwrap();
+
+    let (el, me, v1, v2) = (
+        dir.join("g.el"),
+        dir.join("g.metis"),
+        dir.join("v1.gcsr"),
+        dir.join("v2.gcsr"),
+    );
+    for (what, format, source, compressed) in [
+        (
+            "edge-list/path",
+            GraphFormat::EdgeList,
+            GraphSource::Path(&el),
+            false,
+        ),
+        (
+            "edge-list/text",
+            GraphFormat::EdgeList,
+            GraphSource::Text(&edge_list),
+            false,
+        ),
+        (
+            "metis/path",
+            GraphFormat::Metis,
+            GraphSource::Path(&me),
+            false,
+        ),
+        (
+            "metis/text",
+            GraphFormat::Metis,
+            GraphSource::Text(&metis),
+            false,
+        ),
+        (
+            "gcsr v1/path",
+            GraphFormat::Gcsr,
+            GraphSource::Path(&v1),
+            false,
+        ),
+        (
+            "gcsr v2/path",
+            GraphFormat::Gcsr,
+            GraphSource::Path(&v2),
+            true,
+        ),
+    ] {
+        let store = load_graph(format, source).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(store.fingerprint(), want, "{what}: fingerprint");
+        assert_eq!(
+            matches!(store, GraphStore::Compressed(_)),
+            compressed,
+            "{what}: v2 stays compressed, everything else materializes"
+        );
+        assert_eq!(store.into_csr(), g, "{what}: content");
+    }
+
+    let err = load_graph(GraphFormat::Gcsr, GraphSource::Text("GCSR")).unwrap_err();
+    assert_eq!(err.line, None);
+    assert!(
+        matches!(&err.cause, GraphIoCause::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+        "inline gcsr must be a typed refusal: {err:?}"
+    );
+    for format in [GraphFormat::EdgeList, GraphFormat::Metis, GraphFormat::Gcsr] {
+        assert_eq!(GraphFormat::parse(format.as_str()), Some(format));
+    }
+    assert_eq!(GraphFormat::parse("xml"), None);
+    std::fs::remove_dir_all(dir).ok();
 }

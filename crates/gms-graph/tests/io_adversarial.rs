@@ -5,28 +5,60 @@
 //!
 //! Snapshot corruptions are checked through both read paths (the
 //! buffered [`read_snapshot`] and the mmap-backed
-//! [`MmapSnapshot::open`]) so the two validators cannot drift apart.
+//! [`MmapSnapshot::open`]) so the two validators cannot drift apart,
+//! and every corpus entry is also fed to [`load_graph`] — the one
+//! loader the platform, the server and the router call — which must
+//! stop at the same line for the same cause as the per-format
+//! function.
 
 use gms_core::{CsrGraph, Graph};
 use gms_graph::io::{
-    load_metis_from, load_undirected, load_undirected_from, read_edge_list, read_snapshot,
-    section_checksum, write_snapshot, write_snapshot_compressed, GraphIoCause, GraphIoError,
-    MmapSnapshot, GCSR_HEADER_BYTES, GCSR_V2_HEADER_BYTES, GCSR_VERSION, GCSR_VERSION_COMPRESSED,
+    load_graph, load_metis_from, load_undirected, load_undirected_from, read_edge_list,
+    read_snapshot, section_checksum, write_snapshot, write_snapshot_compressed, GraphFormat,
+    GraphIoCause, GraphIoError, GraphSource, MmapSnapshot, GCSR_HEADER_BYTES, GCSR_V2_HEADER_BYTES,
+    GCSR_VERSION, GCSR_VERSION_COMPRESSED,
 };
 use gms_graph::CompressedCsr;
+use std::path::Path;
+
+/// `load_graph` must fail exactly like the per-format entry point
+/// did: same line, same cause (by discriminant).
+fn assert_same_through_load_graph(
+    direct: &GraphIoError,
+    format: GraphFormat,
+    source: GraphSource<'_>,
+) {
+    let unified = load_graph(format, source).unwrap_err();
+    assert_eq!(unified.line, direct.line, "{format:?}: {unified:?}");
+    assert_eq!(
+        std::mem::discriminant(&unified.cause),
+        std::mem::discriminant(&direct.cause),
+        "{format:?}: load_graph says {unified:?}, the format's own loader {direct:?}"
+    );
+}
+
+fn edge_list_err(text: &str) -> GraphIoError {
+    let err = read_edge_list(text.as_bytes()).unwrap_err();
+    assert_same_through_load_graph(&err, GraphFormat::EdgeList, GraphSource::Text(text));
+    err
+}
 
 // ---------------------------------------------------------------- edge list
 
 #[test]
 fn edge_list_io_error_has_no_line() {
-    let err = load_undirected("/definitely/not/a/path.el").unwrap_err();
+    let missing = "/definitely/not/a/path.el";
+    let err = load_undirected(missing).unwrap_err();
     assert_eq!(err.line, None);
     assert!(matches!(err.cause, GraphIoCause::Io(_)));
+    for format in [GraphFormat::EdgeList, GraphFormat::Metis, GraphFormat::Gcsr] {
+        assert_same_through_load_graph(&err, format, GraphSource::Path(Path::new(missing)));
+    }
 }
 
 #[test]
 fn edge_list_missing_endpoint_mid_file() {
-    let err = read_edge_list("0 1\n1 2\n3\n".as_bytes()).unwrap_err();
+    let err = edge_list_err("0 1\n1 2\n3\n");
     assert_eq!(err.line, Some(3));
     assert!(matches!(err.cause, GraphIoCause::MissingEndpoint));
 }
@@ -38,7 +70,7 @@ fn edge_list_non_numeric_tokens() {
         ("0 1\n1 two\n", 2, "two"),
         ("0 1\n\n# c\n-3 4\n", 4, "-3"),
     ] {
-        let err = read_edge_list(text.as_bytes()).unwrap_err();
+        let err = edge_list_err(text);
         assert_eq!(err.line, Some(line), "{text:?}");
         match err.cause {
             GraphIoCause::InvalidVertexId(field) => assert_eq!(field, bad),
@@ -50,7 +82,9 @@ fn edge_list_non_numeric_tokens() {
 // -------------------------------------------------------------------- METIS
 
 fn metis_err(text: &str) -> GraphIoError {
-    load_metis_from(text.as_bytes()).unwrap_err()
+    let err = load_metis_from(text.as_bytes()).unwrap_err();
+    assert_same_through_load_graph(&err, GraphFormat::Metis, GraphSource::Text(text));
+    err
 }
 
 #[test]
@@ -227,6 +261,7 @@ fn snapshot_err(bytes: &[u8], what: &str) -> GraphIoError {
     ));
     std::fs::write(&path, bytes).unwrap();
     let mapped = MmapSnapshot::open(&path).unwrap_err();
+    assert_same_through_load_graph(&mapped, GraphFormat::Gcsr, GraphSource::Path(&path));
     std::fs::remove_file(&path).ok();
     assert_eq!(
         std::mem::discriminant(&buffered.cause),

@@ -189,14 +189,15 @@ mod tests {
 
     /// A `.gcsr` v2 file written and loaded back through the mmap path.
     fn through_mmap(compressed: &CompressedCsr, name: &str) -> CompressedCsr {
-        use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed, SnapshotGraph};
+        use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed};
+        use gms_graph::GraphStore;
         let path = std::env::temp_dir().join(format!("gms_tri_{}_{name}.gcsr", std::process::id()));
         save_snapshot_compressed(compressed, &path).unwrap();
         let loaded = load_snapshot_auto(&path).unwrap();
         std::fs::remove_file(&path).ok();
         match loaded {
-            SnapshotGraph::Compressed(c) => c,
-            SnapshotGraph::Raw(_) => panic!("v2 must stay compressed"),
+            GraphStore::Compressed(c) => c,
+            GraphStore::Csr(_) => panic!("v2 must stay compressed"),
         }
     }
 

@@ -4,8 +4,9 @@
 //! session cache and itself, and the remaining unique jobs fan out
 //! as stealable tasks on a sized rayon pool.
 
+use super::resident::KeyedRun;
 use super::session::{GraphHandle, Session};
-use super::{execute, CancelToken, KernelError, Outcome, Params, RunCx};
+use super::{CancelToken, KernelError, Outcome, Params};
 use rayon::prelude::*;
 
 /// One kernel request inside a batch.
@@ -83,21 +84,32 @@ impl BatchRunner {
             Ready(Result<Outcome, KernelError>),
             Job { index: usize, duplicate: bool },
         }
-        let mut jobs: Vec<(super::cache::CacheKey, &BatchRequest)> = Vec::new();
+        let Session {
+            engine,
+            graphs,
+            stats,
+            owner,
+        } = session;
+        let mut jobs: Vec<KeyedRun<'_>> = Vec::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
         for request in requests {
-            match session.cache_key(&request.kernel, request.graph, &request.params) {
+            let keyed = graphs
+                .get(request.graph.0)
+                .ok_or(KernelError::InvalidHandle)
+                .and_then(|resident| engine.key(resident, &request.kernel, &request.params));
+            match keyed {
                 Err(e) => slots.push(Slot::Ready(Err(e))),
-                Ok(key) => {
-                    if let Some(hit) = session.cache_get(&key) {
+                Ok(keyed) => {
+                    if let Some(hit) = engine.cache.get(&keyed.key, *owner) {
+                        stats.note(true);
                         slots.push(Slot::Ready(Ok(hit)));
-                    } else if let Some(index) = jobs.iter().position(|(k, _)| *k == key) {
+                    } else if let Some(index) = jobs.iter().position(|j| j.key == keyed.key) {
                         slots.push(Slot::Job {
                             index,
                             duplicate: true,
                         });
                     } else {
-                        jobs.push((key, request));
+                        jobs.push(keyed);
                         slots.push(Slot::Job {
                             index: jobs.len() - 1,
                             duplicate: false,
@@ -107,14 +119,11 @@ impl BatchRunner {
             }
         }
 
-        // Phase 2 (parallel): the unique misses fan out on the pool.
-        // Kernels only need `&Session` (graphs + registry); each job
-        // goes through the shared cache's single-flight entry point,
-        // which inserts fresh outcomes itself and coalesces with any
-        // identical request another session has in flight.
-        let owner = session.owner_tag();
-        let cache = session.shared_cache();
-        let frozen: &Session = session;
+        // Phase 2 (parallel): the unique misses fan out on the pool,
+        // each through the same `Engine::run` a single request takes:
+        // the shared cache's single-flight entry point inserts fresh
+        // outcomes itself and coalesces with any identical request
+        // another session has in flight.
         let mut builder = rayon::ThreadPoolBuilder::new();
         if self.threads > 0 {
             builder = builder.num_threads(self.threads);
@@ -122,22 +131,14 @@ impl BatchRunner {
         let pool = builder.build().expect("batch pool");
         let computed: Vec<Result<Outcome, KernelError>> = pool.install(|| {
             jobs.par_iter()
-                .map(|(key, request)| {
-                    let kernel = frozen
-                        .registry()
-                        .get(&request.kernel)
-                        .expect("validated kernel name");
-                    let view = frozen.store(request.graph)?.view();
-                    let cx = RunCx::new(view, &request.params).with_cancel(cancel);
-                    cache.run_or_wait(key, owner, || execute(kernel, &cx))
-                })
+                .map(|job| engine.run(job, cancel, *owner))
                 .collect()
         });
 
         // Phase 3 (sequential): fold the unique jobs into this
         // session's stats and assemble responses in request order.
         for outcome in computed.iter().flatten() {
-            session.note_outcome(outcome.cached);
+            stats.note(outcome.cached);
         }
         slots
             .into_iter()
@@ -188,6 +189,40 @@ mod tests {
             .run("k-clique", g, &Params::new().with("k", 3))
             .unwrap();
         assert!(hit.cached);
+    }
+
+    #[test]
+    fn batch_and_single_requests_build_bit_identical_cache_keys() {
+        // Both go through `Engine::key`; pin it so the two cannot
+        // drift apart again: defaults omitted vs spelled out, raw vs
+        // compressed residents, one request per path.
+        let graph = gms_gen::planted_cliques(100, 0.03, 2, 5, 3).0;
+        let requests = |raw, gap| {
+            vec![
+                BatchRequest::new("triangle-count", raw, Params::new()),
+                BatchRequest::new("k-clique", gap, Params::new().with("k", 4)),
+                BatchRequest::new("k-clique", raw, Params::new().with("k", 3)),
+                BatchRequest::new("bk", gap, Params::new().with("ordering", "adg")),
+            ]
+        };
+        let mut batched = Session::new();
+        let raw = batched.add_graph(graph.clone());
+        let gap = batched.add_compressed(gms_graph::CompressedCsr::from_csr(&graph));
+        for result in BatchRunner::new(2).run(&mut batched, &requests(raw, gap)) {
+            result.unwrap();
+        }
+
+        let mut single = Session::new();
+        let raw = single.add_graph(graph.clone());
+        let gap = single.add_compressed(gms_graph::CompressedCsr::from_csr(&graph));
+        for request in requests(raw, gap) {
+            single
+                .run(&request.kernel, request.graph, &request.params)
+                .unwrap();
+        }
+        let keys = batched.engine.cache.keys();
+        assert_eq!(keys.len(), 4);
+        assert_eq!(keys, single.engine.cache.keys());
     }
 
     #[test]

@@ -445,6 +445,15 @@ impl ResultCache {
         stats
     }
 
+    /// Every key currently cached, sorted — for tests that pin which
+    /// keys a code path produced.
+    #[cfg(test)]
+    pub(super) fn keys(&self) -> Vec<CacheKey> {
+        let mut keys: Vec<CacheKey> = self.lock().entries.keys().cloned().collect();
+        keys.sort_by(|a, b| (a.kernel, &a.params).cmp(&(b.kernel, &b.params)));
+        keys
+    }
+
     /// Resizes the cache; shrinking evicts least-recently-used
     /// entries down to the new capacity.
     pub fn set_capacity(&self, capacity: usize) {

@@ -7,9 +7,12 @@
 //! delta can reach their result ([`DeltaSensitivity`]), and for the
 //! declared-local ones an [`EdgeDelta`] is enough to either prove the
 //! entry unaffected or maintain it incrementally
-//! ([`Kernel::run_delta`]). [`apply_mutation`] is the one mutation
-//! sequence; the policy inside it turns those declarations into
-//! per-entry [`MigrationDecision`](super::MigrationDecision)s for
+//! ([`Kernel::run_delta`]). The one mutation sequence is
+//! [`Engine::mutate`](super::Engine::mutate) (patch → fingerprint →
+//! migrate → next [`Resident`](super::Resident)); this module holds
+//! the vocabulary it speaks and the policy it calls —
+//! `migrate_for_delta` turns the declarations into per-entry
+//! [`MigrationDecision`](super::MigrationDecision)s for
 //! [`ResultCache::migrate_fingerprint`]:
 //!
 //! * [`DeltaSensitivity::VertexCount`] — edge mutations cannot touch
@@ -29,10 +32,10 @@
 //! [`Session::remove_edges`]: super::Session::remove_edges
 //! [`Kernel::run_delta`]: super::Kernel::run_delta
 
-use super::cache::{MigrationDecision, MigrationStats, ResultCache};
-use super::{GraphStore, KernelError, Params, Registry};
-use gms_core::{CsrGraph, Edge, Graph};
-use gms_graph::{patch_csr, CompressedCsr, EdgeDelta};
+use super::cache::{MigrationDecision, MigrationStats};
+use super::{Engine, Params};
+use gms_core::{CsrGraph, Graph};
+use gms_graph::EdgeDelta;
 
 /// How a kernel's result depends on structural deltas — each
 /// [`Kernel`] declares one via [`Kernel::delta_sensitivity`]. The
@@ -123,101 +126,26 @@ pub struct MutationOutcome {
     pub cache: MigrationStats,
 }
 
-/// The one edge-mutation sequence, shared by [`Session::mutate_edges`]
-/// (which documents the semantics) and the `gms-serve` worker: patch
-/// the resident with `(E \ remove) ∪ add` and — unless every requested
-/// change already held — fingerprint the new content, migrate the old
-/// content's cached outcomes to it and rebuild the resident in the
-/// representation it had. Returns the store to swap in (`None` for a
-/// no-op batch, whose outcome repeats the current `fingerprint` and
-/// `lineage`) and the outcome.
-///
-/// `still_referenced` says the old content is reachable through
-/// another handle or name, so its cache entries stay where they are.
-/// A raw resident is patched from a borrow; only a compressed one is
-/// decoded first.
-///
-/// [`Session::mutate_edges`]: super::Session::mutate_edges
-#[allow(clippy::too_many_arguments)]
-pub fn apply_mutation(
-    store: &GraphStore,
-    fingerprint: u64,
-    lineage: GraphLineage,
-    add: &[Edge],
-    remove: &[Edge],
-    cache: &ResultCache,
-    registry: &Registry,
-    still_referenced: bool,
-) -> Result<(Option<GraphStore>, MutationOutcome), KernelError> {
-    let decoded;
-    let old_csr = match store {
-        GraphStore::Csr(graph) => graph,
-        GraphStore::Compressed(graph) => {
-            decoded = graph.to_csr();
-            &decoded
-        }
-    };
-    let (new_csr, delta) =
-        patch_csr(old_csr, add, remove).map_err(|e| KernelError::BadMutation {
-            message: e.to_string(),
-        })?;
-    let mut outcome = MutationOutcome {
-        fingerprint,
-        base_fingerprint: lineage.base_fingerprint,
-        version: lineage.version,
-        added: delta.added.len(),
-        removed: delta.removed.len(),
-        touched: delta.touched.len(),
-        vertices: new_csr.num_vertices(),
-        edges: new_csr.num_arcs() / 2,
-        cache: MigrationStats::default(),
-    };
-    if delta.is_empty() {
-        // Every requested change already held: same content, same
-        // fingerprint, no version bump, nothing to migrate.
-        return Ok((None, outcome));
-    }
-    outcome.fingerprint = super::fingerprint(&new_csr);
-    outcome.version += 1;
-    if !still_referenced {
-        outcome.cache = migrate_for_delta(
-            cache,
-            registry,
-            old_csr,
-            &new_csr,
-            fingerprint,
-            outcome.fingerprint,
-            &delta,
-        );
-    }
-    let new_store = match store {
-        GraphStore::Csr(_) => GraphStore::Csr(new_csr),
-        GraphStore::Compressed(_) => GraphStore::Compressed(CompressedCsr::from_csr(&new_csr)),
-    };
-    Ok((Some(new_store), outcome))
-}
-
 /// Migrates every cached entry of the mutated graph from `old_fp` to
 /// `new_fp` according to each kernel's declared [`DeltaSensitivity`]
 /// — see the module docs for the decision table. Entries whose kernel
 /// is no longer registered are invalidated (no declaration, no
 /// proof).
-fn migrate_for_delta(
-    cache: &ResultCache,
-    registry: &Registry,
+pub(super) fn migrate_for_delta(
+    engine: &Engine,
     old: &CsrGraph,
     new: &CsrGraph,
     old_fp: u64,
     new_fp: u64,
     delta: &EdgeDelta,
 ) -> MigrationStats {
-    cache.migrate_fingerprint(
+    engine.cache.migrate_fingerprint(
         old_fp,
         new_fp,
         new.num_vertices() + 1,
         new.num_arcs(),
         |key, previous| {
-            let Some(kernel) = registry.get(key.kernel) else {
+            let Some(kernel) = engine.registry.get(key.kernel) else {
                 return MigrationDecision::Invalidate;
             };
             match kernel.delta_sensitivity() {

@@ -22,9 +22,15 @@
 //!   (pattern / matching / learn / opt / order); the benchmark
 //!   binaries iterate it, so registering a kernel automatically adds
 //!   it to the benchmarks;
-//! * [`Session`] — owns loaded graphs behind [`GraphHandle`]s,
-//!   fingerprints their CSR arrays, and memoizes
-//!   `(fingerprint, kernel, params)` → [`Outcome`] in an LRU cache;
+//! * [`Resident`] and [`Engine`] — the one way to *hold* a graph: a
+//!   loaded [`GraphStore`] with its content fingerprint and versioned
+//!   [`GraphLineage`], and the three operations every holder calls on
+//!   the registry + cache pair — **admit** (register, idempotent by
+//!   content), **run** (key → single-flight → [`execute`]) and
+//!   **mutate** (patch → delta-aware cache migration → next version);
+//! * [`Session`] — a table of residents behind [`GraphHandle`]s that
+//!   memoizes `(fingerprint, kernel, params)` → [`Outcome`] in an LRU
+//!   cache (`gms-serve` keeps the same residents by name);
 //! * [`ResultCache`] — that cache as a thread-safe, `Arc`-shareable
 //!   object in its own right: hit/miss/eviction/coalescing counters,
 //!   single-flight deduplication of identical in-flight requests,
@@ -32,6 +38,25 @@
 //!   concurrent serving sessions share;
 //! * [`BatchRunner`] — pushes a slice of [`BatchRequest`]s through
 //!   the work-stealing pool, deduplicating identical requests.
+//!
+//! One path from a file to an answer, whoever holds the graph:
+//!
+//! ```text
+//!  gms_graph::io::load_graph(format, path | text) ─► GraphStore (raw | compressed)
+//!        │
+//!        ▼  Resident::new ── fingerprint, lineage at version 0 (outside any lock)
+//!        ▼  Engine::admit ── same fingerprint as the resident it replaces: keep that
+//!    Resident                one's lineage + cache lines, swap the store only if the
+//!        │                   representation differs; new content: invalidate the old
+//!        │                   unless still referenced
+//!        ▼
+//!    table { Session: by GraphHandle | gms-serve: by name, under its RwLock }
+//!        │
+//!        ├─► Engine::key ─► Engine::run ── registry → CacheKey → RunCx → single-flight
+//!        │                                 → execute(kernel)      (BatchRunner: key,
+//!        │                                                         dedupe, then run)
+//!        └─► Engine::mutate ── patch_csr → fingerprint → migrate cache → next Resident
+//! ```
 //!
 //! ```
 //! use gms_platform::kernel::{Params, Session};
@@ -51,20 +76,21 @@ mod delta;
 mod outcome;
 mod params;
 mod registry;
+mod resident;
 mod run;
 mod session;
 
 pub use batch::{BatchRequest, BatchRunner};
 pub use cache::{next_owner, CacheKey, CacheStats, MigrationDecision, MigrationStats, ResultCache};
-pub use delta::{apply_mutation, DeltaSensitivity, GraphLineage, MutationOutcome};
+pub use delta::{DeltaSensitivity, GraphLineage, MutationOutcome};
 pub use outcome::{Outcome, Payload};
 pub use params::{ParamSpec, Params, Value, ValueKind};
 pub use registry::Registry;
-pub use run::{execute, GraphView, RunCx};
-pub use session::{
-    fingerprint, fingerprint_graph, GraphHandle, GraphStore, Session, SessionStats,
-    SnapshotCompression,
-};
+pub use resident::{Engine, KeyedRun, Resident};
+pub use run::{execute, RunCx};
+pub use session::{GraphHandle, Session, SessionStats, SnapshotCompression};
+
+pub use gms_graph::{fingerprint, fingerprint_graph, GraphStore, GraphView};
 
 use gms_core::CsrGraph;
 use gms_graph::EdgeDelta;

@@ -4,23 +4,13 @@
 
 use super::{CancelToken, Kernel, KernelError, Outcome, Params};
 use gms_core::CsrGraph;
-use gms_graph::CompressedCsr;
+use gms_graph::{CompressedCsr, GraphView};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The token behind every context built without
 /// [`RunCx::with_cancel`]: shares no state and never fires.
 static NEVER: CancelToken = CancelToken::none();
-
-/// A borrowed view of a resident graph in whichever representation
-/// it is held ([`GraphStore::view`](super::GraphStore::view)).
-#[derive(Clone, Copy)]
-pub enum GraphView<'a> {
-    /// Raw CSR arrays.
-    Raw(&'a CsrGraph),
-    /// Gap+varint compressed adjacency.
-    Compressed(&'a CompressedCsr),
-}
 
 /// Everything one kernel run is given: the graph as it is resident,
 /// the validated parameters, and the request's cancellation token.

@@ -1,71 +1,31 @@
-//! A serving session: loaded graphs behind handles, CSR
-//! fingerprinting, and a fingerprint-keyed result cache — the state a
-//! long-running mining service keeps between requests.
+//! A serving session: loaded graphs behind handles over a
+//! fingerprint-keyed result cache — the state a long-running mining
+//! service keeps between requests. A session is a table of
+//! [`Resident`]s indexed by [`GraphHandle`] plus its own hit/miss
+//! counts; registering, running and mutating a graph are the shared
+//! [`Engine`] operations the `gms-serve` worker calls too.
 //!
 //! The cache lives behind an [`Arc`]: a session constructed with
 //! [`Session::new`] gets a private one, while
 //! [`Session::with_registry_and_cache`] lets any number of concurrent
-//! sessions (server worker threads, one session each) share a single
-//! [`ResultCache`], so work one session pays for is served to all of
-//! them — with single-flight deduplication for identical requests
-//! that are in flight at the same time.
+//! sessions share a single [`ResultCache`], so work one session pays
+//! for is served to all of them — with single-flight deduplication
+//! for identical requests that are in flight at the same time.
 
-use super::cache::{next_owner, CacheKey, CacheStats, ResultCache};
-use super::delta::{apply_mutation, GraphLineage, MutationOutcome};
-use super::{execute, GraphView, KernelError, Outcome, Params, Registry, RunCx};
-use gms_core::hash::FxHasher;
-use gms_core::{CsrGraph, Edge, Graph, NodeId};
-use gms_graph::io::{GraphIoError, SnapshotGraph};
-use gms_graph::CompressedCsr;
-use std::hash::Hasher;
-use std::io::BufRead;
+use super::cache::{next_owner, CacheStats, ResultCache};
+use super::delta::{GraphLineage, MutationOutcome};
+use super::resident::{Engine, Resident};
+use super::{CancelToken, KernelError, Outcome, Params, Registry};
+use gms_core::{CsrGraph, Edge};
+use gms_graph::io::{load_graph, GraphFormat, GraphIoError, GraphSource};
+use gms_graph::{CompressedCsr, GraphStore};
 use std::path::Path;
 use std::sync::Arc;
 
 /// An opaque ticket for a graph loaded into a [`Session`]. Cheap to
 /// copy; valid only for the session that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct GraphHandle(usize);
-
-/// Content fingerprint of a CSR graph: a fast hash over the offset
-/// and target arrays. Two graphs with identical adjacency structure
-/// fingerprint identically however they were loaded, so cached
-/// results survive reloading the same dataset.
-pub fn fingerprint(graph: &CsrGraph) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_usize(graph.offsets().len());
-    for &offset in graph.offsets() {
-        h.write_usize(offset);
-    }
-    for &target in graph.adjacency() {
-        h.write_u32(target);
-    }
-    h.finish()
-}
-
-/// [`fingerprint`] generalized to any [`Graph`] implementation. Feeds
-/// the hasher the exact byte sequence [`fingerprint`] derives from
-/// the CSR arrays — the virtual offsets are the running degree prefix
-/// sums — so a [`CompressedCsr`] fingerprints identically to the raw
-/// CSR it encodes, and a kernel outcome computed on either backend is
-/// served from the cache to both.
-pub fn fingerprint_graph<G: Graph>(graph: &G) -> u64 {
-    let n = graph.num_vertices();
-    let mut h = FxHasher::default();
-    h.write_usize(n + 1);
-    let mut offset = 0usize;
-    h.write_usize(offset);
-    for v in 0..n as NodeId {
-        offset += graph.degree(v);
-        h.write_usize(offset);
-    }
-    for v in 0..n as NodeId {
-        for target in graph.neighbors(v) {
-            h.write_u32(target);
-        }
-    }
-    h.finish()
-}
+pub struct GraphHandle(pub(super) usize);
 
 /// How [`Session::save_snapshot_with`] encodes the `.gcsr` body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,88 +41,6 @@ pub enum SnapshotCompression {
     GapReorder,
 }
 
-/// One resident graph: either a materialized CSR or a gap-compressed
-/// CSR serving kernels directly through its decode hot path. Which
-/// one a handle holds depends on how it was loaded ([`Session::add_graph`]
-/// vs [`Session::add_compressed`] / a v2 snapshot).
-pub enum GraphStore {
-    /// Raw CSR arrays.
-    Csr(CsrGraph),
-    /// Gap+varint compressed adjacency ([`CompressedCsr`]).
-    Compressed(CompressedCsr),
-}
-
-impl GraphStore {
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            GraphStore::Csr(g) => g.num_vertices(),
-            GraphStore::Compressed(c) => c.num_vertices(),
-        }
-    }
-
-    /// Number of stored directed arcs.
-    pub fn num_arcs(&self) -> usize {
-        match self {
-            GraphStore::Csr(g) => g.num_arcs(),
-            GraphStore::Compressed(c) => c.num_arcs(),
-        }
-    }
-
-    /// Heap bytes resident for the adjacency structure.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            GraphStore::Csr(g) => {
-                std::mem::size_of_val(g.offsets()) + std::mem::size_of_val(g.adjacency())
-            }
-            GraphStore::Compressed(c) => c.heap_bytes(),
-        }
-    }
-
-    /// Label of the resident representation: `"raw"`, `"gap"`, or
-    /// `"gap+reorder"`.
-    pub fn compression(&self) -> &'static str {
-        match self {
-            GraphStore::Csr(_) => "raw",
-            GraphStore::Compressed(c) if c.is_reordered() => "gap+reorder",
-            GraphStore::Compressed(_) => "gap",
-        }
-    }
-
-    /// The borrowed view kernels run on ([`RunCx::new`]).
-    pub fn view(&self) -> GraphView<'_> {
-        match self {
-            GraphStore::Csr(g) => GraphView::Raw(g),
-            GraphStore::Compressed(c) => GraphView::Compressed(c),
-        }
-    }
-
-    /// The raw CSR view, if this store is materialized.
-    pub fn as_csr(&self) -> Option<&CsrGraph> {
-        match self {
-            GraphStore::Csr(g) => Some(g),
-            GraphStore::Compressed(_) => None,
-        }
-    }
-
-    /// Content fingerprint — identical across the two backends for
-    /// the same adjacency structure.
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            GraphStore::Csr(g) => fingerprint(g),
-            GraphStore::Compressed(c) => fingerprint_graph(c),
-        }
-    }
-
-    /// Decodes (or clones) into an owned CSR.
-    pub fn to_csr(&self) -> CsrGraph {
-        match self {
-            GraphStore::Csr(g) => g.clone(),
-            GraphStore::Compressed(c) => c.to_csr(),
-        }
-    }
-}
-
 /// This session's own view of the shared cache: how many of *its*
 /// successful requests were answered from cache vs ran a kernel.
 /// (The cache-wide counters, including eviction and cross-session
@@ -176,26 +54,29 @@ pub struct SessionStats {
     pub misses: u64,
 }
 
-/// One loaded graph with its cached identity: the resident
-/// representation, the current content fingerprint, and the versioned
-/// lineage mutations advance.
-struct Resident {
-    store: GraphStore,
-    fingerprint: u64,
-    lineage: GraphLineage,
+impl SessionStats {
+    /// Folds one completed request in.
+    pub(super) fn note(&mut self, cached: bool) {
+        if cached {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
 }
 
 /// A long-running mining session: owns loaded graphs, a kernel
 /// [`Registry`], and sits on a fingerprint-keyed [`ResultCache`] —
 /// private by default, shareable across sessions. This is the typed
-/// entry point the facade quick start demonstrates and `gms-serve`
-/// wraps with a network front end.
+/// entry point the facade quick start demonstrates; `gms-serve` keeps
+/// the same residents by name behind a network front end.
 pub struct Session {
-    registry: Registry,
-    graphs: Vec<Resident>,
-    cache: Arc<ResultCache>,
-    stats: SessionStats,
-    owner: u64,
+    pub(super) engine: Engine,
+    pub(super) graphs: Vec<Resident>,
+    pub(super) stats: SessionStats,
+    /// This session's owner tag on the shared cache (cross-session
+    /// hit attribution).
+    pub(super) owner: u64,
 }
 
 impl Session {
@@ -216,9 +97,8 @@ impl Session {
     /// deduplicate identical in-flight requests across threads.
     pub fn with_registry_and_cache(registry: Registry, cache: Arc<ResultCache>) -> Self {
         Self {
-            registry,
+            engine: Engine { registry, cache },
             graphs: Vec::new(),
-            cache,
             stats: SessionStats::default(),
             owner: next_owner(),
         }
@@ -227,24 +107,24 @@ impl Session {
     /// The result cache this session runs against; clone the `Arc`
     /// into [`Session::with_registry_and_cache`] to share it.
     pub fn shared_cache(&self) -> Arc<ResultCache> {
-        Arc::clone(&self.cache)
+        Arc::clone(&self.engine.cache)
     }
 
     /// Caps the result cache at `capacity` outcomes (0 disables
     /// caching). Existing entries are kept up to the new capacity.
     /// On a shared cache this resizes it for every session.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache.set_capacity(capacity);
+        self.engine.cache.set_capacity(capacity);
     }
 
     /// The kernels this session can run.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.engine.registry
     }
 
     /// Registers an additional kernel on this session.
     pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+        &mut self.engine.registry
     }
 
     /// This session's own hit/miss counts (see [`SessionStats`]).
@@ -256,12 +136,12 @@ impl Session {
     /// coalescing/cross-session/invalidation totals across *all*
     /// sessions sharing it, plus current size and capacity.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.engine.cache.stats()
     }
 
     /// Number of cached outcomes.
     pub fn cached_outcomes(&self) -> usize {
-        self.cache.len()
+        self.engine.cache.len()
     }
 
     /// Adopts an in-memory graph; returns its handle.
@@ -278,39 +158,28 @@ impl Session {
     }
 
     fn add_store(&mut self, store: GraphStore) -> GraphHandle {
-        let fp = store.fingerprint();
-        self.graphs.push(Resident {
-            store,
-            fingerprint: fp,
-            lineage: GraphLineage::new(fp),
-        });
+        self.graphs.push(Resident::new(store));
         GraphHandle(self.graphs.len() - 1)
     }
 
-    /// Replaces the graph behind an existing handle and invalidates
-    /// the cached outcomes of the old content, unless the old content
-    /// is still reachable through another handle of this session (or
-    /// the new graph has identical content). Returns the new
-    /// fingerprint.
+    /// Replaces the graph behind an existing handle
+    /// ([`Engine::admit`]). Re-registering identical content is
+    /// idempotent: lineage, version and cached outcomes are kept.
+    /// New content starts a fresh lineage (version 0) and invalidates
+    /// the cached outcomes of the old content, unless that is still
+    /// reachable through another handle of this session. Returns the
+    /// new fingerprint.
     pub fn replace_graph(
         &mut self,
         handle: GraphHandle,
         graph: CsrGraph,
     ) -> Result<u64, KernelError> {
-        if handle.0 >= self.graphs.len() {
-            return Err(KernelError::InvalidHandle);
-        }
-        let old_fp = self.graphs[handle.0].fingerprint;
-        let fp = fingerprint(&graph);
-        self.graphs[handle.0] = Resident {
-            store: GraphStore::Csr(graph),
-            fingerprint: fp,
-            lineage: GraphLineage::new(fp),
-        };
-        if old_fp != fp && !self.graphs.iter().any(|r| r.fingerprint == old_fp) {
-            self.cache.invalidate_fingerprint(old_fp);
-        }
-        Ok(fp)
+        let old = self.resident(handle)?;
+        let fresh = Resident::new(GraphStore::Csr(graph));
+        let (resident, _) = self.engine.admit(fresh, Some(old), &self.graphs);
+        let fingerprint = resident.fingerprint();
+        self.graphs[handle.0] = resident;
+        Ok(fingerprint)
     }
 
     /// Adds a batch of undirected edges to the graph behind `handle`
@@ -362,76 +231,25 @@ impl Session {
         add: &[Edge],
         remove: &[Edge],
     ) -> Result<MutationOutcome, KernelError> {
-        let resident = self
-            .graphs
-            .get(handle.0)
-            .ok_or(KernelError::InvalidHandle)?;
-        let still_referenced = self
-            .graphs
-            .iter()
-            .enumerate()
-            .any(|(i, r)| i != handle.0 && r.fingerprint == resident.fingerprint);
-        let (store, outcome) = apply_mutation(
-            &resident.store,
-            resident.fingerprint,
-            resident.lineage,
-            add,
-            remove,
-            &self.cache,
-            &self.registry,
-            still_referenced,
-        )?;
-        if let Some(store) = store {
-            let resident = &mut self.graphs[handle.0];
-            resident.store = store;
-            resident.fingerprint = outcome.fingerprint;
-            resident.lineage.version = outcome.version;
-        }
+        let resident = self.resident(handle)?;
+        let (next, outcome) = self.engine.mutate(resident, add, remove, &self.graphs)?;
+        self.graphs[handle.0] = next;
         Ok(outcome)
     }
 
-    /// Streams an undirected SNAP-style edge list from disk into the
-    /// session (pipeline step 1).
-    pub fn load_edge_list<P: AsRef<Path>>(&mut self, path: P) -> Result<GraphHandle, GraphIoError> {
-        let graph = gms_graph::io::load_undirected(path)?;
-        Ok(self.add_graph(graph))
-    }
-
-    /// Streams an undirected edge list out of any buffered reader.
-    pub fn load_edge_list_from<R: BufRead>(
+    /// Loads a graph from disk or from text already in memory
+    /// ([`load_graph`]: edge list, METIS or `.gcsr` snapshot) and
+    /// registers it. The text formats and a v1 snapshot materialize
+    /// CSR arrays; a v2 snapshot stays compressed and serves kernels
+    /// through the decode hot path. The fingerprint — and therefore
+    /// every cached outcome — is the same whichever format the graph
+    /// arrives in.
+    pub fn load(
         &mut self,
-        reader: R,
+        format: GraphFormat,
+        source: GraphSource<'_>,
     ) -> Result<GraphHandle, GraphIoError> {
-        let graph = gms_graph::io::load_undirected_from(reader)?;
-        Ok(self.add_graph(graph))
-    }
-
-    /// Reads a METIS graph file into the session. The loaded CSR is
-    /// byte-identical to the same graph arriving as an edge list or
-    /// snapshot, so cached outcomes are shared across formats.
-    pub fn load_metis<P: AsRef<Path>>(&mut self, path: P) -> Result<GraphHandle, GraphIoError> {
-        let graph = gms_graph::io::load_metis(path)?;
-        Ok(self.add_graph(graph))
-    }
-
-    /// Streams a METIS graph out of any buffered reader.
-    pub fn load_metis_from<R: BufRead>(&mut self, reader: R) -> Result<GraphHandle, GraphIoError> {
-        let graph = gms_graph::io::load_metis_from(reader)?;
-        Ok(self.add_graph(graph))
-    }
-
-    /// Loads a `.gcsr` binary snapshot through the mmap-backed,
-    /// checksum-validated path, auto-detecting the body version: a v1
-    /// file materializes the CSR arrays, a v2 file stays compressed
-    /// and serves kernels through the decode hot path. Fingerprints —
-    /// and therefore cached outcomes — match the text-format loads of
-    /// the same graph either way.
-    pub fn load_snapshot<P: AsRef<Path>>(&mut self, path: P) -> Result<GraphHandle, GraphIoError> {
-        let store = match gms_graph::io::load_snapshot_auto(path)? {
-            SnapshotGraph::Raw(g) => GraphStore::Csr(g),
-            SnapshotGraph::Compressed(c) => GraphStore::Compressed(c),
-        };
-        Ok(self.add_store(store))
+        Ok(self.add_store(load_graph(format, source)?))
     }
 
     /// Saves a loaded graph as a raw (v1) `.gcsr` binary snapshot,
@@ -487,6 +305,10 @@ impl Session {
         }
     }
 
+    fn resident(&self, handle: GraphHandle) -> Result<&Resident, KernelError> {
+        self.graphs.get(handle.0).ok_or(KernelError::InvalidHandle)
+    }
+
     /// The raw CSR behind a handle. A handle backed by a compressed
     /// store has no materialized CSR arrays and reports
     /// [`KernelError::NotMaterialized`]; use [`Session::store`] to
@@ -501,74 +323,22 @@ impl Session {
     /// The resident representation behind a handle — raw or
     /// compressed.
     pub fn store(&self, handle: GraphHandle) -> Result<&GraphStore, KernelError> {
-        self.graphs
-            .get(handle.0)
-            .map(|r| &r.store)
-            .ok_or(KernelError::InvalidHandle)
+        self.resident(handle).map(Resident::store)
     }
 
     /// The CSR fingerprint of a loaded graph — the graph half of the
     /// result-cache key.
     pub fn graph_fingerprint(&self, handle: GraphHandle) -> Result<u64, KernelError> {
-        self.graphs
-            .get(handle.0)
-            .map(|r| r.fingerprint)
-            .ok_or(KernelError::InvalidHandle)
+        self.resident(handle).map(Resident::fingerprint)
     }
 
     /// The versioned lineage of a loaded graph: the fingerprint it was
-    /// loaded with and how many mutation batches have been applied
-    /// since. [`Session::replace_graph`] resets the lineage (new
-    /// content, version 0); [`Session::mutate_edges`] advances it.
+    /// registered with and how many mutation batches have been applied
+    /// since. [`Session::mutate_edges`] advances it;
+    /// [`Session::replace_graph`] resets it only when the content
+    /// actually changes.
     pub fn graph_lineage(&self, handle: GraphHandle) -> Result<GraphLineage, KernelError> {
-        self.graphs
-            .get(handle.0)
-            .map(|r| r.lineage)
-            .ok_or(KernelError::InvalidHandle)
-    }
-
-    /// Handles of all loaded graphs, in load order.
-    pub fn handles(&self) -> Vec<GraphHandle> {
-        (0..self.graphs.len()).map(GraphHandle).collect()
-    }
-
-    pub(super) fn cache_key(
-        &self,
-        kernel: &str,
-        handle: GraphHandle,
-        params: &Params,
-    ) -> Result<CacheKey, KernelError> {
-        let k = self
-            .registry
-            .get(kernel)
-            .ok_or_else(|| KernelError::UnknownKernel(kernel.to_string()))?;
-        let fp = self.graph_fingerprint(handle)?;
-        let store = self.store(handle)?;
-        CacheKey::build(k, store.num_vertices() + 1, store.num_arcs(), fp, params)
-    }
-
-    /// This session's owner tag on the shared cache (cross-session
-    /// hit attribution).
-    pub(super) fn owner_tag(&self) -> u64 {
-        self.owner
-    }
-
-    /// Cache lookup counting toward this session's stats on a hit
-    /// (the batch runner's admission phase).
-    pub(super) fn cache_get(&mut self, key: &CacheKey) -> Option<Outcome> {
-        let hit = self.cache.get(key, self.owner)?;
-        self.stats.hits += 1;
-        Some(hit)
-    }
-
-    /// Folds a completed (non-duplicate) request into this session's
-    /// stats.
-    pub(super) fn note_outcome(&mut self, cached: bool) {
-        if cached {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
+        self.resident(handle).map(Resident::lineage)
     }
 
     /// Runs a kernel by name on a loaded graph: validates the
@@ -582,15 +352,12 @@ impl Session {
         handle: GraphHandle,
         params: &Params,
     ) -> Result<Outcome, KernelError> {
-        let key = self.cache_key(kernel, handle, params)?;
-        // Key construction validated the name and the handle.
-        let k = self.registry.get(kernel).expect("validated kernel name");
-        let cx = RunCx::new(self.store(handle)?.view(), params);
-        let result = self.cache.run_or_wait(&key, self.owner, || execute(k, &cx));
-        if let Ok(outcome) = &result {
-            self.note_outcome(outcome.cached);
-        }
-        result
+        let request = self.engine.key(self.resident(handle)?, kernel, params)?;
+        let outcome = self
+            .engine
+            .run(&request, &CancelToken::none(), self.owner)?;
+        self.stats.note(outcome.cached);
+        Ok(outcome)
     }
 }
 
@@ -602,8 +369,9 @@ impl Default for Session {
 
 #[cfg(test)]
 mod tests {
-    use super::super::MigrationStats;
+    use super::super::{fingerprint, fingerprint_graph, MigrationStats};
     use super::*;
+    use gms_core::{Graph, NodeId};
 
     fn small() -> CsrGraph {
         gms_gen::planted_cliques(120, 0.03, 2, 6, 9).0
@@ -679,7 +447,9 @@ mod tests {
         session
             .save_snapshot_with(raw, &gap_path, SnapshotCompression::Gap)
             .unwrap();
-        let gap = session.load_snapshot(&gap_path).unwrap();
+        let gap = session
+            .load(GraphFormat::Gcsr, GraphSource::Path(&gap_path))
+            .unwrap();
         assert_eq!(session.graph_fingerprint(gap).unwrap(), fp);
         assert_eq!(session.store(gap).unwrap().compression(), "gap");
 
@@ -689,7 +459,9 @@ mod tests {
         session
             .save_snapshot_with(raw, &reordered_path, SnapshotCompression::GapReorder)
             .unwrap();
-        let reordered = session.load_snapshot(&reordered_path).unwrap();
+        let reordered = session
+            .load(GraphFormat::Gcsr, GraphSource::Path(&reordered_path))
+            .unwrap();
         assert_eq!(
             session.store(reordered).unwrap().compression(),
             "gap+reorder"
@@ -706,7 +478,9 @@ mod tests {
         session
             .save_snapshot_with(gap, &back_path, SnapshotCompression::Raw)
             .unwrap();
-        let back = session.load_snapshot(&back_path).unwrap();
+        let back = session
+            .load(GraphFormat::Gcsr, GraphSource::Path(&back_path))
+            .unwrap();
         assert_eq!(session.graph_fingerprint(back).unwrap(), fp);
         assert_eq!(session.store(back).unwrap().compression(), "raw");
         std::fs::remove_dir_all(dir).ok();
@@ -807,6 +581,42 @@ mod tests {
     }
 
     #[test]
+    fn replacing_with_identical_content_keeps_lineage_and_cache() {
+        // Regression: `replace_graph` used to reset lineage to
+        // version 0 even when nothing changed, where the server kept
+        // it. Registration is idempotent by fingerprint on both now.
+        let mut session = Session::new();
+        let g = session.add_graph(gms_gen::grid(4, 4));
+        let mutated = session.add_edges(g, &[(0, 5)]).unwrap();
+        assert_eq!(mutated.version, 1);
+        session.run("triangle-count", g, &Params::new()).unwrap();
+        let lineage = session.graph_lineage(g).unwrap();
+
+        let same = session.store(g).unwrap().to_csr();
+        let fp = session.replace_graph(g, same).unwrap();
+        assert_eq!(fp, mutated.fingerprint);
+        assert_eq!(
+            session.graph_lineage(g).unwrap(),
+            lineage,
+            "still version 1"
+        );
+        assert_eq!(session.cache_stats().invalidated, 0);
+        let hit = session.run("triangle-count", g, &Params::new()).unwrap();
+        assert!(hit.cached, "cache intact");
+
+        // Same content, other representation: the store swaps, the
+        // identity does not.
+        let gap = session.add_compressed(CompressedCsr::from_csr(&gms_gen::grid(4, 4)));
+        session.replace_graph(gap, gms_gen::grid(4, 4)).unwrap();
+        assert_eq!(session.store(gap).unwrap().compression(), "raw");
+        assert_eq!(session.graph_lineage(gap).unwrap().version, 0);
+
+        // Different content is a fresh lineage.
+        session.replace_graph(g, gms_gen::grid(3, 5)).unwrap();
+        assert_eq!(session.graph_lineage(g).unwrap().version, 0);
+    }
+
+    #[test]
     fn lru_evicts_oldest_and_capacity_zero_disables() {
         let mut session = Session::new();
         session.set_cache_capacity(2);
@@ -836,7 +646,9 @@ mod tests {
     fn loads_edge_lists_through_the_streaming_loader() {
         let mut session = Session::new();
         let text = "# toy triangle plus tail\n0\t1\n1\t2\n2 0\n2 3\n";
-        let g = session.load_edge_list_from(text.as_bytes()).unwrap();
+        let g = session
+            .load(GraphFormat::EdgeList, GraphSource::Text(text))
+            .unwrap();
         let out = session.run("triangle-count", g, &Params::new()).unwrap();
         assert_eq!(out.patterns, 1);
     }
@@ -857,9 +669,17 @@ mod tests {
         let mut metis = Vec::new();
         gms_graph::io::write_metis(&graph, &mut metis).unwrap();
 
-        let b = session.load_edge_list_from(edge_list.as_slice()).unwrap();
-        let c = session.load_metis_from(metis.as_slice()).unwrap();
-        let d = session.load_snapshot(&snapshot).unwrap();
+        let edge_list = String::from_utf8(edge_list).unwrap();
+        let metis = String::from_utf8(metis).unwrap();
+        let b = session
+            .load(GraphFormat::EdgeList, GraphSource::Text(&edge_list))
+            .unwrap();
+        let c = session
+            .load(GraphFormat::Metis, GraphSource::Text(&metis))
+            .unwrap();
+        let d = session
+            .load(GraphFormat::Gcsr, GraphSource::Path(&snapshot))
+            .unwrap();
         let fp = session.graph_fingerprint(a).unwrap();
         for handle in [b, c, d] {
             assert_eq!(session.graph_fingerprint(handle).unwrap(), fp);

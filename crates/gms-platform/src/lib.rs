@@ -9,8 +9,11 @@
 //! statistics — plus the [`kernel`] subsystem: the unified typed
 //! entry point ([`kernel::Kernel`]), the name/category
 //! [`kernel::Registry`] over every mining kernel in the suite, the
-//! graph-owning [`kernel::Session`] with its fingerprint-keyed
-//! result cache, and the pool-driven [`kernel::BatchRunner`].
+//! one owner of a loaded graph ([`kernel::Resident`]: `load_graph` →
+//! admit → run / mutate, the [`kernel::Engine`] operations shared by
+//! every holder — diagram in [`kernel`]), the [`kernel::Session`]
+//! that keeps residents by handle over a fingerprint-keyed result
+//! cache, and the pool-driven [`kernel::BatchRunner`].
 
 #![warn(missing_docs)]
 

@@ -40,9 +40,12 @@
 
 use crate::backend::{Backend, RequestError};
 use crate::ring::{HashRing, RingMember};
+use gms_graph::io::{load_graph, GraphIoError, GraphSource};
+use gms_graph::GraphStore;
+use gms_platform::kernel::GraphLineage;
 use gms_serve::protocol::{
-    error_json, fingerprint_json, response, ApiError, Envelope, ErrorCode, LoadFormat, LoadSource,
-    LoadSpec, MutateSpec, Request, RunSpec,
+    error_json, fingerprint_json, response, shutdown_ack, ApiError, Envelope, ErrorCode,
+    GraphFormat, LoadSource, LoadSpec, MutateSpec, Request, RunSpec,
 };
 use gms_serve::service::{spawn_acceptor, FrontCounters, Reply, Service};
 use gms_serve::{Json, LoadCompression, ServeConfig};
@@ -104,7 +107,7 @@ enum ReloadSource {
     /// Router-side `.gcsr` spill (inline-loaded graphs).
     Spill(PathBuf),
     /// The client-supplied path, reloaded in its original format.
-    ClientPath { path: String, format: LoadFormat },
+    ClientPath { path: String, format: GraphFormat },
 }
 
 struct GraphRecord {
@@ -113,12 +116,11 @@ struct GraphRecord {
     owner: Option<usize>,
     /// Current content fingerprint (advances on every mutation).
     fingerprint: u64,
-    /// Load-time fingerprint — the placement key. Keying the ring on
-    /// the base keeps a graph on its shard across mutations instead
-    /// of reshuffling the fleet every batch.
-    base_fingerprint: u64,
-    /// Effective mutation batches applied since load.
-    version: u64,
+    /// The load-time fingerprint — the placement key: keying the ring
+    /// on the base keeps a graph on its shard across mutations
+    /// instead of reshuffling the fleet every batch — and the
+    /// effective mutation batches applied since.
+    lineage: GraphLineage,
     vertices: usize,
     edges: usize,
     reload: ReloadSource,
@@ -128,20 +130,32 @@ struct GraphRecord {
 }
 
 impl GraphRecord {
+    /// Where the current content reloads from, and in which format.
+    fn reload_from(&self) -> (GraphFormat, &Path) {
+        match &self.reload {
+            ReloadSource::Spill(path) => (GraphFormat::Gcsr, path),
+            ReloadSource::ClientPath { path, format } => (*format, Path::new(path)),
+        }
+    }
+
     /// The load request that re-creates this graph, as `name`, on a
     /// shard.
     fn reload_json(&self, name: &str) -> Json {
-        let (format, path) = match &self.reload {
-            ReloadSource::Spill(path) => (LoadFormat::Gcsr, path.display().to_string()),
-            ReloadSource::ClientPath { path, format } => (*format, path.clone()),
-        };
+        let (format, path) = self.reload_from();
         Envelope::new(Request::Load(LoadSpec {
             name: name.to_string(),
             format,
-            source: LoadSource::Path(path),
+            source: LoadSource::Path(path.display().to_string()),
             compression: self.compression,
         }))
         .to_json()
+    }
+
+    /// Materializes the current content of the reload source — the
+    /// graph a failover reload would hand a survivor.
+    fn materialize(&self) -> Result<gms_core::CsrGraph, GraphIoError> {
+        let (format, path) = self.reload_from();
+        load_graph(format, GraphSource::Path(path)).map(GraphStore::into_csr)
     }
 
     fn spill(&self) -> Option<&PathBuf> {
@@ -251,10 +265,7 @@ impl Service for Core {
             Request::Kernels => self.proxy_kernels(),
             Request::Shutdown => {
                 self.begin_shutdown();
-                response(vec![
-                    ("ok", Json::Bool(true)),
-                    ("status", Json::from("shutting-down")),
-                ])
+                shutdown_ack()
             }
             Request::Load(spec) => self.route_load(&envelope, spec),
             Request::Mutate(spec) => self.route_mutate(&envelope, spec),
@@ -403,7 +414,7 @@ impl Core {
                     return Some(owner); // another thread healed it first
                 }
             }
-            (record.base_fingerprint, record.reload_json(name))
+            (record.lineage.base_fingerprint, record.reload_json(name))
         };
         // A shard that dies here is failed without re-placing what it
         // owned — that would re-enter the placement lock we hold; the
@@ -518,6 +529,11 @@ impl Core {
         self.unavailable(format!("no healthy backend holds graph {graph:?}"))
     }
 
+    /// `io-error`: the router could not read or write a graph file.
+    fn io_error(message: String) -> Json {
+        error_json(&ApiError::new(ErrorCode::Io, message))
+    }
+
     fn unavailable(&self, message: String) -> Json {
         self.counters.unavailable.fetch_add(1, Ordering::Relaxed);
         error_json(&ApiError::new(ErrorCode::BackendUnavailable, message))
@@ -539,72 +555,40 @@ impl Core {
         ))
     }
 
+    /// Writes `graph` into the spill directory as the reload source
+    /// of content `fingerprint` (the file name), unless an earlier
+    /// load of the same content already did.
+    fn spill(&self, fingerprint: u64, graph: &gms_core::CsrGraph) -> Result<PathBuf, Json> {
+        let path = self.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
+        if !path.exists() {
+            gms_graph::io::save_snapshot(graph, &path)
+                .map_err(|e| Self::io_error(format!("spill failed: {e}")))?;
+        }
+        Ok(path)
+    }
+
     /// Materializes the graph once at the router (for the placement
     /// fingerprint and the failover spill), then forwards the load to
     /// the owning shard.
     fn route_load(&self, envelope: &Envelope, spec: &LoadSpec) -> Json {
-        use gms_core::Graph as _;
-        use gms_graph::io::{self, SnapshotGraph};
-        let loaded = match (&spec.format, &spec.source) {
-            (LoadFormat::EdgeList, LoadSource::Data(d)) => {
-                io::load_undirected_from(d.as_bytes()).map(SnapshotGraph::Raw)
-            }
-            (LoadFormat::EdgeList, LoadSource::Path(p)) => {
-                io::load_undirected(p).map(SnapshotGraph::Raw)
-            }
-            (LoadFormat::Metis, LoadSource::Data(d)) => {
-                io::load_metis_from(d.as_bytes()).map(SnapshotGraph::Raw)
-            }
-            (LoadFormat::Metis, LoadSource::Path(p)) => io::load_metis(p).map(SnapshotGraph::Raw),
-            (LoadFormat::Gcsr, LoadSource::Path(p)) => io::load_snapshot_auto(p),
-            // The request parser rejects this before routing.
-            (LoadFormat::Gcsr, LoadSource::Data(_)) => {
-                let error = ApiError::new(ErrorCode::BadRequest, "gcsr loads require a path");
-                return error_json(&error);
-            }
+        let store = match load_graph(spec.format, spec.source.as_graph_source()) {
+            Ok(store) => store,
+            Err(e) => return Self::io_error(e.to_string()),
         };
+        let fingerprint = store.fingerprint();
+        let (vertices, edges) = (store.num_vertices(), store.num_arcs() / 2);
         // Only an inline load needs the materialized graph again (to
         // spill it); a compressed snapshot always arrives by path.
-        let (fingerprint, vertices, arcs, graph) = match loaded {
-            Ok(SnapshotGraph::Raw(g)) => {
-                let fingerprint = gms_platform::kernel::fingerprint(&g);
-                (fingerprint, g.num_vertices(), g.num_arcs(), Some(g))
-            }
-            Ok(SnapshotGraph::Compressed(c)) => {
-                let fingerprint = gms_platform::kernel::fingerprint_graph(&c);
-                (fingerprint, c.num_vertices(), c.num_arcs(), None)
-            }
-            Err(e) => return error_json(&ApiError::new(ErrorCode::Io, e.to_string())),
-        };
         let reload = match &spec.source {
             LoadSource::Path(path) => ReloadSource::ClientPath {
                 path: path.clone(),
                 format: spec.format,
             },
-            LoadSource::Data(_) => {
-                let graph = graph.as_ref().expect("inline loads materialize a CSR");
-                let path = self.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
-                if !path.exists() {
-                    if let Err(e) = io::save_snapshot(graph, &path) {
-                        let error = ApiError::new(ErrorCode::Io, format!("spill failed: {e}"));
-                        return error_json(&error);
-                    }
-                }
-                ReloadSource::Spill(path)
-            }
+            LoadSource::Data(_) => match self.spill(fingerprint, &store.into_csr()) {
+                Ok(path) => ReloadSource::Spill(path),
+                Err(answer) => return answer,
+            },
         };
-        drop(graph);
-        let record = GraphRecord {
-            owner: None,
-            fingerprint,
-            base_fingerprint: fingerprint,
-            version: 0,
-            vertices,
-            edges: arcs / 2,
-            reload,
-            compression: spec.compression,
-        };
-
         let routed = self.exchange(
             &envelope.to_json(),
             None,
@@ -627,13 +611,19 @@ impl Core {
         }
         let (replaced, stale_spill) = {
             let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
-            let old = graphs.insert(
-                spec.name.clone(),
-                GraphRecord {
-                    owner: Some(routed.owner),
-                    ..record
+            let record = GraphRecord {
+                owner: Some(routed.owner),
+                fingerprint,
+                lineage: GraphLineage {
+                    base_fingerprint: fingerprint,
+                    version: 0,
                 },
-            );
+                vertices,
+                edges,
+                reload,
+                compression: spec.compression,
+            };
+            let old = graphs.insert(spec.name.clone(), record);
             // A replaced-away inline graph leaves its spill snapshot
             // behind; delete it once nothing else reloads from it —
             // replacing must not leak disk.
@@ -677,14 +667,9 @@ impl Core {
             let Some(record) = graphs.get(&spec.graph) else {
                 return self.not_found(&spec.graph);
             };
-            let old = match materialize_reload(record) {
+            let old = match record.materialize() {
                 Ok(graph) => graph,
-                Err(e) => {
-                    return error_json(&ApiError::new(
-                        ErrorCode::Io,
-                        format!("reload source unreadable: {e}"),
-                    ))
-                }
+                Err(e) => return Self::io_error(format!("reload source unreadable: {e}")),
             };
             match gms_graph::patch_csr(&old, &spec.add, &spec.remove) {
                 Ok((patched, delta)) => (patched, delta, record.spill().cloned()),
@@ -696,14 +681,11 @@ impl Core {
             // response, nothing router-side to refresh.
             None
         } else {
-            let fingerprint = gms_platform::kernel::fingerprint(&patched);
-            let path = self.spill_dir.join(format!("{fingerprint:016x}.gcsr"));
-            if !path.exists() {
-                if let Err(e) = gms_graph::io::save_snapshot(&patched, &path) {
-                    return error_json(&ApiError::new(ErrorCode::Io, format!("spill failed: {e}")));
-                }
+            let fingerprint = gms_graph::fingerprint(&patched);
+            match self.spill(fingerprint, &patched) {
+                Ok(path) => Some((fingerprint, path)),
+                Err(answer) => return answer,
             }
-            Some((fingerprint, path))
         };
         let new_edges = patched.num_arcs() / 2;
         drop(patched);
@@ -738,7 +720,7 @@ impl Core {
                 let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
                 if let Some(record) = graphs.get_mut(&spec.graph) {
                     record.fingerprint = fingerprint;
-                    record.version += 1;
+                    record.lineage.version += 1;
                     record.edges = new_edges;
                     record.reload = ReloadSource::Spill(path);
                 }
@@ -1039,9 +1021,9 @@ impl Core {
                         ("fingerprint", fingerprint_json(record.fingerprint)),
                         (
                             "base_fingerprint",
-                            fingerprint_json(record.base_fingerprint),
+                            fingerprint_json(record.lineage.base_fingerprint),
                         ),
-                        ("version", Json::from(record.version)),
+                        ("version", Json::from(record.lineage.version)),
                         ("vertices", Json::from(record.vertices)),
                         ("edges", Json::from(record.edges)),
                     ])
@@ -1090,24 +1072,6 @@ fn spill_referenced(graphs: &BTreeMap<String, GraphRecord>, path: &Path) -> bool
     graphs
         .values()
         .any(|r| r.spill().is_some_and(|p| p == path))
-}
-
-/// Materializes the current content of a record's reload source —
-/// the graph a failover reload would hand a survivor.
-fn materialize_reload(record: &GraphRecord) -> Result<gms_core::CsrGraph, String> {
-    let from_snapshot = |path: &Path| match gms_graph::io::load_snapshot_auto(path) {
-        Ok(gms_graph::io::SnapshotGraph::Raw(g)) => Ok(g),
-        Ok(gms_graph::io::SnapshotGraph::Compressed(c)) => Ok(c.to_csr()),
-        Err(e) => Err(e.to_string()),
-    };
-    match &record.reload {
-        ReloadSource::Spill(path) => from_snapshot(path),
-        ReloadSource::ClientPath { path, format } => match format {
-            LoadFormat::EdgeList => gms_graph::io::load_undirected(path).map_err(|e| e.to_string()),
-            LoadFormat::Metis => gms_graph::io::load_metis(path).map_err(|e| e.to_string()),
-            LoadFormat::Gcsr => from_snapshot(Path::new(path)),
-        },
-    }
 }
 
 /// The routing front end. [`Router::start`] probes every backend,

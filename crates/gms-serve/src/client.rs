@@ -45,7 +45,7 @@
 
 use crate::json::Json;
 use crate::protocol::{
-    edges_json, params_from_json, ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat,
+    edges_json, params_from_json, ApiError, Envelope, ErrorCode, GraphFormat, LoadCompression,
     LoadSource, LoadSpec, MutateSpec, Request, RunSpec,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -368,7 +368,7 @@ impl Client {
 }
 
 fn build_load(name: &str, format: &str, source: LoadSource) -> Result<Request, ApiError> {
-    let format = LoadFormat::parse(format).ok_or_else(|| {
+    let format = GraphFormat::parse(format).ok_or_else(|| {
         ApiError::new(
             ErrorCode::BadRequest,
             format!("unknown graph format {format:?}"),

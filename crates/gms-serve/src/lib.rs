@@ -3,9 +3,9 @@
 //! The long-running process around the GMS kernel platform: a
 //! std-only TCP server speaking newline-delimited JSON (crates.io is
 //! unreachable, so the wire layer — including its JSON — is built on
-//! `std::net` alone), exposing the `gms-platform` registry/session
-//! machinery as network endpoints with *admission control* in front
-//! of the compute pool.
+//! `std::net` alone), exposing the `gms-platform` registry, resident
+//! graphs and result cache as network endpoints with *admission
+//! control* in front of the compute pool.
 //!
 //! The design separates request admission from execution resources
 //! (the split HTAP serving systems like Polynesia make): connection
@@ -13,8 +13,9 @@
 //! while every request that costs kernel or I/O time must pass a
 //! bounded [`admission::AdmissionQueue`] — at capacity the server
 //! answers `queue-full` immediately (the HTTP 429 analog) instead of
-//! stacking work onto the fixed worker pool. N worker sessions share
-//! one [`ResultCache`](gms_platform::kernel::ResultCache), so
+//! stacking work onto the fixed worker pool. N workers share one
+//! table of resident graphs and one
+//! [`ResultCache`](gms_platform::kernel::ResultCache), so
 //! duplicate requests resolve to one kernel execution (single-flight)
 //! wherever they land, and replacing a loaded graph invalidates the
 //! old content's cached outcomes.
@@ -55,7 +56,7 @@ pub use admission::{ClientStats, RateLimit};
 pub use client::{Client, ClientBuilder, HttpClient, HttpResponse};
 pub use json::{Json, JsonError};
 pub use protocol::{
-    response_or_error, ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource,
+    response_or_error, ApiError, Envelope, ErrorCode, GraphFormat, LoadCompression, LoadSource,
     LoadSpec, MutateSpec, Request, RunSpec, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server, ServerHandle};

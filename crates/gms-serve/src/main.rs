@@ -6,7 +6,7 @@
 //! | flag | env | default | meaning |
 //! |---|---|---|---|
 //! | `--addr` | `GMS_SERVE_ADDR` | `127.0.0.1:0` | bind address (port 0 = ephemeral) |
-//! | `--workers` | `GMS_SERVE_WORKERS` | 2 | worker sessions |
+//! | `--workers` | `GMS_SERVE_WORKERS` | 2 | worker threads |
 //! | `--queue` | `GMS_SERVE_QUEUE` | 64 | admission-queue capacity |
 //! | `--cache` | `GMS_SERVE_CACHE` | 256 | result-cache capacity |
 //! | `--rate-limit` | `GMS_SERVE_RATE_LIMIT` | off | per-client token bucket as `rate/burst` (e.g. `100/20` = 100 req/s, burst 20) |

@@ -36,7 +36,13 @@
 
 use crate::json::Json;
 use gms_core::{Edge, NodeId};
-use gms_platform::kernel::{KernelError, MutationOutcome, Outcome, Params, Payload, Value};
+use gms_graph::io::GraphSource;
+use gms_platform::kernel::{
+    KernelError, MutationOutcome, Outcome, Params, Payload, Resident, Value,
+};
+use std::path::Path;
+
+pub use gms_graph::io::GraphFormat;
 
 /// The protocol version this server speaks: stamped on every
 /// response, accepted (and required to match) when a request sends
@@ -297,32 +303,12 @@ pub enum LoadSource {
     Data(String),
 }
 
-/// The graph formats the `load` endpoint accepts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoadFormat {
-    /// SNAP-style whitespace-separated edge list.
-    EdgeList,
-    /// METIS adjacency format.
-    Metis,
-    /// `.gcsr` binary CSR snapshot (path only — the binary format
-    /// does not survive a JSON string).
-    Gcsr,
-}
-
-impl LoadFormat {
-    /// The format a wire spelling names, if any.
-    pub fn parse(s: &str) -> Option<Self> {
-        [LoadFormat::EdgeList, LoadFormat::Metis, LoadFormat::Gcsr]
-            .into_iter()
-            .find(|format| format.as_str() == s)
-    }
-
-    /// The wire spelling.
-    pub fn as_str(&self) -> &'static str {
+impl LoadSource {
+    /// The borrowed form [`gms_graph::io::load_graph`] reads from.
+    pub fn as_graph_source(&self) -> GraphSource<'_> {
         match self {
-            LoadFormat::EdgeList => "edge-list",
-            LoadFormat::Metis => "metis",
-            LoadFormat::Gcsr => "gcsr",
+            LoadSource::Path(path) => GraphSource::Path(Path::new(path)),
+            LoadSource::Data(text) => GraphSource::Text(text),
         }
     }
 }
@@ -361,7 +347,7 @@ pub struct LoadSpec {
     /// outcomes.
     pub name: String,
     /// Input format.
-    pub format: LoadFormat,
+    pub format: GraphFormat,
     /// Where the bytes come from.
     pub source: LoadSource,
     /// Resident representation to hold the graph in.
@@ -491,7 +477,7 @@ fn run_spec_members(spec: &RunSpec) -> Vec<(&'static str, Json)> {
 pub(crate) fn load_request(obj: &Json) -> Result<Request, ApiError> {
     let name = required_str(obj, "graph", "load")?;
     let format_name = required_str(obj, "format", "load")?;
-    let format = LoadFormat::parse(&format_name).ok_or_else(|| {
+    let format = GraphFormat::parse(&format_name).ok_or_else(|| {
         bad_request(format!(
             "unknown format {format_name:?} (expected edge-list, metis, or gcsr)"
         ))
@@ -503,7 +489,7 @@ pub(crate) fn load_request(obj: &Json) -> Result<Request, ApiError> {
                 .to_string(),
         ),
         (None, Some(d)) => {
-            if format == LoadFormat::Gcsr {
+            if format == GraphFormat::Gcsr {
                 return Err(bad_request(
                     "gcsr is a binary format: send a \"path\", not inline \"data\"",
                 ));
@@ -1003,6 +989,41 @@ pub fn outcome_json_full(spec: &RunSpec, outcome: &Outcome) -> Json {
 /// spells it.
 pub fn fingerprint_json(fingerprint: u64) -> Json {
     Json::from(format!("{fingerprint:#018x}"))
+}
+
+/// Renders a resident graph the way every endpoint spells one — the
+/// `load` reply (`label` = `"graph"`) and the rows of `stats`
+/// (`"name"`): identity, size and lineage, then the representation
+/// actually held.
+pub fn graph_members(
+    label: &'static str,
+    name: &str,
+    resident: &Resident,
+) -> Vec<(&'static str, Json)> {
+    let store = resident.store();
+    let lineage = resident.lineage();
+    vec![
+        (label, Json::from(name)),
+        ("vertices", Json::from(store.num_vertices())),
+        ("edges", Json::from(store.num_arcs() / 2)),
+        ("fingerprint", fingerprint_json(resident.fingerprint())),
+        (
+            "base_fingerprint",
+            fingerprint_json(lineage.base_fingerprint),
+        ),
+        ("version", Json::from(lineage.version)),
+        ("compression", Json::from(store.compression())),
+        ("resident_bytes", Json::from(store.resident_bytes())),
+    ]
+}
+
+/// The acknowledgement of a `shutdown` request, from a server and a
+/// router alike.
+pub fn shutdown_ack() -> Json {
+    response(vec![
+        ("ok", Json::Bool(true)),
+        ("status", Json::from("shutting-down")),
+    ])
 }
 
 /// Renders a successful `add_edges` / `remove_edges` response: the

@@ -1,14 +1,14 @@
 //! The server: the local executor behind the
 //! [`Service`] seam — an admission queue
-//! and a fixed pool of worker sessions over one shared
-//! [`ResultCache`].
+//! and a fixed pool of worker threads over one table of resident
+//! graphs and one shared [`ResultCache`].
 //!
 //! ```text
-//!  front end (service.rs)         try_submit   ┌─ worker 0 ─┐
-//!  NDJSON | HTTP ─► Shared::call ─────────────►│  session   │──► Reply
-//!                   control ops   bounded queue└─ worker 1 ─┘
-//!                   answered      (queue-full ⇒ shared cache
-//!                   inline         429 analog)  + single-flight
+//!  front end (service.rs)         try_submit   ┌─ worker 0 ─┐   graphs: name → Resident
+//!  NDJSON | HTTP ─► Shared::call ─────────────►│ dequeue,   │──► Engine::{admit, run,
+//!                   control ops   bounded queue│ execute    │    mutate} ──► Reply
+//!                   answered      (queue-full ⇒└─ worker 1 ─┘   shared cache
+//!                   inline         429 analog)                  + single-flight
 //! ```
 //!
 //! The split mirrors the admission/execution separation of HTAP
@@ -18,25 +18,35 @@
 //! `batch`, mutations) must pass the bounded [`AdmissionQueue`]
 //! first, so a traffic spike degrades into fast `queue-full`
 //! rejections instead of oversubscribing the compute pool. The
-//! worker count is fixed at startup; each worker is one serving
-//! session with its own owner tag on the shared result cache, so
-//! duplicate requests landing on different workers still resolve to
-//! one kernel execution (single-flight) and show up as cross-session
-//! hits in the stats endpoint.
+//! worker count is fixed at startup. Workers are plain threads, not
+//! [`Session`](gms_platform::kernel::Session)s: the server keeps its
+//! graphs by *name* in one `RwLock`ed table every worker sees, where
+//! a session keeps them by handle — but an entry of either table is
+//! the same [`Resident`], and registering, running and mutating one
+//! are the same three [`Engine`] operations, so the two cannot
+//! disagree on what a re-load, a cache key or a mutation means. What
+//! is the server's own is the lock discipline: a run clones its
+//! resident out of the read lock and computes outside it, so a
+//! mutation — serialized under the write lock — swaps the next
+//! version in under readers still running on the old one. Each worker
+//! has its own owner tag on the shared result cache, so duplicate
+//! requests landing on different workers still resolve to one kernel
+//! execution (single-flight) and show up as cross-session hits in the
+//! stats endpoint.
 
 use crate::admission::{AdmissionQueue, RateLimit, SubmitError};
 use crate::json::Json;
 use crate::protocol::{
-    error_json, fingerprint_json, mutation_json, outcome_json, outcome_json_full, response,
-    ApiError, Envelope, ErrorCode, LoadCompression, LoadFormat, LoadSource, LoadSpec, MutateSpec,
-    Request, RunSpec,
+    error_json, graph_members, mutation_json, outcome_json, outcome_json_full, response,
+    shutdown_ack, ApiError, Envelope, ErrorCode, LoadCompression, LoadSpec, MutateSpec, Request,
+    RunSpec,
 };
 use crate::service::{spawn_acceptor, FrontCounters, Reply, Service};
-use gms_graph::io::SnapshotGraph;
+use gms_graph::io::load_graph;
 use gms_graph::CompressedCsr;
 use gms_platform::kernel::{
-    apply_mutation, execute, next_owner, CacheKey, CancelToken, GraphLineage, GraphStore,
-    KernelError, MutationOutcome, Registry, ResultCache, RunCx,
+    next_owner, CancelToken, Engine, GraphStore, KernelError, MutationOutcome, Outcome, Registry,
+    Resident, ResultCache,
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,7 +61,7 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (read it back
     /// from [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker sessions executing admitted requests.
+    /// Worker threads executing admitted requests.
     pub workers: usize,
     /// Admission-queue bound: pending requests beyond this are
     /// rejected with `queue-full`.
@@ -85,17 +95,6 @@ impl Default for ServeConfig {
     }
 }
 
-pub(crate) struct GraphEntry {
-    store: Arc<GraphStore>,
-    fingerprint: u64,
-    /// Fingerprint at registration time — the stable identity edge
-    /// mutations preserve (the router places shards by it) — and the
-    /// number of effective mutation batches applied since.
-    lineage: GraphLineage,
-    vertices: usize,
-    edges: usize,
-}
-
 #[derive(Default)]
 struct Counters {
     front: FrontCounters,
@@ -108,9 +107,11 @@ struct Counters {
 }
 
 pub(crate) struct Shared {
-    registry: Registry,
-    cache: Arc<ResultCache>,
-    graphs: RwLock<BTreeMap<String, GraphEntry>>,
+    engine: Engine,
+    /// The residents by name. Runs clone one out under the read lock
+    /// and compute outside it; loads and mutations swap the next
+    /// version in under the write lock.
+    graphs: RwLock<BTreeMap<String, Resident>>,
     queue: AdmissionQueue<Job>,
     running: AtomicBool,
     counters: Counters,
@@ -148,10 +149,7 @@ impl Service for Shared {
             Request::Kernels => return reply.deliver(kernels_json(self)),
             Request::Stats => return reply.deliver(stats_json(self)),
             Request::Shutdown => {
-                reply.deliver(response(vec![
-                    ("ok", Json::Bool(true)),
-                    ("status", Json::from("shutting-down")),
-                ]));
+                reply.deliver(shutdown_ack());
                 return self.begin_shutdown();
             }
             Request::Load(spec) => DataOp::Load(spec),
@@ -217,8 +215,10 @@ impl Server {
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            registry: Registry::with_builtins(),
-            cache: Arc::new(ResultCache::new(config.cache_capacity)),
+            engine: Engine {
+                registry: Registry::with_builtins(),
+                cache: Arc::new(ResultCache::new(config.cache_capacity)),
+            },
             graphs: RwLock::new(BTreeMap::new()),
             queue: AdmissionQueue::with_rate_limit(config.queue_capacity, config.rate_limit),
             running: AtomicBool::new(true),
@@ -321,8 +321,8 @@ impl Shared {
     }
 }
 
-/// One worker session: drains the admission queue until the server
-/// shuts down. The owner tag attributes this worker's cache traffic,
+/// One worker: drains the admission queue until the server shuts
+/// down. The owner tag attributes this worker's cache traffic,
 /// so hits on entries another worker paid for count as cross-session.
 fn worker_loop(shared: &Shared, index: usize) {
     let owner = next_owner();
@@ -364,10 +364,7 @@ fn worker_loop(shared: &Shared, index: usize) {
         };
         let answer = match &op {
             _ if cancel.expired() => fail(&lapsed()),
-            DataOp::Load(spec) => match execute_load(shared, spec) {
-                Ok(body) => response(body),
-                Err(e) => error_json(&e),
-            },
+            DataOp::Load(spec) => execute_load(shared, spec).unwrap_or_else(|e| error_json(&e)),
             DataOp::Mutate(spec) => match execute_mutate(shared, spec) {
                 Ok(outcome) => mutation_json(&spec.graph, &outcome),
                 Err(e) => error_json(&e),
@@ -384,36 +381,23 @@ fn worker_loop(shared: &Shared, index: usize) {
     }
 }
 
-fn execute_load(shared: &Shared, spec: &LoadSpec) -> Result<Vec<(&'static str, Json)>, ApiError> {
-    let io_err = |e: gms_graph::io::GraphIoError| ApiError::new(ErrorCode::Io, e.to_string());
-    let store = match (&spec.format, &spec.source) {
-        (LoadFormat::EdgeList, LoadSource::Path(p)) => {
-            GraphStore::Csr(gms_graph::io::load_undirected(p).map_err(io_err)?)
-        }
-        (LoadFormat::EdgeList, LoadSource::Data(d)) => {
-            GraphStore::Csr(gms_graph::io::load_undirected_from(d.as_bytes()).map_err(io_err)?)
-        }
-        (LoadFormat::Metis, LoadSource::Path(p)) => {
-            GraphStore::Csr(gms_graph::io::load_metis(p).map_err(io_err)?)
-        }
-        (LoadFormat::Metis, LoadSource::Data(d)) => {
-            GraphStore::Csr(gms_graph::io::load_metis_from(d.as_bytes()).map_err(io_err)?)
-        }
-        // A v2 snapshot stays compressed; a v1 snapshot materializes.
-        (LoadFormat::Gcsr, LoadSource::Path(p)) => {
-            match gms_graph::io::load_snapshot_auto(p).map_err(io_err)? {
-                SnapshotGraph::Raw(g) => GraphStore::Csr(g),
-                SnapshotGraph::Compressed(c) => GraphStore::Compressed(c),
-            }
-        }
-        // The parser rejects inline gcsr before a job is built.
-        (LoadFormat::Gcsr, LoadSource::Data(_)) => {
-            return Err(ApiError::new(
-                ErrorCode::BadRequest,
-                "gcsr is a binary format: send a \"path\", not inline \"data\"",
-            ))
-        }
-    };
+fn unknown_graph(name: &str) -> ApiError {
+    ApiError::new(
+        ErrorCode::UnknownGraph,
+        format!("no graph loaded under {name:?}"),
+    )
+}
+
+/// Loads and fingerprints the graph outside any lock, then registers
+/// it under the write lock ([`Engine::admit`]): a retried `load`
+/// whose earlier attempt died after registering finds identical
+/// content under the name and changes nothing; a re-load of the same content in another
+/// representation swaps the store and keeps lineage, version and
+/// cache lines; new content replaces and invalidates. The reply
+/// describes the resident actually held.
+fn execute_load(shared: &Shared, spec: &LoadSpec) -> Result<Json, ApiError> {
+    let store = load_graph(spec.format, spec.source.as_graph_source())
+        .map_err(|e| ApiError::new(ErrorCode::Io, e.to_string()))?;
     // `compression: "gap"` recompresses whatever arrived raw; the
     // fingerprint is order-preserving, so cached outcomes carry over.
     let store = match (spec.compression, store) {
@@ -422,104 +406,38 @@ fn execute_load(shared: &Shared, spec: &LoadSpec) -> Result<Vec<(&'static str, J
         }
         (_, store) => store,
     };
-    let fp = store.fingerprint();
-    let vertices = store.num_vertices();
-    let edges = store.num_arcs() / 2;
-    let compression = store.compression();
-    let resident_bytes = store.resident_bytes();
-    let (replaced, invalidated, lineage) = {
-        let mut graphs = shared.graphs.write().unwrap_or_else(|e| e.into_inner());
-        match graphs.get(&spec.name) {
-            // Idempotent re-registration: a retried `load` whose
-            // earlier attempt died after registering (response lost
-            // mid-body) finds identical content already under the
-            // name and keeps the existing entry — lineage, version
-            // and store untouched, nothing invalidated.
-            Some(existing) if existing.fingerprint == fp => (true, 0, existing.lineage),
-            old => {
-                let old_fp = old.map(|e| e.fingerprint);
-                let lineage = GraphLineage::new(fp);
-                let entry = GraphEntry {
-                    store: Arc::new(store),
-                    fingerprint: fp,
-                    lineage,
-                    vertices,
-                    edges,
-                };
-                graphs.insert(spec.name.clone(), entry);
-                // Replacing a graph drops the old content's cached
-                // outcomes — unless the content is still reachable
-                // under another name.
-                let invalidated = match old_fp {
-                    Some(old_fp) if !graphs.values().any(|e| e.fingerprint == old_fp) => {
-                        shared.cache.invalidate_fingerprint(old_fp)
-                    }
-                    _ => 0,
-                };
-                (old_fp.is_some(), invalidated, lineage)
-            }
-        }
-    };
-    Ok(vec![
-        ("ok", Json::Bool(true)),
-        ("graph", Json::from(spec.name.clone())),
-        ("vertices", Json::from(vertices)),
-        ("edges", Json::from(edges)),
-        ("fingerprint", fingerprint_json(fp)),
-        (
-            "base_fingerprint",
-            fingerprint_json(lineage.base_fingerprint),
-        ),
-        ("version", Json::from(lineage.version)),
-        ("compression", Json::from(compression)),
-        ("resident_bytes", Json::from(resident_bytes)),
-        ("replaced", Json::from(replaced)),
-        ("invalidated", Json::from(invalidated)),
-    ])
+    let fresh = Resident::new(store);
+    let mut graphs = shared.graphs.write().unwrap_or_else(|e| e.into_inner());
+    let old = graphs.get(&spec.name);
+    let (resident, invalidated) = shared.engine.admit(fresh, old, graphs.values());
+    let mut body = vec![("ok", Json::Bool(true))];
+    body.extend(graph_members("graph", &spec.name, &resident));
+    body.push(("replaced", Json::from(old.is_some())));
+    body.push(("invalidated", Json::from(invalidated)));
+    graphs.insert(spec.name.clone(), resident);
+    Ok(response(body))
 }
 
 /// Applies a batched edge mutation under the graphs write lock, so
 /// mutations to one graph serialize and no kernel admission can
-/// observe a half-swapped entry. Cached outcomes of the old content
-/// are migrated to the new fingerprint per kernel
-/// [`DeltaSensitivity`](gms_platform::kernel::DeltaSensitivity)
-/// declarations; an in-flight kernel still computing against the old
-/// content cannot resurrect a migrated-away entry — its late insert
-/// is dropped by the cache's invalidation epoch (`stale_drops`).
+/// observe a half-swapped entry ([`Engine::mutate`]). An in-flight
+/// kernel still computing against the old content cannot resurrect a
+/// migrated-away entry — its late insert is dropped by the cache's
+/// invalidation epoch (`stale_drops`).
 fn execute_mutate(shared: &Shared, spec: &MutateSpec) -> Result<MutationOutcome, ApiError> {
     let mut graphs = shared.graphs.write().unwrap_or_else(|e| e.into_inner());
-    let entry = graphs.get(&spec.graph).ok_or_else(|| {
-        ApiError::new(
-            ErrorCode::UnknownGraph,
-            format!("no graph loaded under {:?}", spec.graph),
-        )
-    })?;
-    let still_referenced = graphs
-        .iter()
-        .any(|(name, e)| name != &spec.graph && e.fingerprint == entry.fingerprint);
-    let (store, outcome) = apply_mutation(
-        &entry.store,
-        entry.fingerprint,
-        entry.lineage,
-        &spec.add,
-        &spec.remove,
-        &shared.cache,
-        &shared.registry,
-        still_referenced,
-    )
-    .map_err(|e| match e {
-        // The bare patch error, as the router words its own rejections.
-        KernelError::BadMutation { message } => ApiError::new(ErrorCode::BadMutation, message),
-        other => ApiError::from_kernel(&other),
-    })?;
-    if let Some(store) = store {
-        let entry = graphs.get_mut(&spec.graph).expect("entry checked above");
-        entry.store = Arc::new(store);
-        entry.fingerprint = outcome.fingerprint;
-        entry.lineage.version = outcome.version;
-        entry.vertices = outcome.vertices;
-        entry.edges = outcome.edges;
-    }
+    let resident = graphs
+        .get(&spec.graph)
+        .ok_or_else(|| unknown_graph(&spec.graph))?;
+    let (next, outcome) = shared
+        .engine
+        .mutate(resident, &spec.add, &spec.remove, graphs.values())
+        .map_err(|e| match e {
+            // The bare patch error, as the router words its own rejections.
+            KernelError::BadMutation { message } => ApiError::new(ErrorCode::BadMutation, message),
+            other => ApiError::from_kernel(&other),
+        })?;
+    *graphs.get_mut(&spec.graph).expect("entry checked above") = next;
     Ok(outcome)
 }
 
@@ -528,40 +446,16 @@ fn execute_run(
     owner: u64,
     spec: &RunSpec,
     cancel: &CancelToken,
-) -> Result<gms_platform::kernel::Outcome, ApiError> {
-    let (store, fp) = {
+) -> Result<Outcome, ApiError> {
+    let resident = {
         let graphs = shared.graphs.read().unwrap_or_else(|e| e.into_inner());
-        let entry = graphs.get(&spec.graph).ok_or_else(|| {
-            ApiError::new(
-                ErrorCode::UnknownGraph,
-                format!("no graph loaded under {:?}", spec.graph),
-            )
-        })?;
-        (Arc::clone(&entry.store), entry.fingerprint)
+        graphs.get(&spec.graph).cloned()
     };
-    let kernel = shared.registry.get(&spec.kernel).ok_or_else(|| {
-        ApiError::new(
-            ErrorCode::UnknownKernel,
-            format!("unknown kernel {:?}", spec.kernel),
-        )
-    })?;
-    let key = CacheKey::build(
-        kernel,
-        store.num_vertices() + 1,
-        store.num_arcs(),
-        fp,
-        &spec.params,
-    )
-    .map_err(|e| ApiError::from_kernel(&e))?;
-    // The cancel token rides into the kernel's own cancellation
-    // points; a fired token surfaces as `DeadlineExceeded`, which
-    // `run_or_wait` never caches (and a waiting duplicate request is
-    // promoted to leader with its *own* token, so one client's tight
-    // deadline cannot poison another's identical request).
-    let cx = RunCx::new(store.view(), &spec.params).with_cancel(cancel);
+    let resident = resident.ok_or_else(|| unknown_graph(&spec.graph))?;
     shared
-        .cache
-        .run_or_wait(&key, owner, || execute(kernel, &cx))
+        .engine
+        .key(&resident, &spec.kernel, &spec.params)
+        .and_then(|request| shared.engine.run(&request, cancel, owner))
         .map_err(|e| ApiError::from_kernel(&e))
 }
 
@@ -578,7 +472,7 @@ fn health_json(shared: &Shared) -> Json {
             }),
         ),
         ("addr", Json::from(shared.addr.to_string())),
-        ("kernels", Json::from(shared.registry.len())),
+        ("kernels", Json::from(shared.engine.registry.len())),
         ("graphs", Json::from(graphs.len())),
         ("workers", Json::from(shared.worker_served.len())),
         ("queue_depth", Json::from(shared.queue.depth())),
@@ -588,6 +482,7 @@ fn health_json(shared: &Shared) -> Json {
 
 fn kernels_json(shared: &Shared) -> Json {
     let kernels: Vec<Json> = shared
+        .engine
         .registry
         .iter()
         .map(|k| {
@@ -621,27 +516,13 @@ fn kernels_json(shared: &Shared) -> Json {
 }
 
 fn stats_json(shared: &Shared) -> Json {
-    let cache = shared.cache.stats();
+    let cache = shared.engine.cache.stats();
     let counters = &shared.counters;
     let graphs: Vec<Json> = {
         let graphs = shared.graphs.read().unwrap_or_else(|e| e.into_inner());
         graphs
             .iter()
-            .map(|(name, entry)| {
-                Json::object([
-                    ("name", Json::from(name.clone())),
-                    ("vertices", Json::from(entry.vertices)),
-                    ("edges", Json::from(entry.edges)),
-                    ("fingerprint", fingerprint_json(entry.fingerprint)),
-                    (
-                        "base_fingerprint",
-                        fingerprint_json(entry.lineage.base_fingerprint),
-                    ),
-                    ("version", Json::from(entry.lineage.version)),
-                    ("compression", Json::from(entry.store.compression())),
-                    ("resident_bytes", Json::from(entry.store.resident_bytes())),
-                ])
-            })
+            .map(|(name, resident)| Json::object(graph_members("name", name, resident)))
             .collect()
     };
     let count = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));

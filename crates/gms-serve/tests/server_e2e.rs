@@ -473,6 +473,83 @@ fn retried_load_after_mid_line_death_registers_once() {
 }
 
 #[test]
+fn reloading_the_same_content_recompressed_swaps_the_store_and_keeps_everything_else() {
+    // Regression: the `load` reply used to describe the freshly built
+    // store even when the idempotent path kept the old one — the
+    // reply said `gap`, `stats` said `raw`, and the request to
+    // recompress was silently dropped.
+    use gms_core::Graph;
+    let (handle, mut client) = start(2, 16);
+    let graph = gms_gen::planted_cliques(150, 0.03, 3, 6, 7).0;
+    let text = edge_list(&graph);
+    let raw = client.load_inline("g", "edge-list", &text).unwrap();
+    assert_ok(&raw);
+    assert_eq!(raw.get("compression").and_then(Json::as_str), Some("raw"));
+    // One effective mutation, so "lineage kept" is distinguishable
+    // from "lineage reset", then warm the cache on that content.
+    let (u, v) = (0..150u32)
+        .flat_map(|u| (u + 1..150).map(move |v| (u, v)))
+        .find(|&(u, v)| !graph.has_edge(u, v))
+        .unwrap();
+    let mutated = client.add_edges("g", &[(u, v)]).unwrap();
+    assert_eq!(mutated.get("version"), Some(&Json::Int(1)));
+    let warm = client.run("triangle-count", "g", &[]).unwrap();
+    assert_eq!(warm.get("cached"), Some(&Json::Bool(false)));
+
+    // Re-load the *current* content, asking for the gap representation.
+    let mut edges: Vec<(u32, u32)> = graph.edges_undirected().collect();
+    edges.push((u, v));
+    let current = gms_core::CsrGraph::from_undirected_edges(150, &edges);
+    let reload = Json::object([
+        ("op", Json::from("load")),
+        ("graph", Json::from("g")),
+        ("format", Json::from("edge-list")),
+        ("data", Json::from(edge_list(&current))),
+        ("compression", Json::from("gap")),
+    ]);
+    let gap = client.request(&reload).unwrap();
+    assert_ok(&gap);
+    assert_eq!(gap.get("compression").and_then(Json::as_str), Some("gap"));
+    assert_eq!(gap.get("replaced"), Some(&Json::Bool(true)));
+    assert_eq!(gap.get("invalidated"), Some(&Json::Int(0)));
+    for member in ["fingerprint", "base_fingerprint", "version"] {
+        assert_eq!(
+            gap.get(member),
+            mutated.get(member),
+            "{member} must survive"
+        );
+    }
+    assert!(
+        gap.get("resident_bytes").and_then(Json::as_i64)
+            < raw.get("resident_bytes").and_then(Json::as_i64),
+        "the gap store is the smaller one"
+    );
+
+    // `stats` describes the same resident the reply did…
+    let stats = client.stats().unwrap();
+    let row = &stats.get("graphs").and_then(Json::as_array).unwrap()[0];
+    for member in [
+        "vertices",
+        "edges",
+        "fingerprint",
+        "base_fingerprint",
+        "version",
+        "compression",
+        "resident_bytes",
+    ] {
+        assert_eq!(row.get(member), gap.get(member), "stats vs reply: {member}");
+    }
+    // …and the warmed outcome is still served (fingerprints are
+    // representation-independent).
+    let hit = client.run("triangle-count", "g", &[]).unwrap();
+    assert_eq!(hit.get("cached"), Some(&Json::Bool(true)));
+    assert_eq!(hit.get("patterns"), warm.get("patterns"));
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
 fn mutating_a_compressed_resident_rebuilds_transparently_over_sockets() {
     use gms_core::Graph;
     let (handle, mut client) = start(2, 16);

@@ -145,7 +145,7 @@ pub mod prelude {
         CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, RoaringSet, Set, SetGraph,
         SetNeighborhoods, SortedVecSet,
     };
-    pub use gms_graph::io::{GraphIoCause, GraphIoError};
+    pub use gms_graph::io::{GraphFormat, GraphIoCause, GraphIoError, GraphSource};
     pub use gms_graph::{orient_by_rank, relabel, CompressedCsr, Rank};
     pub use gms_learn::SimilarityMeasure;
     pub use gms_match::{IsoMode, IsoOptions, LabeledGraph};

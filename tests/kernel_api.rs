@@ -143,10 +143,11 @@ fn reloading_the_same_dataset_reuses_cached_results() {
     let graph = planted_connected();
     let mut text = Vec::new();
     gms::graph::io::write_edge_list(&graph, &mut text).unwrap();
+    let text = GraphSource::Text(std::str::from_utf8(&text).unwrap());
 
     let mut session = Session::new();
-    let a = session.load_edge_list_from(text.as_slice()).unwrap();
-    let b = session.load_edge_list_from(text.as_slice()).unwrap();
+    let a = session.load(GraphFormat::EdgeList, text).unwrap();
+    let b = session.load(GraphFormat::EdgeList, text).unwrap();
     assert_ne!(a, b, "distinct handles");
 
     let miss = session.run("triangle-count", a, &Params::new()).unwrap();
@@ -178,9 +179,14 @@ fn kernel_results_are_format_independent() {
     gms::graph::io::write_metis(&graph, &mut metis).unwrap();
     std::fs::write(dir.join("g.metis"), &metis).unwrap();
 
-    let from_text = session.load_edge_list(dir.join("g.el")).unwrap();
-    let from_metis = session.load_metis(dir.join("g.metis")).unwrap();
-    let from_snapshot = session.load_snapshot(dir.join("g.gcsr")).unwrap();
+    let mut load = |format, file: &str| {
+        session
+            .load(format, GraphSource::Path(&dir.join(file)))
+            .unwrap()
+    };
+    let from_text = load(GraphFormat::EdgeList, "g.el");
+    let from_metis = load(GraphFormat::Metis, "g.metis");
+    let from_snapshot = load(GraphFormat::Gcsr, "g.gcsr");
 
     let fp = session.graph_fingerprint(seed).unwrap();
     for (name, handle) in [
@@ -230,7 +236,9 @@ fn compressed_backend_shares_cache_lines_with_the_raw_csr() {
     session
         .save_snapshot_with(raw, dir.join("g2.gcsr"), SnapshotCompression::Gap)
         .unwrap();
-    let compressed = session.load_snapshot(dir.join("g2.gcsr")).unwrap();
+    let compressed = session
+        .load(GraphFormat::Gcsr, GraphSource::Path(&dir.join("g2.gcsr")))
+        .unwrap();
 
     // The v2 snapshot stays compressed in the session...
     let store = session.store(compressed).unwrap();

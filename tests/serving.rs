@@ -230,6 +230,310 @@ fn facade_serves_over_tcp() {
     handle.join();
 }
 
+/// What one step of the differential script showed, in a form both
+/// a [`Session`] and a server reply can be reduced to.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    /// A (re-)registration: fingerprint, base fingerprint, version.
+    Graph(u64, u64, u64),
+    /// A kernel run: pattern count and the `cached` flag.
+    Run(u64, bool),
+    /// A mutation: identity after it, effective delta, cache fate.
+    Mutation {
+        identity: (u64, u64, u64),
+        delta: (usize, usize, usize),
+        cache: (usize, usize, usize),
+    },
+}
+
+fn wire_u64(reply: &Json, member: &str) -> u64 {
+    let value = reply
+        .get(member)
+        .unwrap_or_else(|| panic!("no {member:?} in {}", reply.render()));
+    match value {
+        Json::Int(i) => *i as u64,
+        Json::Str(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16).unwrap(),
+        other => panic!("{member:?} is {other:?}"),
+    }
+}
+
+fn wire_identity(reply: &Json) -> (u64, u64, u64) {
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        reply.render()
+    );
+    (
+        wire_u64(reply, "fingerprint"),
+        wire_u64(reply, "base_fingerprint"),
+        wire_u64(reply, "version"),
+    )
+}
+
+fn edge_list_text(graph: &CsrGraph) -> String {
+    let mut text = Vec::new();
+    gms::graph::io::write_edge_list(graph, &mut text).unwrap();
+    String::from_utf8(text).unwrap()
+}
+
+/// `Session`, `BatchRunner` and the serve worker hold graphs through
+/// one `Resident` and its admit / run / mutate; this drives the same
+/// script through a session and through a real server and demands the
+/// same identity, mutation outcome, `cached` flag and pattern count
+/// at every step — for every way a graph can arrive (edge list and
+/// METIS inline, `.gcsr` v1 and v2 by path) and every representation
+/// it can be held in (raw, recompressed to gap, a v2 snapshot's own
+/// compressed body).
+#[test]
+fn a_session_and_a_server_tell_the_same_story_step_by_step() {
+    let graph = small_graph();
+    let other = gms::gen::gnp(90, 0.05, 3);
+    let (u, v) = (0..100 as NodeId)
+        .flat_map(|u| (u + 1..100).map(move |v| (u, v)))
+        .find(|&(u, v)| !graph.has_edge(u, v))
+        .unwrap();
+    let present = graph.edges_undirected().next().unwrap();
+    let batch = [(u, v), present];
+    let mut edges: Vec<(NodeId, NodeId)> = graph.edges_undirected().collect();
+    edges.push((u, v));
+    let mutated = CsrGraph::from_undirected_edges(100, &edges);
+
+    let dir = std::env::temp_dir().join(format!("gms_serving_diff_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (v1, v2) = (dir.join("v1.gcsr"), dir.join("v2.gcsr"));
+    gms::graph::io::save_snapshot(&graph, &v1).unwrap();
+    gms::graph::io::save_snapshot_compressed(&CompressedCsr::from_csr(&graph), &v2).unwrap();
+    let text = edge_list_text(&graph);
+    let mut metis = Vec::new();
+    gms::graph::io::write_metis(&graph, &mut metis).unwrap();
+    let metis = String::from_utf8(metis).unwrap();
+
+    // (label, format, source, ask the server for "compression":"gap")
+    let arrivals = [
+        (
+            "edge-list inline",
+            GraphFormat::EdgeList,
+            GraphSource::Text(&text),
+            false,
+        ),
+        (
+            "metis inline",
+            GraphFormat::Metis,
+            GraphSource::Text(&metis),
+            false,
+        ),
+        (
+            "gcsr v1 by path",
+            GraphFormat::Gcsr,
+            GraphSource::Path(&v1),
+            false,
+        ),
+        (
+            "gcsr v2 by path",
+            GraphFormat::Gcsr,
+            GraphSource::Path(&v2),
+            true,
+        ),
+        (
+            "edge-list inline, gap",
+            GraphFormat::EdgeList,
+            GraphSource::Text(&text),
+            true,
+        ),
+    ];
+    const KERNELS: [&str; 3] = ["triangle-count", "order-random", "order-degree"];
+    for (label, format, source, compressed) in arrivals {
+        // --- through a Session -------------------------------------
+        let mut told = Vec::new();
+        let mut session = Session::new();
+        let g = if compressed && format != GraphFormat::Gcsr {
+            session.add_compressed(CompressedCsr::from_csr(&graph))
+        } else {
+            session.load(format, source).unwrap()
+        };
+        assert_eq!(
+            session.store(g).unwrap().compression(),
+            if compressed { "gap" } else { "raw" },
+            "{label}"
+        );
+        let identity = |session: &Session| {
+            let lineage = session.graph_lineage(g).unwrap();
+            Seen::Graph(
+                session.graph_fingerprint(g).unwrap(),
+                lineage.base_fingerprint,
+                lineage.version,
+            )
+        };
+        let run = |session: &mut Session, kernel: &str| {
+            let outcome = session.run(kernel, g, &Params::new()).unwrap();
+            Seen::Run(outcome.patterns, outcome.cached)
+        };
+        let mutate = |session: &mut Session| {
+            let out = session.add_edges(g, &batch).unwrap();
+            Seen::Mutation {
+                identity: (out.fingerprint, out.base_fingerprint, out.version),
+                delta: (out.added, out.removed, out.touched),
+                cache: (
+                    out.cache.survived,
+                    out.cache.refreshed,
+                    out.cache.invalidated,
+                ),
+            }
+        };
+        told.push(identity(&session));
+        for kernel in KERNELS {
+            told.push(run(&mut session, kernel));
+        }
+        told.push(run(&mut session, "triangle-count"));
+        told.push(mutate(&mut session));
+        told.push(run(&mut session, "triangle-count"));
+        told.push(mutate(&mut session)); // every change already holds
+        session.replace_graph(g, mutated.clone()).unwrap();
+        told.push(identity(&session));
+        told.push(run(&mut session, "triangle-count"));
+        session.replace_graph(g, other.clone()).unwrap();
+        told.push(identity(&session));
+        told.push(run(&mut session, "triangle-count"));
+
+        // --- through a server --------------------------------------
+        let handle = Server::start(ServeConfig::default()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let load = |client: &mut Client, format: GraphFormat, source: GraphSource<'_>| {
+            let mut members = vec![
+                ("op", Json::from("load")),
+                ("graph", Json::from("g")),
+                ("format", Json::from(format.as_str())),
+                match source {
+                    GraphSource::Path(path) => ("path", Json::from(path.display().to_string())),
+                    GraphSource::Text(text) => ("data", Json::from(text)),
+                },
+            ];
+            if compressed && format != GraphFormat::Gcsr {
+                members.push(("compression", Json::from("gap")));
+            }
+            let reply = client.request(&Json::object(members)).unwrap();
+            let (fingerprint, base, version) = wire_identity(&reply);
+            Seen::Graph(fingerprint, base, version)
+        };
+        let run = |client: &mut Client, kernel: &str| {
+            let reply = client.run(kernel, "g", &[]).unwrap();
+            assert_eq!(
+                reply.get("ok"),
+                Some(&Json::Bool(true)),
+                "{}",
+                reply.render()
+            );
+            let cached = reply.get("cached").and_then(Json::as_bool).unwrap();
+            Seen::Run(wire_u64(&reply, "patterns"), cached)
+        };
+        let mutate = |client: &mut Client| {
+            let reply = client.add_edges("g", &batch).unwrap();
+            let cache = reply.get("cache").unwrap();
+            let count = |from: &Json, member: &str| wire_u64(from, member) as usize;
+            Seen::Mutation {
+                identity: wire_identity(&reply),
+                delta: (
+                    count(&reply, "added"),
+                    count(&reply, "removed"),
+                    count(&reply, "touched"),
+                ),
+                cache: (
+                    count(cache, "survived"),
+                    count(cache, "refreshed"),
+                    count(cache, "invalidated"),
+                ),
+            }
+        };
+        let mut heard = vec![load(&mut client, format, source)];
+        for kernel in KERNELS {
+            heard.push(run(&mut client, kernel));
+        }
+        heard.push(run(&mut client, "triangle-count"));
+        heard.push(mutate(&mut client));
+        heard.push(run(&mut client, "triangle-count"));
+        heard.push(mutate(&mut client));
+        let same = edge_list_text(&mutated);
+        heard.push(load(
+            &mut client,
+            GraphFormat::EdgeList,
+            GraphSource::Text(&same),
+        ));
+        heard.push(run(&mut client, "triangle-count"));
+        let different = edge_list_text(&other);
+        heard.push(load(
+            &mut client,
+            GraphFormat::EdgeList,
+            GraphSource::Text(&different),
+        ));
+        heard.push(run(&mut client, "triangle-count"));
+        client.shutdown().unwrap();
+        handle.join();
+
+        assert_eq!(told.len(), heard.len());
+        for (step, (told, heard)) in told.iter().zip(&heard).enumerate() {
+            assert_eq!(told, heard, "{label}: step {step} (session vs server)");
+        }
+        // The script itself did what it says on the tin.
+        assert!(
+            matches!(told[4], Seen::Run(_, true)),
+            "{label}: {:?}",
+            told[4]
+        );
+        assert!(
+            matches!(
+                &told[5],
+                Seen::Mutation {
+                    identity: (_, _, 1),
+                    delta: (1, 0, 2),
+                    cache: (1, 1, 1)
+                }
+            ),
+            "{label}: {:?}",
+            told[5]
+        );
+        assert!(
+            matches!(told[6], Seen::Run(_, true)),
+            "{label}: refreshed, not recomputed"
+        );
+        assert!(
+            matches!(
+                &told[7],
+                Seen::Mutation {
+                    identity: (_, _, 1),
+                    delta: (0, 0, 0),
+                    cache: (0, 0, 0)
+                }
+            ),
+            "{label}: {:?}",
+            told[7]
+        );
+        assert_eq!(
+            told[8],
+            Seen::Graph(
+                gms::platform::kernel::fingerprint(&mutated),
+                gms::platform::kernel::fingerprint(&graph),
+                1
+            ),
+            "{label}: re-load keeps lineage"
+        );
+        assert!(
+            matches!(told[9], Seen::Run(_, true)),
+            "{label}: re-load keeps the cache"
+        );
+        assert!(
+            matches!(told[10], Seen::Graph(a, b, 0) if a == b),
+            "{label}: {:?}",
+            told[10]
+        );
+        assert!(
+            matches!(told[11], Seen::Run(_, false)),
+            "{label}: new content is cold"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Strategies for the request model: every op, all four scalar
 /// parameter kinds (floats include integral ones like `2.0`, which
 /// must not come back as integers), edge batches, and the shared
@@ -237,7 +541,7 @@ fn facade_serves_over_tcp() {
 mod envelopes {
     use gms::platform::kernel::{Params, Value};
     use gms::serve::{
-        Envelope, Json, LoadCompression, LoadFormat, LoadSource, LoadSpec, MutateSpec, Request,
+        Envelope, GraphFormat, Json, LoadCompression, LoadSource, LoadSpec, MutateSpec, Request,
         RunSpec,
     };
     use proptest::collection::vec;
@@ -284,11 +588,11 @@ mod envelopes {
     fn load_spec() -> impl Strategy<Value = LoadSpec> {
         // (format, inline?) — gcsr is path-only on the wire.
         let shape = prop_oneof![
-            Just((LoadFormat::EdgeList, true)),
-            Just((LoadFormat::EdgeList, false)),
-            Just((LoadFormat::Metis, true)),
-            Just((LoadFormat::Metis, false)),
-            Just((LoadFormat::Gcsr, false)),
+            Just((GraphFormat::EdgeList, true)),
+            Just((GraphFormat::EdgeList, false)),
+            Just((GraphFormat::Metis, true)),
+            Just((GraphFormat::Metis, false)),
+            Just((GraphFormat::Gcsr, false)),
         ];
         (text(0), shape, text(0), 0u8..2).prop_map(|(name, (format, inline), content, gap)| {
             LoadSpec {
