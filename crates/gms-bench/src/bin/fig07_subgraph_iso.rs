@@ -1,11 +1,19 @@
 //! Figure 7: subgraph isomorphism thread scaling — the baseline
 //! static-split driver vs the GMS optimizations (work stealing,
-//! galloping/"SIMD" membership, candidate precompute) on a labeled
+//! galloping/"SIMD" set algebra, candidate precompute) on a labeled
 //! Erdős–Rényi target (the §8.5 dataset, scaled down; the original is
 //! n=10000, p=0.2 with induced queries). Paper shape: runtime falls
 //! with threads; each optimization layer lowers the curve, with
 //! stealing mattering most at high thread counts and the SIMD +
 //! precompute layers giving constant-factor gains (≈1.1× and beyond).
+//!
+//! Every variant takes its candidates from neighborhood intersections
+//! and differences; `+simd` switches those from a plain merge to the
+//! adaptive galloping / block-skipping one, and `+precompute` filters
+//! the root candidates by label and degree up front. Each point asks
+//! the driver for an explicit thread count, so it builds a pool of
+//! that width per run (with `threads` = 0 it would run on the caller's
+//! pool).
 
 use gms_bench::print_csv;
 use gms_match::{count_embeddings_parallel, IsoMode, IsoOptions, LabeledGraph, ParallelIsoConfig};

@@ -87,12 +87,10 @@ fn main() {
     });
     rows.extend(rows_for("kclique4/social-kron", &kc_series, &[]));
 
-    // Parallel subgraph isomorphism: the driver sizes its own pool,
-    // so each scaling point hands it the point's thread count. The
-    // kernel's convert stage clones the target into a LabeledGraph —
-    // a fixed sequential cost that would compress the curve toward
-    // 1.0 (Amdahl) if timed — so each point reports the kernel-stage
-    // time from the outcome, not the closure wall clock.
+    // Parallel subgraph isomorphism: an explicit `threads` makes the
+    // driver build a pool of that width, so each scaling point hands
+    // it the point's thread count, and reports the kernel-stage time
+    // from the outcome.
     let iso_target = gms_gen::gnp(600 * s, 0.02, 5);
     let iso_series: Vec<ScalingPoint> = THREADS
         .iter()

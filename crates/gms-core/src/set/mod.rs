@@ -22,7 +22,10 @@ pub mod word_ops;
 pub use dense::DenseBitSet;
 pub use hashset::HashVertexSet;
 pub use roaring::RoaringSet;
-pub use sorted::{intersect_count_sorted_slices, SortedVecSet};
+pub use sorted::{
+    diff_sorted_slices_into, intersect_count_sorted_slices, intersect_sorted_slices_into,
+    SortedVecSet,
+};
 pub use sparse_bits::SparseBitSet;
 
 use crate::types::NodeId;

@@ -27,29 +27,96 @@ const MERGE_BLOCK: usize = 8;
 /// (size ratio ≥ `GALLOP_RATIO`), block-skipping merge otherwise.
 /// This is
 /// the slice-level kernel behind [`SortedVecSet::intersect_count`]
-/// and the CSR-neighborhood counting in the triangle and k-clique
-/// kernels.
+/// and the CSR-neighborhood counting in the k-clique kernels.
 pub fn intersect_count_sorted_slices(a: &[SetElement], b: &[SetElement]) -> usize {
+    let mut count = 0;
+    for_each_common(a, b, |_| count += 1);
+    count
+}
+
+/// Appends `a ∩ b` to `out` in ascending order: the materializing
+/// twin of [`intersect_count_sorted_slices`], under the same
+/// galloping / block-skipping merge dispatch. Allocation-free once
+/// `out` has the capacity, which is how the subgraph-isomorphism
+/// search builds its candidate sets in reused buffers.
+pub fn intersect_sorted_slices_into(a: &[SetElement], b: &[SetElement], out: &mut Vec<SetElement>) {
+    for_each_common(a, b, |x| out.push(x));
+}
+
+/// Appends `a \ b` to `out` in ascending order, under the same
+/// dispatch: every element of `a` is galloped through `b` when `b` is
+/// at least `GALLOP_RATIO` times larger, and a block-skipping merge
+/// walks both otherwise.
+pub fn diff_sorted_slices_into(a: &[SetElement], b: &[SetElement], out: &mut Vec<SetElement>) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
+    let mut j = 0;
+    if gallops(a.len(), b.len()) {
+        for &x in a {
+            j = gallop(b, j, x);
+            if j == b.len() || b[j] != x {
+                out.push(x);
+            }
+        }
+        return;
     }
-    if big.len() / small.len() >= GALLOP_RATIO {
-        gallop_count(small, big)
-    } else {
-        merge_count(a, b)
+    for &x in a {
+        while j + MERGE_BLOCK <= b.len() && b[j + MERGE_BLOCK - 1] < x {
+            j += MERGE_BLOCK;
+        }
+        while j < b.len() && b[j] < x {
+            j += 1;
+        }
+        if j == b.len() || b[j] != x {
+            out.push(x);
+        }
     }
 }
 
-fn gallop_count(small: &[SetElement], big: &[SetElement]) -> usize {
-    let mut count = 0;
+/// Whether probing every element of a `small`-element side into a
+/// `big`-element one by galloping beats merging the two.
+#[inline]
+fn gallops(small: usize, big: usize) -> bool {
+    small > 0 && big / small >= GALLOP_RATIO
+}
+
+/// Galloping (exponential + binary) search for `x` in `haystack[lo..]`,
+/// returning the insertion point relative to the whole slice.
+#[inline]
+fn gallop(haystack: &[SetElement], lo: usize, x: SetElement) -> usize {
+    let mut step = 1;
+    let mut prev = lo;
+    let mut hi = lo;
+    while hi < haystack.len() && haystack[hi] < x {
+        prev = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    // The insertion point now lies in [prev, min(hi, len)].
+    let upper = hi.min(haystack.len());
+    prev + haystack[prev..upper].partition_point(|&y| y < x)
+}
+
+/// Calls `common` on every element of `a ∩ b`, in ascending order:
+/// the one dispatch behind the count and the materializing twin.
+#[inline]
+fn for_each_common(a: &[SetElement], b: &[SetElement], common: impl FnMut(SetElement)) {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
+    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if gallops(small.len(), big.len()) {
+        gallop_common(small, big, common);
+    } else {
+        merge_common(a, b, common);
+    }
+}
+
+fn gallop_common(small: &[SetElement], big: &[SetElement], mut common: impl FnMut(SetElement)) {
     let mut from = 0;
     for &x in small {
-        let pos = SortedVecSet::gallop(big, from, x);
+        let pos = gallop(big, from, x);
         if pos < big.len() && big[pos] == x {
-            count += 1;
+            common(x);
             from = pos + 1;
         } else {
             from = pos;
@@ -58,11 +125,10 @@ fn gallop_count(small: &[SetElement], big: &[SetElement]) -> usize {
             break;
         }
     }
-    count
 }
 
-fn merge_count(a: &[SetElement], b: &[SetElement]) -> usize {
-    let (mut i, mut j, mut count) = (0, 0, 0);
+fn merge_common(a: &[SetElement], b: &[SetElement], mut common: impl FnMut(SetElement)) {
+    let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         // Block skip: discard MERGE_BLOCK elements per comparison
         // while one side's whole next block sits below the other's
@@ -84,13 +150,12 @@ fn merge_count(a: &[SetElement], b: &[SetElement]) -> usize {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                count += 1;
+                common(a[i]);
                 i += 1;
                 j += 1;
             }
         }
     }
-    count
 }
 
 /// A set of vertex IDs backed by a sorted vector.
@@ -127,66 +192,6 @@ impl SortedVecSet {
     pub fn from_sorted_vec(elements: Vec<SetElement>) -> Self {
         debug_assert!(elements.windows(2).all(|w| w[0] < w[1]));
         Self { elements }
-    }
-
-    /// Galloping (exponential + binary) search for `x` in `haystack[lo..]`,
-    /// returning the insertion point relative to the whole slice.
-    #[inline]
-    fn gallop(haystack: &[SetElement], lo: usize, x: SetElement) -> usize {
-        let mut step = 1;
-        let mut prev = lo;
-        let mut hi = lo;
-        while hi < haystack.len() && haystack[hi] < x {
-            prev = hi + 1;
-            hi += step;
-            step <<= 1;
-        }
-        // The insertion point now lies in [prev, min(hi, len)].
-        let upper = hi.min(haystack.len());
-        prev + haystack[prev..upper].partition_point(|&y| y < x)
-    }
-
-    fn intersect_merge(a: &[SetElement], b: &[SetElement], out: &mut Vec<SetElement>) {
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    fn intersect_gallop(small: &[SetElement], big: &[SetElement], out: &mut Vec<SetElement>) {
-        let mut from = 0;
-        for &x in small {
-            let pos = Self::gallop(big, from, x);
-            if pos < big.len() && big[pos] == x {
-                out.push(x);
-                from = pos + 1;
-            } else {
-                from = pos;
-            }
-            if from >= big.len() {
-                break;
-            }
-        }
-    }
-
-    fn intersect_into(a: &[SetElement], b: &[SetElement], out: &mut Vec<SetElement>) {
-        let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        if small.is_empty() {
-            return;
-        }
-        if big.len() / small.len().max(1) >= GALLOP_RATIO {
-            Self::intersect_gallop(small, big, out);
-        } else {
-            Self::intersect_merge(a, b, out);
-        }
     }
 }
 
@@ -249,7 +254,7 @@ impl Set for SortedVecSet {
 
     fn intersect(&self, other: &Self) -> Self {
         let mut out = Vec::with_capacity(self.elements.len().min(other.elements.len()));
-        Self::intersect_into(&self.elements, &other.elements, &mut out);
+        intersect_sorted_slices_into(&self.elements, &other.elements, &mut out);
         Self { elements: out }
     }
 
@@ -311,18 +316,8 @@ impl Set for SortedVecSet {
     }
 
     fn diff(&self, other: &Self) -> Self {
-        let a = &self.elements;
-        let b = &other.elements;
-        let mut out = Vec::with_capacity(a.len());
-        let mut j = 0;
-        for &x in a {
-            while j < b.len() && b[j] < x {
-                j += 1;
-            }
-            if j >= b.len() || b[j] != x {
-                out.push(x);
-            }
-        }
+        let mut out = Vec::with_capacity(self.elements.len());
+        diff_sorted_slices_into(&self.elements, &other.elements, &mut out);
         Self { elements: out }
     }
 
@@ -452,6 +447,18 @@ mod tests {
             assert_eq!(intersect_count_sorted_slices(&b, &a), expected);
             let sa = SortedVecSet::from_sorted(&a);
             assert_eq!(sa.intersect_count_sorted(&b), expected);
+            // The materializing twins, both ways round, appending
+            // behind what `out` already holds.
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let mut out = vec![u32::MAX];
+                intersect_sorted_slices_into(x, y, &mut out);
+                let common: Vec<_> = x.iter().copied().filter(|e| y.contains(e)).collect();
+                assert_eq!(out[1..], common[..]);
+                out.truncate(1);
+                diff_sorted_slices_into(x, y, &mut out);
+                let only: Vec<_> = x.iter().copied().filter(|e| !y.contains(e)).collect();
+                assert_eq!(out[1..], only[..]);
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Graph transformations: relabeling (vertex permutations), rank
-//! orientation (`dir(G)`, §6.3), and induced subgraphs.
+//! Graph transformations: relabeling (vertex permutations), rank and
+//! degree orientation (`dir(G)`, §6.3), and induced subgraphs.
 //!
 //! Reorderings in GMS are *preprocessing* routines (modularity ③):
 //! a [`Rank`] assigns each vertex a position; relabeling rewrites the
@@ -9,6 +9,7 @@
 
 use gms_core::{CsrBuilder, CsrGraph, Graph, NodeId};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// A vertex ordering: `rank[v]` is the position of `v` (0 = first).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,17 +125,109 @@ pub fn relabel(graph: &CsrGraph, rank: &Rank) -> CsrGraph {
 /// The result is a DAG; under a degeneracy order, out-degrees are at
 /// most the degeneracy `d`.
 pub fn orient_by_rank(graph: &CsrGraph, rank: &Rank) -> CsrGraph {
+    assert_eq!(graph.num_vertices(), rank.len());
+    orient(graph, |u, v| rank.precedes(u, v))
+}
+
+/// The forward DAG under the `(degree, id)` order: the arc `u -> v`
+/// is kept iff `(deg u, u) < (deg v, v)` — the raw twin of
+/// [`CompressedCsr::orient_by_degree`](crate::CompressedCsr::orient_by_degree),
+/// arc for arc. Vertex IDs are unchanged (no relabel), forward lists
+/// stay sorted by ID, and out-degrees are at most `√(2m)`, the bound
+/// on the `|N⁺(u) ∩ N⁺(v)|` work of triangle counting. No order is
+/// sorted and no rank array is built: the order is read off the
+/// offsets.
+pub fn orient_by_degree(graph: &CsrGraph) -> CsrGraph {
+    let key = |v: NodeId| (graph.degree(v), v);
+    orient(graph, |u, v| key(u) < key(v))
+}
+
+/// Orientation tasks per worker: slack for stealing to even out what
+/// the arc-balanced cut leaves.
+const ORIENT_TASKS_PER_WORKER: usize = 8;
+
+/// Keeps the arcs `u -> v` with `forward(u, v)`, in two parallel passes
+/// over the same arc-balanced vertex runs: the first counts each
+/// vertex's kept arcs into the offsets, a prefix sum places them, and
+/// the second copies the kept arcs into place. The kept part of a
+/// sorted, duplicate-free neighborhood is itself sorted and
+/// duplicate-free, so nothing is sorted or deduplicated.
+fn orient(graph: &CsrGraph, forward: impl Fn(NodeId, NodeId) -> bool + Sync) -> CsrGraph {
     let n = graph.num_vertices();
-    assert_eq!(n, rank.len());
-    let mut builder = CsrBuilder::new(n);
-    for u in graph.vertices() {
-        for v in graph.neighbors(u) {
-            if rank.precedes(u, v) {
-                builder.push_arc(u, v);
+    let runs = arc_balanced_runs(graph);
+    let forward = &forward;
+    let kept = |u: usize| {
+        let u = u as NodeId;
+        graph
+            .neighbors_slice(u)
+            .iter()
+            .copied()
+            .filter(move |&v| forward(u, v))
+    };
+
+    // `offsets[u + 1]` receives the forward degree of `u`.
+    let mut offsets = vec![0usize; n + 1];
+    cut(&mut offsets[1..], runs.iter().map(|run| run.end))
+        .into_iter()
+        .zip(runs.iter().cloned())
+        .into_par_iter()
+        .for_each(|(counts, run)| {
+            for (count, u) in counts.iter_mut().zip(run) {
+                *count = kept(u).count();
             }
-        }
+        });
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
     }
-    builder.finish_dedup()
+
+    let mut targets: Vec<NodeId> = vec![0; offsets[n]];
+    cut(&mut targets, runs.iter().map(|run| offsets[run.end]))
+        .into_iter()
+        .zip(runs)
+        .into_par_iter()
+        .for_each(|(region, run)| {
+            for (slot, v) in region.iter_mut().zip(run.flat_map(kept)) {
+                *slot = v;
+            }
+        });
+    CsrGraph::from_parts(offsets, targets)
+}
+
+/// Cuts `0..n` into consecutive vertex runs of about equal arc count,
+/// [`ORIENT_TASKS_PER_WORKER`] per pool worker: skewed graphs pack
+/// their hubs into a few IDs, so equal vertex counts would hand one
+/// task most of the arcs.
+fn arc_balanced_runs(graph: &CsrGraph) -> Vec<Range<usize>> {
+    let n = graph.num_vertices();
+    let offsets = &graph.offsets()[..n];
+    let arcs = graph.num_arcs();
+    let tasks = ORIENT_TASKS_PER_WORKER * rayon::current_num_threads();
+    let mut start = 0;
+    (1..=tasks)
+        .map(|t| {
+            let end = if t == tasks {
+                n
+            } else {
+                offsets.partition_point(|&o| o * tasks < arcs * t)
+            };
+            let run = start..end;
+            start = end;
+            run
+        })
+        .collect()
+}
+
+/// Splits `slice` into consecutive pieces, the `i`-th ending at
+/// `ends[i]`; the last end must be `slice.len()`.
+fn cut<T>(mut slice: &mut [T], ends: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut at = 0;
+    ends.map(|end| {
+        let (piece, rest) = std::mem::take(&mut slice).split_at_mut(end - at);
+        slice = rest;
+        at = end;
+        piece
+    })
+    .collect()
 }
 
 /// Extracts the subgraph induced by `vertices`, relabeling them

@@ -51,7 +51,7 @@ impl Default for FsmConfig {
 #[derive(Clone, Debug)]
 pub struct FrequentPattern {
     /// The pattern graph (canonical vertex order).
-    pub pattern: LabeledGraph,
+    pub pattern: LabeledGraph<'static>,
     /// Its MNI support in the target.
     pub support: u64,
 }
@@ -64,7 +64,7 @@ struct Pattern {
 }
 
 impl Pattern {
-    fn to_graph(&self) -> LabeledGraph {
+    fn to_graph(&self) -> LabeledGraph<'static> {
         let mut builder = CsrBuilder::new(self.labels.len());
         for &(a, b) in &self.edges {
             builder.push_arc(a as NodeId, b as NodeId);
@@ -312,7 +312,7 @@ mod tests {
     use super::*;
     use gms_core::{CsrGraph, Graph as _};
 
-    fn labeled(n: usize, edges: &[(u32, u32)], labels: Vec<u32>) -> LabeledGraph {
+    fn labeled(n: usize, edges: &[(u32, u32)], labels: Vec<u32>) -> LabeledGraph<'static> {
         LabeledGraph::new(CsrGraph::from_undirected_edges(n, edges), labels)
     }
 

@@ -1,5 +1,6 @@
 //! Parallel subgraph isomorphism (§6.4): the VF3-Light-style driver
-//! with the paper's two load-balancing features.
+//! with the paper's two load-balancing features, over the matcher of
+//! [`crate::vf2`] (set-algebra candidates, last depth counted).
 //!
 //! * **Work splitting** — the root-candidate list (target vertices
 //!   from which backtracking starts) is split across threads.
@@ -7,9 +8,13 @@
 //!   busy ones instead of being stuck with a static chunk; the paper
 //!   implements this with a CAS-retrieved queue of vertex IDs, which
 //!   maps directly onto the `rayon` scheduler's stealable range
-//!   tasks, so this driver is now just a parallel iterator over root
-//!   chunks inside a sized pool (the former hand-rolled
-//!   `thread::scope` + injector-queue loop is gone).
+//!   tasks, so this driver is a parallel iterator over root chunks.
+//!
+//! The chunks run on the ambient pool — the caller's, as every other
+//! kernel does (a benchmark's `pool().install`, a server's worker
+//! pool) — unless [`ParallelIsoConfig::threads`] asks for a width, in
+//! which case a pool of that width is built for the call: the thread
+//! sweeps of Fig. 7 need it.
 //!
 //! Diverse backtracking depths per root vertex make some threads
 //! finish early; stealing flattens that imbalance (the effect Fig. 7
@@ -24,21 +29,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Parallel driver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelIsoConfig {
-    /// Worker thread count.
+    /// Worker thread count; `0` (the default) runs on the ambient
+    /// pool, any other value on a pool of that width built per call.
     pub threads: usize,
     /// Dynamic work stealing (vs. static per-thread chunks).
     pub work_stealing: bool,
     /// Matching options (semantics + §6.4 optimizations). The `limit`
     /// field is treated as a soft limit in parallel runs: the driver
-    /// stops spawning new roots once reached, but roots already in
-    /// flight complete.
+    /// stops starting new root chunks once reached, but chunks already
+    /// in flight complete; the result is capped at `limit`.
     pub options: IsoOptions,
 }
 
 impl Default for ParallelIsoConfig {
     fn default() -> Self {
         Self {
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
+            threads: 0,
             work_stealing: true,
             options: IsoOptions::default(),
         }
@@ -70,40 +76,39 @@ pub fn count_embeddings_parallel_cancellable(
         return 0;
     }
     let plan = build_plan(query, target, &config.options);
-    let threads = config.threads.max(1);
+    let limit = config.options.limit;
     let total = AtomicU64::new(0);
-    let roots = &plan.root_candidates;
-
-    // Chunk granularity is the splitting/stealing knob: with stealing
-    // on, roots fan out as many small stealable tasks (each chunk
-    // amortizes one `MatchState` allocation); with stealing off, one
-    // contiguous chunk per thread reproduces static work splitting.
-    let chunk = if config.work_stealing {
-        roots.len().div_ceil(threads * 8).max(1)
-    } else {
-        roots.len().div_ceil(threads).max(1)
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("threads >= 1");
-    pool.install(|| {
+    let search = || {
+        let roots = plan.roots();
+        let threads = rayon::current_num_threads();
+        // Chunk granularity is the splitting/stealing knob: with
+        // stealing on, roots fan out as many small stealable tasks
+        // (each chunk amortizes one `MatchState`); with stealing off,
+        // one contiguous chunk per thread reproduces static work
+        // splitting.
+        let chunk = if config.work_stealing {
+            roots.len().div_ceil(threads * 8).max(1)
+        } else {
+            roots.len().div_ceil(threads).max(1)
+        };
         roots.par_chunks(chunk).for_each(|chunk_roots| {
-            if total.load(Ordering::Relaxed) >= config.options.limit || cancel.is_cancelled() {
+            if total.load(Ordering::Relaxed) >= limit || cancel.is_cancelled() {
                 return;
             }
-            let mut state = MatchState::new(query, target, &plan, &config.options);
-            state.cancel = cancel.clone();
-            for &root in chunk_roots {
-                if total.load(Ordering::Relaxed) >= config.options.limit {
-                    break;
-                }
-                state.extend_from_root(root);
-            }
+            let mut state = MatchState::new(target, &plan, &config.options, cancel);
+            state.count_from(chunk_roots);
             total.fetch_add(state.found, Ordering::Relaxed);
         });
-    });
-    total.load(Ordering::Relaxed).min(config.options.limit)
+    };
+    match config.threads {
+        0 => search(),
+        threads => rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("a pool of the requested width")
+            .install(search),
+    }
+    total.load(Ordering::Relaxed).min(limit)
 }
 
 #[cfg(test)]
@@ -112,7 +117,7 @@ mod tests {
     use crate::vf2::count_embeddings;
     use gms_core::CsrGraph;
 
-    fn triangle() -> LabeledGraph {
+    fn triangle() -> LabeledGraph<'static> {
         LabeledGraph::unlabeled(CsrGraph::from_undirected_edges(
             3,
             &[(0, 1), (1, 2), (0, 2)],

@@ -5,15 +5,14 @@
 //! used to characterize datasets (Table 7).
 
 use gms_core::{CsrGraph, Graph, NodeId};
-use gms_graph::{orient_by_rank, Rank};
+use gms_graph::{orient_by_degree, Rank};
 use rayon::prelude::*;
 
 /// Per-vertex triangle participation counts, computed with the
 /// rank-merge scheme on a degree-oriented DAG: every triangle is found
 /// exactly once and credited to all three corners.
 pub fn triangles_per_vertex(graph: &CsrGraph) -> Vec<u64> {
-    let rank = crate::degree::degree_order(graph);
-    let dag = orient_by_rank(graph, &rank);
+    let dag = orient_by_degree(graph);
     let n = graph.num_vertices();
     let counts: Vec<std::sync::atomic::AtomicU64> = (0..n)
         .map(|_| std::sync::atomic::AtomicU64::new(0))

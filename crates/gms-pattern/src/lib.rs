@@ -37,6 +37,6 @@ pub use kclique::{
     k_clique_count_with, k_clique_list, KcConfig, KcOutcome, KcParallel, KcVariant,
 };
 pub use triangles::{
-    triangle_count_compressed, triangle_count_node_iterator, triangle_count_rank_merge,
-    triangle_count_touched,
+    triangle_count_cancellable, triangle_count_compressed, triangle_count_node_iterator,
+    triangle_count_rank_merge, triangle_count_touched,
 };

@@ -3,11 +3,21 @@
 //! paper's representation analysis (Table 8) contrasts. Both are
 //! expressed with set intersections (⑤⁺) — the `tc += |N(v) ∩ N(w)|`
 //! snippet of Figure 2 verbatim.
+//!
+//! The rank-merge scheme is one count over one DAG for every
+//! resident. The graph is oriented under the `(degree, id)` order —
+//! [`gms_graph::orient_by_degree`] on raw arrays,
+//! [`CompressedCsr::orient_by_degree`] decoding every neighborhood once
+//! on a gap-compressed one — with vertex IDs unchanged, so no relabeled
+//! copy is made. The count then uses the paper's dense-bitset
+//! intersection: a worker marks `N⁺(u)` once in an `n`-bit bitmap,
+//! adds the marked bits of `N⁺(v)` for every `v ∈ N⁺(u)`, and clears
+//! its marks — `|N⁺(u) ∩ N⁺(v)|` at one bit probe per element of
+//! `N⁺(v)`, with no branchy merge.
 
-use gms_core::set::intersect_count_sorted_slices;
-use gms_core::{CsrGraph, Graph, NodeId, Set, SetGraph, SetNeighborhoods};
-use gms_graph::{orient_by_rank, relabel, CompressedCsr, Rank};
-use gms_order::degree_order;
+use crate::scratch::with_worker_scratch;
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId, Set, SetGraph, SetNeighborhoods};
+use gms_graph::{orient_by_degree, CompressedCsr, GraphView};
 use rayon::prelude::*;
 
 /// Node-iterator triangle counting: for every vertex `v` and neighbor
@@ -26,48 +36,88 @@ pub fn triangle_count_node_iterator<S: Set>(graph: &SetGraph<S>) -> u64 {
     total / 6
 }
 
-/// Rank-merge triangle counting: orient by degree order, then count
-/// `|N⁺(u) ∩ N⁺(v)|` over the DAG arcs — each triangle exactly once.
-/// The degree order bounds forward degrees, the optimization §4.1.3
-/// attributes to vertex reordering. Each arc is one allocation-free
-/// count directly over the two CSR neighbor slices (galloping or
-/// block-skipping merge, chosen by size skew).
+/// Rank-merge triangle counting on raw CSR arrays: orient by the
+/// `(degree, id)` order, then count `|N⁺(u) ∩ N⁺(v)|` over the DAG
+/// arcs — each triangle exactly once. The degree order bounds forward
+/// degrees, the optimization §4.1.3 attributes to vertex reordering.
 pub fn triangle_count_rank_merge(graph: &CsrGraph) -> u64 {
-    let rank = degree_order(graph);
-    let relabeled = relabel(graph, &rank);
-    let dag = orient_by_rank(&relabeled, &Rank::identity(relabeled.num_vertices()));
-    count_forward_wedges(&dag)
-}
-
-/// `Σ |N⁺(u) ∩ N⁺(v)|` over the arcs `u -> v` of an oriented graph:
-/// every triangle is closed exactly once, at its lowest-ranked corner.
-fn count_forward_wedges(dag: &CsrGraph) -> u64 {
-    (0..dag.num_vertices() as NodeId)
-        .into_par_iter()
-        .map(|u| {
-            let nu = dag.neighbors_slice(u);
-            nu.iter()
-                .map(|&v| intersect_count_sorted_slices(nu, dag.neighbors_slice(v)) as u64)
-                .sum::<u64>()
-        })
-        .sum()
+    triangle_count_cancellable(GraphView::Raw(graph), &CancelToken::none())
 }
 
 /// Triangle counting over a gap-compressed CSR: decode once, orient,
 /// count. [`CompressedCsr::orient_by_degree`] sweeps the index blocks
 /// in parallel, decodes every neighborhood exactly once and keeps only
-/// the forward neighbors under the `(degree, id)` order; the count is
-/// then the same `|N⁺(u) ∩ N⁺(v)|` slice merge as
-/// [`triangle_count_rank_merge`], so each triangle is seen once and
-/// hubs — whose forward lists are short — cost what they cost on a raw
-/// CSR. The compressed graph stays the only resident copy. The
-/// transient cost, freed on return, is the sweep's buffer — one `u32`
-/// slot per arc, of which only the packed forward half is kept — and
-/// then the forward DAG it is trimmed to: one `u32` per *edge* (half
-/// the raw adjacency) plus `n + 1` offsets. The number of allocations
-/// is fixed by the pool width, not by the graph.
+/// the forward neighbors; the count is then the one
+/// [`triangle_count_rank_merge`] runs, so hubs — whose forward lists
+/// are short — cost what they cost on a raw CSR. The compressed graph
+/// stays the only resident copy. The transient cost, freed on return,
+/// is the sweep's buffer — one `u32` slot per arc, of which only the
+/// packed forward half is kept — and then the forward DAG it is
+/// trimmed to: one `u32` per *edge* (half the raw adjacency) plus
+/// `n + 1` offsets. The number of allocations is fixed by the pool
+/// width, not by the graph.
 pub fn triangle_count_compressed(graph: &CompressedCsr) -> u64 {
-    count_forward_wedges(&graph.orient_by_degree())
+    triangle_count_cancellable(GraphView::Compressed(graph), &CancelToken::none())
+}
+
+/// Rank-merge triangle counting on any resident under a cooperative
+/// [`CancelToken`], probed once per chunk of vertices. A fired token
+/// yields a partial count the caller must discard.
+pub fn triangle_count_cancellable(graph: GraphView<'_>, cancel: &CancelToken) -> u64 {
+    let dag = match graph {
+        GraphView::Raw(graph) => orient_by_degree(graph),
+        GraphView::Compressed(graph) => graph.orient_by_degree(),
+    };
+    count_forward_wedges(&dag, cancel)
+}
+
+/// Vertices per counting task: each pays one cancellation probe and
+/// one scratch checkout.
+const COUNT_CHUNK: usize = 256;
+
+/// A worker's `n`-bit marks of `N⁺(u)`, all clear between uses.
+#[derive(Default)]
+struct Marks(Vec<u64>);
+
+/// `Σ |N⁺(u) ∩ N⁺(v)|` over the arcs `u -> v` of an oriented graph:
+/// every triangle is closed exactly once, at its lowest-ranked corner.
+/// A re-entrant scratch borrow hands out a fresh, empty bitmap, so the
+/// bitmap is sized here, not assumed.
+fn count_forward_wedges(dag: &CsrGraph, cancel: &CancelToken) -> u64 {
+    let n = dag.num_vertices();
+    let words = n.div_ceil(64);
+    (0..n.div_ceil(COUNT_CHUNK))
+        .into_par_iter()
+        .map(|chunk| {
+            if cancel.is_cancelled() {
+                return 0;
+            }
+            with_worker_scratch(|Marks(marks)| {
+                if marks.len() < words {
+                    marks.resize(words, 0);
+                }
+                let mut count = 0u64;
+                for u in chunk * COUNT_CHUNK..n.min((chunk + 1) * COUNT_CHUNK) {
+                    let nu = dag.neighbors_slice(u as NodeId);
+                    if nu.len() < 2 {
+                        continue;
+                    }
+                    for &v in nu {
+                        marks[v as usize / 64] |= 1 << (v % 64);
+                    }
+                    for &v in nu {
+                        for &w in dag.neighbors_slice(v) {
+                            count += (marks[w as usize / 64] >> (w % 64)) & 1;
+                        }
+                    }
+                    for &v in nu {
+                        marks[v as usize / 64] = 0;
+                    }
+                }
+                count
+            })
+        })
+        .sum()
 }
 
 /// Touched-wedge triangle recount: the number of triangles containing
@@ -202,14 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn compressed_counter_agrees_with_rank_merge_on_every_resident() {
+    fn one_count_agrees_with_the_node_iterator_on_every_resident() {
         for (name, g) in &compressed_gallery() {
-            let expected = triangle_count_rank_merge(g);
+            let expected = node_iter_count(g);
             let gap = CompressedCsr::from_csr(g);
             // Locality reordering relabels vertices; the triangle count
             // is an isomorphism invariant and must not change.
             let reordered = CompressedCsr::from_csr_ordered(g, &gms_order::bfs_order(g, 0));
             let mapped = through_mmap(&gap, name);
+            assert_eq!(triangle_count_rank_merge(g), expected, "{name} / raw");
             for (resident, compressed) in [
                 ("gap", &gap),
                 ("gap+reorder", &reordered),
@@ -225,9 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn degree_orientation_keeps_each_edge_once() {
+    fn degree_orientation_is_one_dag_on_both_representations() {
         for (name, g) in &compressed_gallery() {
-            let dag = CompressedCsr::from_csr(g).orient_by_degree();
+            let dag = orient_by_degree(g);
+            assert_eq!(
+                dag,
+                CompressedCsr::from_csr(g).orient_by_degree(),
+                "{name}: raw and compressed orientations differ"
+            );
             assert_eq!(dag.num_vertices(), g.num_vertices(), "{name}");
             assert_eq!(2 * dag.num_arcs(), g.num_arcs(), "{name}");
             for u in dag.vertices() {
@@ -238,6 +294,70 @@ mod tests {
                     assert!((g.degree(u), u) < (g.degree(v), v), "{name}: {u} -> {v}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rank_orientation_matches_the_builder_definition() {
+        use gms_core::CsrBuilder;
+        use gms_graph::{orient_by_rank, Rank};
+        // The definition before the two-pass filter: every kept arc
+        // through a builder that sorts and deduplicates.
+        let reference = |g: &CsrGraph, rank: &Rank| {
+            let mut builder = CsrBuilder::new(g.num_vertices());
+            for (u, v) in g.arcs().filter(|&(u, v)| rank.precedes(u, v)) {
+                builder.push_arc(u, v);
+            }
+            builder.finish_dedup()
+        };
+        for (name, g) in &compressed_gallery() {
+            let n = g.num_vertices();
+            let reversed: Vec<u32> = (0..n as u32).rev().collect();
+            for (order, rank) in [
+                ("identity", Rank::identity(n)),
+                ("reversed", Rank::from_ranks(reversed)),
+                ("degree", gms_order::degree_order(g)),
+                ("bfs", gms_order::bfs_order(g, 0)),
+            ] {
+                assert_eq!(
+                    orient_by_rank(g, &rank),
+                    reference(g, &rank),
+                    "{name} under the {order} order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_reentrant_count_sizes_its_own_bitmap() {
+        // On a one-thread pool the count runs on the thread that holds
+        // the outer borrow — which took the worker's sized bitmap — so
+        // it is handed a fresh, empty one.
+        let g = gms_gen::kronecker_default(8, 6, 7);
+        let expected = node_iter_count(&g);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        assert_eq!(pool.install(|| triangle_count_rank_merge(&g)), expected);
+        let inner = pool.install(|| {
+            with_worker_scratch(|outer: &mut Marks| {
+                assert!(!outer.0.is_empty(), "the worker's bitmap was sized");
+                triangle_count_rank_merge(&g)
+            })
+        });
+        assert_eq!(inner, expected);
+    }
+
+    #[test]
+    fn a_fired_token_stops_the_count() {
+        let g = gms_gen::kronecker_default(10, 12, 7);
+        let gap = CompressedCsr::from_csr(&g);
+        let fired = CancelToken::manual();
+        fired.cancel();
+        for view in [GraphView::Raw(&g), GraphView::Compressed(&gap)] {
+            assert!(triangle_count_cancellable(view, &CancelToken::none()) > 0);
+            assert_eq!(triangle_count_cancellable(view, &fired), 0);
         }
     }
 

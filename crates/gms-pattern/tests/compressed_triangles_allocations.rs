@@ -1,14 +1,17 @@
-//! Pins the allocation profile of the compressed triangle kernel.
+//! Pins the allocation profile of the triangle kernel on both
+//! representations.
 //!
 //! `triangle_count_compressed` decodes the graph once into a transient
-//! forward DAG: a fixed handful of whole-graph arrays (degrees,
-//! targets, forward counts) and one task list per parallel dispatch,
-//! sized by the pool width. Nothing is allocated per vertex, per
-//! neighborhood or per arc — so the *number* of allocations must be
-//! the same on a 2 k-vertex and a 20 k-vertex graph at a fixed pool
-//! width. A regression that materializes a `Vec` per neighborhood (or
-//! per index block) would still count correctly; only an allocation
-//! counter can catch it.
+//! forward DAG, `triangle_count_rank_merge` filters the raw arrays into
+//! one: a fixed handful of whole-graph arrays (degrees, targets,
+//! forward counts) and one task list per parallel dispatch, sized by
+//! the pool width. The count then marks forward neighborhoods in a
+//! per-worker bitmap that outlives the call. Nothing is allocated per
+//! vertex, per neighborhood or per arc — so the *number* of
+//! allocations must be the same on a 2 k-vertex and a 20 k-vertex
+//! graph at a fixed pool width. A regression that materializes a `Vec`
+//! per neighborhood (or per index block, or per counting chunk) would
+//! still count correctly; only an allocation counter can catch it.
 //!
 //! Everything runs in a single `#[test]` because the allocator is
 //! process-global: concurrent tests would pollute the counter.
@@ -69,29 +72,36 @@ fn allocation_count_does_not_grow_with_the_graph() {
         .build()
         .unwrap();
 
-    // Warm-up: worker threads, their stacks and scratch exist.
+    // Warm-up: worker threads, their stacks and scratch exist, and the
+    // workers' bitmaps have grown to the largest graph.
     for (raw, compressed) in &graphs {
-        let expected = triangle_count_rank_merge(raw);
+        let expected = pool.install(|| triangle_count_rank_merge(raw));
         assert_eq!(
             pool.install(|| triangle_count_compressed(compressed)),
             expected
         );
     }
 
-    let counts: Vec<usize> = graphs
-        .iter()
-        .map(|(_, compressed)| {
-            allocations_during(|| pool.install(|| triangle_count_compressed(compressed))).1
-        })
-        .collect();
-    assert!(
-        counts.iter().all(|&c| c == counts[0]),
-        "allocation count depends on the graph: {counts:?} — the kernel \
-         must allocate whole-graph arrays and per-dispatch task lists only"
-    );
-    assert!(
-        counts[0] < 32,
-        "{} allocations for one triangle count",
-        counts[0]
-    );
+    for resident in ["raw", "gap"] {
+        let counts: Vec<usize> = graphs
+            .iter()
+            .map(|(raw, compressed)| {
+                let count = || match resident {
+                    "raw" => triangle_count_rank_merge(raw),
+                    _ => triangle_count_compressed(compressed),
+                };
+                allocations_during(|| pool.install(count)).1
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{resident}: allocation count depends on the graph: {counts:?} — the \
+             kernel must allocate whole-graph arrays and per-dispatch task lists only"
+        );
+        assert!(
+            counts[0] < 32,
+            "{resident}: {} allocations for one triangle count",
+            counts[0]
+        );
+    }
 }

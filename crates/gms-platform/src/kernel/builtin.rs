@@ -14,7 +14,7 @@ use gms_core::hash::FxHasher;
 use gms_core::{
     CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, RoaringSet, SetGraph, SortedVecSet,
 };
-use gms_graph::EdgeDelta;
+use gms_graph::{EdgeDelta, GraphView};
 use gms_learn::{
     evaluate_accuracy, jarvis_patrick, label_propagation, louvain, num_clusters,
     similarity_batch_csr, JarvisPatrickConfig, SimilarityMeasure,
@@ -30,7 +30,7 @@ use gms_opt::{
 use gms_order::{bfs_order, k_core_by_peeling, random_order, OrderingKind};
 use gms_pattern::{
     bron_kerbosch_cancellable, k_clique_count_cancellable, k_clique_stars,
-    triangle_count_node_iterator, triangle_count_rank_merge, triangle_count_touched, BkConfig,
+    triangle_count_cancellable, triangle_count_node_iterator, triangle_count_touched, BkConfig,
     BkVariant, KcConfig, KcParallel, SubgraphMode,
 };
 use std::hash::Hasher;
@@ -299,38 +299,33 @@ impl Kernel for TriangleKernel {
             "counting strategy",
         )]
     }
-    /// On a compressed resident this is the suite's one decode-native
-    /// kernel: every neighborhood is decoded exactly once, in
-    /// parallel, straight into the `(degree, id)`-oriented forward
-    /// DAG, and the count is the rank-merge `|N⁺(u) ∩ N⁺(v)|` over
-    /// its slices — CSR speed without the CSR. The transient cost,
-    /// freed on return, is the decode buffer (one `u32` slot per arc
-    /// while the sweep runs) trimmed to that DAG (one `u32` per edge,
-    /// half the raw adjacency, plus `n + 1` offsets); nothing is
-    /// charged to `convert` because no CSR is materialized. Both
-    /// `method` choices produce the same count, so one compressed
-    /// path serves them.
+    /// One count over one DAG on every resident: the graph is oriented
+    /// under the `(degree, id)` order — filtered straight out of raw
+    /// arrays, or decoded exactly once, in parallel, out of a
+    /// compressed resident — and the forward wedges are counted
+    /// against a per-worker bitmap of `N⁺(u)`, with the token probed
+    /// once per vertex chunk. The transient cost, freed on return, is
+    /// that DAG (one `u32` per edge, half the raw adjacency, plus
+    /// `n + 1` offsets; on a compressed resident, first the decode
+    /// buffer of one slot per arc); nothing is charged to `convert`
+    /// because no CSR is materialized. Both `method` choices produce
+    /// the same count, so on a compressed resident the oriented count
+    /// serves both; the node iterator runs on raw arrays only.
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         let mut timings = StageTimings::default();
-        let count = match (cx.compressed(), cx.params().get_str("method", "rank-merge")) {
-            (Some(compressed), _) => {
+        let count = match (cx.view(), cx.params().get_str("method", "rank-merge")) {
+            (GraphView::Raw(graph), "node-iterator") => {
                 let t = Instant::now();
-                let count = gms_pattern::triangle_count_compressed(compressed);
-                timings.kernel = t.elapsed();
-                count
-            }
-            (None, "node-iterator") => {
-                let t = Instant::now();
-                let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(cx.csr());
+                let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(graph);
                 timings.convert = t.elapsed();
                 let t = Instant::now();
                 let count = triangle_count_node_iterator(&sg);
                 timings.kernel = t.elapsed();
                 count
             }
-            (None, _) => {
+            (view, _) => {
                 let t = Instant::now();
-                let count = triangle_count_rank_merge(cx.csr());
+                let count = triangle_count_cancellable(view, cx.cancel());
                 timings.kernel = t.elapsed();
                 count
             }
@@ -469,7 +464,11 @@ fn iso_specs() -> Vec<ParamSpec> {
 }
 
 /// Sequential VF2-style subgraph isomorphism counting a named query
-/// pattern in the loaded (unlabeled) graph.
+/// pattern in the loaded (unlabeled) graph. The matcher borrows the
+/// resident CSR as an unlabeled target — no copy, no label array — and
+/// takes each query vertex's candidates from the intersection of its
+/// mapped neighbors' neighborhoods (minus those of its mapped
+/// non-neighbors under `induced`).
 struct SubgraphIsoKernel;
 
 impl Kernel for SubgraphIsoKernel {
@@ -486,23 +485,20 @@ impl Kernel for SubgraphIsoKernel {
         iso_specs()
     }
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
-        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
-        let t = Instant::now();
+        let params = cx.params();
         let query = LabeledGraph::unlabeled(query_graph(params.get_str("query", "triangle")));
-        let target = LabeledGraph::unlabeled(graph.clone());
-        let convert = t.elapsed();
+        let target = LabeledGraph::view(cx.csr());
         let t = Instant::now();
-        let count = count_embeddings_cancellable(&query, &target, &iso_options(params), cancel);
-        let kernel = t.elapsed();
-        Ok(Outcome::new(self.name(), count).with_timings(StageTimings {
-            convert,
-            preprocess: std::time::Duration::ZERO,
-            kernel,
-        }))
+        let count =
+            count_embeddings_cancellable(&query, &target, &iso_options(params), cx.cancel());
+        Ok(Outcome::new(self.name(), count)
+            .with_timings(stage(std::time::Duration::ZERO, t.elapsed())))
     }
 }
 
-/// The parallel VF3-Light-style driver over the same named queries.
+/// The parallel VF3-Light-style driver over the same named queries and
+/// the same borrowed target. Root chunks run on the caller's pool
+/// unless `threads` asks for a pool of its own.
 struct ParallelIsoKernel;
 
 impl Kernel for ParallelIsoKernel {
@@ -520,7 +516,7 @@ impl Kernel for ParallelIsoKernel {
         specs.push(ParamSpec::int(
             "threads",
             0,
-            "worker threads (0 = the machine default)",
+            "worker threads (0 = the caller's pool)",
         ));
         specs.push(ParamSpec::bool(
             "stealing",
@@ -530,29 +526,18 @@ impl Kernel for ParallelIsoKernel {
         specs
     }
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
-        let (graph, params, cancel) = (cx.csr(), cx.params(), cx.cancel());
-        let t = Instant::now();
+        let params = cx.params();
         let query = LabeledGraph::unlabeled(query_graph(params.get_str("query", "triangle")));
-        let target = LabeledGraph::unlabeled(graph.clone());
-        let convert = t.elapsed();
-        let threads = params.get_int("threads", 0);
+        let target = LabeledGraph::view(cx.csr());
         let config = ParallelIsoConfig {
-            threads: if threads <= 0 {
-                ParallelIsoConfig::default().threads
-            } else {
-                threads as usize
-            },
+            threads: params.get_int("threads", 0).max(0) as usize,
             work_stealing: params.get_bool("stealing", true),
             options: iso_options(params),
         };
         let t = Instant::now();
-        let count = count_embeddings_parallel_cancellable(&query, &target, &config, cancel);
-        let kernel = t.elapsed();
-        Ok(Outcome::new(self.name(), count).with_timings(StageTimings {
-            convert,
-            preprocess: std::time::Duration::ZERO,
-            kernel,
-        }))
+        let count = count_embeddings_parallel_cancellable(&query, &target, &config, cx.cancel());
+        Ok(Outcome::new(self.name(), count)
+            .with_timings(stage(std::time::Duration::ZERO, t.elapsed())))
     }
 }
 
@@ -1104,6 +1089,54 @@ impl Kernel for OrderKernel {
         match self.0 {
             OrderWhich::Random => DeltaSensitivity::VertexCount,
             _ => DeltaSensitivity::Global,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::execute;
+    use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed};
+    use gms_graph::{CompressedCsr, GraphStore};
+
+    #[test]
+    fn triangle_count_is_one_answer_on_every_resident_width_and_method() {
+        let graph = gms_gen::kronecker_default(10, 12, 7);
+        let expected = gms_order::triangle_count(&graph);
+        let gap = CompressedCsr::from_csr(&graph);
+        let reordered = CompressedCsr::from_csr_ordered(&graph, &bfs_order(&graph, 0));
+        let path =
+            std::env::temp_dir().join(format!("gms_builtin_tri_{}.gcsr", std::process::id()));
+        save_snapshot_compressed(&gap, &path).unwrap();
+        let loaded = load_snapshot_auto(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let GraphStore::Compressed(mapped) = loaded else {
+            panic!("a v2 snapshot stays compressed");
+        };
+        let residents = [
+            ("raw", GraphView::Raw(&graph)),
+            ("gap", GraphView::Compressed(&gap)),
+            ("gap+reorder", GraphView::Compressed(&reordered)),
+            ("mmap v2", GraphView::Compressed(&mapped)),
+        ];
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for method in ["rank-merge", "node-iterator"] {
+                let params = Params::new().with("method", method);
+                for (resident, view) in residents {
+                    let outcome = pool
+                        .install(|| execute(&TriangleKernel, &RunCx::new(view, &params)))
+                        .unwrap();
+                    assert_eq!(
+                        outcome.patterns, expected,
+                        "{resident}, {threads} threads, {method}"
+                    );
+                }
+            }
         }
     }
 }

@@ -167,9 +167,9 @@ pub trait Kernel: Send + Sync {
     /// cannot rule out (a negative `eps`, `k < 1`) as
     /// [`KernelError::BadParam`]. [`RunCx::csr`] always reaches the
     /// graph; a kernel that needs less than the full CSR of a
-    /// compressed resident takes [`RunCx::compressed`] instead.
+    /// compressed resident takes [`RunCx::view`] instead.
     /// Kernels with long hot loops (Bron–Kerbosch, k-clique, subgraph
-    /// isomorphism) probe [`RunCx::cancel`] mid-search and return
+    /// isomorphism, triangle counting) probe [`RunCx::cancel`] mid-search and return
     /// early with whatever they have, which [`execute`] discards; the
     /// rest run to completion and are discarded afterwards.
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError>;

@@ -4,7 +4,7 @@
 
 use super::{CancelToken, Kernel, KernelError, Outcome, Params};
 use gms_core::CsrGraph;
-use gms_graph::{CompressedCsr, GraphView};
+use gms_graph::GraphView;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -19,8 +19,8 @@ static NEVER: CancelToken = CancelToken::none();
 /// resident the first call decodes the whole graph, later calls
 /// return the same arrays, and [`execute`] books the decode under
 /// `timings.convert` — once per run however often the kernel asks.
-/// A decode-native kernel takes [`RunCx::compressed`] instead and
-/// never pays that decode.
+/// A decode-native kernel takes [`RunCx::view`] instead and never pays
+/// that decode.
 pub struct RunCx<'a> {
     view: GraphView<'a>,
     params: &'a Params,
@@ -65,13 +65,10 @@ impl<'a> RunCx<'a> {
         }
     }
 
-    /// The compressed resident, if that is what the run was given —
-    /// the entry for kernels that decode straight into what they use.
-    pub fn compressed(&self) -> Option<&'a CompressedCsr> {
-        match self.view {
-            GraphView::Raw(_) => None,
-            GraphView::Compressed(graph) => Some(graph),
-        }
+    /// The graph as it is resident — the entry for kernels that run
+    /// on either representation, decoding straight into what they use.
+    pub fn view(&self) -> GraphView<'a> {
+        self.view
     }
 
     /// The request's parameters; read them through the typed

@@ -1,7 +1,7 @@
 //! Pattern-search scenario: subgraph isomorphism on a labeled target
 //! (the §8.5 setup, scaled to laptop size), comparing the §6.4
-//! optimizations — work splitting, work stealing, galloping
-//! membership, candidate precompute.
+//! optimizations — work splitting, work stealing, galloping set
+//! algebra, candidate precompute.
 //!
 //! ```sh
 //! cargo run --release --example subgraph_search

@@ -380,6 +380,32 @@ fn one_entry_point_gives_one_answer_on_every_representation() {
 }
 
 #[test]
+fn every_triangle_is_six_triangle_embeddings_on_every_representation() {
+    // Two kernels that share no code: the matcher's set-algebra search
+    // and the oriented triangle count. A triangle has 3! automorphisms.
+    let (graph, gap, reordered) = three_residents();
+    let params = Params::new();
+    let registry = Registry::with_builtins();
+    let run = |name: &str, view| {
+        let kernel = registry.get(name).expect("built-in kernel");
+        execute(kernel, &RunCx::new(view, &params))
+            .unwrap()
+            .patterns
+    };
+    for (resident, view) in [
+        ("raw", GraphView::Raw(&graph)),
+        ("gap", GraphView::Compressed(&gap)),
+        ("gap+reorder", GraphView::Compressed(&reordered)),
+    ] {
+        let triangles = run("triangle-count", view);
+        assert!(triangles > 0, "{resident}: the planted graph has triangles");
+        for iso in ["subgraph-iso", "subgraph-iso-par"] {
+            assert_eq!(run(iso, view), 6 * triangles, "{iso} on {resident}");
+        }
+    }
+}
+
+#[test]
 fn a_compressed_resident_is_decoded_once_per_run() {
     let (graph, gap, _) = three_residents();
     let params = Params::new();
