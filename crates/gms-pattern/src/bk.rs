@@ -16,21 +16,35 @@
 //!   laptop-scale member — the dense bitvector (`DenseBitSet`) — backs
 //!   the named variants here. `bron_kerbosch::<RoaringSet>` remains one
 //!   line away (see the `ablation_set_layouts` binary);
-//! * **BK-GMS-ADG-S** — additionally precomputes the induced subgraph
-//!   `H` on `P ∪ X` at the outermost level and runs all pivot
-//!   selections and intersections against the smaller `N_H` sets
-//!   (the §6.2 subgraph optimization).
+//! * **BK-GMS-ADG-S** — additionally builds the induced subgraph `H`
+//!   on `P ∪ X` once per outermost vertex and runs every pivot
+//!   selection and intersection against the smaller `N_H` sets (the
+//!   §6.2 subgraph optimization, after Eppstein–Löffler–Strash).
+//!
+//! `H` lives in a root-local universe (the crate's `local` module):
+//! the root's neighborhood `N(v) = P ∪ X` is numbered `0..|N(v)|`, and
+//! `P`, `X` and every row of `H` are sets over those local ids. A
+//! bitset in this search therefore has `|P ∪ X|` bits, not `n` — one
+//! word on most roots of a sparse graph, where the whole-graph id space
+//! costs `n / 64` words per operation whatever the size of `P`. A `P`
+//! row is `N(p) ∩ (P ∪ X)`, from one scan of `N(p)`; an `X` row holds
+//! only its `P` bits, which is all the pivot rule reads of it, and
+//! those come out of the same scans. Cliques map back to original ids
+//! at the leaf. The per-level mode (BK-DAS) starts from the same `H`
+//! and rebuilds it at every level. The `None` mode is the paper's
+//! no-`H` variant: it runs over whole-graph neighborhood sets in
+//! original ids, and it is the only mode that builds a [`SetGraph`].
+//!
+//! No mode relabels the graph: the order only decides which neighbors
+//! of the root are `P` (later) and which are `X` (earlier).
 //!
 //! Pivoting follows Tomita et al.: choose `u ∈ P ∪ X` maximizing
 //! `|P ∩ N(u)|`, then only `P \ N(u)` spawns recursive calls.
 
-use crate::scratch::{with_worker_scratch, SetPool};
+use crate::local::Universe;
+use crate::scratch::{with_worker_checkout, with_worker_scratch, SetPool};
 use gms_core::hash::FxHashMap;
-use gms_core::{
-    CancelToken, CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, Set, SetGraph,
-    SetNeighborhoods,
-};
-use gms_graph::relabel;
+use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, Set, SetGraph};
 use gms_order::OrderingKind;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -38,10 +52,12 @@ use std::time::{Duration, Instant};
 /// How the induced subgraph `H` on `P ∪ X` is (re)built (§6.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubgraphMode {
-    /// No `H`: all set operations run against full neighborhoods.
+    /// No `H`: all set operations run against whole-graph
+    /// neighborhoods in original ids.
     None,
-    /// Build `H` once per outermost vertex and reuse it down the whole
-    /// search tree — the GMS improvement (BK-ADG-S).
+    /// Build `H` once per outermost vertex, over the root's local ids,
+    /// and reuse it down the whole search tree — the GMS improvement
+    /// (BK-ADG-S).
     Outermost,
     /// Rebuild `H` at every recursion level, as originally advocated
     /// by Eppstein et al. \[92\]; the paper observes the rebuild
@@ -90,9 +106,10 @@ pub struct BkOutcome {
     /// The cliques in original vertex IDs (if `collect` was set),
     /// each sorted ascending.
     pub cliques: Option<Vec<Vec<NodeId>>>,
-    /// Time spent computing the vertex ordering + relabeling.
+    /// Time spent computing the vertex ordering.
     pub preprocess: Duration,
-    /// Time spent building the set-centric representation and mining.
+    /// Time spent building the sets (whole-graph or root-local) and
+    /// mining.
     pub mine: Duration,
 }
 
@@ -104,11 +121,23 @@ impl BkOutcome {
     }
 }
 
+/// Where the search reads the neighborhoods of the vertices `P ∪ X`
+/// can hold.
+#[derive(Clone, Copy)]
+enum Neighborhoods<'a, S: Set> {
+    /// Indexed by vertex: the whole graph's sets under `None`, the
+    /// root's `H` over local ids otherwise.
+    Rows(&'a [S]),
+    /// `H` rebuilt for one level of the per-level mode, keyed by local
+    /// id.
+    Level(&'a FxHashMap<NodeId, S>),
+}
+
 struct SearchCtx<'a, S: Set> {
-    graph: &'a SetGraph<S>,
-    /// Induced-subgraph neighborhoods (`N_H`), present under ADG-S
-    /// and the per-level baseline mode.
-    subgraph: Option<&'a FxHashMap<NodeId, S>>,
+    neighborhoods: Neighborhoods<'a, S>,
+    /// Original id of every local id; empty when the search runs in
+    /// original ids.
+    ids: &'a [NodeId],
     /// Rebuild `H` before every recursive call (Eppstein-style).
     per_level: bool,
     collect: bool,
@@ -121,9 +150,29 @@ struct SearchCtx<'a, S: Set> {
 impl<S: Set> SearchCtx<'_, S> {
     #[inline]
     fn neigh(&self, v: NodeId) -> &S {
-        match self.subgraph {
-            Some(h) => h.get(&v).expect("H covers P ∪ X"),
-            None => self.graph.neighborhood(v),
+        match self.neighborhoods {
+            Neighborhoods::Rows(rows) => &rows[v as usize],
+            Neighborhoods::Level(h) => h.get(&v).expect("H covers P ∪ X"),
+        }
+    }
+
+    /// The same search over a rebuilt `H`.
+    fn over<'b>(&'b self, h: &'b FxHashMap<NodeId, S>) -> SearchCtx<'b, S> {
+        SearchCtx {
+            neighborhoods: Neighborhoods::Level(h),
+            ids: self.ids,
+            per_level: self.per_level,
+            collect: self.collect,
+            cancel: self.cancel,
+        }
+    }
+
+    /// The clique `r` in original ids.
+    fn original(&self, r: &[NodeId]) -> Vec<NodeId> {
+        if self.ids.is_empty() {
+            r.to_vec()
+        } else {
+            r.iter().map(|&v| self.ids[v as usize]).collect()
         }
     }
 }
@@ -201,7 +250,7 @@ fn bk_pivot<S: Set>(
             out.count += 1;
             out.largest = out.largest.max(r.len());
             if ctx.collect {
-                out.cliques.push(r.clone());
+                out.cliques.push(ctx.original(r));
             }
         }
         return;
@@ -224,14 +273,7 @@ fn bk_pivot<S: Set>(
         r.push(v);
         if ctx.per_level {
             let h = per_level_subgraph(ctx, &p_new, &x_new);
-            let child = SearchCtx {
-                graph: ctx.graph,
-                subgraph: Some(&h),
-                per_level: true,
-                collect: ctx.collect,
-                cancel: ctx.cancel,
-            };
-            bk_pivot(&child, &mut p_new, r, &mut x_new, scratch, out);
+            bk_pivot(&ctx.over(&h), &mut p_new, r, &mut x_new, scratch, out);
         } else {
             bk_pivot(ctx, &mut p_new, r, &mut x_new, scratch, out);
         }
@@ -278,7 +320,7 @@ fn bk_pivot_par<S: Set>(
             out.count = 1;
             out.largest = r.len();
             if ctx.collect {
-                out.cliques.push(r.to_vec());
+                out.cliques.push(ctx.original(r));
             }
         }
         return out;
@@ -315,14 +357,7 @@ fn bk_split_branches<S: Set>(
             r_new.push(v);
             if ctx.per_level {
                 let h = per_level_subgraph(ctx, &p_new, &x_new);
-                let child = SearchCtx {
-                    graph: ctx.graph,
-                    subgraph: Some(&h),
-                    per_level: true,
-                    collect: ctx.collect,
-                    cancel: ctx.cancel,
-                };
-                bk_pivot_par(&child, &p_new, &r_new, &x_new, depth_left - 1)
+                bk_pivot_par(&ctx.over(&h), &p_new, &r_new, &x_new, depth_left - 1)
             } else {
                 bk_pivot_par(ctx, &p_new, &r_new, &x_new, depth_left - 1)
             }
@@ -359,6 +394,46 @@ fn bk_split_branches<S: Set>(
     }
 }
 
+/// Line 13: the root's neighbors, each flagged "later in the order",
+/// split into `P` (later) and `X` (earlier). Neighbors arrive in
+/// ascending id order.
+fn split<S: Set>(neighbors: impl Iterator<Item = (NodeId, bool)>, p: &mut S, x: &mut S) {
+    p.assign_sorted(&[]);
+    x.assign_sorted(&[]);
+    for (w, later) in neighbors {
+        if later {
+            p.add(w);
+        } else {
+            x.add(w);
+        }
+    }
+}
+
+/// Searches from `R = {root}` with `P` and `X` filled by `fill`.
+fn search<S: Set>(
+    ctx: &SearchCtx<'_, S>,
+    root: NodeId,
+    par_depth: usize,
+    fill: impl FnOnce(&mut S, &mut S),
+) -> LocalOut {
+    if par_depth > 0 && rayon::current_num_threads() > 1 {
+        // Subtree tasks below the root: skewed branches are published
+        // for stealing down to `par_depth` levels.
+        let (mut p, mut x) = (S::empty(), S::empty());
+        fill(&mut p, &mut x);
+        return bk_pivot_par(ctx, &p, &[root], &x, par_depth);
+    }
+    with_worker_scratch::<SetPool<S>, _>(|scratch| {
+        let (mut p, mut x) = (scratch.take(), scratch.take());
+        fill(&mut p, &mut x);
+        let mut out = LocalOut::empty();
+        bk_pivot(ctx, &mut p, &mut vec![root], &mut x, scratch, &mut out);
+        scratch.put(p);
+        scratch.put(x);
+        out
+    })
+}
+
 /// Runs Bron–Kerbosch with pivoting over set representation `S`.
 pub fn bron_kerbosch<S: Set>(graph: &CsrGraph, config: &BkConfig) -> BkOutcome {
     bron_kerbosch_cancellable::<S>(graph, config, &CancelToken::none())
@@ -375,80 +450,65 @@ pub fn bron_kerbosch_cancellable<S: Set>(
 ) -> BkOutcome {
     let t0 = Instant::now();
     let rank = config.ordering.compute(graph);
-    let relabeled = relabel(graph, &rank);
-    let order = rank.order(); // order[new_id] = original id
     let preprocess = t0.elapsed();
 
     let t1 = Instant::now();
-    let set_graph: SetGraph<S> = SetGraph::from_csr(&relabeled);
-    let n = relabeled.num_vertices();
-
-    let merged = (0..n as NodeId)
-        .into_par_iter()
-        .map(|v| {
+    let roots = (0..graph.num_vertices() as NodeId).into_par_iter();
+    let later = |v: NodeId, w: NodeId| rank.precedes(v, w);
+    let merged = if config.subgraph == SubgraphMode::None {
+        let set_graph: SetGraph<S> = SetGraph::from_csr(graph);
+        let ctx = SearchCtx {
+            neighborhoods: Neighborhoods::Rows(set_graph.neighborhoods()),
+            ids: &[],
+            per_level: false,
+            collect: config.collect,
+            cancel,
+        };
+        roots.map(|v| {
             if cancel.is_cancelled() {
                 return LocalOut::empty();
             }
-            // Line 13: split N(v) by the processing order.
-            let neigh = relabeled.neighbors_slice(v);
-            let split = neigh.partition_point(|&w| w < v);
-            let mut p = S::from_sorted(&neigh[split..]);
-            let mut x = S::from_sorted(&neigh[..split]);
-
-            let h_store;
-            let subgraph = if config.subgraph != SubgraphMode::None {
-                // §6.2: H = induced subgraph on P ∪ X; under
-                // `Outermost` it is computed once here and reused down
-                // the whole search tree.
-                let px = p.union(&x);
-                let mut h: FxHashMap<NodeId, S> = FxHashMap::default();
-                for w in px.iter() {
-                    h.insert(w, set_graph.neighborhood(w).intersect(&px));
-                }
-                h_store = h;
-                Some(&h_store)
-            } else {
-                None
-            };
-
-            let ctx = SearchCtx {
-                graph: &set_graph,
-                subgraph,
-                per_level: config.subgraph == SubgraphMode::PerLevel,
-                collect: config.collect,
-                cancel,
-            };
-            let r = vec![v];
-            if config.par_depth > 0 && rayon::current_num_threads() > 1 {
-                // Subtree tasks below the root: skewed branches are
-                // published for stealing down to `par_depth` levels.
-                bk_pivot_par(&ctx, &p, &r, &x, config.par_depth)
-            } else {
-                let mut out = LocalOut::empty();
-                let mut r = r;
-                with_worker_scratch::<SetPool<S>, _>(|scratch| {
-                    bk_pivot(&ctx, &mut p, &mut r, &mut x, scratch, &mut out);
-                });
-                out
-            }
+            let members = graph.neighbors_slice(v);
+            search(&ctx, v, config.par_depth, |p, x| {
+                split(members.iter().map(|&w| (w, later(v, w))), p, x)
+            })
         })
-        .reduce(LocalOut::empty, |mut a, b| {
-            a.absorb(b);
-            a
-        });
+    } else {
+        roots.map(|v| {
+            if cancel.is_cancelled() {
+                return LocalOut::empty();
+            }
+            // §6.2: H is the subgraph induced by P ∪ X = N(v), over
+            // local ids; under `Outermost` it serves the whole tree.
+            with_worker_checkout(|universe: &mut Universe<S>| {
+                let members = graph.neighbors_slice(v);
+                let in_p = |i: usize| later(v, members[i]);
+                universe.induce(graph, members, in_p);
+                let root = universe.push_id(v);
+                let ctx = SearchCtx {
+                    neighborhoods: Neighborhoods::Rows(universe.rows()),
+                    ids: universe.ids(),
+                    per_level: config.subgraph == SubgraphMode::PerLevel,
+                    collect: config.collect,
+                    cancel,
+                };
+                search(&ctx, root, config.par_depth, |p, x| {
+                    split((0..members.len()).map(|i| (i as NodeId, in_p(i))), p, x)
+                })
+            })
+        })
+    }
+    .reduce(LocalOut::empty, |mut a, b| {
+        a.absorb(b);
+        a
+    });
     let mine = t1.elapsed();
 
     let cliques = config.collect.then(|| {
-        let mut cliques: Vec<Vec<NodeId>> = merged
-            .cliques
-            .into_iter()
-            .map(|clique| {
-                let mut original: Vec<NodeId> =
-                    clique.into_iter().map(|v| order[v as usize]).collect();
-                original.sort_unstable();
-                original
-            })
-            .collect();
+        let mut cliques = merged.cliques;
+        for clique in &mut cliques {
+            clique.sort_unstable();
+        }
         cliques.sort();
         cliques
     });
@@ -669,6 +729,42 @@ mod tests {
             },
         );
         assert_eq!(base.cliques, opt.cliques);
+    }
+
+    #[test]
+    fn every_ordering_and_mode_finds_the_brute_force_cliques() {
+        // The order only splits each root's neighborhood into P and X;
+        // no mode relabels, so every order must list the same cliques
+        // in original ids, with and without the root-local H.
+        let (g, _) = gms_gen::planted_cliques(90, 0.06, 2, 6, 4);
+        let expected = maximal_cliques_brute(&g);
+        for ordering in [
+            OrderingKind::Natural,
+            OrderingKind::Degree,
+            OrderingKind::Degeneracy,
+            OrderingKind::ApproxDegeneracy(0.25),
+            OrderingKind::TriangleCount,
+        ] {
+            for subgraph in [
+                SubgraphMode::None,
+                SubgraphMode::Outermost,
+                SubgraphMode::PerLevel,
+            ] {
+                let config = BkConfig {
+                    ordering,
+                    subgraph,
+                    collect: true,
+                    ..BkConfig::default()
+                };
+                let outcome = bron_kerbosch::<DenseBitSet>(&g, &config);
+                assert_eq!(
+                    outcome.cliques.as_ref(),
+                    Some(&expected),
+                    "{} {subgraph:?}",
+                    ordering.label()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,36 +1,57 @@
 //! Parallel `k`-clique listing/counting (§6.3, Algorithm 7) after
 //! Danisch et al., reformulated over set algebra.
 //!
-//! Preprocessing (③) relabels vertices by a chosen order and orients
-//! the graph (`dir(G)`: an arc `u → v` iff `η(u) < η(v)`), so every
-//! clique is discovered exactly once, in rank order. The recursion
-//! then repeatedly intersects candidate sets with forward
-//! neighborhoods (⑤⁺):
+//! Preprocessing (③) orients the graph by a chosen order (`dir(G)`: an
+//! arc `u → v` iff `η(u) < η(v)`), so every clique is discovered
+//! exactly once, at its first vertex in the order. No relabeled copy
+//! is made: the DAG keeps the original ids.
+//!
+//! Each root `u` is then solved in its own universe (the crate's
+//! `local` module): `N⁺(u)` is numbered `0..d⁺(u)`, row `i` is
+//! `N⁺(wᵢ) ∩ N⁺(u)` over those local ids, and one recursion intersects
+//! candidate sets with rows (⑤⁺):
 //!
 //! ```text
-//! count(i, C_i):  if i == k → |C_k|
-//!                 else      → Σ_{v ∈ C_i} count(i+1, N⁺(v) ∩ C_i)
+//! count(i, C):  |C| + i < k  → 0
+//!               i + 2 == k   → Σ_{v ∈ C} |C ∩ row(v)|
+//!               else         → Σ_{v ∈ C} count(i+1, C ∩ row(v))
 //! ```
 //!
-//! One formulation serves every `k ≥ 3` (the paper notes the original
-//! code needed a special case for `k = 3`). Both the *node-parallel*
-//! and the *edge-parallel* drivers of the paper's concurrency analysis
-//! (§7.2) are provided; the space per branch is bounded by the
-//! candidate set sizes, not by Δ².
+//! with `count(2, row(i))` for every top-level branch `i` of the root.
+//! A candidate set is a set over `d⁺(u)` elements — one word for a
+//! bitset on every root whose forward degree is at most 64 — so the
+//! default layout is [`DenseBitSet`]; a sorted array gains nothing in
+//! a universe this small. `k = 3` counts the rows' arcs without
+//! building a set, and a root with `d⁺(u) + 1 < k` is skipped
+//! unbuilt, so a `k` above every forward degree answers 0 at once.
+//!
+//! The two drivers of the paper's concurrency analysis (§7.2) share
+//! that recursion and differ in what a task is. Roots are cut into
+//! consecutive runs of equal cost, `d⁺(u)²` (the size of the root's
+//! local graph), so the hubs of a skewed graph do not pile into one
+//! run. The *node-parallel* driver never splits a root: each one is
+//! solved whole by the worker that runs its run. The *edge-parallel*
+//! driver builds a root's local graph once and, when the root alone
+//! outweighs a run, fans its top-level branches — `u`'s oriented
+//! edges — out as range tasks.
 
-use crate::scratch::{with_worker_scratch, SetPool};
-use gms_core::{CancelToken, CsrGraph, Graph, NodeId, Set, SortedVecSet};
-use gms_graph::{orient_by_rank, relabel, Rank};
+use crate::local::Universe;
+use crate::scratch::{with_worker_checkout, with_worker_scratch, SetPool};
+use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, NodeId, Set, SortedVecSet};
+use gms_graph::orient_by_rank;
 use gms_order::OrderingKind;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Parallelization driver (§7.2 trade-off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KcParallel {
-    /// One task per vertex (lower space, higher depth).
+    /// Each root solved whole by one worker (lower space, higher
+    /// depth).
     Node,
-    /// One task per oriented edge (higher space, lower depth; the
+    /// A root's oriented edges — its top-level branches — as range
+    /// tasks over its local graph (higher space, lower depth; the
     /// practical winner in the paper).
     Edge,
 }
@@ -58,7 +79,7 @@ impl Default for KcConfig {
 pub struct KcOutcome {
     /// Number of `k`-cliques.
     pub count: u64,
-    /// Time for ordering + relabeling + orientation.
+    /// Time for ordering + orientation.
     pub preprocess: Duration,
     /// Time for the counting kernel.
     pub mine: Duration,
@@ -71,40 +92,140 @@ impl KcOutcome {
     }
 }
 
-fn count_rec<S: Set>(
+/// Root runs per pool worker: slack for stealing to even out what the
+/// cost model misjudges.
+const ROOT_TASKS_PER_WORKER: usize = 4;
+
+/// What a root costs, as the code can see before building it: its local
+/// graph has at most `d⁺(u)²` arcs, plus one for the visit.
+fn root_cost(dag: &CsrGraph, u: usize) -> u64 {
+    let d = dag.degree(u as NodeId) as u64;
+    d * d + 1
+}
+
+/// Cuts the roots into consecutive runs of about equal [`root_cost`],
+/// [`ROOT_TASKS_PER_WORKER`] per pool worker, and returns them with the
+/// cost one run is cut at.
+fn balanced_runs(dag: &CsrGraph) -> (Vec<Range<usize>>, u64) {
+    let n = dag.num_vertices();
+    let tasks = ROOT_TASKS_PER_WORKER * rayon::current_num_threads();
+    let total: u64 = (0..n).map(|u| root_cost(dag, u)).sum();
+    let share = total.div_ceil(tasks as u64).max(1);
+    // Every run but the last costs at least `share`.
+    let mut runs = Vec::with_capacity(tasks + 1);
+    let (mut start, mut cost) = (0, 0);
+    for u in 0..n {
+        cost += root_cost(dag, u);
+        if cost >= share {
+            runs.push(start..u + 1);
+            (start, cost) = (u + 1, 0);
+        }
+    }
+    if start < n {
+        runs.push(start..n);
+    }
+    (runs, share)
+}
+
+/// `k`-cliques of the oriented graph, `k ≥ 3`.
+fn count_oriented<S: Set>(
     dag: &CsrGraph,
+    k: usize,
+    parallel: KcParallel,
+    cancel: &CancelToken,
+) -> u64 {
+    let (runs, share) = balanced_runs(dag);
+    runs.into_par_iter()
+        .map(|run| {
+            run.map(|u| {
+                let tasks = match parallel {
+                    KcParallel::Node => 1,
+                    KcParallel::Edge => root_cost(dag, u).div_ceil(share) as usize,
+                };
+                count_root::<S>(dag, u as NodeId, k, tasks, cancel)
+            })
+            .sum::<u64>()
+        })
+        .sum()
+}
+
+/// The `k`-cliques whose first vertex in the order is `u`, with the
+/// root's top-level branches split into `tasks` range tasks.
+fn count_root<S: Set>(
+    dag: &CsrGraph,
+    u: NodeId,
+    k: usize,
+    tasks: usize,
+    cancel: &CancelToken,
+) -> u64 {
+    let members = dag.neighbors_slice(u);
+    if cancel.is_cancelled() || members.len() + 1 < k {
+        return 0;
+    }
+    with_worker_checkout(|universe: &mut Universe<S>| {
+        if k == 3 {
+            return universe.count_arcs(dag, members) as u64;
+        }
+        universe.induce(dag, members, |_| true);
+        let rows = universe.rows();
+        count_branches(rows, 0..rows.len(), tasks, k, cancel)
+    })
+}
+
+/// `Σ count(2, row(i))` over the top-level branches `i ∈ range`, split
+/// via `join` into `tasks` range tasks.
+fn count_branches<S: Set>(
+    rows: &[S],
+    range: Range<usize>,
+    tasks: usize,
+    k: usize,
+    cancel: &CancelToken,
+) -> u64 {
+    if tasks <= 1 || range.len() <= 1 {
+        return with_worker_scratch(|pool: &mut SetPool<S>| {
+            range
+                .map(|i| count_from(rows, 2, k, &rows[i], pool, cancel))
+                .sum()
+        });
+    }
+    let mid = range.start + range.len() / 2;
+    let (left, right) = rayon::join(
+        || count_branches(rows, range.start..mid, tasks / 2, k, cancel),
+        || count_branches(rows, mid..range.end, tasks - tasks / 2, k, cancel),
+    );
+    left + right
+}
+
+/// The `k`-cliques that extend a clique of `level` vertices, `2 ≤ level
+/// ≤ k − 2`, whose common forward neighbors are `candidates` (local
+/// ids).
+fn count_from<S: Set>(
+    rows: &[S],
     level: usize,
     k: usize,
     candidates: &S,
     pool: &mut SetPool<S>,
     cancel: &CancelToken,
 ) -> u64 {
-    if cancel.is_cancelled() {
+    if cancel.is_cancelled() || candidates.cardinality() + level < k {
         return 0;
     }
-    if level == k {
-        return candidates.cardinality() as u64;
-    }
-    if level + 1 == k {
-        // Deepest expansion — the bulk of the recursion's volume.
-        // `|N⁺(v) ∩ C|` is counted straight against the CSR slice:
-        // nothing is materialized at the level that runs most often.
+    if level + 2 == k {
+        // Level k−1 — the bulk of the recursion's volume — is counted,
+        // not materialized.
         return candidates
             .iter()
-            .map(|v| candidates.intersect_count_sorted(dag.neighbors_slice(v)) as u64)
+            .map(|v| candidates.intersect_count(&rows[v as usize]) as u64)
             .sum();
     }
     let mut total = 0u64;
-    let mut forward = pool.take();
     let mut next = pool.take();
     for v in candidates.iter() {
-        forward.assign_sorted(dag.neighbors_slice(v));
         next.clone_from(candidates);
-        next.intersect_inplace(&forward);
-        total += count_rec(dag, level + 1, k, &next, pool, cancel);
+        next.intersect_inplace(&rows[v as usize]);
+        total += count_from(rows, level + 1, k, &next, pool, cancel);
     }
     pool.put(next);
-    pool.put(forward);
     total
 }
 
@@ -124,69 +245,14 @@ pub fn k_clique_count_cancellable_with<S: Set>(
 ) -> KcOutcome {
     assert!(k >= 1, "k must be positive");
     let t0 = Instant::now();
-    let rank = config.ordering.compute(graph);
-    let relabeled = relabel(graph, &rank);
-    let dag = orient_by_rank(&relabeled, &Rank::identity(relabeled.num_vertices()));
+    let dag = orient_by_rank(graph, &config.ordering.compute(graph));
     let preprocess = t0.elapsed();
 
     let t1 = Instant::now();
     let count = match k {
         1 => graph.num_vertices() as u64,
         2 => graph.num_edges_undirected() as u64,
-        _ => match config.parallel {
-            KcParallel::Node => (0..dag.num_vertices() as NodeId)
-                .into_par_iter()
-                .map(|u| {
-                    if cancel.is_cancelled() {
-                        return 0;
-                    }
-                    with_worker_scratch::<SetPool<S>, _>(|pool| {
-                        let mut c2 = pool.take();
-                        c2.assign_sorted(dag.neighbors_slice(u));
-                        let total = count_rec(&dag, 2, k, &c2, pool, cancel);
-                        pool.put(c2);
-                        total
-                    })
-                })
-                .sum(),
-            KcParallel::Edge => {
-                // Edge-parallel root expansion with recursive split
-                // (§7.2): the oriented edge list is materialized once
-                // and fanned out as splittable range tasks, so the
-                // many cheap edges and the few edges whose candidate
-                // subtrees explode are balanced by work stealing
-                // rather than trapped in a static per-vertex chunk.
-                let roots: Vec<(NodeId, NodeId)> = (0..dag.num_vertices() as NodeId)
-                    .flat_map(|u| dag.neighbors_slice(u).iter().map(move |&v| (u, v)))
-                    .collect();
-                roots
-                    .into_par_iter()
-                    .with_min_len(16)
-                    .map(|(u, v)| {
-                        if cancel.is_cancelled() {
-                            return 0;
-                        }
-                        with_worker_scratch::<SetPool<S>, _>(|pool| {
-                            let mut nu = pool.take();
-                            nu.assign_sorted(dag.neighbors_slice(u));
-                            let total = if k == 3 {
-                                // Triangle base case: one slice count,
-                                // nothing materialized per edge.
-                                nu.intersect_count_sorted(dag.neighbors_slice(v)) as u64
-                            } else {
-                                let mut nv = pool.take();
-                                nv.assign_sorted(dag.neighbors_slice(v));
-                                nu.intersect_inplace(&nv);
-                                pool.put(nv);
-                                count_rec(&dag, 3, k, &nu, pool, cancel)
-                            };
-                            pool.put(nu);
-                            total
-                        })
-                    })
-                    .sum()
-            }
-        },
+        _ => count_oriented::<S>(&dag, k, config.parallel, cancel),
     };
     let mine = t1.elapsed();
     KcOutcome {
@@ -196,9 +262,10 @@ pub fn k_clique_count_cancellable_with<S: Set>(
     }
 }
 
-/// Counts `k`-cliques with the default sorted-array candidate sets.
+/// Counts `k`-cliques with bitset candidate sets over each root's
+/// local ids.
 pub fn k_clique_count(graph: &CsrGraph, k: usize, config: &KcConfig) -> KcOutcome {
-    k_clique_count_with::<SortedVecSet>(graph, k, config)
+    k_clique_count_with::<DenseBitSet>(graph, k, config)
 }
 
 /// [`k_clique_count`] under a cooperative [`CancelToken`].
@@ -208,7 +275,7 @@ pub fn k_clique_count_cancellable(
     config: &KcConfig,
     cancel: &CancelToken,
 ) -> KcOutcome {
-    k_clique_count_cancellable_with::<SortedVecSet>(graph, k, config, cancel)
+    k_clique_count_cancellable_with::<DenseBitSet>(graph, k, config, cancel)
 }
 
 /// Lists all `k`-cliques (original vertex IDs, each sorted; the whole
@@ -216,10 +283,7 @@ pub fn k_clique_count_cancellable(
 /// output itself can be exponential in size.
 pub fn k_clique_list(graph: &CsrGraph, k: usize, config: &KcConfig) -> Vec<Vec<NodeId>> {
     assert!(k >= 2);
-    let rank = config.ordering.compute(graph);
-    let relabeled = relabel(graph, &rank);
-    let dag = orient_by_rank(&relabeled, &Rank::identity(relabeled.num_vertices()));
-    let order = rank.order();
+    let dag = orient_by_rank(graph, &config.ordering.compute(graph));
 
     fn list_rec(
         dag: &CsrGraph,
@@ -251,16 +315,11 @@ pub fn k_clique_list(graph: &CsrGraph, k: usize, config: &KcConfig) -> Vec<Vec<N
         let mut prefix = vec![u];
         list_rec(&dag, k, &mut prefix, &c, &mut out);
     }
-    let mut mapped: Vec<Vec<NodeId>> = out
-        .into_iter()
-        .map(|clique| {
-            let mut original: Vec<NodeId> = clique.into_iter().map(|v| order[v as usize]).collect();
-            original.sort_unstable();
-            original
-        })
-        .collect();
-    mapped.sort();
-    mapped
+    for clique in &mut out {
+        clique.sort_unstable();
+    }
+    out.sort();
+    out
 }
 
 /// Named k-clique baselines compared in Fig. 9.
@@ -315,7 +374,7 @@ impl KcVariant {
 mod tests {
     use super::*;
     use crate::brute::count_k_cliques_brute;
-    use gms_core::RoaringSet;
+    use gms_core::{RoaringSet, SortedVecSet};
 
     fn binomial(n: u64, k: u64) -> u64 {
         if k > n {
@@ -369,18 +428,14 @@ mod tests {
             OrderingKind::Degree,
             OrderingKind::Degeneracy,
             OrderingKind::ApproxDegeneracy(0.5),
+            OrderingKind::TriangleCount,
         ];
         let expected = count_k_cliques_brute(&g, 4);
         for ordering in orderings {
-            let outcome = k_clique_count(
-                &g,
-                4,
-                &KcConfig {
-                    ordering,
-                    parallel: KcParallel::Edge,
-                },
-            );
-            assert_eq!(outcome.count, expected, "{}", ordering.label());
+            for parallel in [KcParallel::Node, KcParallel::Edge] {
+                let outcome = k_clique_count(&g, 4, &KcConfig { ordering, parallel });
+                assert_eq!(outcome.count, expected, "{} {parallel:?}", ordering.label());
+            }
         }
     }
 
@@ -396,11 +451,31 @@ mod tests {
     }
 
     #[test]
-    fn roaring_candidates_agree_with_sorted() {
+    fn every_layout_counts_the_same() {
         let g = gms_gen::gnp(50, 0.3, 2);
-        let sorted = k_clique_count(&g, 4, &KcConfig::default()).count;
-        let roaring = k_clique_count_with::<RoaringSet>(&g, 4, &KcConfig::default()).count;
-        assert_eq!(sorted, roaring);
+        for k in 3..=5 {
+            let dense = k_clique_count(&g, k, &KcConfig::default()).count;
+            let sorted = k_clique_count_with::<SortedVecSet>(&g, k, &KcConfig::default()).count;
+            let roaring = k_clique_count_with::<RoaringSet>(&g, k, &KcConfig::default()).count;
+            assert_eq!(dense, sorted, "k = {k}");
+            assert_eq!(dense, roaring, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_k_above_every_forward_degree_answers_zero() {
+        // Every vertex of K40 has at most 39 forward neighbors under
+        // any order, so k = 41 skips every root unbuilt.
+        let g = gms_gen::complete(40);
+        for parallel in [KcParallel::Node, KcParallel::Edge] {
+            let config = KcConfig {
+                ordering: OrderingKind::Degeneracy,
+                parallel,
+            };
+            assert_eq!(k_clique_count(&g, 40, &config).count, 1, "{parallel:?}");
+            assert_eq!(k_clique_count(&g, 41, &config).count, 0, "{parallel:?}");
+            assert_eq!(k_clique_count(&g, usize::MAX, &config).count, 0);
+        }
     }
 
     #[test]

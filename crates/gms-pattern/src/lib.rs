@@ -21,6 +21,7 @@ pub mod brute;
 pub mod clique_star;
 pub mod dense;
 pub mod kclique;
+mod local;
 pub mod scratch;
 pub mod triangles;
 

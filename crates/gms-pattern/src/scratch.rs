@@ -42,6 +42,19 @@ pub fn with_worker_scratch<T: Default + 'static, R>(f: impl FnOnce(&mut T) -> R)
     result
 }
 
+/// Checks a `T` out of this worker's free list of `T`s for the duration
+/// of `f`. Unlike [`with_worker_scratch`], the worker's slot is not held
+/// while `f` runs: a task that `f` waits on in a `join` may run on this
+/// worker and check out a `T` of its own, and the free list grows to
+/// the deepest such nesting once instead of handing every nested task
+/// a fresh value.
+pub(crate) fn with_worker_checkout<T: Default + 'static, R>(f: impl FnOnce(&mut T) -> R) -> R {
+    let mut value = with_worker_scratch(|free: &mut Vec<T>| free.pop()).unwrap_or_default();
+    let result = f(&mut value);
+    with_worker_scratch(|free: &mut Vec<T>| free.push(value));
+    result
+}
+
 /// Free list of `Set` buffers reused across a sequential recursion:
 /// child sets are written into recycled buffers via `clone_from` +
 /// `*_inplace` instead of freshly allocated per recursive call. Lives

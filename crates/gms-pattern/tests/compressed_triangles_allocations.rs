@@ -1,5 +1,5 @@
 //! Pins the allocation profile of the triangle kernel on both
-//! representations.
+//! representations, and of the k-clique kernel on both drivers.
 //!
 //! `triangle_count_compressed` decodes the graph once into a transient
 //! forward DAG, `triangle_count_rank_merge` filters the raw arrays into
@@ -20,7 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gms_graph::CompressedCsr;
-use gms_pattern::{triangle_count_compressed, triangle_count_rank_merge};
+use gms_order::OrderingKind;
+use gms_pattern::{
+    k_clique_count, triangle_count_compressed, triangle_count_rank_merge, KcConfig, KcParallel,
+};
 
 struct CountingAllocator;
 
@@ -101,6 +104,45 @@ fn allocation_count_does_not_grow_with_the_graph() {
         assert!(
             counts[0] < 32,
             "{resident}: {} allocations for one triangle count",
+            counts[0]
+        );
+    }
+
+    // k-cliques: the orientation's whole-graph arrays, one run list,
+    // and per-worker universes (an `n`-entry marker array and rows)
+    // that outlive the call. Nothing per root — a per-root row table
+    // would scale with the graph. The degree order is the one whose
+    // own preprocessing allocates a fixed number of times; the
+    // degeneracy orders allocate per peeling round, which is theirs,
+    // not the kernel's.
+    for parallel in [KcParallel::Node, KcParallel::Edge] {
+        let config = KcConfig {
+            ordering: OrderingKind::Degree,
+            parallel,
+        };
+        for (raw, _) in &graphs {
+            pool.install(|| k_clique_count(raw, 4, &config));
+        }
+        // The fewest of three runs: a worker that happens to run its
+        // first root of a graph here grows its universe once.
+        let counts: Vec<usize> = graphs
+            .iter()
+            .map(|(raw, _)| {
+                (0..3)
+                    .map(|_| {
+                        allocations_during(|| pool.install(|| k_clique_count(raw, 4, &config))).1
+                    })
+                    .min()
+                    .unwrap()
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "k-clique {parallel:?}: allocation count depends on the graph: {counts:?}"
+        );
+        assert!(
+            counts[0] < 32,
+            "k-clique {parallel:?}: {} allocations for one 4-clique count",
             counts[0]
         );
     }

@@ -471,3 +471,143 @@ fn a_fired_token_is_an_error_for_every_kernel_and_nothing_is_cached() {
     assert_eq!(served.patterns, 1);
     assert_eq!(session.cached_outcomes(), 1);
 }
+
+/// Runs `name` on the raw graph through [`Registry::run`] and on its gap
+/// resident through the same validate-then-execute path.
+fn run_raw_and_gap(
+    registry: &Registry,
+    name: &str,
+    (graph, gap): (&CsrGraph, &CompressedCsr),
+    params: &Params,
+) -> [Result<Outcome, KernelError>; 2] {
+    let kernel = registry.get(name).expect("built-in kernel");
+    let on_gap = params
+        .validate(name, &kernel.params())
+        .and_then(|()| execute(kernel, &RunCx::new(GraphView::Compressed(gap), params)));
+    [registry.run(name, graph, params), on_gap]
+}
+
+#[test]
+fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() {
+    let registry = Registry::with_builtins();
+    let graph = planted_connected();
+    let gap = CompressedCsr::from_csr(&graph);
+    let residents = (&graph, &gap);
+    let choices = |kernel: &str, param: &str| {
+        registry
+            .get(kernel)
+            .expect("built-in kernel")
+            .params()
+            .into_iter()
+            .find(|spec| spec.name == param)
+            .expect("declared parameter")
+            .choices
+    };
+    let answers = |name: &str, params: &Params| {
+        run_raw_and_gap(&registry, name, residents, params).map(|result| {
+            result
+                .unwrap_or_else(|e| panic!("{name} {params:?}: {e}"))
+                .patterns
+        })
+    };
+
+    // `bk`: every layout × subgraph policy × order, at the task depths
+    // that disable, barely use and never exhaust subtree parallelism.
+    let cliques = BkVariant::GmsAdg.run(&graph).clique_count;
+    for &layout in choices("bk", "layout") {
+        for &subgraph in choices("bk", "subgraph") {
+            for &ordering in choices("bk", "ordering") {
+                for depth in [-1, 0, 1, i64::MAX] {
+                    let params = Params::new()
+                        .with("layout", layout)
+                        .with("subgraph", subgraph)
+                        .with("ordering", ordering)
+                        .with("par-depth", depth);
+                    assert_eq!(answers("bk", &params), [cliques; 2], "bk {params:?}");
+                }
+            }
+        }
+    }
+    for variant in [
+        "bk-das",
+        "bk-gms-deg",
+        "bk-gms-dgr",
+        "bk-gms-adg",
+        "bk-gms-adg-s",
+    ] {
+        for collect in [false, true] {
+            let params = Params::new().with("collect", collect);
+            assert_eq!(
+                answers(variant, &params),
+                [cliques; 2],
+                "{variant} {params:?}"
+            );
+        }
+    }
+
+    // `k-clique`: the size corners. A `k` above every forward degree
+    // plus one — here the degeneracy plus two under the exact order —
+    // answers 0.
+    let triangles = gms::pattern::triangle_count_rank_merge(&graph);
+    let degeneracy = gms::order::degeneracy_order(&graph).degeneracy as i64;
+    for &parallel in choices("k-clique", "parallel") {
+        for (k, expected) in [
+            (1, graph.num_vertices() as u64),
+            (2, graph.num_edges_undirected() as u64),
+            (3, triangles),
+            (degeneracy + 2, 0),
+            (i64::MAX, 0),
+        ] {
+            let params = Params::new()
+                .with("k", k)
+                .with("parallel", parallel)
+                .with("ordering", "degeneracy");
+            assert_eq!(answers("k-clique", &params), [expected; 2], "{params:?}");
+        }
+        for k in [-1, 0] {
+            let params = Params::new().with("k", k).with("parallel", parallel);
+            for result in run_raw_and_gap(&registry, "k-clique", residents, &params) {
+                assert!(
+                    matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "k"),
+                    "k = {k}: {result:?}"
+                );
+            }
+        }
+    }
+    for eps in [f64::NAN, f64::NEG_INFINITY] {
+        let params = Params::new().with("eps", eps);
+        for result in run_raw_and_gap(&registry, "k-clique", residents, &params) {
+            assert!(
+                matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "eps"),
+                "eps = {eps}: {result:?}"
+            );
+        }
+    }
+
+    // A value of the wrong kind for every parameter of every kernel
+    // above is refused before anything runs.
+    for name in [
+        "bk",
+        "bk-das",
+        "bk-gms-deg",
+        "bk-gms-dgr",
+        "bk-gms-adg",
+        "bk-gms-adg-s",
+        "k-clique",
+    ] {
+        for spec in registry.get(name).expect("built-in kernel").params() {
+            let wrong = match spec.kind {
+                ValueKind::Int | ValueKind::Float => Value::Str("four".to_string()),
+                ValueKind::Bool => Value::Int(1),
+                ValueKind::Str => Value::Bool(true),
+            };
+            let params = Params::new().with(spec.name, wrong);
+            for result in run_raw_and_gap(&registry, name, residents, &params) {
+                assert!(
+                    matches!(&result, Err(KernelError::BadParam { param, .. }) if param == spec.name),
+                    "{name} {params:?}: {result:?}"
+                );
+            }
+        }
+    }
+}
