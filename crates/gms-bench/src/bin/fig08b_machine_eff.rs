@@ -8,8 +8,9 @@
 //! unified kernel [`Registry`] with typed [`Params`]; the BK rows use
 //! the `counting` set layout, which routes every set operation
 //! through the software counters (the PAPI substitute; see
-//! DESIGN.md), so they additionally carry the memory-pressure proxy
-//! (bytes touched by set operations per second). Paper shape:
+//! `gms_platform::counters`), so they additionally carry the
+//! memory-pressure proxy (bytes touched by set operations per
+//! second). Paper shape:
 //! speedups flatten as threads grow while the memory-traffic rate
 //! keeps climbing — the memory-bound signature of maximal clique
 //! listing.

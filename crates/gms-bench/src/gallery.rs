@@ -2,8 +2,8 @@
 //!
 //! The paper deliberately refrains from fixing datasets (§4.2) and
 //! instead characterizes inputs by structural axes. Each gallery entry
-//! reproduces one Table 7 archetype at laptop scale (see DESIGN.md for
-//! the substitution rationale):
+//! reproduces one Table 7 archetype at laptop scale, generated rather
+//! than downloaded so every run is offline and seed-deterministic:
 //!
 //! | entry | archetype | axis |
 //! |---|---|---|

@@ -1,7 +1,9 @@
 //! # gms-bench
 //!
 //! Benchmark harness for GraphMineSuite-rs. One binary per paper
-//! figure/table (see DESIGN.md §4 for the full experiment index):
+//! figure/table (the `[[bin]]` list in this crate's `Cargo.toml` is
+//! the experiment index; each binary's header names its figure and
+//! the paper shape it checks):
 //!
 //! ```sh
 //! cargo run --release -p gms-bench --bin fig04_bk_speedups

@@ -6,7 +6,7 @@
 
 use super::resident::KeyedRun;
 use super::session::{GraphHandle, Session};
-use super::{CancelToken, KernelError, Outcome, Params};
+use super::{CancelToken, KernelError, Outcome, Params, StageTimings};
 use rayon::prelude::*;
 
 /// One kernel request inside a batch.
@@ -151,7 +151,7 @@ impl BatchRunner {
                             // The duplicate did not run a kernel of
                             // its own: mark it like a cache hit.
                             outcome.cached = true;
-                            outcome.timings = crate::pipeline::StageTimings::default();
+                            outcome.timings = StageTimings::default();
                         }
                     }
                     result

@@ -7,9 +7,9 @@
 
 use super::{
     Category, DeltaSensitivity, Kernel, KernelError, Outcome, ParamSpec, Params, Payload, RunCx,
+    StageTimings,
 };
 use crate::counters::CountingSet;
-use crate::pipeline::StageTimings;
 use gms_core::hash::FxHasher;
 use gms_core::{
     CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, RoaringSet, SetGraph, SortedVecSet,

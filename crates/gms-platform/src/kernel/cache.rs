@@ -30,8 +30,7 @@
 //!   or invalidate. This is what makes batched edge mutations cheaper
 //!   than a blanket flush.
 
-use super::{Kernel, KernelError, Outcome, Params};
-use crate::pipeline::StageTimings;
+use super::{Kernel, KernelError, Outcome, Params, StageTimings};
 use gms_core::hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};

@@ -83,7 +83,7 @@ mod session;
 pub use batch::{BatchRequest, BatchRunner};
 pub use cache::{next_owner, CacheKey, CacheStats, MigrationDecision, MigrationStats, ResultCache};
 pub use delta::{DeltaSensitivity, GraphLineage, MutationOutcome};
-pub use outcome::{Outcome, Payload};
+pub use outcome::{Outcome, Payload, StageTimings};
 pub use params::{ParamSpec, Params, Value, ValueKind};
 pub use registry::Registry;
 pub use resident::{Engine, KeyedRun, Resident};

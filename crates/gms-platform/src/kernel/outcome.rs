@@ -1,9 +1,29 @@
 //! The uniform result of any kernel run: pattern count, per-stage
-//! timings (riding the existing [`StageTimings`]), and a
-//! kernel-specific payload.
+//! timings ([`StageTimings`]), and a kernel-specific payload.
 
-use crate::pipeline::StageTimings;
 use gms_core::NodeId;
+use std::time::Duration;
+
+/// Per-stage timings of one kernel run — the separately timed stages
+/// of the GMS pipeline (§5.4, Listing 3): representation conversion
+/// (steps ①–②), preprocessing such as reordering (③), and the
+/// kernel itself (④–⑤).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StageTimings {
+    /// Representation conversion time.
+    pub convert: Duration,
+    /// Preprocessing (reordering, ...) time.
+    pub preprocess: Duration,
+    /// Kernel time.
+    pub kernel: Duration,
+}
+
+impl StageTimings {
+    /// End-to-end time.
+    pub fn total(&self) -> Duration {
+        self.convert + self.preprocess + self.kernel
+    }
+}
 
 /// Kernel-specific result data beyond the pattern count.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,7 +120,6 @@ impl Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn throughput_counts_kernel_time_only() {
@@ -110,6 +129,7 @@ mod tests {
             kernel: Duration::from_millis(500),
         });
         assert!((o.throughput() - 200.0).abs() < 1e-9);
+        assert_eq!(o.timings.total(), Duration::from_millis(2500));
         assert_eq!(Outcome::new("t", 100).throughput(), 0.0);
     }
 

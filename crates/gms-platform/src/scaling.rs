@@ -21,33 +21,20 @@ impl ScalingPoint {
     }
 }
 
-/// Default number of timed repeats per point (see [`run_scaling`]).
-/// Overridable via the `GMS_SCALING_REPEATS` environment variable;
-/// values below 3 are clamped up so the median is always a real
-/// middle element.
-const DEFAULT_REPEATS: usize = 3;
-
-fn configured_repeats() -> usize {
-    std::env::var("GMS_SCALING_REPEATS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_REPEATS)
-        .max(3)
-}
+/// Timed repeats per point (see [`run_scaling`]): three, so the
+/// median is a real middle element.
+const REPEATS: usize = 3;
 
 /// Runs `kernel` under a dedicated rayon pool per thread count and
-/// reports, for each point, the **median of at least three timed
-/// repeats after one untimed warmup run**. The warmup pays the
-/// one-time costs (worker spawn, scratch-buffer growth, page faults on
-/// freshly touched data) and the median discards the stray outlier an
-/// arithmetic mean would smear into the curve — scaling artifacts were
-/// previously single-shot and visibly noisy run to run. Repeat count:
-/// `GMS_SCALING_REPEATS` (default 3, floor 3).
+/// reports, for each point, the **median of three timed repeats after
+/// one untimed warmup run**. The warmup pays the one-time costs
+/// (worker spawn, scratch-buffer growth, page faults on freshly
+/// touched data) and the median discards the stray outlier an
+/// arithmetic mean would smear into the curve.
 ///
 /// # Panics
 /// Panics if a pool cannot be built (e.g. 0 threads requested).
 pub fn run_scaling<F: Fn() + Sync>(thread_counts: &[usize], kernel: F) -> Vec<ScalingPoint> {
-    let repeats = configured_repeats();
     thread_counts
         .iter()
         .map(|&threads| {
@@ -56,7 +43,7 @@ pub fn run_scaling<F: Fn() + Sync>(thread_counts: &[usize], kernel: F) -> Vec<Sc
                 .build()
                 .expect("thread pool");
             pool.install(&kernel); // warmup: untimed
-            let mut samples: Vec<Duration> = (0..repeats)
+            let mut samples: Vec<Duration> = (0..REPEATS)
                 .map(|_| {
                     let start = std::time::Instant::now();
                     pool.install(&kernel);
@@ -66,25 +53,20 @@ pub fn run_scaling<F: Fn() + Sync>(thread_counts: &[usize], kernel: F) -> Vec<Sc
             samples.sort_unstable();
             ScalingPoint {
                 threads,
-                elapsed: samples[samples.len() / 2],
+                elapsed: samples[REPEATS / 2],
             }
         })
         .collect()
 }
 
 /// Formats a series as JSON rows `{"kernel","threads","ms","speedup"}`,
-/// speedup measured against the series' first point. The machine-
-/// efficiency artifacts (`fig08b_machine_eff`, `BENCH_scaling.json`)
-/// are built from these rows; hand-rolled because the offline `serde`
-/// shim carries no data format.
-pub fn series_json_rows(kernel: &str, series: &[ScalingPoint]) -> Vec<String> {
-    series_json_rows_with(kernel, series, &[])
-}
-
-/// [`series_json_rows`] with per-point extra fields: `extras[i]` is
-/// spliced verbatim before the row's closing brace (e.g.
-/// `,"efficiency":0.5`), so kernel-specific columns share one row
-/// format instead of forking it.
+/// speedup measured against the series' first point, with per-point
+/// extra fields: `extras[i]` is spliced verbatim before the row's
+/// closing brace (e.g. `,"efficiency":0.5`), so kernel-specific
+/// columns share one row format instead of forking it. The
+/// machine-efficiency artifacts (`fig08b_machine_eff`,
+/// `BENCH_scaling.json`) are built from these rows; hand-rolled
+/// because the offline `serde` shim carries no data format.
 pub fn series_json_rows_with(
     kernel: &str,
     series: &[ScalingPoint],
@@ -171,10 +153,8 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(series.len(), 2);
-        // One untimed warmup plus `repeats` timed runs per point.
-        let expected = 2 * (configured_repeats() + 1);
-        assert_eq!(calls.load(Ordering::Relaxed), expected);
-        assert!(configured_repeats() >= 3, "median needs >= 3 samples");
+        // One untimed warmup plus three timed runs per point.
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * 4);
     }
 
     #[test]
@@ -189,17 +169,17 @@ mod tests {
                 elapsed: Duration::from_millis(20),
             },
         ];
-        let rows = series_json_rows("bk", &series);
+        let rows = series_json_rows_with("bk", &series, &[",\"x\":1".to_string()]);
         assert_eq!(rows.len(), 2);
         assert_eq!(
             rows[0],
-            "{\"kernel\":\"bk\",\"threads\":1,\"ms\":80.000,\"speedup\":1.000}"
+            "{\"kernel\":\"bk\",\"threads\":1,\"ms\":80.000,\"speedup\":1.000,\"x\":1}"
         );
         assert_eq!(
             rows[1],
             "{\"kernel\":\"bk\",\"threads\":4,\"ms\":20.000,\"speedup\":4.000}"
         );
-        assert!(series_json_rows("bk", &[]).is_empty());
+        assert!(series_json_rows_with("bk", &[], &[]).is_empty());
     }
 
     #[test]

@@ -109,8 +109,8 @@
 //! | [`matching`] | VF2 + parallel VF3-Light-style isomorphism | §6.4 |
 //! | [`learn`] | similarity, link prediction, clustering, communities | §6.5, 6.7 |
 //! | [`opt`] | coloring, Borůvka MST, Karger–Stein min cut | §4.1.4 |
-//! | [`platform`] | pipeline, metrics, counters, scaling, stats | §4.3, 5.4–5.5 |
-//! | [`platform::kernel`] | unified kernel API: registry, session + shared result cache, batch runner | §5 (service layer) |
+//! | [`platform`] | software counters, thread scaling, dataset stats | §5.5, 8.1 |
+//! | [`platform::kernel`] | unified kernel API: registry, session + shared result cache, batch runner; outcomes carry per-stage timings and algorithmic throughput | §4.3, 5.4 (service layer) |
 //! | [`serve`] | TCP front end: NDJSON protocol, admission control, concurrent worker sessions | north star |
 //! | [`router`] | fleet front end: consistent-hash sharding over N `serve` backends, scatter-gather batches, failover | north star |
 //!
@@ -159,7 +159,7 @@ pub mod prelude {
         KernelError, Outcome, ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session,
         SessionStats, SnapshotCompression, Value, ValueKind,
     };
-    pub use gms_platform::{GraphStats, Measurement, Pipeline, Throughput};
+    pub use gms_platform::GraphStats;
     pub use gms_router::{Router, RouterConfig, RouterHandle};
     pub use gms_serve::{Client, ServeConfig, Server, ServerHandle};
 }

@@ -212,6 +212,14 @@ fn declared_insensitivity_provably_survives_mutations() {
     let order_after = session.run("order-random", handle, &params).unwrap();
     assert!(order_after.cached, "survivor must be a cache hit");
     assert_eq!(order_after.patterns, order_before.patterns);
+    // The refreshed entry is served as a hit, with the patched
+    // graph's answer.
+    let triangles = session.run("triangle-count", handle, &params).unwrap();
+    assert!(triangles.cached, "the refreshed entry must be a cache hit");
+    assert_eq!(
+        triangles.patterns,
+        gms::pattern::triangle_count_rank_merge(session.graph(handle).unwrap())
+    );
     let stats = session.cache_stats();
     assert_eq!(stats.migrated, 2, "survived + refreshed were re-keyed");
     assert_eq!(stats.invalidated, 1);

@@ -1,10 +1,11 @@
 //! Integration tests spanning crates: the full GMS pipeline
 //! (generate → characterize → reorder → mine → verify) with every
-//! stage from a different crate.
+//! stage from a different crate, and the same pipeline run by kernel
+//! name through a `Session`, whose `Outcome` times the preprocessing
+//! and kernel stages separately.
 
 use gms::order::{approx_degeneracy_order, degeneracy_order, later_neighbor_bound};
 use gms::pattern::brute::{is_maximal_clique, maximal_cliques_brute};
-use gms::platform::{run_pipeline, Pipeline};
 use gms::prelude::*;
 
 #[test]
@@ -49,47 +50,21 @@ fn generate_reorder_mine_verify() {
     }
 }
 
+/// The pipeline's stages (§5.4) are timed separately on the
+/// `Outcome` every caller reads: BK with the ADG preprocessing stage,
+/// requested by name through a `Session`.
 #[test]
 fn bk_through_the_pipeline_interface() {
-    struct BkPipeline {
-        graph: CsrGraph,
-        rank: Option<Rank>,
-        relabeled: Option<CsrGraph>,
-        cliques: u64,
-    }
-    impl Pipeline for BkPipeline {
-        fn preprocess(&mut self) {
-            self.rank = Some(OrderingKind::ApproxDegeneracy(0.25).compute(&self.graph));
-        }
-        fn convert(&mut self) {}
-        fn kernel(&mut self) {
-            let rank = self.rank.as_ref().expect("preprocess ran");
-            self.relabeled = Some(relabel(&self.graph, rank));
-            let config = BkConfig {
-                ordering: OrderingKind::Natural,
-                subgraph: SubgraphMode::None,
-                collect: false,
-                ..BkConfig::default()
-            };
-            self.cliques =
-                bron_kerbosch::<RoaringSet>(self.relabeled.as_ref().unwrap(), &config).clique_count;
-        }
-        fn patterns_found(&self) -> u64 {
-            self.cliques
-        }
-    }
-
     let graph = gms::gen::gnp(120, 0.08, 5);
     let expected = maximal_cliques_brute(&graph).len() as u64;
-    let mut pipeline = BkPipeline {
-        graph,
-        rank: None,
-        relabeled: None,
-        cliques: 0,
-    };
-    let (timings, patterns) = run_pipeline(&mut pipeline);
-    assert_eq!(patterns, expected, "pipeline-run BK equals oracle");
-    assert!(timings.total() > std::time::Duration::ZERO);
+    let mut session = Session::new();
+    let g = session.add_graph(graph);
+    let outcome = session
+        .run("bk", g, &Params::new().with("ordering", "adg"))
+        .unwrap();
+    assert_eq!(outcome.patterns, expected, "registry-run BK equals oracle");
+    assert!(outcome.timings.preprocess > std::time::Duration::ZERO);
+    assert!(outcome.timings.kernel > std::time::Duration::ZERO);
 }
 
 #[test]
