@@ -2,12 +2,14 @@
 //! weight, a health flag, and a pool of reusable protocol
 //! connections.
 //!
-//! Pooled requests go through
-//! [`Client::request_idempotent`](gms_serve::Client::request_idempotent),
-//! so a single stale pooled connection (the server restarted, an
-//! idle socket timed out) heals transparently with one reconnect —
-//! while a backend that is actually gone surfaces as an I/O error
-//! the router turns into failover.
+//! [`Backend::request`] is the one pooled send, and it has one retry
+//! rule — [`Client::request_idempotent`](gms_serve::Client::request_idempotent)'s:
+//! a stale pooled connection (reset, broken pipe, EOF, refused: the
+//! shard restarted, an idle socket died) heals with one redial and
+//! one resend. A read timeout is never resent — the shard took the
+//! request and did not answer — so a hung shard costs one timeout
+//! before the router fails it over, and a lapsed caller deadline is
+//! answered at once.
 
 use gms_serve::{Client, ClientBuilder, Json};
 use std::io::ErrorKind;
@@ -29,8 +31,9 @@ pub enum RequestError {
     /// cancel, so the router answers a typed `deadline-exceeded` and
     /// must **not** declare the backend dead.
     DeadlineLapsed,
-    /// Transport failure after the one-reconnect retry: the shard is
-    /// genuinely unreachable and failover should run.
+    /// Transport failure after the stale-connection retry, or a read
+    /// timeout with no tighter caller deadline: the shard is
+    /// unreachable or hung, and failover should run.
     Dead(std::io::Error),
 }
 
@@ -99,13 +102,6 @@ impl Backend {
         transitioned
     }
 
-    fn take(&self) -> std::io::Result<Client> {
-        if let Some(client) = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            return Ok(client);
-        }
-        self.dialer.connect(self.addr)
-    }
-
     fn put(&self, client: Client) {
         self.idle
             .lock()
@@ -113,71 +109,44 @@ impl Backend {
             .push(client);
     }
 
-    /// Sends one idempotent request through a pooled connection. On
-    /// success the connection returns to the pool; on failure it is
-    /// dropped (the caller decides whether the backend is dead).
-    pub fn request(&self, request: &Json) -> std::io::Result<Json> {
-        let mut client = self.take()?;
-        match client.request_idempotent(request) {
-            Ok(response) => {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                self.put(client);
-                Ok(response)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Like [`Backend::request`], but when the caller carries a
-    /// `deadline_ms` the pooled connection's read timeout is
-    /// tightened to `deadline + slack` for this request — never
-    /// loosened past the configured failover timeout — so an
-    /// over-deadline request costs the routing thread roughly the
-    /// deadline instead of the full 30 s death watch. A timeout under
-    /// the tightened budget maps to [`RequestError::DeadlineLapsed`]
-    /// (no failover); stale pooled connections still heal with one
-    /// reconnect, exactly like the plain path.
-    pub fn request_with_deadline(
-        &self,
-        request: &Json,
-        deadline_ms: Option<u64>,
-    ) -> Result<Json, RequestError> {
+    /// Sends one idempotent request through a pooled connection — the
+    /// router's only pooled send. A `deadline_ms` tightens the read
+    /// timeout to `deadline + slack` for this request when that is
+    /// shorter than the configured failover timeout (it never loosens
+    /// it), so an over-deadline request costs the routing thread
+    /// roughly the deadline instead of the full death watch; without
+    /// one the socket is not touched. A timeout under a tightened
+    /// budget is [`RequestError::DeadlineLapsed`]; every other failure
+    /// is [`RequestError::Dead`]. On success the connection returns to
+    /// the pool; on failure it is dropped.
+    pub fn request(&self, request: &Json, deadline_ms: Option<u64>) -> Result<Json, RequestError> {
         let tightened = deadline_ms
             .map(|ms| Duration::from_millis(ms) + DEADLINE_SLACK)
             .filter(|t| *t < self.read_timeout);
-        let Some(timeout) = tightened else {
-            return self.request(request).map_err(RequestError::Dead);
-        };
-        let is_timeout =
-            |e: &std::io::Error| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
-        let mut client = self.take().map_err(RequestError::Dead)?;
-        if let Err(e) = client.set_read_timeout(Some(timeout)) {
-            return Err(RequestError::Dead(e));
+        let pooled = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let mut client = pooled
+            .map_or_else(|| self.dialer.connect(self.addr), Ok)
+            .map_err(RequestError::Dead)?;
+        if tightened.is_some() {
+            client
+                .set_read_timeout(tightened)
+                .map_err(RequestError::Dead)?;
         }
-        let outcome = match client.request(request) {
-            // A non-timeout failure is a stale pooled connection (the
-            // shard restarted, an idle socket died): one reconnect,
-            // one retry — the deadline-tightened timeout carries over
-            // because `reconnect` re-applies the client's config.
-            Err(e) if !is_timeout(&e) => match client.reconnect() {
-                Ok(()) => client.request(request),
-                Err(dial) => Err(dial),
-            },
-            other => other,
-        };
-        match outcome {
-            Ok(response) => {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                // Restore the configured timeout before pooling so
-                // the next request is not stuck with this deadline.
-                if client.set_read_timeout(Some(self.read_timeout)).is_ok() {
-                    self.put(client);
-                }
-                Ok(response)
+        let response = client.request_idempotent(request).map_err(|e| {
+            let timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+            if timed_out && tightened.is_some() {
+                RequestError::DeadlineLapsed
+            } else {
+                RequestError::Dead(e)
             }
-            Err(e) if is_timeout(&e) => Err(RequestError::DeadlineLapsed),
-            Err(e) => Err(RequestError::Dead(e)),
+        })?;
+        self.served.fetch_add(1, Ordering::Relaxed);
+        // Restore the configured timeout before pooling so the next
+        // request is not stuck with this deadline.
+        if tightened.is_none() || client.set_read_timeout(Some(self.read_timeout)).is_ok() {
+            self.put(client);
         }
+        Ok(response)
     }
 
     /// A liveness probe with its own (short) deadline, independent of

@@ -27,16 +27,37 @@
 //! graphs keep their client-supplied path — either way every graph
 //! has a reload source, which is what makes failover possible.
 //!
+//! One path from router to shard:
+//!
+//! ```text
+//! Service::call ─► route_load / route_mutate / route_run / route_batch / proxy_kernels
+//!                        │ place: ring owner, table owner, first healthy
+//!                        ▼
+//!                  Core::exchange ── Dead ──► bury (fail over) ─► place again
+//!                        │
+//!                        ▼
+//!                  Backend::request (pooled; one stale-connection redial)
+//! ```
+//!
+//! `Core::exchange` is the only loop that places a request, sends
+//! it, classifies the failure and fails over; each `route_*` only
+//! says how to place. `route_batch` sends one sub-batch per owning
+//! shard through `exchange`, concurrently; a sub-batch whose shard
+//! died re-enters `route_batch`'s placement for its slots. That
+//! recursion ends: a re-entry happens only after a shard that was
+//! healthy when the slots were placed went down, shards never come
+//! back, and with none left every slot answers typed without a send.
+//!
 //! Failover: when a shard stops answering (a pooled request fails
-//! after the client's own one-reconnect retry, or the background
-//! health probe misses), the router marks it down, rebuilds the ring
-//! without it, and re-places **only that shard's graphs** on the
-//! survivors by reloading them from their reload sources. In-flight
-//! requests for those graphs retry once transparently on the new
-//! owner; requests that asked for `"redirect":true` are answered
-//! with a typed `moved` error carrying the new shard's address
-//! instead. A graph with no reachable shard answers
-//! `backend-unavailable` — never a hang.
+//! after its one stale-connection redial, a read times out with no
+//! tighter caller deadline, or the background health probe misses),
+//! the router marks it down, rebuilds the ring without it, and
+//! re-places **only that shard's graphs** on the survivors by
+//! reloading them from their reload sources. In-flight requests for
+//! those graphs retry transparently on the new owner; requests that
+//! asked for `"redirect":true` are answered with a typed `moved`
+//! error carrying the new shard's address instead. A graph with no
+//! reachable shard answers `backend-unavailable` — never a hang.
 
 use crate::backend::{Backend, RequestError};
 use crate::ring::{HashRing, RingMember};
@@ -49,7 +70,7 @@ use gms_serve::protocol::{
 };
 use gms_serve::service::{spawn_acceptor, FrontCounters, Reply, Service};
 use gms_serve::{Json, LoadCompression, ServeConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -291,7 +312,12 @@ impl Service for Core {
 }
 
 impl Core {
+    /// Rebuilds the ring from the health flags. The flags are read
+    /// under the write lock, so of two concurrent failovers the last
+    /// writer has seen both deaths — a ring built before the other
+    /// death cannot be the one that stays.
     fn rebuild_ring(&self) {
+        let mut ring = self.ring.write().unwrap_or_else(|e| e.into_inner());
         let members: Vec<Option<RingMember>> = self
             .backends
             .iter()
@@ -302,8 +328,7 @@ impl Core {
                 })
             })
             .collect();
-        let ring = HashRing::build(members.iter().map(|m| m.as_ref()));
-        *self.ring.write().unwrap_or_else(|e| e.into_inner()) = ring;
+        *ring = HashRing::build(members.iter().map(|m| m.as_ref()));
     }
 
     fn ring_owner(&self, fingerprint: u64) -> Option<usize> {
@@ -364,7 +389,7 @@ impl Core {
         let mut failover = false;
         loop {
             let owner = place(failover)?;
-            match self.backends[owner].request_with_deadline(request, deadline_ms) {
+            match self.backends[owner].request(request, deadline_ms) {
                 Ok(response) => {
                     let denied = error_code_of(&response) == Some("unknown-graph");
                     if denied && heal.is_some_and(|graph| self.heal_missing(graph, owner)) {
@@ -385,18 +410,19 @@ impl Core {
         }
     }
 
+    /// The record's owner, if that shard is still healthy.
+    fn live_owner(&self, record: &GraphRecord) -> Option<usize> {
+        record.owner.filter(|&owner| self.backends[owner].healthy())
+    }
+
     /// Ensures `name` is resident on a healthy shard and returns its
     /// owner. Takes the placement lock; cheap when already placed.
     fn ensure_placed(&self, name: &str) -> Option<usize> {
-        {
-            let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
-            let record = graphs.get(name)?;
-            if let Some(owner) = record.owner {
-                if self.backends[owner].healthy() {
-                    return Some(owner);
-                }
-            }
+        let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(owner) = self.live_owner(graphs.get(name)?) {
+            return Some(owner);
         }
+        drop(graphs);
         let _guard = self.placement.lock().unwrap_or_else(|e| e.into_inner());
         self.place_locked(name)
     }
@@ -409,10 +435,8 @@ impl Core {
         let (fingerprint, reload) = {
             let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
             let record = graphs.get(name)?;
-            if let Some(owner) = record.owner {
-                if self.backends[owner].healthy() {
-                    return Some(owner); // another thread healed it first
-                }
+            if let Some(owner) = self.live_owner(record) {
+                return Some(owner); // another thread healed it first
             }
             (record.lineage.base_fingerprint, record.reload_json(name))
         };
@@ -478,15 +502,13 @@ impl Core {
     /// the request).
     fn heal_missing(&self, name: &str, owner: usize) -> bool {
         let _guard = self.placement.lock().unwrap_or_else(|e| e.into_inner());
-        let reload = {
-            let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
-            match graphs.get(name) {
-                Some(record) => record.reload_json(name),
-                None => return false,
-            }
+        let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
+        let Some(reload) = graphs.get(name).map(|record| record.reload_json(name)) else {
+            return false;
         };
+        drop(graphs);
         matches!(
-            self.backends[owner].request(&reload),
+            self.backends[owner].request(&reload, None),
             Ok(ref r) if r.get("ok") == Some(&Json::Bool(true))
         )
     }
@@ -497,10 +519,8 @@ impl Core {
         }
         if self.shutdown_backends {
             let shutdown = Envelope::new(Request::Shutdown).to_json();
-            for backend in &self.backends {
-                if backend.healthy() {
-                    let _ = backend.request(&shutdown);
-                }
+            for backend in self.backends.iter().filter(|b| b.healthy()) {
+                let _ = backend.request(&shutdown, None);
             }
         }
         // Unblock the acceptor.
@@ -577,6 +597,16 @@ impl Core {
         };
         let fingerprint = store.fingerprint();
         let (vertices, edges) = (store.num_vertices(), store.num_arcs() / 2);
+        // Re-loading the content a name already holds keeps its
+        // lineage, as the shard's `Engine::admit` does — and so its
+        // placement key: the load lands on the shard that holds it.
+        let lineage = self
+            .graphs
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&spec.name)
+            .filter(|record| record.fingerprint == fingerprint)
+            .map_or(GraphLineage::new(fingerprint), |record| record.lineage);
         // Only an inline load needs the materialized graph again (to
         // spill it); a compressed snapshot always arrives by path.
         let reload = match &spec.source {
@@ -595,7 +625,7 @@ impl Core {
             None,
             |dead| self.on_backend_death(dead),
             |_| {
-                self.ring_owner(fingerprint).ok_or_else(|| {
+                self.ring_owner(lineage.base_fingerprint).ok_or_else(|| {
                     self.unavailable("no healthy backend can take the graph".to_string())
                 })
             },
@@ -614,10 +644,7 @@ impl Core {
             let record = GraphRecord {
                 owner: Some(routed.owner),
                 fingerprint,
-                lineage: GraphLineage {
-                    base_fingerprint: fingerprint,
-                    version: 0,
-                },
+                lineage,
                 vertices,
                 edges,
                 reload,
@@ -764,159 +791,127 @@ impl Core {
         .map_or_else(|answer| answer, |routed| routed.annotated(self))
     }
 
-    /// Scatter-gather: splits a batch by graph ownership, runs the
-    /// sub-batches on their shards concurrently, and reassembles the
-    /// results in request order. Backend deaths mid-batch trigger
-    /// failover and bounded retry rounds — each failed round marks at
-    /// least one shard down, so the loop terminates with either
-    /// results or typed errors, never a hang.
+    /// Scatter-gather: runs a batch on the shards owning its graphs
+    /// concurrently and reassembles the results in request order.
     fn route_batch(&self, envelope: &Envelope, specs: &[RunSpec]) -> Json {
-        let deadline_ms = envelope.deadline_ms;
-        let mut results: Vec<Option<Json>> = vec![None; specs.len()];
-        let mut shards_used: Vec<SocketAddr> = Vec::new();
-
-        // Slots still needing execution, grouped fresh each round.
-        let mut pending: Vec<usize> = (0..specs.len()).collect();
-        // Each failed round kills ≥1 backend; one extra round drains
-        // the no-healthy-backends case into typed errors.
-        let max_rounds = self.backends.len() + 1;
-        for _round in 0..max_rounds {
-            if pending.is_empty() {
-                break;
-            }
-            // Resolve owners; unknown / unplaceable graphs answer
-            // typed errors without costing a shard round trip.
-            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &slot in &pending {
-                let graph = &specs[slot].graph;
-                if !self.knows(graph) {
-                    results[slot] = Some(self.not_found(graph));
-                    continue;
-                }
-                match self.ensure_placed(graph) {
-                    Some(owner) => groups.entry(owner).or_default().push(slot),
-                    None => results[slot] = Some(self.no_home(graph)),
-                }
-            }
-            // Scatter concurrently, one thread per owning shard.
-            let round_results: Vec<(usize, Vec<usize>, Result<Json, RequestError>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|(owner, slots)| {
-                            // The sub-batch keeps the caller's
-                            // deadline and fairness identity, so the
-                            // shard enforces the same deadline and
-                            // accounts the work to the right client.
-                            let sub_request = Envelope {
-                                deadline_ms,
-                                client: envelope.client.clone(),
-                                weight: envelope.weight,
-                                ..Envelope::new(Request::Batch(
-                                    slots.iter().map(|&s| specs[s].clone()).collect(),
-                                ))
-                            }
-                            .to_json();
-                            scope.spawn(move || {
-                                let outcome = self.backends[owner]
-                                    .request_with_deadline(&sub_request, deadline_ms);
-                                (owner, slots, outcome)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-            // Gather: successes fill their slots; failures re-enter
-            // the next round after failover.
-            pending.clear();
-            for (owner, slots, outcome) in round_results {
-                match outcome {
-                    Ok(response) => {
-                        let sub_results = response
-                            .get("results")
-                            .and_then(Json::as_array)
-                            .map(|r| r.to_vec())
-                            .unwrap_or_default();
-                        if sub_results.len() != slots.len() {
-                            for &slot in &slots {
-                                results[slot] = Some(error_json(&ApiError::new(
-                                    ErrorCode::BackendUnavailable,
-                                    "shard answered a malformed batch response",
-                                )));
-                            }
-                            continue;
-                        }
-                        if !shards_used.contains(&self.backends[owner].addr) {
-                            shards_used.push(self.backends[owner].addr);
-                        }
-                        for (slot, result) in slots.into_iter().zip(sub_results) {
-                            results[slot] = Some(result);
-                        }
-                    }
-                    Err(RequestError::DeadlineLapsed) => {
-                        // Retrying elsewhere cannot beat an
-                        // already-spent deadline: answer the slots
-                        // typed, keep the shard.
-                        let lapsed = self.lapsed(deadline_ms, owner);
-                        for &slot in &slots {
-                            results[slot] = Some(lapsed.clone());
-                        }
-                    }
-                    Err(RequestError::Dead(_)) => {
-                        self.on_backend_death(owner);
-                        pending.extend(slots);
-                    }
-                }
-            }
-        }
-        // Anything still pending after the bounded rounds has no shard.
-        for slot in pending {
-            results[slot] = Some(self.unavailable("no healthy backends".to_string()));
-        }
+        let mut results = vec![Json::Null; specs.len()];
+        let mut shards = BTreeSet::new();
+        let slots = (0..specs.len()).collect();
+        self.scatter(envelope, specs, slots, &mut results, &mut shards);
         response(vec![
             ("ok", Json::Bool(true)),
-            (
-                "results",
-                Json::Array(
-                    results
-                        .into_iter()
-                        .map(|r| r.expect("slot filled"))
-                        .collect(),
-                ),
-            ),
-            ("shards", Json::from(shards_used.len())),
+            ("results", Json::Array(results)),
+            ("shards", Json::from(shards.len())),
         ])
     }
 
-    fn proxy_kernels(&self) -> Json {
-        let request = Envelope::new(Request::Kernels).to_json();
-        for (owner, backend) in self.backends.iter().enumerate() {
-            if !backend.healthy() {
-                continue;
-            }
-            match backend.request(&request) {
-                Ok(response) => {
-                    let routed = Routed {
-                        response,
-                        owner,
-                        failover: false,
-                    };
-                    return routed.annotated(self);
-                }
-                Err(_) => self.on_backend_death(owner),
+    /// Places `slots` by graph ownership and sends each owner's
+    /// sub-batch through [`Core::exchange`], one scoped thread per
+    /// owner. Unknown and homeless graphs answer typed errors without
+    /// a shard round trip. A sub-batch whose shard died comes back
+    /// (its placement refuses a second owner) and its slots re-enter
+    /// here to be placed on the survivors — each re-entry follows a
+    /// backend's down-transition, so the depth is bounded by the
+    /// fleet size.
+    fn scatter(
+        &self,
+        envelope: &Envelope,
+        specs: &[RunSpec],
+        slots: Vec<usize>,
+        results: &mut [Json],
+        shards: &mut BTreeSet<usize>,
+    ) {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for slot in slots {
+            let graph = &specs[slot].graph;
+            if !self.knows(graph) {
+                results[slot] = self.not_found(graph);
+            } else if let Some(owner) = self.ensure_placed(graph) {
+                groups.entry(owner).or_default().push(slot);
+            } else {
+                results[slot] = self.no_home(graph);
             }
         }
-        self.unavailable("no healthy backends".to_string())
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|(owner, slots)| {
+                    // The sub-batch keeps the caller's deadline and
+                    // fairness identity, so the shard enforces the
+                    // same deadline and accounts the work to the
+                    // right client.
+                    let sub_batch = Envelope {
+                        deadline_ms: envelope.deadline_ms,
+                        client: envelope.client.clone(),
+                        weight: envelope.weight,
+                        ..Envelope::new(Request::Batch(
+                            slots.iter().map(|&s| specs[s].clone()).collect(),
+                        ))
+                    }
+                    .to_json();
+                    scope.spawn(move || {
+                        let routed = self.exchange(
+                            &sub_batch,
+                            envelope.deadline_ms,
+                            None,
+                            |dead| self.on_backend_death(dead),
+                            |failover| (!failover).then_some(owner).ok_or(Json::Null),
+                        );
+                        (slots, routed)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut orphaned = Vec::new();
+        for (slots, routed) in answers {
+            let answers = match routed {
+                Err(Json::Null) => {
+                    orphaned.extend(slots);
+                    continue;
+                }
+                // Retrying elsewhere cannot beat an already-spent
+                // deadline: the slots answer typed, the shard stays.
+                Err(lapsed) => vec![lapsed; slots.len()],
+                Ok(routed) => match routed.response.get("results").and_then(Json::as_array) {
+                    Some(items) if items.len() == slots.len() => {
+                        shards.insert(routed.owner);
+                        items.to_vec()
+                    }
+                    _ => {
+                        let malformed = "shard answered a malformed batch response";
+                        let error = ApiError::new(ErrorCode::BackendUnavailable, malformed);
+                        vec![error_json(&error); slots.len()]
+                    }
+                },
+            };
+            for (slot, answer) in slots.into_iter().zip(answers) {
+                results[slot] = answer;
+            }
+        }
+        if !orphaned.is_empty() {
+            self.scatter(envelope, specs, orphaned, results, shards);
+        }
+    }
+
+    /// `kernels` from the first healthy backend.
+    fn proxy_kernels(&self) -> Json {
+        self.exchange(
+            &Envelope::new(Request::Kernels).to_json(),
+            None,
+            None,
+            |dead| self.on_backend_death(dead),
+            |_| {
+                let first = self.backends.iter().position(Backend::healthy);
+                first.ok_or_else(|| self.unavailable("no healthy backends".to_string()))
+            },
+        )
+        .map_or_else(|answer| answer, |routed| routed.annotated(self))
     }
 
     fn health_json(&self) -> Json {
-        let healthy = self.backends.iter().filter(|b| b.healthy()).count();
-        let workers: usize = self
-            .backends
-            .iter()
-            .filter(|b| b.healthy())
-            .map(|b| b.weight)
-            .sum();
+        let live: Vec<&Backend> = self.backends.iter().filter(|b| b.healthy()).collect();
+        let (healthy, workers) = (live.len(), live.iter().map(|b| b.weight).sum::<usize>());
         let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner()).len();
         response(vec![
             ("ok", Json::Bool(true)),
@@ -976,7 +971,7 @@ impl Core {
                 ),
             ];
             if backend.healthy() {
-                match backend.request(&request) {
+                match backend.request(&request, None) {
                     Ok(stats) => {
                         for (section, keys, totals) in [
                             ("cache", CACHE_KEYS, &mut cache_totals),

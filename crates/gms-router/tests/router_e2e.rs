@@ -5,9 +5,13 @@
 //! pattern counts or the right typed error — instead of hanging.
 
 use gms_serve::{Client, Json, ServeConfig, Server, ServerHandle};
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use gms_router::{Router, RouterConfig, RouterHandle};
+use gms_router::{HashRing, RingMember, Router, RouterConfig, RouterHandle};
 
 /// Starts `n` backends plus a router fronting them. Background
 /// probing is disabled so tests control exactly when deaths are
@@ -57,17 +61,24 @@ fn load_graphs(client: &mut Client, count: usize) {
 }
 
 fn batch_request(count: usize) -> Json {
+    let graphs: Vec<String> = (0..count).map(|i| format!("g{i}")).collect();
+    batch_of(&graphs)
+}
+
+/// A batch of `triangle-count` runs, one per named graph.
+fn batch_of(graphs: &[String]) -> Json {
     Json::object([
         ("op", Json::from("batch")),
         (
             "requests",
             Json::Array(
-                (0..count)
-                    .map(|i| {
+                graphs
+                    .iter()
+                    .map(|graph| {
                         Json::object([
                             ("op", Json::from("run")),
                             ("kernel", Json::from("triangle-count")),
-                            ("graph", Json::from(format!("g{i}"))),
+                            ("graph", Json::from(graph.clone())),
                         ])
                     })
                     .collect(),
@@ -568,8 +579,6 @@ fn fleet_errors_are_typed_never_hangs() {
 /// and the connection keeps serving.
 #[test]
 fn newline_free_flood_at_the_router_is_bounded_and_resyncs() {
-    use std::io::{BufRead, BufReader, Write};
-
     let (backends, router) = start_fleet(1);
     let cap = ServeConfig::default().max_body_bytes;
     let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect router");
@@ -699,6 +708,362 @@ fn a_routed_float_param_hits_the_same_cache_line_as_a_direct_one() {
     );
     assert_eq!(again.get("patterns"), routed.get("patterns"));
 
+    router.shutdown();
+    router.join();
+    for backend in backends {
+        kill_backend(backend);
+    }
+}
+
+/// A shard that registers and takes loads but never answers work: it
+/// answers `health` (one worker), `load` and `stats` with `ok`, reads
+/// every other line without a reply, and counts the `run` lines it
+/// swallowed. Returns its address and that count.
+fn start_hung_shard() -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind hung shard");
+    let addr = listener.local_addr().expect("hung shard addr").to_string();
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().map_while(Result::ok) {
+            let runs = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone shard socket");
+                for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                    let request = Json::parse(line.trim()).expect("the router sends JSON");
+                    let answer = match request.get("op").and_then(Json::as_str) {
+                        Some("health") => r#"{"ok":true,"status":"serving","workers":1}"#,
+                        Some("load" | "stats") => r#"{"ok":true}"#,
+                        Some("run") => {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    if writeln!(writer, "{answer}").is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, runs)
+}
+
+/// A router in front of one hung shard, with `g` loaded through it.
+fn front_hung_shard(shard: String, read_timeout: Duration) -> (RouterHandle, Client) {
+    let router = Router::start(RouterConfig {
+        backends: vec![shard],
+        probe_interval: Duration::ZERO,
+        read_timeout,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.addr()).expect("connect router");
+    let graph = gms_gen::gnp(60, 0.1, 3);
+    let loaded = client
+        .load_inline("g", "edge-list", &edge_list_text(&graph))
+        .expect("load");
+    assert_eq!(
+        loaded.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        loaded.render()
+    );
+    (router, client)
+}
+
+fn run_g() -> Vec<(&'static str, Json)> {
+    vec![
+        ("op", Json::from("run")),
+        ("kernel", Json::from("triangle-count")),
+        ("graph", Json::from("g")),
+    ]
+}
+
+fn router_counter(stats: &Json, name: &str) -> Option<i64> {
+    stats.get("router")?.get(name)?.as_i64()
+}
+
+/// The router's deadline path: a shard that takes a request and never
+/// answers is answered for with a typed `deadline-exceeded` once the
+/// caller's deadline (plus slack) lapses — for a `run` and for a
+/// `batch` alike, long before the failover timeout — and is not
+/// declared dead for it.
+#[test]
+fn a_hung_shard_answers_deadline_exceeded_and_stays_healthy() {
+    let (shard, _) = start_hung_shard();
+    let (router, mut client) = front_hung_shard(shard, Duration::from_secs(10));
+
+    let started = Instant::now();
+    let mut run = run_g();
+    run.push(("deadline_ms", Json::Int(200)));
+    let lapsed = client.request(&Json::object(run)).expect("run round trip");
+    assert_eq!(
+        error_code(&lapsed),
+        Some("deadline-exceeded"),
+        "{}",
+        lapsed.render()
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "run lapsed late"
+    );
+
+    let started = Instant::now();
+    let batch = client
+        .request(&Json::object([
+            ("op", Json::from("batch")),
+            ("deadline_ms", Json::Int(200)),
+            ("requests", Json::Array(vec![Json::object(run_g())])),
+        ]))
+        .expect("batch round trip");
+    assert_eq!(
+        batch.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        batch.render()
+    );
+    let slot = &batch
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results")[0];
+    assert_eq!(
+        error_code(slot),
+        Some("deadline-exceeded"),
+        "{}",
+        batch.render()
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "batch lapsed late"
+    );
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(router_counter(&stats, "deadline_exceeded"), Some(2));
+    assert_eq!(router_counter(&stats, "failovers"), Some(0));
+    let backend = &stats
+        .get("backends")
+        .and_then(Json::as_array)
+        .expect("backends")[0];
+    assert_eq!(backend.get("healthy"), Some(&Json::Bool(true)));
+
+    router.shutdown();
+    router.join();
+}
+
+/// With no caller deadline, a hung shard costs one read timeout: the
+/// timed-out request is not resent (only a stale connection is), the
+/// shard is failed over, and the caller gets `backend-unavailable`.
+#[test]
+fn a_hung_shard_without_a_deadline_is_sent_the_run_once() {
+    let (shard, runs) = start_hung_shard();
+    let (router, mut client) = front_hung_shard(shard, Duration::from_millis(300));
+
+    let unavailable = client.request(&Json::object(run_g())).expect("round trip");
+    assert_eq!(
+        error_code(&unavailable),
+        Some("backend-unavailable"),
+        "{}",
+        unavailable.render()
+    );
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the run was sent once");
+
+    router.shutdown();
+    router.join();
+}
+
+/// Batches across successive shard deaths: with two of three shards
+/// gone one batch completes on the survivor, and with none left every
+/// slot answers typed — the re-placement of a dead shard's slots ends.
+#[test]
+fn a_batch_survives_successive_shard_deaths_down_to_none() {
+    let (backends, router) = start_fleet(3);
+    let mut client = Client::connect(router.addr()).expect("connect router");
+    let count = 6;
+    load_graphs(&mut client, count);
+    let full = client
+        .request(&batch_request(count))
+        .expect("full-fleet batch");
+    let expected = patterns_of(full.get("results").and_then(Json::as_array).unwrap());
+
+    // Kill two shards that own graphs first, so the next batch is
+    // sent to both and discovers both deaths.
+    let stats = client.stats().expect("stats");
+    let owners: Vec<String> = (0..count)
+        .map(|i| shard_of(&stats, &format!("g{i}")))
+        .collect();
+    let mut order: Vec<ServerHandle> = backends;
+    order.sort_by_key(|b| !owners.contains(&b.addr().to_string()));
+    let survivor = order.pop().expect("three shards");
+    for victim in order {
+        kill_backend(victim);
+    }
+    let after = client
+        .request(&batch_request(count))
+        .expect("batch after two deaths");
+    assert_eq!(
+        after.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        after.render()
+    );
+    assert_eq!(
+        patterns_of(after.get("results").and_then(Json::as_array).unwrap()),
+        expected,
+        "the survivor answers with the full-fleet counts"
+    );
+    assert_eq!(
+        router_counter(&client.stats().expect("stats"), "failovers"),
+        Some(2)
+    );
+
+    // Kill the last shard: every slot is typed, the unknown graph too.
+    kill_backend(survivor);
+    let mut graphs: Vec<String> = (0..count).map(|i| format!("g{i}")).collect();
+    graphs.push("nope".to_string());
+    let dead = client
+        .request(&batch_of(&graphs))
+        .expect("batch with no shard left");
+    assert_eq!(dead.get("ok"), Some(&Json::Bool(true)), "{}", dead.render());
+    let results = dead
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results");
+    assert_eq!(results.len(), count + 1);
+    for (i, result) in results.iter().enumerate() {
+        let want = if i < count {
+            "backend-unavailable"
+        } else {
+            "graph-not-found"
+        };
+        assert_eq!(
+            error_code(result),
+            Some(want),
+            "slot {i}: {}",
+            result.render()
+        );
+    }
+
+    router.shutdown();
+    router.join();
+}
+
+/// A `0x…` fingerprint member of a reply.
+fn fingerprint_of(reply: &Json, member: &str) -> u64 {
+    let text = reply
+        .get(member)
+        .and_then(Json::as_str)
+        .expect("fingerprint");
+    u64::from_str_radix(text.trim_start_matches("0x"), 16).expect("hex fingerprint")
+}
+
+/// The `stats` row a server or router keeps for `name`, if any.
+fn graph_row<'a>(stats: &'a Json, name: &str) -> Option<&'a Json> {
+    let graphs = stats.get("graphs").and_then(Json::as_array)?;
+    graphs
+        .iter()
+        .find(|g| g.get("name").and_then(Json::as_str) == Some(name))
+}
+
+/// Regression: re-loading the content a graph already holds (here:
+/// its mutated content) reset the router's lineage to the new
+/// fingerprint at version 0 and placed the load by that fingerprint —
+/// so it could land on the other shard, disagree with a direct
+/// server, and strand a stale copy on the first shard. The router now
+/// keeps the lineage, as a shard does, and with it the placement key.
+#[test]
+fn reloading_mutated_content_keeps_lineage_and_shard() {
+    use gms_core::Graph as _;
+    let (backends, router) = start_fleet(2);
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    let single = Server::start(ServeConfig::default()).expect("start reference");
+    let mut direct = Client::connect(single.addr()).expect("connect reference");
+    // The router's ring, rebuilt here: it tells which graphs a
+    // placement by the re-loaded fingerprint would move.
+    let members: Vec<RingMember> = backends
+        .iter()
+        .map(|b| {
+            let health = Client::connect(b.addr()).and_then(|mut c| c.health());
+            let workers = health
+                .expect("health")
+                .get("workers")
+                .and_then(Json::as_i64);
+            RingMember {
+                name: b.addr().to_string(),
+                weight: workers.expect("workers").max(1) as usize,
+            }
+        })
+        .collect();
+    let ring = HashRing::build(members.iter().map(Some));
+
+    let names: Vec<String> = (0..16).map(|i| format!("m{i}")).collect();
+    let mut would_move = 0;
+    for (i, name) in names.iter().enumerate() {
+        let graph = gms_gen::gnp(40 + i, 0.1, 500 + i as u64);
+        let n = graph.num_vertices() as u32;
+        let edge = (1..n)
+            .map(|v| (0, v))
+            .find(|&(u, v)| !graph.neighbors(u).any(|w| w == v))
+            .expect("vertex 0 has a non-neighbour");
+        let mutated = gms_graph::patch_csr(&graph, &[edge], &[]).expect("patch").0;
+        let mut replies = Vec::new();
+        for client in [&mut via_router, &mut direct] {
+            client
+                .load_inline(name, "edge-list", &edge_list_text(&graph))
+                .expect("load");
+            client.add_edges(name, &[edge]).expect("mutate");
+            replies.push(
+                client
+                    .load_inline(name, "edge-list", &edge_list_text(&mutated))
+                    .expect("re-load"),
+            );
+        }
+        let (routed, reference) = (&replies[0], &replies[1]);
+        for member in ["fingerprint", "base_fingerprint", "version"] {
+            assert_eq!(
+                routed.get(member),
+                reference.get(member),
+                "{name}: re-load reply {member}: {}",
+                routed.render()
+            );
+        }
+        let base = fingerprint_of(reference, "base_fingerprint");
+        if ring.owner(base) != ring.owner(fingerprint_of(reference, "fingerprint")) {
+            would_move += 1;
+        }
+    }
+    assert!(would_move >= 1, "some re-load keys a different shard");
+
+    let routed_stats = via_router.stats().expect("router stats");
+    let direct_stats = direct.stats().expect("direct stats");
+    let shard_stats: Vec<Json> = backends
+        .iter()
+        .map(|b| {
+            Client::connect(b.addr())
+                .and_then(|mut c| c.stats())
+                .expect("shard stats")
+        })
+        .collect();
+    for name in &names {
+        let table = graph_row(&routed_stats, name).expect("router row");
+        let reference = graph_row(&direct_stats, name).expect("direct row");
+        for member in ["fingerprint", "base_fingerprint", "version"] {
+            assert_eq!(
+                table.get(member),
+                reference.get(member),
+                "{name}: table {member}"
+            );
+        }
+        let holders = shard_stats.iter().filter(|s| graph_row(s, name).is_some());
+        assert_eq!(
+            holders.count(),
+            1,
+            "{name} is resident on exactly one shard"
+        );
+    }
+
+    kill_backend(single);
     router.shutdown();
     router.join();
     for backend in backends {

@@ -40,9 +40,10 @@
 //! dead server answers with a timeout error instead of hanging the
 //! calling thread forever), and [`Client::request_idempotent`]
 //! transparently reconnects and retries **once** when a pooled
-//! connection turns out to be broken — the stale-connection case
-//! every pool hits after a server restart.
+//! connection turns out to be stale — the case every pool hits after
+//! a server restart — but never after a read timeout.
 
+use crate::http::parse_head;
 use crate::json::Json;
 use crate::protocol::{
     edges_json, params_from_json, ApiError, Envelope, ErrorCode, GraphFormat, LoadCompression,
@@ -170,9 +171,10 @@ pub struct Client {
     conn: Option<Conn>,
 }
 
-/// Whether an I/O failure means the connection itself is unusable
-/// (as opposed to a semantic failure the caller must see).
-fn is_connection_death(kind: ErrorKind) -> bool {
+/// Whether an I/O failure means the connection was stale: the peer
+/// closed, reset or refused it, so nothing was answered and one
+/// redial may heal it.
+fn is_stale(kind: ErrorKind) -> bool {
     matches!(
         kind,
         ErrorKind::BrokenPipe
@@ -180,8 +182,6 @@ fn is_connection_death(kind: ErrorKind) -> bool {
             | ErrorKind::ConnectionAborted
             | ErrorKind::ConnectionRefused
             | ErrorKind::UnexpectedEof
-            | ErrorKind::WouldBlock
-            | ErrorKind::TimedOut
     )
 }
 
@@ -247,12 +247,11 @@ impl Client {
                 std::io::Error::new(ErrorKind::InvalidData, format!("unparsable response: {e}"))
             }),
             Err(e) => {
-                // A half-written request or half-read response leaves
-                // the stream desynchronized: poison the connection so
-                // the next use dials fresh.
-                if is_connection_death(e.kind()) {
-                    self.conn = None;
-                }
+                // A half-written request or half-read response (a
+                // dead peer, a read timeout) leaves the stream
+                // desynchronized: poison the connection so the next
+                // use dials fresh.
+                self.conn = None;
                 Err(e)
             }
         }
@@ -272,14 +271,18 @@ impl Client {
 
     /// Like [`Client::request`], for requests that are safe to send
     /// twice (`health`, `stats`, `run` — the result cache makes runs
-    /// repeatable): when the connection turns out to be dead (broken
-    /// pipe, reset, EOF on a pooled connection the server closed, or
-    /// a read timeout), reconnects and retries **once**. A second
-    /// failure propagates — the server really is unreachable.
+    /// repeatable): when the connection turns out to be stale (broken
+    /// pipe, reset, refused, EOF on a pooled connection the server
+    /// closed), reconnects and retries **once**. A second failure
+    /// propagates — the server really is unreachable. A read timeout
+    /// is never retried: the server took the request and did not
+    /// answer in time, and asking again would only double the wait.
+    /// The timed-out connection is still dropped (the next use dials
+    /// fresh).
     pub fn request_idempotent(&mut self, request: &Json) -> std::io::Result<Json> {
         let line = request.render();
         match self.round_trip(&line) {
-            Err(e) if is_connection_death(e.kind()) => {
+            Err(e) if is_stale(e.kind()) => {
                 self.reconnect()?;
                 self.round_trip(&line)
             }
@@ -583,19 +586,12 @@ fn parse_http_response(raw: &[u8]) -> Result<HttpResponse, ApiError> {
     let bad = |why: &str| ApiError::new(ErrorCode::Transport, format!("bad HTTP response: {why}"));
     let text = std::str::from_utf8(raw).map_err(|_| bad("not UTF-8"))?;
     let (head, body) = text.split_once("\r\n\r\n").ok_or_else(|| bad("no head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
+    let (status_line, headers) = parse_head(head);
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("unparsable status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
     let chunked = headers
         .iter()
         .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));

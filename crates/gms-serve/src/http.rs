@@ -213,8 +213,7 @@ fn recv_request<S: Service>(
     let mut rest = buf.split_off(head_end + 4);
     std::mem::swap(&mut buf, &mut rest); // buf = bytes past the head
 
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
+    let (request_line, headers) = parse_head(&head);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let target = parts.next().unwrap_or("").to_string();
@@ -223,12 +222,6 @@ fn recv_request<S: Service>(
             "malformed request line {request_line:?}"
         )));
     }
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
 
     // Phase 2: the body cap is enforced on the *declared* length,
     // before any body byte is read or buffered.
@@ -267,6 +260,22 @@ fn recv_request<S: Service>(
         headers,
         body: buf,
     })
+}
+
+/// Splits an HTTP head (without its blank line) into the start line
+/// and the `(name, value)` header pairs, names lowercased — one parser
+/// for the server's requests and [`HttpClient`](crate::HttpClient)'s
+/// responses.
+pub(crate) fn parse_head(head: &str) -> (&str, Vec<(String, String)>) {
+    let mut lines = head.split("\r\n");
+    let start_line = lines.next().unwrap_or("");
+    let headers = lines
+        .filter_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        })
+        .collect();
+    (start_line, headers)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
