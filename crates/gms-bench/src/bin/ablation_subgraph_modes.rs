@@ -39,7 +39,7 @@ fn main() {
         .get("bk")
         .expect("bk is registered")
         .params()
-        .into_iter()
+        .iter()
         .find(|spec| spec.name == "subgraph")
         .expect("bk declares a subgraph parameter")
         .choices;

@@ -110,7 +110,7 @@ fn main() {
         for kernel_name in KERNELS {
             let kernel: &dyn Kernel = registry.get(kernel_name).expect("builtin kernel");
             let run = |view| {
-                execute(kernel, &RunCx::new(view, &params))
+                execute(kernel, &RunCx::new(view, &params, kernel.params()))
                     .expect("default params are valid")
                     .patterns
             };

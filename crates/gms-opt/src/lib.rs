@@ -19,5 +19,5 @@ pub mod mst;
 
 pub use coloring::{greedy_coloring, johansson, jones_plassmann, verify_coloring};
 pub use coloring_orders::ColoringOrder;
-pub use mincut::{min_cut, min_cut_brute};
+pub use mincut::{min_cut, min_cut_brute, min_cut_cancellable};
 pub use mst::{boruvka, forest_weight, kruskal, WeightedEdge};

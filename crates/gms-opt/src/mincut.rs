@@ -4,7 +4,7 @@
 //! then recurses twice and keeps the better cut, amplifying the
 //! success probability to Ω(1/log n) per trial.
 
-use gms_core::{CsrGraph, Graph, NodeId};
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,9 +43,11 @@ impl ContractState {
         root
     }
 
-    /// Contracts random edges until `target` super-vertices remain.
-    fn contract_to(&mut self, target: usize, rng: &mut StdRng) {
-        while self.vertices > target && !self.edges.is_empty() {
+    /// Contracts random edges until `target` super-vertices remain, or
+    /// until `cancel` fires: every contraction compacts the whole edge
+    /// list, so an exact probe per contraction costs nothing beside it.
+    fn contract_to(&mut self, target: usize, rng: &mut StdRng, cancel: &CancelToken) {
+        while self.vertices > target && !self.edges.is_empty() && !cancel.expired() {
             let pick = rng.gen_range(0..self.edges.len());
             let (u, v) = self.edges[pick];
             let (ru, rv) = (self.find(u), self.find(v));
@@ -74,7 +76,14 @@ impl ContractState {
     }
 }
 
-fn karger_stein_rec(state: &mut ContractState, rng: &mut StdRng) -> usize {
+/// One Karger–Stein recursion node; a fired `cancel` cuts the whole
+/// subtree short with `usize::MAX`, which no real cut beats. (A
+/// cancelled contraction no longer shrinks the graph, so without this
+/// probe the recursion would never reach its base case.)
+fn karger_stein_rec(state: &mut ContractState, rng: &mut StdRng, cancel: &CancelToken) -> usize {
+    if cancel.expired() {
+        return usize::MAX;
+    }
     let n = state.vertices;
     if state.edges.is_empty() {
         // The surviving super-vertices are mutually disconnected
@@ -84,15 +93,15 @@ fn karger_stein_rec(state: &mut ContractState, rng: &mut StdRng) -> usize {
         return 0;
     }
     if n <= 6 {
-        state.contract_to(2, rng);
+        state.contract_to(2, rng, cancel);
         return state.cut_value();
     }
     let target = (n as f64 / std::f64::consts::SQRT_2).ceil() as usize + 1;
     let mut first = state.clone();
-    first.contract_to(target, rng);
-    let cut_a = karger_stein_rec(&mut first, rng);
-    state.contract_to(target, rng);
-    let cut_b = karger_stein_rec(state, rng);
+    first.contract_to(target, rng, cancel);
+    let cut_a = karger_stein_rec(&mut first, rng, cancel);
+    state.contract_to(target, rng, cancel);
+    let cut_b = karger_stein_rec(state, rng, cancel);
     cut_a.min(cut_b)
 }
 
@@ -100,6 +109,18 @@ fn karger_stein_rec(state: &mut ContractState, rng: &mut StdRng) -> usize {
 /// (smallest) cut found. With O(log² n) trials the result is the true
 /// minimum cut with high probability; tests use known-cut graphs.
 pub fn min_cut(graph: &CsrGraph, trials: usize, seed: u64) -> usize {
+    min_cut_cancellable(graph, trials, seed, &CancelToken::none())
+}
+
+/// [`min_cut`] under a cooperative [`CancelToken`] probed before every
+/// trial, at every recursion node and at every contraction. A fired
+/// token yields a partial answer the caller must discard.
+pub fn min_cut_cancellable(
+    graph: &CsrGraph,
+    trials: usize,
+    seed: u64,
+    cancel: &CancelToken,
+) -> usize {
     let n = graph.num_vertices();
     if n < 2 {
         return 0;
@@ -111,8 +132,11 @@ pub fn min_cut(graph: &CsrGraph, trials: usize, seed: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut best = usize::MAX;
     for _ in 0..trials.max(1) {
+        if cancel.expired() {
+            break;
+        }
         let mut state = ContractState::new(n, edges.clone());
-        best = best.min(karger_stein_rec(&mut state, &mut rng));
+        best = best.min(karger_stein_rec(&mut state, &mut rng, cancel));
     }
     best
 }

@@ -82,13 +82,13 @@ impl CacheKey {
         params: &Params,
     ) -> Result<Self, KernelError> {
         let specs = kernel.params();
-        params.validate(kernel.name(), &specs)?;
+        params.validate(kernel.name(), specs)?;
         Ok(Self {
             fingerprint,
             vertices,
             arcs,
             kernel: kernel.name(),
-            params: params.canonical(&specs),
+            params: params.canonical(specs),
         })
     }
 }

@@ -84,7 +84,7 @@ pub use batch::{BatchRequest, BatchRunner};
 pub use cache::{next_owner, CacheKey, CacheStats, MigrationDecision, MigrationStats, ResultCache};
 pub use delta::{DeltaSensitivity, GraphLineage, MutationOutcome};
 pub use outcome::{Outcome, Payload, StageTimings};
-pub use params::{ParamSpec, Params, Value, ValueKind};
+pub use params::{Bounds, ParamSpec, Params, Value, ValueKind};
 pub use registry::Registry;
 pub use resident::{Engine, KeyedRun, Resident};
 pub use run::{execute, RunCx};
@@ -153,21 +153,26 @@ pub trait Kernel: Send + Sync {
     /// One-line description for listings.
     fn about(&self) -> &'static str;
 
-    /// The parameter schema: every accepted parameter with its type
-    /// and default. Requests are validated against this before the
-    /// kernel runs, and the schema's defaults complete the cache key.
-    fn params(&self) -> Vec<ParamSpec>;
+    /// The parameter schema: every accepted parameter with its type,
+    /// default, choices and bounds — the only place they are written.
+    /// Requests are validated against it before the kernel runs
+    /// ([`Params::validate`]), and its defaults complete both the
+    /// cache key and the values [`RunCx`]'s accessors return.
+    fn params(&self) -> &'static [ParamSpec];
 
     /// Runs the kernel on the graph, parameters and cancellation
     /// token `cx` carries. Callers go through [`execute`].
     ///
     /// The parameters passed [`Params::validate`] against
-    /// [`Kernel::params`]: read them through the typed accessors with
-    /// the defaults the schema declares, and reject what its types
-    /// cannot rule out (a negative `eps`, `k < 1`) as
-    /// [`KernelError::BadParam`]. [`RunCx::csr`] always reaches the
-    /// graph; a kernel that needs less than the full CSR of a
-    /// compressed resident takes [`RunCx::view`] instead.
+    /// [`Kernel::params`], which enforced every kind, choice and
+    /// bound: read them through [`RunCx::int`] and its siblings and
+    /// use them as they are. Only what the graph alone decides (a BFS
+    /// root beyond the vertex count) is the kernel's to map onto the
+    /// graph; nothing else is checked or repaired here.
+    ///
+    /// [`RunCx::csr`] always reaches the graph; a kernel that needs
+    /// less than the full CSR of a compressed resident takes
+    /// [`RunCx::view`] instead.
     /// Kernels with long hot loops (Bron–Kerbosch, k-clique, subgraph
     /// isomorphism, triangle counting) probe [`RunCx::cancel`] mid-search and return
     /// early with whatever they have, which [`execute`] discards; the

@@ -2,16 +2,23 @@
 //! ([`Params`]) plus the per-kernel parameter schema ([`ParamSpec`])
 //! that the [`Registry`](super::Registry) validates requests against.
 //!
-//! Every parameter a kernel accepts is declared once in its
-//! [`Kernel::params`](super::Kernel::params) schema — name, type,
-//! default, and (for string parameters) the closed set of choices.
-//! Callers pass only the keys they want to override; the schema
-//! supplies the rest. Because the schema is data, the benchmark
-//! harness can *enumerate* it: the ablation binaries sweep a
+//! Every fact about a parameter lives in its kernel's constant
+//! [`Kernel::params`](super::Kernel::params) schema: name, type,
+//! default, the closed set of choices of a string parameter and the
+//! inclusive [`Bounds`] of a numeric one. [`Params::validate`] is the
+//! one place a request is checked against it — the kind, the choice,
+//! the range, and that a float is finite — so a kernel reads resolved
+//! values through [`RunCx`](super::RunCx)'s accessors and repairs
+//! nothing. Callers pass only the keys they want to override; the
+//! schema supplies the rest. Because the schema is data, the
+//! benchmark harness can *enumerate* it: the ablation binaries sweep a
 //! parameter's `choices` instead of hard-coding the variants.
 
 use super::KernelError;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 /// A parameter value: the four primitive shapes kernels configure
 /// themselves with.
@@ -23,8 +30,9 @@ pub enum Value {
     Float(f64),
     /// Boolean switch (`collect`, ...).
     Bool(bool),
-    /// Enumerated choice (`ordering`, `layout`, ...).
-    Str(String),
+    /// Enumerated choice (`ordering`, `layout`, ...): borrowed in a
+    /// schema's constant default, owned in a request.
+    Str(Cow<'static, str>),
 }
 
 impl Value {
@@ -40,11 +48,17 @@ impl Value {
 
     /// Canonical text form, used in cache keys and reports.
     pub fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Value::Int(i) => i.to_string(),
-            Value::Float(x) => format!("{x:?}"),
-            Value::Bool(b) => b.to_string(),
-            Value::Str(s) => s.clone(),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x:?}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Str(s) => f.write_str(s),
         }
     }
 }
@@ -81,13 +95,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
@@ -116,8 +130,19 @@ impl std::fmt::Display for ValueKind {
     }
 }
 
+/// The inclusive admissible range of a numeric parameter; the type's
+/// maximum stands for "no upper bound".
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Bounds {
+    /// `[min, max]` of a [`ValueKind::Int`] parameter.
+    Int(i64, i64),
+    /// `[min, max]` of a [`ValueKind::Float`] parameter.
+    Float(f64, f64),
+}
+
 /// Declaration of one kernel parameter: its name, type, default and
-/// (for enumerated string parameters) the admissible choices.
+/// admissible values. The constructors are `const`, so a kernel's
+/// schema is a `&'static [ParamSpec]` that costs nothing to look up.
 #[derive(Clone, Debug)]
 pub struct ParamSpec {
     /// Parameter name (kebab-case).
@@ -131,57 +156,113 @@ pub struct ParamSpec {
     /// Closed set of admissible values for [`ValueKind::Str`]
     /// parameters; empty means free-form. Sweepable by harnesses.
     pub choices: &'static [&'static str],
+    /// Inclusive range of a numeric parameter; `None` admits every
+    /// value of the kind (every finite one, for a float).
+    pub bounds: Option<Bounds>,
 }
 
 impl ParamSpec {
-    /// An integer parameter.
-    pub fn int(name: &'static str, default: i64, help: &'static str) -> Self {
+    const fn new(name: &'static str, kind: ValueKind, default: Value, help: &'static str) -> Self {
         Self {
             name,
-            kind: ValueKind::Int,
-            default: Value::Int(default),
+            kind,
+            default,
             help,
             choices: &[],
+            bounds: None,
         }
     }
 
-    /// A float parameter.
-    pub fn float(name: &'static str, default: f64, help: &'static str) -> Self {
-        Self {
-            name,
-            kind: ValueKind::Float,
-            default: Value::Float(default),
-            help,
-            choices: &[],
-        }
+    /// An integer parameter taking any value.
+    pub const fn int(name: &'static str, default: i64, help: &'static str) -> Self {
+        Self::new(name, ValueKind::Int, Value::Int(default), help)
+    }
+
+    /// An integer parameter admissible in `range`.
+    pub const fn int_in(
+        name: &'static str,
+        default: i64,
+        range: RangeInclusive<i64>,
+        help: &'static str,
+    ) -> Self {
+        let mut spec = Self::int(name, default, help);
+        spec.bounds = Some(Bounds::Int(*range.start(), *range.end()));
+        spec
+    }
+
+    /// A float parameter taking any finite value.
+    pub const fn float(name: &'static str, default: f64, help: &'static str) -> Self {
+        Self::new(name, ValueKind::Float, Value::Float(default), help)
+    }
+
+    /// A float parameter admissible in `range`.
+    pub const fn float_in(
+        name: &'static str,
+        default: f64,
+        range: RangeInclusive<f64>,
+        help: &'static str,
+    ) -> Self {
+        let mut spec = Self::float(name, default, help);
+        spec.bounds = Some(Bounds::Float(*range.start(), *range.end()));
+        spec
     }
 
     /// A boolean parameter.
-    pub fn bool(name: &'static str, default: bool, help: &'static str) -> Self {
-        Self {
-            name,
-            kind: ValueKind::Bool,
-            default: Value::Bool(default),
-            help,
-            choices: &[],
-        }
+    pub const fn bool(name: &'static str, default: bool, help: &'static str) -> Self {
+        Self::new(name, ValueKind::Bool, Value::Bool(default), help)
     }
 
-    /// An enumerated string parameter; `choices[0]` should be the
-    /// default unless stated otherwise.
-    pub fn choice(
+    /// An enumerated string parameter; `default` must be one of
+    /// `choices`, which [`ParamSpec::check`] of the default confirms.
+    pub const fn choice(
         name: &'static str,
         default: &'static str,
         choices: &'static [&'static str],
         help: &'static str,
     ) -> Self {
-        debug_assert!(choices.contains(&default));
-        Self {
+        let mut spec = Self::new(
             name,
-            kind: ValueKind::Str,
-            default: Value::Str(default.to_string()),
+            ValueKind::Str,
+            Value::Str(Cow::Borrowed(default)),
             help,
-            choices,
+        );
+        spec.choices = choices;
+        spec
+    }
+
+    /// Whether `value` is admissible: of the declared kind (an
+    /// integer also passes as a float), finite if a float, within
+    /// [`ParamSpec::bounds`] and among [`ParamSpec::choices`]. The
+    /// error says what was wrong.
+    pub fn check(&self, value: &Value) -> Result<(), String> {
+        match (self.kind, value) {
+            (ValueKind::Int, &Value::Int(i)) => match self.bounds {
+                Some(Bounds::Int(min, max)) if !(min..=max).contains(&i) => {
+                    Err(format!("{i} is outside [{min}, {max}]"))
+                }
+                _ => Ok(()),
+            },
+            (ValueKind::Float, &Value::Int(i)) => self.check_float(i as f64),
+            (ValueKind::Float, &Value::Float(x)) => self.check_float(x),
+            (ValueKind::Bool, Value::Bool(_)) => Ok(()),
+            (ValueKind::Str, Value::Str(s)) => {
+                if self.choices.is_empty() || self.choices.contains(&s.as_ref()) {
+                    Ok(())
+                } else {
+                    Err(format!("{s:?} is not one of {:?}", self.choices))
+                }
+            }
+            _ => Err(format!("expected {}, got {}", self.kind, value.kind())),
+        }
+    }
+
+    fn check_float(&self, x: f64) -> Result<(), String> {
+        match self.bounds {
+            _ if !x.is_finite() => Err(format!("{x} is not finite")),
+            Some(Bounds::Float(min, max)) if !(min..=max).contains(&x) => {
+                Err(format!("{x:?} is outside [{min:?}, {max:?}]"))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -257,7 +338,7 @@ impl Params {
     /// String accessor with a default.
     pub fn get_str<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         match self.values.get(name) {
-            Some(Value::Str(s)) => s.as_str(),
+            Some(Value::Str(s)) => s,
             _ => default,
         }
     }
@@ -290,7 +371,7 @@ impl Params {
                     } else if let Ok(x) = other.parse::<f64>() {
                         Value::Float(x)
                     } else {
-                        Value::Str(other.to_string())
+                        Value::from(other)
                     }
                 }
             };
@@ -299,9 +380,10 @@ impl Params {
         params
     }
 
-    /// Checks the overrides against a kernel's schema: unknown names,
-    /// type mismatches, and out-of-choice strings are errors (floats
-    /// additionally accept integer literals).
+    /// Checks the overrides against a kernel's schema — the one
+    /// place a request parameter is checked: an unknown name is
+    /// [`KernelError::UnknownParam`], and a value [`ParamSpec::check`]
+    /// refuses is [`KernelError::BadParam`] naming the parameter.
     pub fn validate(&self, kernel: &str, specs: &[ParamSpec]) -> Result<(), KernelError> {
         for (name, value) in self.iter() {
             let spec =
@@ -312,24 +394,11 @@ impl Params {
                         kernel: kernel.to_string(),
                         param: name.to_string(),
                     })?;
-            let kind_ok = value.kind() == spec.kind
-                || (spec.kind == ValueKind::Float && value.kind() == ValueKind::Int);
-            if !kind_ok {
-                return Err(KernelError::BadParam {
-                    kernel: kernel.to_string(),
-                    param: name.to_string(),
-                    message: format!("expected {}, got {}", spec.kind, value.kind()),
-                });
-            }
-            if let Value::Str(s) = value {
-                if !spec.choices.is_empty() && !spec.choices.contains(&s.as_str()) {
-                    return Err(KernelError::BadParam {
-                        kernel: kernel.to_string(),
-                        param: name.to_string(),
-                        message: format!("{s:?} is not one of {:?}", spec.choices),
-                    });
-                }
-            }
+            spec.check(value).map_err(|message| KernelError::BadParam {
+                kernel: kernel.to_string(),
+                param: name.to_string(),
+                message,
+            })?;
         }
         Ok(())
     }
@@ -339,31 +408,29 @@ impl Params {
     /// harness prints. Two `Params` that resolve to the same
     /// effective configuration render identically.
     pub fn canonical(&self, specs: &[ParamSpec]) -> String {
-        let mut parts: Vec<String> = specs
-            .iter()
-            .map(|spec| {
-                let value = self.values.get(spec.name).unwrap_or(&spec.default);
-                // An integer override of a float parameter is the
-                // same effective configuration as its float spelling
-                // (`eps=1` ≡ `eps=1.0`): render through the declared
-                // kind so both share one cache line.
-                let rendered = match value {
-                    Value::Int(i) if spec.kind == ValueKind::Float => {
-                        Value::Float(*i as f64).render()
-                    }
-                    other => other.render(),
-                };
-                format!("{}={}", spec.name, rendered)
-            })
-            .collect();
+        let mut out = String::new();
+        for spec in specs {
+            let value = self.values.get(spec.name).unwrap_or(&spec.default);
+            // An integer override of a float parameter is the same
+            // effective configuration as its float spelling
+            // (`eps=1` ≡ `eps=1.0`): render through the declared kind
+            // so both share one cache line.
+            let _ = match value {
+                Value::Int(i) if spec.kind == ValueKind::Float => {
+                    write!(out, "{}={:?},", spec.name, *i as f64)
+                }
+                other => write!(out, "{}={other},", spec.name),
+            };
+        }
         // Free-form overrides outside the schema (only possible when
         // validation is skipped) still need to key the cache.
         for (name, value) in self.iter() {
             if !specs.iter().any(|s| s.name == name) {
-                parts.push(format!("{}={}", name, value.render()));
+                let _ = write!(out, "{name}={value},");
             }
         }
-        parts.join(",")
+        out.pop();
+        out
     }
 }
 
@@ -387,6 +454,39 @@ mod tests {
         assert_eq!(p.get_float("eps", 0.25), 0.25);
         assert_eq!(p.get_str("ordering", "adg"), "degree");
         assert!(!p.get_bool("collect", false));
+    }
+
+    #[test]
+    fn bounds_and_finiteness_are_checked_in_validate() {
+        const SPECS: &[ParamSpec] = &[
+            ParamSpec::int_in("threads", 0, 0..=64, "width"),
+            ParamSpec::float_in("fraction", 0.1, 0.0..=0.99, "held out"),
+            ParamSpec::float("x", 0.0, "any finite"),
+        ];
+        let bad =
+            |name: &str, value: Value| match Params::new().with(name, value).validate("t", SPECS) {
+                Err(KernelError::BadParam { param, .. }) => param == name,
+                _ => false,
+            };
+        for threads in [-1, 65, 1 << 40, i64::MIN, i64::MAX] {
+            assert!(bad("threads", Value::Int(threads)), "threads = {threads}");
+        }
+        for fraction in [-0.01, 1.0, f64::NAN, f64::INFINITY] {
+            assert!(bad("fraction", Value::Float(fraction)), "{fraction}");
+        }
+        assert!(
+            bad("fraction", Value::Int(1)),
+            "an int override is range-checked too"
+        );
+        assert!(bad("x", Value::Float(f64::NEG_INFINITY)));
+        let edges = Params::new()
+            .with("threads", 64)
+            .with("fraction", 0.99)
+            .with("x", 1e300);
+        assert!(edges.validate("t", SPECS).is_ok());
+        for spec in SPECS {
+            assert_eq!(spec.check(&spec.default), Ok(()), "{}", spec.name);
+        }
     }
 
     #[test]

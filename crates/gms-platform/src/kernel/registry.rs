@@ -87,8 +87,11 @@ impl Registry {
         let kernel = self
             .get(name)
             .ok_or_else(|| KernelError::UnknownKernel(name.to_string()))?;
-        params.validate(name, &kernel.params())?;
-        execute(kernel, &RunCx::new(GraphView::Raw(graph), params))
+        params.validate(name, kernel.params())?;
+        execute(
+            kernel,
+            &RunCx::new(GraphView::Raw(graph), params, kernel.params()),
+        )
     }
 }
 

@@ -182,7 +182,8 @@ impl Engine {
         cancel: &CancelToken,
         owner: u64,
     ) -> Result<Outcome, KernelError> {
-        let cx = RunCx::new(request.view, request.params).with_cancel(cancel);
+        let cx =
+            RunCx::new(request.view, request.params, request.kernel.params()).with_cancel(cancel);
         self.cache
             .run_or_wait(&request.key, owner, || execute(request.kernel, &cx))
     }

@@ -2,7 +2,7 @@
 //! run needs, and [`execute`], the only function that calls
 //! [`Kernel::run`].
 
-use super::{CancelToken, Kernel, KernelError, Outcome, Params};
+use super::{CancelToken, Kernel, KernelError, Outcome, ParamSpec, Params, Value};
 use gms_core::CsrGraph;
 use gms_graph::GraphView;
 use std::sync::OnceLock;
@@ -13,7 +13,14 @@ use std::time::{Duration, Instant};
 static NEVER: CancelToken = CancelToken::none();
 
 /// Everything one kernel run is given: the graph as it is resident,
-/// the validated parameters, and the request's cancellation token.
+/// the validated parameters with the schema that completes them, and
+/// the request's cancellation token.
+///
+/// A kernel reads a parameter through the typed accessors
+/// ([`RunCx::int`], [`RunCx::float`], [`RunCx::str`], [`RunCx::bool`]),
+/// which return the request's override or the schema's default. The
+/// parameters passed [`Params::validate`] against that schema, so the
+/// value is of the declared kind and within its bounds.
 ///
 /// Kernels that mine CSR arrays call [`RunCx::csr`]; on a compressed
 /// resident the first call decodes the whole graph, later calls
@@ -24,17 +31,20 @@ static NEVER: CancelToken = CancelToken::none();
 pub struct RunCx<'a> {
     view: GraphView<'a>,
     params: &'a Params,
+    schema: &'a [ParamSpec],
     cancel: &'a CancelToken,
     decoded: OnceLock<(CsrGraph, Duration)>,
 }
 
 impl<'a> RunCx<'a> {
-    /// A context over `view` with `params` (assumed validated against
-    /// the kernel's schema) and a token that never fires.
-    pub fn new(view: GraphView<'a>, params: &'a Params) -> Self {
+    /// A context over `view` with `params`, validated against
+    /// `schema` (the kernel's [`Kernel::params`]), and a token that
+    /// never fires.
+    pub fn new(view: GraphView<'a>, params: &'a Params, schema: &'a [ParamSpec]) -> Self {
         Self {
             view,
             params,
+            schema,
             cancel: &NEVER,
             decoded: OnceLock::new(),
         }
@@ -71,10 +81,59 @@ impl<'a> RunCx<'a> {
         self.view
     }
 
-    /// The request's parameters; read them through the typed
-    /// accessors with the defaults the kernel's schema declares.
+    /// The request's overrides alone; [`RunCx::int`] and its
+    /// siblings complete them with the schema's defaults.
     pub fn params(&self) -> &'a Params {
         self.params
+    }
+
+    /// The resolved value of parameter `name`: the override, or the
+    /// schema's default.
+    ///
+    /// # Panics
+    /// If the schema does not declare `name` — a defect of the kernel,
+    /// not of the request.
+    fn value(&self, name: &str) -> &'a Value {
+        self.params.get(name).unwrap_or_else(|| {
+            let spec = self.schema.iter().find(|spec| spec.name == name);
+            &spec
+                .unwrap_or_else(|| panic!("{name:?} is not in the schema"))
+                .default
+        })
+    }
+
+    /// The resolved integer parameter `name`.
+    pub fn int(&self, name: &str) -> i64 {
+        match self.value(name) {
+            Value::Int(i) => *i,
+            other => panic!("{name:?} is not an int: {other:?}"),
+        }
+    }
+
+    /// The resolved float parameter `name`; an integer override
+    /// coerces.
+    pub fn float(&self, name: &str) -> f64 {
+        match self.value(name) {
+            Value::Float(x) => *x,
+            Value::Int(i) => *i as f64,
+            other => panic!("{name:?} is not a float: {other:?}"),
+        }
+    }
+
+    /// The resolved boolean parameter `name`.
+    pub fn bool(&self, name: &str) -> bool {
+        match self.value(name) {
+            Value::Bool(b) => *b,
+            other => panic!("{name:?} is not a bool: {other:?}"),
+        }
+    }
+
+    /// The resolved string parameter `name`.
+    pub fn str(&self, name: &str) -> &'a str {
+        match self.value(name) {
+            Value::Str(s) => s,
+            other => panic!("{name:?} is not a str: {other:?}"),
+        }
     }
 
     /// The token to probe in cancellable hot loops. A kernel that

@@ -7,6 +7,7 @@
 //! executables.
 
 use gms_serve::{ClientBuilder, Json};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -54,8 +55,39 @@ fn exit_status(child: &mut Child, within: Duration) -> ExitStatus {
     }
 }
 
-fn addr_file() -> PathBuf {
-    std::env::temp_dir().join(format!("gms-router-binary-{}.addr", std::process::id()))
+fn addr_file(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "gms-router-binary-{tag}-{}.addr",
+        std::process::id()
+    ))
+}
+
+/// Starts `gms-router --spawn 2` and returns it with its published
+/// address.
+fn spawn_fleet(tag: &str) -> (Running, String) {
+    let router_bin = Path::new(env!("CARGO_BIN_EXE_gms-router"));
+    let serve_bin = router_bin.with_file_name("gms-serve");
+    assert!(
+        serve_bin.exists(),
+        "--spawn needs the gms-serve binary next to gms-router, but {} is missing; \
+         `cargo test --workspace` (or `-p gms-serve -p gms-router`) builds it",
+        serve_bin.display()
+    );
+
+    let path = addr_file(tag);
+    let _ = std::fs::remove_file(&path);
+    let mut router = Running(
+        Command::new(router_bin)
+            .args(["--spawn", "2", "--addr", "127.0.0.1:0", "--addr-file"])
+            .arg(&path)
+            .env_remove("GMS_ROUTER_SERVE_BIN")
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn gms-router"),
+    );
+    let addr = published_addr(&mut router.0, &path, Duration::from_secs(30));
+    let _ = std::fs::remove_file(&path);
+    (router, addr)
 }
 
 fn ok(response: &Json) -> &Json {
@@ -70,28 +102,7 @@ fn ok(response: &Json) -> &Json {
 
 #[test]
 fn spawn_mode_serves_a_two_child_fleet_and_shuts_it_down() {
-    let router_bin = Path::new(env!("CARGO_BIN_EXE_gms-router"));
-    let serve_bin = router_bin.with_file_name("gms-serve");
-    assert!(
-        serve_bin.exists(),
-        "--spawn needs the gms-serve binary next to gms-router, but {} is missing; \
-         `cargo test --workspace` (or `-p gms-serve -p gms-router`) builds it",
-        serve_bin.display()
-    );
-
-    let path = addr_file();
-    let _ = std::fs::remove_file(&path);
-    let mut router = Running(
-        Command::new(router_bin)
-            .args(["--spawn", "2", "--addr", "127.0.0.1:0", "--addr-file"])
-            .arg(&path)
-            .env_remove("GMS_ROUTER_SERVE_BIN")
-            .stdout(Stdio::null())
-            .spawn()
-            .expect("spawn gms-router"),
-    );
-    let addr = published_addr(&mut router.0, &path, Duration::from_secs(30));
-    let _ = std::fs::remove_file(&path);
+    let (mut router, addr) = spawn_fleet("lifecycle");
 
     let mut client = ClientBuilder::new()
         .read_timeout(Duration::from_secs(30))
@@ -165,4 +176,51 @@ fn spawn_mode_serves_a_two_child_fleet_and_shuts_it_down() {
             "child {child} still listening after the router exited"
         );
     }
+}
+
+/// The line that once aborted a shard on a 2^40-worker pool
+/// allocation — and, replayed by failover, its survivor too — is a
+/// typed `bad-param` from the owning shard, and the fleet stays whole.
+#[test]
+fn a_two_to_the_forty_thread_request_leaves_the_fleet_healthy() {
+    let (mut router, addr) = spawn_fleet("threads");
+    let mut client = ClientBuilder::new()
+        .read_timeout(Duration::from_secs(30))
+        .connect(addr.as_str())
+        .unwrap();
+    ok(&client
+        .load_inline("g", "edge-list", "0 1\n1 2\n2 0\n")
+        .unwrap());
+
+    let mut stream = TcpStream::connect(addr.as_str()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let line = r#"{"op":"run","kernel":"subgraph-iso-par","graph":"g","params":{"threads":1099511627776}}"#;
+    writeln!(stream, "{line}").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    let reply = Json::parse(&reply).unwrap_or_else(|e| panic!("no reply ({e:?}): {reply:?}"));
+    let error = reply
+        .get("error")
+        .unwrap_or_else(|| panic!("{}", reply.render()));
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-param"));
+
+    let health = client.health().unwrap();
+    assert_eq!(
+        ok(&health).get("healthy"),
+        Some(&Json::Int(2)),
+        "{}",
+        health.render()
+    );
+
+    // A wire shutdown takes the children down too; a kill would
+    // leave them running.
+    let ack = client.shutdown().unwrap();
+    assert_eq!(
+        ack.get("status").and_then(Json::as_str),
+        Some("shutting-down")
+    );
+    let status = exit_status(&mut router.0, Duration::from_secs(20));
+    assert!(status.success(), "gms-router exited with {status}");
 }

@@ -428,7 +428,7 @@ pub fn params_from_json(value: &Json) -> Result<Params, ApiError> {
             Json::Int(i) => Value::Int(*i),
             Json::Float(x) => Value::Float(*x),
             Json::Bool(b) => Value::Bool(*b),
-            Json::Str(s) => Value::Str(s.clone()),
+            Json::Str(s) => Value::from(s.as_str()),
             _ => return Err(bad_request(format!("parameter {key:?} must be a scalar"))),
         };
         params.set(key, value);
@@ -445,7 +445,7 @@ fn params_json(params: &Params) -> Json {
                     Value::Int(i) => Json::Int(*i),
                     Value::Float(x) => Json::Float(*x),
                     Value::Bool(b) => Json::Bool(*b),
-                    Value::Str(s) => Json::Str(s.clone()),
+                    Value::Str(s) => Json::from(s.as_ref()),
                 };
                 (key.to_string(), value)
             })

@@ -45,8 +45,8 @@ use crate::service::{spawn_acceptor, FrontCounters, Reply, Service};
 use gms_graph::io::load_graph;
 use gms_graph::CompressedCsr;
 use gms_platform::kernel::{
-    next_owner, CancelToken, Engine, GraphStore, KernelError, MutationOutcome, Outcome, Registry,
-    Resident, ResultCache,
+    next_owner, Bounds, CancelToken, Engine, GraphStore, KernelError, MutationOutcome, Outcome,
+    Registry, Resident, ResultCache,
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -490,7 +490,7 @@ fn kernels_json(shared: &Shared) -> Json {
                 .params()
                 .iter()
                 .map(|spec| {
-                    Json::object([
+                    let mut members = vec![
                         ("name", Json::from(spec.name)),
                         ("kind", Json::from(spec.kind.to_string())),
                         ("default", Json::from(spec.default.render())),
@@ -498,7 +498,17 @@ fn kernels_json(shared: &Shared) -> Json {
                             "choices",
                             Json::Array(spec.choices.iter().map(|&c| Json::from(c)).collect()),
                         ),
-                    ])
+                    ];
+                    members.extend(match spec.bounds {
+                        Some(Bounds::Int(min, max)) => {
+                            vec![("min", Json::from(min)), ("max", Json::from(max))]
+                        }
+                        Some(Bounds::Float(min, max)) => {
+                            vec![("min", Json::from(min)), ("max", Json::from(max))]
+                        }
+                        None => Vec::new(),
+                    });
+                    Json::object(members)
                 })
                 .collect();
             Json::object([

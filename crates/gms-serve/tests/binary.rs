@@ -5,6 +5,8 @@
 //! protocol; only this file runs the real executable.
 
 use gms_serve::{ClientBuilder, HttpClient, Json};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -51,13 +53,17 @@ fn exit_status(child: &mut Child, within: Duration) -> ExitStatus {
     }
 }
 
-fn addr_file() -> PathBuf {
-    std::env::temp_dir().join(format!("gms-serve-binary-{}.addr", std::process::id()))
+fn addr_file(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "gms-serve-binary-{tag}-{}.addr",
+        std::process::id()
+    ))
 }
 
-#[test]
-fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
-    let path = addr_file();
+/// Starts the real binary on an ephemeral port and returns it with
+/// its published address.
+fn spawn_server(tag: &str) -> (Running, String) {
+    let path = addr_file(tag);
     let _ = std::fs::remove_file(&path);
     let mut server = Running(
         Command::new(env!("CARGO_BIN_EXE_gms-serve"))
@@ -69,6 +75,25 @@ fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
     );
     let addr = published_addr(&mut server.0, &path, Duration::from_secs(10));
     let _ = std::fs::remove_file(&path);
+    (server, addr)
+}
+
+/// Sends one raw NDJSON line and parses the one-line reply; a process
+/// that died on the line leaves nothing to parse.
+fn exchange_line(addr: &str, line: &str) -> Json {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    writeln!(stream, "{line}").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    Json::parse(&reply).unwrap_or_else(|e| panic!("no reply to {line} ({e:?}): {reply:?}"))
+}
+
+#[test]
+fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
+    let (mut server, addr) = spawn_server("lifecycle");
 
     let mut client = ClientBuilder::new()
         .read_timeout(Duration::from_secs(30))
@@ -104,4 +129,64 @@ fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
     );
     let status = exit_status(&mut server.0, Duration::from_secs(10));
     assert!(status.success(), "gms-serve exited with {status}");
+}
+
+/// A `threads` width of 2^40 once reached the pool shim, whose
+/// allocation of that many workers aborted the process. The schema
+/// bounds `threads`, so the line is a typed `bad-param` and the
+/// process keeps serving.
+#[test]
+fn a_two_to_the_forty_thread_request_is_a_bad_param_and_the_process_lives() {
+    let (mut server, addr) = spawn_server("threads");
+    let mut client = ClientBuilder::new()
+        .read_timeout(Duration::from_secs(30))
+        .connect(addr.as_str())
+        .unwrap();
+    let loaded = client
+        .load_inline("g", "edge-list", "0 1\n1 2\n2 0\n")
+        .unwrap();
+    assert_eq!(
+        loaded.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        loaded.render()
+    );
+
+    let reply = exchange_line(
+        &addr,
+        r#"{"op":"run","kernel":"subgraph-iso-par","graph":"g","params":{"threads":1099511627776}}"#,
+    );
+    let error = reply
+        .get("error")
+        .unwrap_or_else(|| panic!("{}", reply.render()));
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-param"));
+
+    assert!(server.0.try_wait().unwrap().is_none(), "gms-serve exited");
+    // `kernels` reports the bound the line broke.
+    let kernels = client.kernels().unwrap();
+    let threads = kernels
+        .get("kernels")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .find(|k| k.get("name").and_then(Json::as_str) == Some("subgraph-iso-par"))
+        .and_then(|k| k.get("params").and_then(Json::as_array))
+        .unwrap()
+        .iter()
+        .find(|p| p.get("name").and_then(Json::as_str) == Some("threads"))
+        .cloned()
+        .unwrap();
+    assert_eq!(threads.get("min"), Some(&Json::Int(0)));
+    assert_eq!(threads.get("max"), Some(&Json::Int(64)));
+    let health = client.health().unwrap();
+    assert_eq!(
+        health.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        health.render()
+    );
+    let run = client
+        .run("subgraph-iso-par", "g", &[("threads", Json::Int(2))])
+        .unwrap();
+    assert_eq!(run.get("patterns"), Some(&Json::Int(6)), "{}", run.render());
 }

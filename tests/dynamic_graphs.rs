@@ -246,8 +246,8 @@ impl Kernel for GatedKernel {
     fn about(&self) -> &'static str {
         "barrier-gated test kernel"
     }
-    fn params(&self) -> Vec<ParamSpec> {
-        Vec::new()
+    fn params(&self) -> &'static [ParamSpec] {
+        &[]
     }
     fn run(&self, _cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         self.executions.fetch_add(1, Ordering::SeqCst);

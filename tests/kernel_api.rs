@@ -11,6 +11,7 @@
 
 use gms::platform::kernel::{execute, CancelToken, GraphView};
 use gms::prelude::*;
+use std::sync::Arc;
 
 /// A seeded planted-clique graph with a Hamiltonian ring stitched
 /// through it, so it is connected (min-cut must find a real cut and
@@ -130,9 +131,14 @@ fn bad_requests_fail_with_typed_errors() {
             );
         }
     }
-    // The epsilon is only read when the ADG order is the one asked for.
-    let ignored = Params::new().with("ordering", "degree").with("eps", -1.0);
-    assert!(registry.run("k-clique", &graph, &ignored).is_ok());
+    // The bound lives in the schema and `Params::validate` enforces
+    // it, so it holds whichever order is asked for.
+    let unread = Params::new().with("ordering", "degree").with("eps", -1.0);
+    let result = registry.run("k-clique", &graph, &unread);
+    assert!(
+        matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "eps"),
+        "{result:?}"
+    );
 }
 
 #[test]
@@ -314,8 +320,9 @@ impl Kernel for ProbeKernel {
     fn about(&self) -> &'static str {
         "RunCx contract probe"
     }
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![ParamSpec::bool("fire", false, "cancel the token mid-run")]
+    fn params(&self) -> &'static [ParamSpec] {
+        const FIRE: &[ParamSpec] = &[ParamSpec::bool("fire", false, "cancel the token mid-run")];
+        FIRE
     }
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
         let (first, second) = (cx.csr(), cx.csr());
@@ -345,7 +352,7 @@ fn one_entry_point_gives_one_answer_on_every_representation() {
     for kernel in registry.iter() {
         let name = kernel.name();
         let run = |view| {
-            execute(kernel, &RunCx::new(view, &params))
+            execute(kernel, &RunCx::new(view, &params, kernel.params()))
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"))
         };
         let raw = run(GraphView::Raw(&graph));
@@ -388,7 +395,7 @@ fn every_triangle_is_six_triangle_embeddings_on_every_representation() {
     let registry = Registry::with_builtins();
     let run = |name: &str, view| {
         let kernel = registry.get(name).expect("built-in kernel");
-        execute(kernel, &RunCx::new(view, &params))
+        execute(kernel, &RunCx::new(view, &params, kernel.params()))
             .unwrap()
             .patterns
     };
@@ -410,7 +417,11 @@ fn a_compressed_resident_is_decoded_once_per_run() {
     let (graph, gap, _) = three_residents();
     let params = Params::new();
     for view in [GraphView::Raw(&graph), GraphView::Compressed(&gap)] {
-        let outcome = execute(&ProbeKernel, &RunCx::new(view, &params)).unwrap();
+        let outcome = execute(
+            &ProbeKernel,
+            &RunCx::new(view, &params, ProbeKernel.params()),
+        )
+        .unwrap();
         assert_eq!(outcome.patterns, 1, "two csr() calls, one set of arrays");
         assert_eq!(
             outcome.timings.convert.is_zero(),
@@ -431,7 +442,7 @@ fn a_fired_token_is_an_error_for_every_kernel_and_nothing_is_cached() {
     let registry = Registry::with_builtins();
     for kernel in registry.iter() {
         for view in [GraphView::Raw(&graph), GraphView::Compressed(&gap)] {
-            let cx = RunCx::new(view, &params).with_cancel(&fired);
+            let cx = RunCx::new(view, &params, kernel.params()).with_cancel(&fired);
             assert_eq!(
                 execute(kernel, &cx).unwrap_err(),
                 KernelError::DeadlineExceeded,
@@ -461,7 +472,8 @@ fn a_fired_token_is_an_error_for_every_kernel_and_nothing_is_cached() {
     // outcome, the entry point discards it.
     let live = CancelToken::manual();
     let firing = Params::new().with("fire", true);
-    let cx = RunCx::new(GraphView::Compressed(&gap), &firing).with_cancel(&live);
+    let cx =
+        RunCx::new(GraphView::Compressed(&gap), &firing, ProbeKernel.params()).with_cancel(&live);
     assert_eq!(
         execute(&ProbeKernel, &cx).unwrap_err(),
         KernelError::DeadlineExceeded
@@ -481,14 +493,15 @@ fn run_raw_and_gap(
     params: &Params,
 ) -> [Result<Outcome, KernelError>; 2] {
     let kernel = registry.get(name).expect("built-in kernel");
-    let on_gap = params
-        .validate(name, &kernel.params())
-        .and_then(|()| execute(kernel, &RunCx::new(GraphView::Compressed(gap), params)));
+    let on_gap = params.validate(name, kernel.params()).and_then(|()| {
+        let cx = RunCx::new(GraphView::Compressed(gap), params, kernel.params());
+        execute(kernel, &cx)
+    });
     [registry.run(name, graph, params), on_gap]
 }
 
 #[test]
-fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() {
+fn every_kernel_answers_every_parameter_corner_with_a_value_or_a_typed_error() {
     let registry = Registry::with_builtins();
     let graph = planted_connected();
     let gap = CompressedCsr::from_csr(&graph);
@@ -498,7 +511,7 @@ fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() 
             .get(kernel)
             .expect("built-in kernel")
             .params()
-            .into_iter()
+            .iter()
             .find(|spec| spec.name == param)
             .expect("declared parameter")
             .choices
@@ -517,7 +530,7 @@ fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() 
     for &layout in choices("bk", "layout") {
         for &subgraph in choices("bk", "subgraph") {
             for &ordering in choices("bk", "ordering") {
-                for depth in [-1, 0, 1, i64::MAX] {
+                for depth in [0, 1, i64::MAX] {
                     let params = Params::new()
                         .with("layout", layout)
                         .with("subgraph", subgraph)
@@ -527,6 +540,18 @@ fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() 
                 }
             }
         }
+    }
+    // A negative task depth is refused, not run as 0.
+    for result in run_raw_and_gap(
+        &registry,
+        "bk",
+        residents,
+        &Params::new().with("par-depth", -1),
+    ) {
+        assert!(
+            matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "par-depth"),
+            "par-depth = -1: {result:?}"
+        );
     }
     for variant in [
         "bk-das",
@@ -584,30 +609,155 @@ fn clique_kernels_answer_every_parameter_corner_with_a_value_or_a_typed_error() 
         }
     }
 
-    // A value of the wrong kind for every parameter of every kernel
-    // above is refused before anything runs.
-    for name in [
-        "bk",
-        "bk-das",
-        "bk-gms-deg",
-        "bk-gms-dgr",
-        "bk-gms-adg",
-        "bk-gms-adg-s",
-        "k-clique",
-    ] {
-        for spec in registry.get(name).expect("built-in kernel").params() {
-            let wrong = match spec.kind {
-                ValueKind::Int | ValueKind::Float => Value::Str("four".to_string()),
+    // Every parameter of every registered kernel, at every corner a
+    // request can spell: the schema's own verdict (`ParamSpec::check`)
+    // decides between a `BadParam` naming that parameter and a run,
+    // and a run ends as an answer or as `DeadlineExceeded` — never as
+    // a panic or a hang. Each case runs in its own thread under a
+    // deadline, watched by a far longer timeout.
+    let corners = [
+        Value::Int(-1),
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Int(1 << 32),
+        Value::Int(1 << 40),
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(1e300),
+        Value::from(""),
+        Value::from("no-such-choice"),
+    ];
+    let (graph, gap) = (Arc::new(graph.clone()), Arc::new(gap));
+    let mut cases = 0;
+    for kernel in registry.iter() {
+        let name = kernel.name();
+        for spec in kernel.params() {
+            assert_eq!(spec.check(&spec.default), Ok(()), "{name}: {spec:?}");
+            let wrong_kind = match spec.kind {
+                ValueKind::Int | ValueKind::Float => Value::from("four"),
                 ValueKind::Bool => Value::Int(1),
                 ValueKind::Str => Value::Bool(true),
             };
-            let params = Params::new().with(spec.name, wrong);
-            for result in run_raw_and_gap(&registry, name, residents, &params) {
-                assert!(
-                    matches!(&result, Err(KernelError::BadParam { param, .. }) if param == spec.name),
-                    "{name} {params:?}: {result:?}"
-                );
+            for value in corners.iter().cloned().chain([wrong_kind]) {
+                let refused = spec.check(&value).is_err();
+                let params = Params::new().with(spec.name, value);
+                for compressed in [false, true] {
+                    let result = run_watched(name, &graph, &gap, compressed, &params);
+                    let ok = match &result {
+                        Err(KernelError::BadParam { param, .. }) => refused && param == spec.name,
+                        Ok(_) | Err(KernelError::DeadlineExceeded) => !refused,
+                        _ => false,
+                    };
+                    assert!(ok, "{name} {params:?} (gap: {compressed}): {result:?}");
+                    cases += 1;
+                }
             }
         }
     }
+    assert!(cases > 1000, "{cases} cases");
+}
+
+/// Validates and runs `name` on the raw graph or its gap resident in
+/// a thread of its own under a one-second deadline, and gives the
+/// result — failing the test if the thread panics or is still running
+/// after a minute.
+fn run_watched(
+    name: &'static str,
+    graph: &Arc<CsrGraph>,
+    gap: &Arc<CompressedCsr>,
+    compressed: bool,
+    params: &Params,
+) -> Result<Outcome, KernelError> {
+    let (graph, gap, owned) = (Arc::clone(graph), Arc::clone(gap), params.clone());
+    let (done, result) = std::sync::mpsc::channel();
+    let case = std::thread::spawn(move || {
+        let registry = Registry::with_builtins();
+        let kernel = registry.get(name).expect("built-in kernel");
+        let view = if compressed {
+            GraphView::Compressed(&gap)
+        } else {
+            GraphView::Raw(&graph)
+        };
+        let deadline = CancelToken::after(std::time::Duration::from_secs(1));
+        let run = owned.validate(name, kernel.params()).and_then(|()| {
+            execute(
+                kernel,
+                &RunCx::new(view, &owned, kernel.params()).with_cancel(&deadline),
+            )
+        });
+        let _ = done.send(run);
+    });
+    let result = result.recv_timeout(std::time::Duration::from_secs(60));
+    let what = format!("{name} {params:?} (gap: {compressed})");
+    assert!(
+        !matches!(result, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "{what}: still running after 60 s"
+    );
+    case.join()
+        .unwrap_or_else(|_| panic!("{what}: the kernel panicked"));
+    result.expect("a case that ended sent its result")
+}
+
+/// `k-core` read `k` as `u32` in a full run and as `usize` in its
+/// incremental refresh, so `k = 2^32` ran as `k = 0` (every vertex in
+/// the core) and the two paths could disagree. The schema bounds `k`
+/// to `u32`: beyond it is a `BadParam`, and at its edge a run and a
+/// mutate-then-refresh both equal a rebuild.
+#[test]
+fn k_core_refuses_a_k_beyond_u32_and_refreshes_like_a_rebuild_at_its_edge() {
+    let graph = gms::gen::gnp(60, 0.15, 3);
+    let registry = Registry::with_builtins();
+    for k in [1i64 << 32, (1 << 32) + 2] {
+        let result = registry.run("k-core", &graph, &Params::new().with("k", k));
+        assert!(
+            matches!(&result, Err(KernelError::BadParam { param, .. }) if param == "k"),
+            "k = {k}: {result:?}"
+        );
+    }
+
+    let edges: Vec<(NodeId, NodeId)> = graph.edges_undirected().collect();
+    let (removed, kept) = edges.split_at(edges.len() / 4);
+    let mutated = CsrGraph::from_undirected_edges(graph.num_vertices(), kept);
+    for k in [2, i64::from(u32::MAX)] {
+        let params = Params::new().with("k", k);
+        let mut session = Session::new();
+        let g = session.add_graph(graph.clone());
+        let run = session.run("k-core", g, &params).unwrap();
+        assert!(run.same_result(&registry.run("k-core", &graph, &params).unwrap()));
+        let mutation = session.remove_edges(g, removed).unwrap();
+        assert_eq!(mutation.cache.refreshed, 1, "k = {k}");
+        let refreshed = session.run("k-core", g, &params).unwrap();
+        assert!(refreshed.cached, "k = {k}: served from the refreshed entry");
+        let rebuilt = registry.run("k-core", &mutated, &params).unwrap();
+        assert!(refreshed.same_result(&rebuilt), "k = {k}");
+    }
+}
+
+/// `min-cut` had no cancellation probe: its default 32 trials on a
+/// few-thousand-vertex graph ran for minutes whatever the deadline.
+/// The probe sits before each trial, at each recursion node and at
+/// each contraction.
+#[test]
+fn a_deadline_stops_min_cut_within_two_seconds() {
+    let graph = gms::gen::gnp(3000, 0.004, 3);
+    let (done, result) = std::sync::mpsc::channel();
+    let case = std::thread::spawn(move || {
+        let registry = Registry::with_builtins();
+        let kernel = registry.get("min-cut").expect("built-in kernel");
+        let (params, deadline) = (
+            Params::new(),
+            CancelToken::after(std::time::Duration::from_millis(200)),
+        );
+        let cx =
+            RunCx::new(GraphView::Raw(&graph), &params, kernel.params()).with_cancel(&deadline);
+        let _ = done.send(execute(kernel, &cx));
+    });
+    let result = result
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("min-cut still running 2 s into a 200 ms deadline");
+    case.join().expect("the min-cut thread ended");
+    assert_eq!(result.unwrap_err(), KernelError::DeadlineExceeded);
 }

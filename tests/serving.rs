@@ -30,8 +30,9 @@ impl Kernel for CountingKernel {
         "execution-counting test kernel"
     }
 
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![ParamSpec::int("x", 0, "distinguishes requests")]
+    fn params(&self) -> &'static [ParamSpec] {
+        const X: &[ParamSpec] = &[ParamSpec::int("x", 0, "distinguishes requests")];
+        X
     }
 
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
@@ -567,7 +568,7 @@ mod envelopes {
             ]
             .prop_map(Value::Float),
             (0u8..2).prop_map(|b| Value::Bool(b == 1)),
-            text(0).prop_map(Value::Str),
+            text(0).prop_map(Value::from),
         ]
     }
 
