@@ -3,7 +3,7 @@
 //! the paper's two examples of non-overlapping community schemes.
 
 use gms_core::hash::FxHashMap;
-use gms_core::{CsrGraph, Graph, NodeId};
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId};
 
 /// Label Propagation (Raghavan et al.): every vertex repeatedly adopts
 /// the most frequent label among its neighbors (ties to the smallest
@@ -72,6 +72,13 @@ pub fn modularity(graph: &CsrGraph, communities: &[u32]) -> f64 {
 /// neighboring community with maximal modularity gain, followed by
 /// graph aggregation, repeated until modularity stops improving.
 pub fn louvain(graph: &CsrGraph) -> Vec<u32> {
+    louvain_cancellable(graph, &CancelToken::none())
+}
+
+/// [`louvain`] under a cooperative [`CancelToken`] probed at every
+/// level and, strided, at every vertex of the local-moving passes. A
+/// fired token yields a partial assignment the caller must discard.
+pub fn louvain_cancellable(graph: &CsrGraph, cancel: &CancelToken) -> Vec<u32> {
     let n = graph.num_vertices();
     // `membership[v]` tracks v's community in the ORIGINAL graph.
     let mut membership: Vec<u32> = (0..n as u32).collect();
@@ -82,7 +89,7 @@ pub fn louvain(graph: &CsrGraph) -> Vec<u32> {
         level_graph.arcs().map(|(u, v)| ((u, v), 1.0)).collect();
     let mut self_loops: FxHashMap<NodeId, f64> = FxHashMap::default();
 
-    loop {
+    'levels: while !cancel.expired() {
         let ln = level_graph.num_vertices();
         let two_m: f64 = weights.values().sum::<f64>() + 2.0 * self_loops.values().sum::<f64>();
         if two_m == 0.0 {
@@ -105,6 +112,9 @@ pub fn louvain(graph: &CsrGraph) -> Vec<u32> {
         loop {
             let mut moved = false;
             for v in 0..ln as NodeId {
+                if cancel.is_cancelled() {
+                    break 'levels;
+                }
                 let current = community[v as usize];
                 // Weight from v to each neighboring community.
                 let mut to_community: FxHashMap<u32, f64> = FxHashMap::default();

@@ -4,7 +4,7 @@
 //! components merge along the selected edges, halving the component
 //! count, so there are O(log n) rounds.
 
-use gms_core::NodeId;
+use gms_core::{CancelToken, NodeId};
 use rayon::prelude::*;
 
 /// A weighted undirected edge.
@@ -59,10 +59,17 @@ impl UnionFind {
 /// broken by `(weight, index)`, making the result deterministic even
 /// with equal weights.
 pub fn boruvka(n: usize, edges: &[WeightedEdge]) -> Vec<usize> {
+    boruvka_cancellable(n, edges, &CancelToken::none())
+}
+
+/// [`boruvka`] under a cooperative [`CancelToken`] probed before every
+/// round and every 4096-edge chunk of the lightest-edge selection. A
+/// fired token yields a partial forest the caller must discard.
+pub fn boruvka_cancellable(n: usize, edges: &[WeightedEdge], cancel: &CancelToken) -> Vec<usize> {
     let mut uf = UnionFind::new(n);
     let mut forest: Vec<usize> = Vec::with_capacity(n.saturating_sub(1));
     let mut components = n;
-    loop {
+    while !cancel.expired() {
         // Per-component lightest incident edge (parallel reduction by
         // chunk, then a sequential fold over candidates).
         let roots: Vec<u32> = {
@@ -75,6 +82,9 @@ pub fn boruvka(n: usize, edges: &[WeightedEdge]) -> Vec<usize> {
             .par_chunks(4096)
             .enumerate()
             .map(|(chunk_idx, chunk)| {
+                if cancel.expired() {
+                    return Vec::new();
+                }
                 let mut best: Vec<Option<usize>> = vec![None; n];
                 for (off, e) in chunk.iter().enumerate() {
                     let idx = chunk_idx * 4096 + off;

@@ -21,7 +21,7 @@ use gms_core::{
 };
 use gms_graph::{EdgeDelta, GraphView, Rank};
 use gms_learn::{
-    evaluate_accuracy, jarvis_patrick, label_propagation, louvain, num_clusters,
+    evaluate_accuracy, jarvis_patrick, label_propagation, louvain_cancellable, num_clusters,
     similarity_batch_csr, JarvisPatrickConfig, SimilarityMeasure,
 };
 use gms_match::{
@@ -29,8 +29,8 @@ use gms_match::{
     LabeledGraph, ParallelIsoConfig,
 };
 use gms_opt::{
-    boruvka, forest_weight, greedy_coloring, johansson, jones_plassmann, min_cut_cancellable,
-    verify_coloring, WeightedEdge,
+    boruvka_cancellable, forest_weight, greedy_coloring, johansson, jones_plassmann,
+    min_cut_cancellable, verify_coloring, WeightedEdge,
 };
 use gms_order::{bfs_order, k_core_by_peeling, random_order, OrderingKind};
 use gms_pattern::{
@@ -256,7 +256,7 @@ const BUILTINS: &[Builtin] = &[
         Learn,
         "Louvain modularity-maximizing community detection",
         &[],
-        |cx| clusters(cx, louvain),
+        |cx| clusters(cx, |graph| louvain_cancellable(graph, cx.cancel())),
     ),
     // Optimization (§4.1.4).
     row(
@@ -812,7 +812,8 @@ fn mst(cx: &RunCx<'_>) -> Mined {
         })
         .collect();
     let convert = t.elapsed();
-    let (forest, timings) = timed(|| boruvka(graph.num_vertices(), &edges));
+    let (forest, timings) =
+        timed(|| boruvka_cancellable(graph.num_vertices(), &edges, cx.cancel()));
     let weight = forest_weight(&edges, &forest);
     let timings = StageTimings { convert, ..timings };
     (forest.len() as u64, timings, Payload::Scalar(weight))

@@ -33,7 +33,7 @@
 use super::{Kernel, KernelError, Outcome, Params, StageTimings};
 use gms_core::hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, TryLockError};
 
 /// Allocates a process-unique owner tag. Every [`Session`] draws one
 /// at construction, and server workers draw one per worker thread;
@@ -289,8 +289,10 @@ impl ResultCache {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // Kernel panics never happen while the lock is held (compute
-        // runs unlocked), so poisoning cannot leave bad state.
+        // Compute runs unlocked; only a `migrate_fingerprint` decision
+        // runs kernel code under the lock, and a panic there at worst
+        // drops the entry being decided, so poisoning cannot leave
+        // bad state.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -299,6 +301,19 @@ impl ResultCache {
     /// counted when a computation is admitted).
     pub fn get(&self, key: &CacheKey, owner: u64) -> Option<Outcome> {
         self.lock().lookup(key, owner, false)
+    }
+
+    /// [`ResultCache::get`] that never waits: while another thread
+    /// holds the cache lock — a leader inserting, a mutation migrating
+    /// entries under it — it returns `None` at once, as for absence.
+    /// Only a returned hit counts toward [`CacheStats::hits`].
+    pub fn try_get(&self, key: &CacheKey, owner: u64) -> Option<Outcome> {
+        let mut inner = match self.inner.try_lock() {
+            Ok(inner) => inner,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        inner.lookup(key, owner, false)
     }
 
     /// The single-flight entry point: serves `key` from the cache,
@@ -550,6 +565,36 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.capacity, 2);
+    }
+
+    #[test]
+    fn try_get_never_waits_and_counts_only_hits() {
+        let cache = Arc::new(ResultCache::new(4));
+        cache
+            .run_or_wait(&key(1, "a"), 1, || Ok(outcome(3)))
+            .unwrap();
+        assert!(cache.try_get(&key(2, "a"), 1).is_none());
+        assert_eq!(cache.try_get(&key(1, "a"), 2).unwrap().patterns, 3);
+        // Hold the lock the way a migration does, through its
+        // per-entry decision, while another thread probes.
+        let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let holder = {
+            let (cache, held, release) = (cache.clone(), held.clone(), release.clone());
+            std::thread::spawn(move || {
+                cache.migrate_fingerprint(1, 9, 10, 20, |_, _| {
+                    held.wait();
+                    release.wait();
+                    MigrationDecision::Keep
+                })
+            })
+        };
+        held.wait();
+        assert!(cache.try_get(&key(9, "a"), 1).is_none(), "locked: no wait");
+        release.wait();
+        holder.join().unwrap();
+        assert!(cache.try_get(&key(9, "a"), 1).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]

@@ -174,9 +174,10 @@ pub trait Kernel: Send + Sync {
     /// less than the full CSR of a compressed resident takes
     /// [`RunCx::view`] instead.
     /// Kernels with long hot loops (Bron–Kerbosch, k-clique, subgraph
-    /// isomorphism, triangle counting) probe [`RunCx::cancel`] mid-search and return
-    /// early with whatever they have, which [`execute`] discards; the
-    /// rest run to completion and are discarded afterwards.
+    /// isomorphism, triangle counting, min-cut, MST, Louvain) probe
+    /// [`RunCx::cancel`] mid-search and return early with whatever
+    /// they have, which [`execute`] discards; the rest run to
+    /// completion and are discarded afterwards.
     fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError>;
 
     /// How this kernel's result depends on structural deltas — the

@@ -953,6 +953,7 @@ impl Core {
             "connections",
             "requests",
             "completed",
+            "inline_hits",
             "rejected",
             "malformed",
         ];

@@ -7,7 +7,10 @@
 //! [`SubmitError::Full`] (queue at capacity) or
 //! [`SubmitError::RateLimited`] (that client's token bucket is
 //! empty), which the wire layer turns into `queue-full` /
-//! `rate-limited` error responses. Worker threads block on
+//! `rate-limited` error responses. A request answered without a
+//! worker (a cache hit) enters through [`AdmissionQueue::admit_inline`]
+//! instead: the same token bucket and accounting, no capacity check,
+//! nothing queued. Worker threads block on
 //! [`AdmissionQueue::dequeue`] until work arrives or the queue is
 //! closed; closing drains — jobs admitted before
 //! [`AdmissionQueue::close`] are still handed out, so a graceful
@@ -32,7 +35,7 @@
 //! protects the *server*, the rate limit protects *other clients*.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Bound on distinct per-client accounting entries. Clients beyond
@@ -61,6 +64,17 @@ pub enum SubmitError<T> {
     RateLimited(T),
     /// The queue was closed (server shutting down).
     Closed(T),
+}
+
+impl SubmitError<()> {
+    /// The same refusal, handing `item` back to the submitter.
+    fn with<T>(self, item: T) -> SubmitError<T> {
+        match self {
+            SubmitError::Full(()) => SubmitError::Full(item),
+            SubmitError::RateLimited(()) => SubmitError::RateLimited(item),
+            SubmitError::Closed(()) => SubmitError::Closed(item),
+        }
+    }
 }
 
 /// A point-in-time snapshot of one client's admission accounting.
@@ -214,7 +228,7 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -230,32 +244,59 @@ impl<T> AdmissionQueue<T> {
     /// wins), and a client's first rejection still creates its
     /// accounting entry — shed requests are attributed, not lost.
     pub fn try_submit_as(&self, client: &str, weight: u32, item: T) -> Result<(), SubmitError<T>> {
+        let (mut inner, index) = match self.admit(client, weight, true) {
+            Ok(admitted) => admitted,
+            Err(refusal) => return Err(refusal.with(item)),
+        };
+        inner.clients[index].items.push_back(item);
+        inner.len += 1;
+        drop(inner);
+        self.available.notify_one();
+        Ok(())
+    }
+
+    /// Admits one request that is answered without a worker — a
+    /// cache hit served on its connection thread. It pays `client`'s
+    /// token bucket and counts as admitted and served at once, but
+    /// skips the capacity check: it never occupies a queue slot.
+    pub fn admit_inline(&self, client: &str, weight: u32) -> Result<(), SubmitError<()>> {
+        let (mut inner, index) = self.admit(client, weight, false)?;
+        inner.clients[index].served += 1;
+        Ok(())
+    }
+
+    /// The admission decision both entry points share: closed, then —
+    /// for work that will wait in the queue — capacity, then the
+    /// client's token bucket. Returns the locked queue and the
+    /// admitted client's entry, its `admitted` count already bumped.
+    fn admit(
+        &self,
+        client: &str,
+        weight: u32,
+        queued: bool,
+    ) -> Result<(MutexGuard<'_, Inner<T>>, usize), SubmitError<()>> {
         let burst = self.rate_limit.map_or(0.0, |l| l.burst);
         let mut inner = self.lock();
         if inner.closed {
-            return Err(SubmitError::Closed(item));
+            return Err(SubmitError::Closed(()));
         }
         let index = inner.client_index(client, burst);
         inner.clients[index].weight = weight.max(1);
         // Capacity before the token bucket: a request shed on a full
         // queue must not also burn a rate-limit token — the work was
         // never admitted, so the client is not double-penalized.
-        if inner.len >= self.capacity {
+        if queued && inner.len >= self.capacity {
             inner.clients[index].shed += 1;
-            return Err(SubmitError::Full(item));
+            return Err(SubmitError::Full(()));
         }
         if let Some(limit) = &self.rate_limit {
             if !inner.clients[index].take_token(limit) {
                 inner.clients[index].rate_limited += 1;
-                return Err(SubmitError::RateLimited(item));
+                return Err(SubmitError::RateLimited(()));
             }
         }
-        inner.clients[index].items.push_back(item);
         inner.clients[index].admitted += 1;
-        inner.len += 1;
-        drop(inner);
-        self.available.notify_one();
-        Ok(())
+        Ok((inner, index))
     }
 
     /// Blocks until an item is available and pops the next one under
@@ -453,6 +494,34 @@ mod tests {
         assert!(matches!(
             q.try_submit_as("c", 1, 4),
             Err(SubmitError::RateLimited(4))
+        ));
+    }
+
+    #[test]
+    fn inline_admission_pays_the_token_bucket_but_not_the_capacity() {
+        let q = AdmissionQueue::with_rate_limit(
+            1,
+            Some(RateLimit {
+                rate_per_sec: 1e-9,
+                burst: 2.0,
+            }),
+        );
+        q.try_submit_as("c", 1, 1).unwrap();
+        // The queue is full, yet a hit needs no slot...
+        q.admit_inline("c", 3).unwrap();
+        // ...but the bucket is the client's, whichever way it enters.
+        assert!(matches!(
+            q.admit_inline("c", 1),
+            Err(SubmitError::RateLimited(()))
+        ));
+        let stats = q.client_stats();
+        let c = stats.iter().find(|s| s.client == "c").unwrap();
+        assert_eq!((c.admitted, c.served, c.pending), (2, 1, 1));
+        assert_eq!((c.shed, c.rate_limited), (0, 1));
+        q.close();
+        assert!(matches!(
+            q.admit_inline("c", 1),
+            Err(SubmitError::Closed(()))
         ));
     }
 

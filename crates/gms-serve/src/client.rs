@@ -126,6 +126,7 @@ impl ClientBuilder {
             addr: resolve(addr)?,
             config: self.clone(),
             conn: None,
+            out: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -169,6 +170,10 @@ pub struct Client {
     addr: SocketAddr,
     config: ClientBuilder,
     conn: Option<Conn>,
+    /// The request line being sent, newline included: reused across
+    /// calls, and written with one `write_all`, so a line leaves as
+    /// one segment under `TCP_NODELAY`, not two.
+    out: Vec<u8>,
 }
 
 /// Whether an I/O failure means the connection was stale: the peer
@@ -228,9 +233,12 @@ impl Client {
             self.reconnect()?;
         }
         let conn = self.conn.as_mut().expect("reconnect() populated conn");
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        let out = &self.out;
         let result = (|| {
-            conn.writer.write_all(line.as_bytes())?;
-            conn.writer.write_all(b"\n")?;
+            conn.writer.write_all(out)?;
             conn.writer.flush()?;
             let mut response = String::new();
             let n = conn.reader.read_line(&mut response)?;

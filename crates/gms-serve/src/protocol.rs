@@ -99,6 +99,11 @@ pub enum ErrorCode {
     /// An inline request body exceeded the configured size cap and
     /// was rejected before being materialized (HTTP 413 analog).
     PayloadTooLarge,
+    /// The request crashed the code serving it (a kernel panic, say):
+    /// the panic was contained, the worker lives on, and nothing was
+    /// cached. Not retryable — the identical request would crash
+    /// again (HTTP 500 analog).
+    Internal,
     /// The peer was too slow producing a complete request (the
     /// slow-loris guard; HTTP 408 analog).
     Timeout,
@@ -129,6 +134,7 @@ impl ErrorCode {
             ErrorCode::DeadlineExceeded => "deadline-exceeded",
             ErrorCode::RateLimited => "rate-limited",
             ErrorCode::PayloadTooLarge => "payload-too-large",
+            ErrorCode::Internal => "internal",
             ErrorCode::Timeout => "timeout",
             ErrorCode::Transport => "transport",
         }
@@ -167,7 +173,7 @@ impl ErrorCode {
             ErrorCode::PayloadTooLarge => 413,
             ErrorCode::Moved => 421,
             ErrorCode::RateLimited => 429,
-            ErrorCode::Io => 500,
+            ErrorCode::Io | ErrorCode::Internal => 500,
             ErrorCode::BackendUnavailable | ErrorCode::Transport => 502,
             ErrorCode::QueueFull | ErrorCode::ShuttingDown => 503,
             ErrorCode::DeadlineExceeded => 504,
@@ -257,6 +263,7 @@ impl ApiError {
             ErrorCode::DeadlineExceeded,
             ErrorCode::RateLimited,
             ErrorCode::PayloadTooLarge,
+            ErrorCode::Internal,
             ErrorCode::Timeout,
             ErrorCode::Transport,
         ]
@@ -1232,6 +1239,13 @@ mod tests {
         assert_eq!(ErrorCode::PayloadTooLarge.http_status(), 413);
         assert_eq!(ErrorCode::DeadlineExceeded.http_status(), 504);
         assert_eq!(ErrorCode::Timeout.http_status(), 408);
+        assert!(!ErrorCode::Internal.retryable());
+        assert_eq!(ErrorCode::Internal.http_status(), 500);
+        let internal = ApiError::new(ErrorCode::Internal, "kernel panicked");
+        assert_eq!(
+            ApiError::from_json(&error_object(&internal)).code,
+            ErrorCode::Internal
+        );
 
         let original = ApiError::new(ErrorCode::Moved, "graph \"g\" moved")
             .with_detail("addr", Json::from("10.0.0.2:7002"));

@@ -4,21 +4,34 @@
 //! graphs and one shared [`ResultCache`].
 //!
 //! ```text
-//!  front end (service.rs)         try_submit   ┌─ worker 0 ─┐   graphs: name → Resident
-//!  NDJSON | HTTP ─► Shared::call ─────────────►│ dequeue,   │──► Engine::{admit, run,
-//!                   control ops   bounded queue│ execute    │    mutate} ──► Reply
-//!                   answered      (queue-full ⇒└─ worker 1 ─┘   shared cache
-//!                   inline         429 analog)                  + single-flight
+//!  front end (service.rs)                          graphs: name → Resident
+//!  NDJSON | HTTP ─► Shared::call                   shared cache + single-flight
+//!                    │ control ops ─► answered inline
+//!                    │ run ─► hit probe: try_read graphs, Engine::key,
+//!                    │        ResultCache::try_get ── hit ─► admit_inline
+//!                    │        (never waits on a lock)        (token bucket)
+//!                    │                                       ─► answered inline
+//!                    │ miss, contended lock, load, mutate, batch
+//!                    ▼
+//!                  try_submit ─► bounded queue ─► worker 0 | worker 1
+//!                  (queue-full ⇒ 429 analog)      Engine::{admit, run, mutate}
+//!                                                 ─► Reply
 //! ```
 //!
 //! The split mirrors the admission/execution separation of HTAP
 //! serving systems: `call` answers the cheap control-plane requests
 //! (`health`, `stats`, `kernels`, `shutdown`) on the connection
-//! thread; everything that costs kernel or I/O time (`load`, `run`,
-//! `batch`, mutations) must pass the bounded [`AdmissionQueue`]
-//! first, so a traffic spike degrades into fast `queue-full`
-//! rejections instead of oversubscribing the compute pool. The
-//! worker count is fixed at startup. Workers are plain threads, not
+//! thread, and so is a `run` whose outcome is already cached: the
+//! probe only *tries* the graphs table and the cache lock, so a hit
+//! never queues behind a mutation holding either — a contended probe
+//! simply takes the queue. A hit pays the client's token bucket but
+//! no queue slot, since it occupies no worker. Everything that costs
+//! kernel or I/O time (`load`, a run that misses, `batch`, mutations)
+//! must pass the bounded [`AdmissionQueue`] first, so a traffic spike
+//! degrades into fast `queue-full` rejections instead of
+//! oversubscribing the compute pool. The worker count is fixed at
+//! startup, and a panic inside a job is contained and answered
+//! `internal`: the worker lives on. Workers are plain threads, not
 //! [`Session`](gms_platform::kernel::Session)s: the server keeps its
 //! graphs by *name* in one `RwLock`ed table every worker sees, where
 //! a session keeps them by handle — but an entry of either table is
@@ -48,10 +61,12 @@ use gms_platform::kernel::{
     next_owner, Bounds, CancelToken, Engine, GraphStore, KernelError, MutationOutcome, Outcome,
     Registry, Resident, ResultCache,
 };
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,6 +114,9 @@ impl Default for ServeConfig {
 struct Counters {
     front: FrontCounters,
     completed: AtomicU64,
+    /// Runs answered from the cache on their connection thread,
+    /// never queued (a subset of `completed`).
+    inline_hits: AtomicU64,
     rejected: AtomicU64,
     /// Requests refused by a per-client token bucket.
     rate_limited: AtomicU64,
@@ -116,6 +134,8 @@ pub(crate) struct Shared {
     running: AtomicBool,
     counters: Counters,
     worker_served: Vec<AtomicU64>,
+    /// The cache owner tag of hits answered on connection threads.
+    inline_owner: u64,
     addr: SocketAddr,
     max_body_bytes: usize,
     request_timeout: Duration,
@@ -135,9 +155,9 @@ impl Shared {
     }
 }
 
-/// The local executor: control ops are answered here, on the
-/// connection thread; data ops must pass admission control and are
-/// answered by whichever worker dequeues them.
+/// The local executor: control ops and cache hits are answered here,
+/// on the connection thread; other data ops must pass admission
+/// control and are answered by whichever worker dequeues them.
 impl Service for Shared {
     fn running(&self) -> bool {
         self.running.load(Ordering::SeqCst)
@@ -161,13 +181,24 @@ impl Service for Shared {
             Some(ms) => CancelToken::after(Duration::from_millis(ms)),
             None => CancelToken::none(),
         };
+        let client = envelope.client.as_deref().unwrap_or("");
+        if let DataOp::Run(spec) = &op {
+            if let Some(answer) = self.answer_hit(
+                spec,
+                client,
+                envelope.weight,
+                &cancel,
+                envelope.full_payload,
+            ) {
+                return reply.deliver(answer);
+            }
+        }
         let job = Job {
             op,
             reply,
             cancel,
             full_payload: envelope.full_payload,
         };
-        let client = envelope.client.as_deref().unwrap_or("");
         self.submit(job, client, envelope.weight);
     }
 
@@ -211,43 +242,49 @@ impl Server {
     /// Starts a server per `config`. Fails only on bind errors; after
     /// this returns the server is accepting connections.
     pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            engine: Engine {
-                registry: Registry::with_builtins(),
-                cache: Arc::new(ResultCache::new(config.cache_capacity)),
-            },
-            graphs: RwLock::new(BTreeMap::new()),
-            queue: AdmissionQueue::with_rate_limit(config.queue_capacity, config.rate_limit),
-            running: AtomicBool::new(true),
-            counters: Counters::default(),
-            worker_served: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            addr,
-            max_body_bytes: config.max_body_bytes,
-            request_timeout: config.request_timeout,
-        });
-
-        let worker_threads: Vec<JoinHandle<()>> = (0..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("gms-serve-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let acceptor = spawn_acceptor(listener, Arc::clone(&shared), "gms-serve");
-
-        Ok(ServerHandle {
-            addr,
-            shared,
-            acceptor,
-            workers: worker_threads,
-        })
+        launch(config, Registry::with_builtins())
     }
+}
+
+/// [`Server::start`] over any kernel registry.
+fn launch(config: ServeConfig, registry: Registry) -> std::io::Result<ServerHandle> {
+    let listener = TcpListener::bind(&config.addr)?;
+    let addr = listener.local_addr()?;
+    let workers = config.workers.max(1);
+    let shared = Arc::new(Shared {
+        engine: Engine {
+            registry,
+            cache: Arc::new(ResultCache::new(config.cache_capacity)),
+        },
+        graphs: RwLock::new(BTreeMap::new()),
+        queue: AdmissionQueue::with_rate_limit(config.queue_capacity, config.rate_limit),
+        running: AtomicBool::new(true),
+        counters: Counters::default(),
+        worker_served: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        inline_owner: next_owner(),
+        addr,
+        max_body_bytes: config.max_body_bytes,
+        request_timeout: config.request_timeout,
+    });
+
+    let worker_threads: Vec<JoinHandle<()>> = (0..workers)
+        .map(|index| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("gms-serve-worker-{index}"))
+                .spawn(move || worker_loop(&shared, index))
+                .expect("spawn worker thread")
+        })
+        .collect();
+
+    let acceptor = spawn_acceptor(listener, Arc::clone(&shared), "gms-serve");
+
+    Ok(ServerHandle {
+        addr,
+        shared,
+        acceptor,
+        workers: worker_threads,
+    })
 }
 
 /// A running server: its bound address plus shutdown/join control.
@@ -290,13 +327,20 @@ impl Shared {
     /// travels back through the job's own reply, so NDJSON and HTTP
     /// callers share one code path.
     fn submit(&self, job: Job, client: &str, weight: u32) {
-        let shutting_down = || ApiError::new(ErrorCode::ShuttingDown, "server is shutting down");
         if !self.running() {
             return job.reply.deliver(error_json(&shutting_down()));
         }
-        let (job, error) = match self.queue.try_submit_as(client, weight, job) {
-            Ok(()) => return,
-            Err(SubmitError::Full(job)) => {
+        if let Err(refusal) = self.queue.try_submit_as(client, weight, job) {
+            let (job, error) = self.refused(refusal, client);
+            job.reply.deliver(error_json(&error));
+        }
+    }
+
+    /// Counts and words an admission refusal, handing back what was
+    /// refused.
+    fn refused<T>(&self, refusal: SubmitError<T>, client: &str) -> (T, ApiError) {
+        match refusal {
+            SubmitError::Full(item) => {
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 let error = ApiError::new(
                     ErrorCode::QueueFull,
@@ -305,25 +349,107 @@ impl Shared {
                         self.queue.capacity()
                     ),
                 );
-                (job, error)
+                (item, error)
             }
-            Err(SubmitError::RateLimited(job)) => {
+            SubmitError::RateLimited(item) => {
                 self.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
                 let error = ApiError::new(
                     ErrorCode::RateLimited,
                     format!("client {client:?} is over its rate limit; slow down"),
                 );
-                (job, error)
+                (item, error)
             }
-            Err(SubmitError::Closed(job)) => (job, shutting_down()),
+            SubmitError::Closed(item) => (item, shutting_down()),
+        }
+    }
+
+    /// The hit path: answers a `run` whose outcome is already cached
+    /// on the connection thread, before the queue. The hit pays the
+    /// client's token bucket ([`AdmissionQueue::admit_inline`]) but
+    /// no queue slot, and wakes no worker. `None` sends the request
+    /// to the queue as before: a spent deadline (the worker answers
+    /// it), a stopping server, a miss, a lock another thread holds,
+    /// or a request no key can be built for. A panic on the way is
+    /// contained and answered `internal`.
+    fn answer_hit(
+        &self,
+        spec: &RunSpec,
+        client: &str,
+        weight: u32,
+        cancel: &CancelToken,
+        full_payload: bool,
+    ) -> Option<Json> {
+        if !self.running() || cancel.expired() {
+            return None;
+        }
+        let hit = || {
+            let outcome = self.probe_hit(spec)?;
+            Some(match self.queue.admit_inline(client, weight) {
+                Ok(()) => {
+                    self.counters.inline_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    run_json(spec, &outcome, full_payload)
+                }
+                Err(refusal) => error_json(&self.refused(refusal, client).1),
+            })
         };
-        job.reply.deliver(error_json(&error));
+        catch_unwind(AssertUnwindSafe(hit)).unwrap_or_else(|panic| Some(contained(panic)))
+    }
+
+    /// The non-blocking hit probe: the resident out of the graphs
+    /// table, its [`Engine::key`], then [`ResultCache::try_get`]. Each
+    /// lock is only tried, so a mutation holding the table's write
+    /// lock, or migrating entries under the cache lock, delays no
+    /// hit: the probe answers `None` at once.
+    fn probe_hit(&self, spec: &RunSpec) -> Option<Outcome> {
+        let resident = match self.graphs.try_read() {
+            Ok(graphs) => graphs.get(&spec.graph).cloned(),
+            Err(TryLockError::Poisoned(graphs)) => graphs.into_inner().get(&spec.graph).cloned(),
+            Err(TryLockError::WouldBlock) => None,
+        }?;
+        let request = self
+            .engine
+            .key(&resident, &spec.kernel, &spec.params)
+            .ok()?;
+        self.engine.cache.try_get(&request.key, self.inline_owner)
+    }
+}
+
+fn shutting_down() -> ApiError {
+    ApiError::new(ErrorCode::ShuttingDown, "server is shutting down")
+}
+
+/// The backstop's answer: a panic that escaped a request, contained.
+fn contained(panic: Box<dyn Any + Send>) -> Json {
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string panic payload");
+    error_json(&ApiError::new(
+        ErrorCode::Internal,
+        format!("the request panicked and was contained: {message}"),
+    ))
+}
+
+/// Renders a successful run: the one rendering both the worker and
+/// the hit path answer with.
+fn run_json(spec: &RunSpec, outcome: &Outcome, full_payload: bool) -> Json {
+    if full_payload {
+        outcome_json_full(spec, outcome)
+    } else {
+        outcome_json(spec, outcome)
     }
 }
 
 /// One worker: drains the admission queue until the server shuts
 /// down. The owner tag attributes this worker's cache traffic,
 /// so hits on entries another worker paid for count as cross-session.
+///
+/// The backstop: a panic anywhere in a job — kernel, patch or render —
+/// is answered `internal`, and the worker takes the next job. A run
+/// that panicked as single-flight leader releases its slot through
+/// the cache's own guard, which promotes a waiting duplicate.
 fn worker_loop(shared: &Shared, index: usize) {
     let owner = next_owner();
     while let Some(job) = shared.queue.dequeue() {
@@ -333,51 +459,63 @@ fn worker_loop(shared: &Shared, index: usize) {
             cancel,
             full_payload,
         } = job;
-        let lapsed = || {
-            ApiError::new(
-                ErrorCode::DeadlineExceeded,
-                "deadline exceeded before the request completed",
-            )
-        };
-        let fail = |e: &ApiError| {
-            if e.code == ErrorCode::DeadlineExceeded {
-                shared
-                    .counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            error_json(e)
-        };
-        // A request whose deadline passed while queued — or, for a
-        // batch item, while earlier items ran — fails without costing
-        // any kernel time: the worker is immediately free for the
-        // next job.
-        let run = |spec: &RunSpec| {
-            if cancel.expired() {
-                return fail(&lapsed());
-            }
-            match execute_run(shared, owner, spec, &cancel) {
-                Ok(outcome) if full_payload => outcome_json_full(spec, &outcome),
-                Ok(outcome) => outcome_json(spec, &outcome),
-                Err(e) => fail(&e),
-            }
-        };
-        let answer = match &op {
-            _ if cancel.expired() => fail(&lapsed()),
-            DataOp::Load(spec) => execute_load(shared, spec).unwrap_or_else(|e| error_json(&e)),
-            DataOp::Mutate(spec) => match execute_mutate(shared, spec) {
-                Ok(outcome) => mutation_json(&spec.graph, &outcome),
-                Err(e) => error_json(&e),
-            },
-            DataOp::Run(spec) => run(spec),
-            DataOp::Batch(specs) => response(vec![
-                ("ok", Json::Bool(true)),
-                ("results", Json::Array(specs.iter().map(run).collect())),
-            ]),
-        };
+        let answer = catch_unwind(AssertUnwindSafe(|| {
+            execute_job(shared, owner, &op, &cancel, full_payload)
+        }))
+        .unwrap_or_else(contained);
         reply.deliver(answer);
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         shared.worker_served[index].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Answers one admitted job.
+fn execute_job(
+    shared: &Shared,
+    owner: u64,
+    op: &DataOp,
+    cancel: &CancelToken,
+    full_payload: bool,
+) -> Json {
+    let lapsed = || {
+        ApiError::new(
+            ErrorCode::DeadlineExceeded,
+            "deadline exceeded before the request completed",
+        )
+    };
+    let fail = |e: &ApiError| {
+        if e.code == ErrorCode::DeadlineExceeded {
+            shared
+                .counters
+                .deadline_exceeded
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        error_json(e)
+    };
+    // A request whose deadline passed while queued — or, for a batch
+    // item, while earlier items ran — fails without costing any
+    // kernel time: the worker is immediately free for the next job.
+    let run = |spec: &RunSpec| {
+        if cancel.expired() {
+            return fail(&lapsed());
+        }
+        match execute_run(shared, owner, spec, cancel) {
+            Ok(outcome) => run_json(spec, &outcome, full_payload),
+            Err(e) => fail(&e),
+        }
+    };
+    match op {
+        _ if cancel.expired() => fail(&lapsed()),
+        DataOp::Load(spec) => execute_load(shared, spec).unwrap_or_else(|e| error_json(&e)),
+        DataOp::Mutate(spec) => match execute_mutate(shared, spec) {
+            Ok(outcome) => mutation_json(&spec.graph, &outcome),
+            Err(e) => error_json(&e),
+        },
+        DataOp::Run(spec) => run(spec),
+        DataOp::Batch(specs) => response(vec![
+            ("ok", Json::Bool(true)),
+            ("results", Json::Array(specs.iter().map(run).collect())),
+        ]),
     }
 }
 
@@ -562,6 +700,7 @@ fn stats_json(shared: &Shared) -> Json {
                 ("connections", count(&counters.front.connections)),
                 ("requests", count(&counters.front.requests)),
                 ("completed", count(&counters.completed)),
+                ("inline_hits", count(&counters.inline_hits)),
                 ("rejected", count(&counters.rejected)),
                 ("malformed", count(&counters.front.malformed)),
                 ("rate_limited", count(&counters.rate_limited)),
@@ -595,4 +734,295 @@ fn stats_json(shared: &Shared) -> Json {
         ),
         ("graphs", Json::Array(graphs)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientBuilder};
+    use crate::service::SyncReply;
+    use gms_core::Graph;
+    use gms_platform::kernel::{Category, Kernel, MigrationDecision, ParamSpec, Params, RunCx};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Instant;
+
+    /// What the test-only `panics-once` kernel shares with its test:
+    /// its first run meets the test at `entered`, waits for `release`
+    /// and panics; every later run answers the vertex count and notes
+    /// whether it began before the first run ended.
+    struct Gate {
+        calls: AtomicUsize,
+        entered: Barrier,
+        release: Barrier,
+        first_ended: AtomicBool,
+        overlapped: AtomicBool,
+    }
+
+    struct PanicsOnce(Arc<Gate>);
+
+    impl Kernel for PanicsOnce {
+        fn name(&self) -> &'static str {
+            "panics-once"
+        }
+
+        fn category(&self) -> Category {
+            Category::Pattern
+        }
+
+        fn about(&self) -> &'static str {
+            "test kernel: its first run panics"
+        }
+
+        fn params(&self) -> &'static [ParamSpec] {
+            &[]
+        }
+
+        fn run(&self, cx: &RunCx<'_>) -> Result<Outcome, KernelError> {
+            let gate = &self.0;
+            if gate.calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                gate.entered.wait();
+                gate.release.wait();
+                gate.first_ended.store(true, Ordering::SeqCst);
+                panic!("the first run panics");
+            }
+            if !gate.first_ended.load(Ordering::SeqCst) {
+                gate.overlapped.store(true, Ordering::SeqCst);
+            }
+            Ok(Outcome::new("panics-once", cx.csr().num_vertices() as u64))
+        }
+    }
+
+    /// A server with `workers` workers, `panics-once` registered beside
+    /// the built-ins, and a triangle loaded as `g`.
+    fn launch_with_panics_once(workers: usize) -> (ServerHandle, Arc<Gate>) {
+        let gate = Arc::new(Gate {
+            calls: AtomicUsize::new(0),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+            first_ended: AtomicBool::new(false),
+            overlapped: AtomicBool::new(false),
+        });
+        let mut registry = Registry::with_builtins();
+        registry.register(Box::new(PanicsOnce(Arc::clone(&gate))));
+        let config = ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        };
+        let handle = launch(config, registry).expect("server start");
+        let loaded = connect(handle.addr())
+            .load_inline("g", "edge-list", "0 1\n1 2\n2 0\n")
+            .unwrap();
+        assert_eq!(loaded.get("ok"), Some(&Json::Bool(true)));
+        (handle, gate)
+    }
+
+    /// Sends `panics-once` on `g` from a thread of its own.
+    fn spawn_run(addr: SocketAddr) -> std::thread::JoinHandle<Json> {
+        std::thread::spawn(move || connect(addr).run("panics-once", "g", &[]).unwrap())
+    }
+
+    /// A client that fails instead of hanging when a reply never comes
+    /// (a dead worker drops its job's reply).
+    fn connect(addr: SocketAddr) -> Client {
+        ClientBuilder::new()
+            .read_timeout(Duration::from_secs(10))
+            .connect(addr)
+            .unwrap()
+    }
+
+    fn error_code(reply: &Json) -> Option<&str> {
+        reply.get("error")?.get("code")?.as_str()
+    }
+
+    fn stop(handle: ServerHandle) {
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn a_kernel_panic_answers_internal_and_the_worker_serves_on() {
+        // One worker: the job after the panic can only be answered by
+        // the worker that panicked.
+        let (handle, gate) = launch_with_panics_once(1);
+        let leader = spawn_run(handle.addr());
+        gate.entered.wait();
+        gate.release.wait();
+        let panicked = leader.join().unwrap();
+        assert_eq!(
+            error_code(&panicked),
+            Some("internal"),
+            "{}",
+            panicked.render()
+        );
+        let error = panicked.get("error").unwrap();
+        assert_eq!(error.get("retryable"), Some(&Json::Bool(false)));
+        let mut client = connect(handle.addr());
+        let next = client.run("triangle-count", "g", &[]).unwrap();
+        assert_eq!(
+            next.get("patterns"),
+            Some(&Json::Int(1)),
+            "{}",
+            next.render()
+        );
+        let retried = client.run("panics-once", "g", &[]).unwrap();
+        assert_eq!(
+            retried.get("cached"),
+            Some(&Json::Bool(false)),
+            "nothing was cached"
+        );
+        assert_eq!(retried.get("patterns"), Some(&Json::Int(3)));
+        // Joined, the worker has counted every job it answered.
+        let shared = Arc::clone(&handle.shared);
+        stop(handle);
+        let served = shared.worker_served[0].load(Ordering::Relaxed);
+        assert_eq!(served, 4, "the load and all three runs, on the one worker");
+
+        // Two workers: a duplicate sent while the leader is inside the
+        // kernel waits on the leader's single flight, and is promoted
+        // to run it when the leader panics.
+        let (handle, gate) = launch_with_panics_once(2);
+        let leader = spawn_run(handle.addr());
+        gate.entered.wait();
+        let waiter = spawn_run(handle.addr());
+        // The idle worker takes the duplicate off the queue, finds the
+        // flight and parks on it; the margin covers that last step.
+        let shared = &handle.shared;
+        let requests = || shared.counters.front.requests.load(Ordering::Relaxed);
+        while requests() < 3 || shared.queue.depth() > 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        gate.release.wait();
+        let (leader, waiter) = (leader.join().unwrap(), waiter.join().unwrap());
+        assert_eq!(error_code(&leader), Some("internal"), "{}", leader.render());
+        assert_eq!(
+            waiter.get("patterns"),
+            Some(&Json::Int(3)),
+            "{}",
+            waiter.render()
+        );
+        assert_eq!(
+            gate.calls.load(Ordering::SeqCst),
+            2,
+            "the waiter ran it, once"
+        );
+        assert!(
+            !gate.overlapped.load(Ordering::SeqCst),
+            "only after the leader ended"
+        );
+        let cache = handle.shared.engine.cache.stats();
+        assert_eq!((cache.misses, cache.entries), (2, 1));
+        stop(handle);
+    }
+
+    /// The wire refuses `deadline_ms: 0`, so the spent deadline is
+    /// built in process: an envelope whose token has fired before
+    /// `call` sees it. The hit probe must not answer it; the worker
+    /// does, `deadline-exceeded`, exactly as before the probe existed.
+    #[test]
+    fn a_hit_with_a_spent_deadline_still_answers_deadline_exceeded() {
+        let handle = launch(ServeConfig::default(), Registry::with_builtins()).unwrap();
+        let mut client = connect(handle.addr());
+        client
+            .load_inline("g", "edge-list", "0 1\n1 2\n2 0\n")
+            .unwrap();
+        client.run("triangle-count", "g", &[]).unwrap();
+        let run = |deadline_ms: Option<u64>| {
+            let mut envelope = Envelope::new(Request::Run(RunSpec {
+                kernel: "triangle-count".to_string(),
+                graph: "g".to_string(),
+                params: Params::new(),
+            }));
+            envelope.deadline_ms = deadline_ms;
+            let slot = SyncReply::new();
+            handle.shared.call(envelope, Reply::sync(Arc::clone(&slot)));
+            slot.recv()
+        };
+        let lapsed = run(Some(0));
+        assert_eq!(
+            error_code(&lapsed),
+            Some("deadline-exceeded"),
+            "{}",
+            lapsed.render()
+        );
+        let counters = &handle.shared.counters;
+        assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(counters.deadline_exceeded.load(Ordering::Relaxed), 1);
+        let hit = run(Some(60_000));
+        assert_eq!(
+            hit.get("cached"),
+            Some(&Json::Bool(true)),
+            "{}",
+            hit.render()
+        );
+        assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
+        stop(handle);
+    }
+
+    #[test]
+    fn the_hit_probe_never_waits_on_a_held_lock() {
+        let handle = launch(ServeConfig::default(), Registry::with_builtins()).unwrap();
+        let mut client = connect(handle.addr());
+        for (name, edges) in [("g", "0 1\n1 2\n2 0\n"), ("h", "0 1\n1 2\n")] {
+            client.load_inline(name, "edge-list", edges).unwrap();
+            client.run("triangle-count", name, &[]).unwrap();
+        }
+        let shared = Arc::clone(&handle.shared);
+        let spec = RunSpec {
+            kernel: "triangle-count".to_string(),
+            graph: "g".to_string(),
+            params: Params::new(),
+        };
+        // Each probe runs on its own thread; one that waited on a
+        // held lock would miss this bound.
+        let probe = || {
+            let (shared, spec) = (Arc::clone(&shared), spec.clone());
+            let (done, answer) = mpsc::channel();
+            let started = Instant::now();
+            let prober = std::thread::spawn(move || {
+                let _ = done.send(shared.probe_hit(&spec).is_some());
+            });
+            let hit = answer
+                .recv_timeout(Duration::from_secs(1))
+                .expect("the probe waited on a held lock");
+            let took = started.elapsed();
+            prober.join().unwrap();
+            (hit, took)
+        };
+        assert!(probe().0, "nothing held: the probe hits");
+
+        let table = shared.graphs.write().unwrap();
+        let (hit, took) = probe();
+        assert!(!hit, "the graphs table is write-locked: no answer");
+        assert!(took < Duration::from_secs(1));
+        drop(table);
+
+        // A migration holds the cache lock through each per-entry
+        // decision; hold it there, on the other graph's entry.
+        let h = shared.graphs.read().unwrap()["h"].fingerprint();
+        let (held, is_held) = mpsc::channel();
+        let (release, on_release) = mpsc::channel::<()>();
+        let migration = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                shared
+                    .engine
+                    .cache
+                    .migrate_fingerprint(h, h ^ 1, 3, 4, |_, _| {
+                        held.send(()).unwrap();
+                        let _ = on_release.recv();
+                        MigrationDecision::Keep
+                    })
+            })
+        };
+        is_held.recv().unwrap();
+        let (hit, took) = probe();
+        assert!(!hit, "the cache lock is held: no answer");
+        assert!(took < Duration::from_secs(1));
+        release.send(()).unwrap();
+        migration.join().unwrap();
+        assert!(probe().0, "released: the probe hits again");
+        stop(handle);
+    }
 }

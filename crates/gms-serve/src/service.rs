@@ -2,9 +2,10 @@
 //!
 //! ```text
 //!  NDJSON line ─┐ parse_envelope                       ┌─ gms-serve `Shared`:
-//!               ├────────────────► Service::call ──────┤  control ops inline,
-//!  HTTP /v1 ────┘ route + headers   (Envelope, Reply)  │  data ops → admission
-//!    + body → the same members                         │  queue → worker pool
+//!               ├────────────────► Service::call ──────┤  control ops and run
+//!  HTTP /v1 ────┘ route + headers   (Envelope, Reply)  │  hits inline, other
+//!    + body → the same members                         │  data ops → admission
+//!                                                      │  queue → worker pool
 //!                                                      └─ gms-router `Core`:
 //!                                                         place → forward →
 //!                                                         failover (remote)
@@ -18,8 +19,9 @@
 //! A service sees only parsed [`Envelope`]s and answers each through
 //! its [`Reply`]; `gms-serve` and `gms-router` differ in what `call`
 //! does, not in how bytes become requests. [`Service::call`] is the
-//! only way in: the admission queue behind it cannot be bypassed by
-//! picking a different framing.
+//! only way in, so no framing bypasses admission: a cache hit the
+//! server answers before its queue still pays the client's token
+//! bucket there, and everything else waits in the queue.
 
 use crate::json::Json;
 use crate::protocol::{error_json, parse_envelope, ApiError, Envelope, ErrorCode, Request};

@@ -1318,3 +1318,238 @@ fn rate_limited_client_gets_429_while_second_client_proceeds() {
     admin.shutdown().unwrap();
     handle.join();
 }
+
+/// Doubles a `gnp` graph of average degree 4 until one uncancelled
+/// run of `kernel` takes at least 200 ms here (the edge list grows
+/// linearly, far below the body cap in any build profile), then sends
+/// the same run with a 1 ms `deadline_ms`. Only the kernel's own
+/// probes can stop it early: without them it runs to completion and
+/// is discarded afterwards, still `deadline-exceeded` but no sooner.
+/// The cache is off, so the second run cannot be a hit.
+fn a_one_ms_deadline_stops(kernel: &str) {
+    use gms_serve::{response_or_error, ClientBuilder, ErrorCode};
+    use std::time::{Duration, Instant};
+
+    let handle = Server::start(ServeConfig {
+        workers: 1,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let mut loader = Client::connect(handle.addr()).unwrap();
+    let mut vertices = 2000;
+    let full = loop {
+        let graph = gms_gen::gnp(vertices, 4.0 / vertices as f64, 5);
+        assert_ok(
+            &loader
+                .load_inline("g", "edge-list", &edge_list(&graph))
+                .unwrap(),
+        );
+        let started = Instant::now();
+        assert_ok(&loader.run(kernel, "g", &[]).unwrap());
+        let full = started.elapsed();
+        if full >= Duration::from_millis(200) {
+            break full;
+        }
+        vertices *= 2;
+    };
+
+    let mut client = ClientBuilder::new()
+        .deadline_ms(1)
+        .connect(handle.addr())
+        .unwrap();
+    let started = Instant::now();
+    let reply = client.run(kernel, "g", &[]).unwrap();
+    let elapsed = started.elapsed();
+    let error = response_or_error(reply).unwrap_err();
+    assert_eq!(error.code, ErrorCode::DeadlineExceeded, "{kernel}");
+    assert!(
+        elapsed < full / 2,
+        "{kernel}: deadline-exceeded took {elapsed:?} against a {full:?} full run"
+    );
+
+    loader.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn a_one_ms_deadline_stops_mst_boruvka_mid_kernel() {
+    a_one_ms_deadline_stops("mst-boruvka");
+}
+
+#[test]
+fn a_one_ms_deadline_stops_louvain_mid_kernel() {
+    a_one_ms_deadline_stops("louvain");
+}
+
+/// Writes `lines` back to back on one fresh connection and returns
+/// the reader its replies arrive on, in the order they are answered.
+fn pipeline(
+    addr: std::net::SocketAddr,
+    lines: &[String],
+) -> (std::net::TcpStream, impl FnMut() -> Json) {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(lines.concat().as_bytes()).unwrap();
+    let next = move || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a reply line");
+        Json::parse(line.trim()).expect("a JSON reply")
+    };
+    (stream, next)
+}
+
+/// A `run` request line with an `id` and optional envelope members.
+fn run_line(id: i64, kernel: &str, params: &str, extra: &str) -> String {
+    format!(
+        "{{\"op\":\"run\",\"id\":{id},\"kernel\":\"{kernel}\",\"graph\":\"g\",\"params\":{{{params}}}{extra}}}\n"
+    )
+}
+
+/// Loads `gnp(3000, 0.004)` — on which `min-cut`'s default trials run
+/// far longer than any deadline below — and caches `triangle-count`.
+fn start_with_a_hit(config: ServeConfig) -> (gms_serve::ServerHandle, Client) {
+    let handle = Server::start(config).expect("server start");
+    let mut admin = Client::connect(handle.addr()).unwrap();
+    let graph = gms_gen::gnp(3000, 0.004, 3);
+    assert_ok(
+        &admin
+            .load_inline("g", "edge-list", &edge_list(&graph))
+            .unwrap(),
+    );
+    let cold = admin.run("triangle-count", "g", &[]).unwrap();
+    assert_eq!(cold.get("cached"), Some(&Json::Bool(false)));
+    (handle, admin)
+}
+
+fn inline_hits(admin: &mut Client) -> i64 {
+    let stats = admin.stats().unwrap();
+    stats
+        .get("server")
+        .and_then(|s| s.get("inline_hits"))
+        .and_then(Json::as_i64)
+        .expect("stats.server.inline_hits")
+}
+
+#[test]
+fn a_cache_hit_is_answered_while_every_worker_is_busy() {
+    let (handle, mut admin) = start_with_a_hit(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // The cold run holds the only worker for its whole deadline; the
+    // hit pipelined behind it on the same connection replies first.
+    let (_stream, mut next) = pipeline(
+        handle.addr(),
+        &[
+            run_line(1, "min-cut", "", ",\"deadline_ms\":1500"),
+            run_line(2, "triangle-count", "", ""),
+        ],
+    );
+    let first = next();
+    assert_eq!(first.get("id"), Some(&Json::Int(2)), "{}", first.render());
+    assert_eq!(first.get("cached"), Some(&Json::Bool(true)));
+    let second = next();
+    assert_eq!(second.get("id"), Some(&Json::Int(1)), "{}", second.render());
+    assert_eq!(inline_hits(&mut admin), 1);
+
+    admin.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn a_cache_hit_is_answered_when_the_queue_is_full() {
+    let (handle, mut admin) = start_with_a_hit(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServeConfig::default()
+    });
+    // The first cold run takes the worker; once it has, the second
+    // fills the one queue slot, and a third is refused `queue-full`.
+    // The hit behind the first run is answered once the connection
+    // has submitted that run.
+    let (mut stream, mut next) = pipeline(
+        handle.addr(),
+        &[
+            run_line(1, "min-cut", "\"seed\":1", ",\"deadline_ms\":1500"),
+            run_line(0, "triangle-count", "", ""),
+        ],
+    );
+    assert_eq!(next().get("id"), Some(&Json::Int(0)));
+    let queued = |admin: &mut Client| admin.health().unwrap().get("queue_depth").cloned();
+    while queued(&mut admin) != Some(Json::Int(0)) {
+        std::thread::yield_now();
+    }
+    use std::io::Write;
+    let burst = [
+        run_line(2, "min-cut", "\"seed\":2", ",\"deadline_ms\":1500"),
+        run_line(3, "min-cut", "\"seed\":3", ",\"deadline_ms\":1500"),
+        run_line(4, "triangle-count", "", ""),
+    ];
+    stream.write_all(burst.concat().as_bytes()).unwrap();
+    let refused = next();
+    assert_eq!(
+        refused.get("id"),
+        Some(&Json::Int(3)),
+        "{}",
+        refused.render()
+    );
+    assert_eq!(error_code(&refused), "queue-full");
+    let hit = next();
+    assert_eq!(hit.get("id"), Some(&Json::Int(4)), "{}", hit.render());
+    assert_ok(&hit);
+    assert_eq!(hit.get("cached"), Some(&Json::Bool(true)));
+    for _ in 0..2 {
+        next();
+    }
+    assert_eq!(inline_hits(&mut admin), 2);
+
+    admin.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn a_rate_limited_client_is_refused_on_hits_too() {
+    use gms_serve::{ClientBuilder, RateLimit};
+
+    let (handle, mut admin) = start_with_a_hit(ServeConfig {
+        rate_limit: Some(RateLimit {
+            rate_per_sec: 1e-9,
+            burst: 2.0,
+        }),
+        ..ServeConfig::default()
+    });
+    let mut alice = ClientBuilder::new()
+        .client_name("alice")
+        .connect(handle.addr())
+        .unwrap();
+    for _ in 0..2 {
+        let hit = alice.run("triangle-count", "g", &[]).unwrap();
+        assert_eq!(
+            hit.get("cached"),
+            Some(&Json::Bool(true)),
+            "{}",
+            hit.render()
+        );
+    }
+    let refused = alice.run("triangle-count", "g", &[]).unwrap();
+    assert_eq!(error_code(&refused), "rate-limited");
+
+    let stats = admin.stats().unwrap();
+    let clients = stats.get("clients").and_then(Json::as_array).unwrap();
+    let alice = clients
+        .iter()
+        .find(|c| c.get("client").and_then(Json::as_str) == Some("alice"))
+        .expect("alice in stats");
+    for (counter, expected) in [("admitted", 2), ("served", 2), ("rate_limited", 1)] {
+        assert_eq!(alice.get(counter), Some(&Json::Int(expected)), "{counter}");
+    }
+    assert_eq!(inline_hits(&mut admin), 2);
+
+    admin.shutdown().unwrap();
+    handle.join();
+}

@@ -758,7 +758,13 @@ fn router_stats_merge_fleet_counters() {
             .sum()
     };
     let fleet_server = stats.get("fleet").and_then(|f| f.get("server")).unwrap();
-    for key in ["requests", "completed", "rejected", "malformed"] {
+    for key in [
+        "requests",
+        "completed",
+        "inline_hits",
+        "rejected",
+        "malformed",
+    ] {
         assert_eq!(
             fleet_server.get(key).and_then(Json::as_i64),
             Some(sum_of(key)),
@@ -772,6 +778,15 @@ fn router_stats_merge_fleet_counters() {
             .unwrap()
             >= 3,
         "the three runs completed somewhere in the fleet"
+    );
+    // The three graphs share content, hence one shard and one cache
+    // key: the runs on "b" and "c" are hits, answered before the
+    // shard's queue.
+    assert_eq!(
+        fleet_server.get("inline_hits").and_then(Json::as_i64),
+        Some(2),
+        "{}",
+        stats.render()
     );
 
     // The graph table is fleet-wide and every graph has a live home.
