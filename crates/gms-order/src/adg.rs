@@ -7,11 +7,14 @@
 //! fraction of `U` leaves every round, so there are O(log n) rounds
 //! for any ε > 0 (Lemma 7.1: O(m) work, O(log² n) depth), and every
 //! vertex has at most `(2+ε)·d` neighbors ranked later.
+//!
+//! One sequential peel does the O(n + m) work and emits the order
+//! sorted by (round, id) itself; the crate docs give its cost model,
+//! why it is not parallel, and which entry point kernels use.
 
+use crate::degeneracy::later_neighbor_bound;
 use gms_core::{CsrGraph, Graph, NodeId};
 use gms_graph::Rank;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of the approximate degeneracy computation.
 #[derive(Clone, Debug)]
@@ -29,72 +32,150 @@ pub struct ApproxDegeneracy {
     pub out_degree_bound: usize,
 }
 
-/// Computes the (2+ε)-approximate degeneracy order (Algorithm 5).
+/// Computes the (2+ε)-approximate degeneracy order (Algorithm 5) with
+/// its Table 5 diagnostics.
 ///
 /// # Panics
-/// Panics if `epsilon` is negative (ε = 0 no longer guarantees
-/// O(log n) rounds).
+/// Panics unless `epsilon` is finite and non-negative: ε < 0 no longer
+/// guarantees progress, and ε = ∞ makes the threshold ∞·0 = NaN once
+/// the survivors' average degree is 0, so nothing would ever leave.
 pub fn approx_degeneracy_order(graph: &CsrGraph, epsilon: f64) -> ApproxDegeneracy {
-    assert!(epsilon >= 0.0, "epsilon must be non-negative");
-    let n = graph.num_vertices();
-    let degrees: Vec<AtomicU32> = (0..n)
-        .map(|v| AtomicU32::new(graph.degree(v as NodeId) as u32))
-        .collect();
-    let mut alive: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut round_of = vec![0u32; n];
-    let mut round = 0u32;
-
-    while !alive.is_empty() {
-        // δ̂_U: average degree of the surviving subgraph, computed by a
-        // parallel reduction (the paper divides both sides by two; the
-        // factor cancels in the comparison).
-        let degree_sum: u64 = alive
-            .par_iter()
-            .map(|&v| u64::from(degrees[v as usize].load(Ordering::Relaxed)))
-            .sum();
-        let threshold = (1.0 + epsilon) * (degree_sum as f64 / alive.len() as f64);
-
-        // R: the batch removed this round (Line 7). All comparisons use
-        // the snapshot degrees, so the partition is deterministic.
-        let (removed, survivors): (Vec<NodeId>, Vec<NodeId>) = alive
-            .par_iter()
-            .partition(|&&v| f64::from(degrees[v as usize].load(Ordering::Relaxed)) <= threshold);
-
-        // Batch degree update: decrement surviving neighbors of every
-        // removed vertex (conflict-free via atomics).
-        removed.par_iter().for_each(|&v| {
-            for w in graph.neighbors(v) {
-                degrees[w as usize].fetch_sub(1, Ordering::Relaxed);
-            }
-        });
-        // Note: decrements also hit removed vertices' counters; they are
-        // never read again, so no correction is needed.
-
-        for &v in &removed {
-            round_of[v as usize] = round;
-        }
-        alive = survivors;
-        round += 1;
-        debug_assert!(round as usize <= n + 1, "ADG failed to make progress");
-    }
-
-    // η: sort by (round, id) — vertices removed earlier come first.
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.par_sort_unstable_by_key(|&v| (round_of[v as usize], v));
+    let (order, round_of, rounds) = peel(graph, epsilon);
     let rank = Rank::from_order(&order);
-    let out_degree_bound = crate::degeneracy::later_neighbor_bound(graph, &rank);
+    let out_degree_bound = later_neighbor_bound(graph, &rank);
     ApproxDegeneracy {
         rank,
         round_of,
-        rounds: round as usize,
+        rounds,
         out_degree_bound,
     }
+}
+
+/// The ADG rounds: order sorted by (round, id), each vertex's round,
+/// the round count. Panics as [`approx_degeneracy_order`] does.
+pub(crate) fn peel(graph: &CsrGraph, epsilon: f64) -> (Vec<NodeId>, Vec<u32>, usize) {
+    assert!(
+        epsilon.is_finite() && epsilon >= 0.0,
+        "epsilon must be finite and non-negative"
+    );
+    let n = graph.num_vertices();
+    let mut degree: Vec<u32> = (0..n).map(|v| graph.degree(v as NodeId) as u32).collect();
+    let mut alive: Vec<NodeId> = (0..n as NodeId).collect();
+    let mut order = Vec::with_capacity(n);
+    let mut round_of = vec![0u32; n];
+    let mut round = 0u32;
+    while !alive.is_empty() {
+        // δ̂_U (the paper divides both sides by two; the factor cancels).
+        let degree_sum: u64 = alive.iter().map(|&v| u64::from(degree[v as usize])).sum();
+        let threshold = (1.0 + epsilon) * (degree_sum as f64 / alive.len() as f64);
+        // R (Line 7), judged on the degrees at the start of the round.
+        let start = order.len();
+        alive.retain(|&v| {
+            let leaves = f64::from(degree[v as usize]) <= threshold;
+            if leaves {
+                order.push(v);
+                round_of[v as usize] = round;
+            }
+            !leaves
+        });
+        debug_assert!(order.len() > start, "ADG failed to make progress");
+        // Leavers' own counters drop too (each ends at 0, never read).
+        for &v in &order[start..] {
+            for w in graph.neighbors(v) {
+                degree[w as usize] -= 1;
+            }
+        }
+        round += 1;
+    }
+    (order, round_of, round as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degeneracy::degeneracy_order;
+    use crate::OrderingKind;
+    use rayon::prelude::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// The parallel implementation the peel replaced, kept as the
+    /// oracle: atomic decrements, a parallel partition and a final
+    /// sort by (round, id).
+    fn reference(graph: &CsrGraph, epsilon: f64) -> ApproxDegeneracy {
+        assert!(epsilon >= 0.0, "epsilon must be non-negative");
+        let n = graph.num_vertices();
+        let degrees: Vec<AtomicU32> = (0..n)
+            .map(|v| AtomicU32::new(graph.degree(v as NodeId) as u32))
+            .collect();
+        let mut alive: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut round_of = vec![0u32; n];
+        let mut round = 0u32;
+        while !alive.is_empty() {
+            let degree_sum: u64 = alive
+                .par_iter()
+                .map(|&v| u64::from(degrees[v as usize].load(Ordering::Relaxed)))
+                .sum();
+            let threshold = (1.0 + epsilon) * (degree_sum as f64 / alive.len() as f64);
+            let (removed, survivors): (Vec<NodeId>, Vec<NodeId>) =
+                alive.par_iter().partition(|&&v| {
+                    f64::from(degrees[v as usize].load(Ordering::Relaxed)) <= threshold
+                });
+            removed.par_iter().for_each(|&v| {
+                for w in graph.neighbors(v) {
+                    degrees[w as usize].fetch_sub(1, Ordering::Relaxed);
+                }
+            });
+            for &v in &removed {
+                round_of[v as usize] = round;
+            }
+            alive = survivors;
+            round += 1;
+        }
+        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+        order.par_sort_unstable_by_key(|&v| (round_of[v as usize], v));
+        let rank = Rank::from_order(&order);
+        let out_degree_bound = later_neighbor_bound(graph, &rank);
+        ApproxDegeneracy {
+            rank,
+            round_of,
+            rounds: round as usize,
+            out_degree_bound,
+        }
+    }
+
+    #[test]
+    fn peel_matches_the_reference_and_compute_matches_the_peel() {
+        let graphs = [
+            ("empty", CsrGraph::from_undirected_edges(0, &[])),
+            ("edgeless", CsrGraph::from_undirected_edges(7, &[])),
+            ("complete", gms_gen::complete(12)),
+            ("grid", gms_gen::grid(20, 30)),
+            ("gnp", gms_gen::gnp(400, 0.03, 5)),
+            ("kron", gms_gen::kronecker_default(10, 8, 3)),
+            ("ba", gms_gen::barabasi_albert(600, 4, 9)),
+            ("ws", gms_gen::watts_strogatz(500, 6, 0.1, 2)),
+            ("bipartite", gms_gen::bipartite(150, 250, 0.05, 4)),
+            ("cliques", gms_gen::planted_cliques(300, 0.02, 4, 9, 6).0),
+        ];
+        for (name, g) in &graphs {
+            for eps in [0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, f64::MAX] {
+                let expect = reference(g, eps);
+                let got = approx_degeneracy_order(g, eps);
+                assert_eq!(got.rank, expect.rank, "{name} ε={eps}: rank");
+                assert_eq!(got.round_of, expect.round_of, "{name} ε={eps}: round_of");
+                assert_eq!(got.rounds, expect.rounds, "{name} ε={eps}: rounds");
+                assert_eq!(
+                    got.out_degree_bound, expect.out_degree_bound,
+                    "{name} ε={eps}: out_degree_bound"
+                );
+                assert_eq!(
+                    OrderingKind::ApproxDegeneracy(eps).compute(g),
+                    got.rank,
+                    "{name} ε={eps}: compute"
+                );
+            }
+        }
+    }
 
     #[test]
     fn approximation_bound_holds() {
@@ -157,9 +238,26 @@ mod tests {
         let empty = CsrGraph::from_undirected_edges(0, &[]);
         assert_eq!(approx_degeneracy_order(&empty, 0.1).rounds, 0);
         let isolated = CsrGraph::from_undirected_edges(5, &[]);
-        let adg = approx_degeneracy_order(&isolated, 0.1);
-        assert_eq!(adg.rounds, 1, "all isolated vertices leave in round 0");
-        assert_eq!(adg.out_degree_bound, 0);
+        for eps in [0.1, f64::MAX] {
+            let adg = approx_degeneracy_order(&isolated, eps);
+            assert_eq!(
+                adg.rounds, 1,
+                "ε={eps}: all isolated vertices leave in round 0"
+            );
+            assert_eq!(adg.out_degree_bound, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn infinite_epsilon_is_refused() {
+        approx_degeneracy_order(&CsrGraph::from_undirected_edges(5, &[]), f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn nan_epsilon_is_refused() {
+        approx_degeneracy_order(&CsrGraph::from_undirected_edges(5, &[]), f64::NAN);
     }
 
     #[test]

@@ -933,6 +933,43 @@ mod tests {
     use gms_graph::{CompressedCsr, GraphStore};
 
     #[test]
+    fn every_builtin_is_one_answer_at_every_pool_width() {
+        // Planted cliques on a ring: connected, so min-cut and the
+        // component kernels see one structure, and with enough roots
+        // for the parallel drivers to split work.
+        let n = 80;
+        let (planted, _) = gms_gen::planted_cliques(n, 0.06, 3, 8, 11);
+        let mut edges: Vec<(NodeId, NodeId)> = planted.edges_undirected().collect();
+        edges.extend((0..n as NodeId).map(|v| (v, (v + 1) % n as NodeId)));
+        let graph = CsrGraph::from_undirected_edges(n, &edges);
+        let params = Params::new();
+        let answers = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            BUILTINS
+                .iter()
+                .map(|kernel| {
+                    let cx = RunCx::new(GraphView::Raw(&graph), &params, kernel.params);
+                    pool.install(|| execute(kernel, &cx))
+                        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name))
+                })
+                .collect::<Vec<_>>()
+        };
+        let sequential = answers(1);
+        for threads in [2, 4] {
+            for (want, got) in sequential.iter().zip(answers(threads)) {
+                assert!(
+                    got.same_result(want),
+                    "{} at {threads} threads",
+                    want.kernel
+                );
+            }
+        }
+    }
+
+    #[test]
     fn triangle_count_is_one_answer_on_every_resident_width_and_method() {
         let graph = gms_gen::kronecker_default(10, 12, 7);
         let expected = gms_order::triangle_count(&graph);
