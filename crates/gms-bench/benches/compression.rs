@@ -1,11 +1,11 @@
 //! Criterion bench of the compression schemes (Appendix B): encode
-//! and decode throughput of gap/varint, RLE, bit packing, compressed
-//! CSR, and k²-tree construction — the access-cost side of the
-//! storage trade-off (§6.8).
+//! and decode throughput of gap/varint and the build and scan cost of
+//! the compressed CSR against the raw one — the access-cost side of
+//! the storage trade-off (§6.8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gms_core::Graph;
-use gms_graph::compress::{bitpack::BitPacked, gap, k2tree::K2Tree, rle};
+use gms_graph::compress::gap;
 use gms_graph::CompressedCsr;
 use std::hint::black_box;
 
@@ -20,17 +20,6 @@ fn benches(c: &mut Criterion) {
     let encoded = gap::encode(&neighborhood);
     group.bench_function(BenchmarkId::new("gap_decode", "4096"), |b| {
         b.iter(|| black_box(gap::decode(black_box(&encoded), neighborhood.len())))
-    });
-    group.bench_function(BenchmarkId::new("rle_encode", "4096"), |b| {
-        b.iter(|| black_box(rle::encode(black_box(&neighborhood))))
-    });
-    group.bench_function(BenchmarkId::new("bitpack", "4096"), |b| {
-        b.iter(|| {
-            black_box(BitPacked::pack_for_universe(
-                black_box(&neighborhood),
-                40_000,
-            ))
-        })
     });
     group.bench_function(BenchmarkId::new("compressed_csr_build", "kron12"), |b| {
         b.iter(|| black_box(CompressedCsr::from_csr(black_box(&graph))))
@@ -53,10 +42,6 @@ fn benches(c: &mut Criterion) {
             }
             black_box(total)
         })
-    });
-    let small = gms_gen::gnp(512, 0.02, 3);
-    group.bench_function(BenchmarkId::new("k2tree_build", "er512"), |b| {
-        b.iter(|| black_box(K2Tree::from_graph(black_box(&small))))
     });
     group.finish();
 }

@@ -18,7 +18,7 @@
 
 pub mod gallery;
 
-pub use gallery::{fig1_subset, gallery, print_csv, Dataset};
+pub use gallery::{gallery, print_csv, Dataset, FIG1_GRAPHS};
 
 /// Scale factor for the figure binaries, read from `GMS_SCALE`
 /// (default 1). Raise it on beefier machines to stress the kernels.

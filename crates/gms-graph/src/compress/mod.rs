@@ -1,18 +1,7 @@
-//! Graph compression schemes (Figure 3, Appendix B): fine-grained
-//! encodings (varint, bit packing), neighborhood transformations (gap,
-//! run-length, reference encoding), compact offset structures, and
-//! k²-trees. Each scheme trades storage for access cost differently;
-//! the platform exposes them all so those trade-offs can be measured.
+//! The encodings behind [`CompressedCsr`](crate::CompressedCsr)
+//! (Appendix B): varint coding of integers and gap coding of sorted
+//! neighborhoods, the paper's fine-grained encoding and neighborhood
+//! transformation that the resident gap form is built from.
 
-pub mod bitpack;
 pub mod gap;
-pub mod k2tree;
-pub mod offsets;
-pub mod reference;
-pub mod rle;
 pub mod varint;
-
-pub use bitpack::{width_for_universe, BitPacked};
-pub use k2tree::K2Tree;
-pub use offsets::CompactOffsets;
-pub use reference::ReferenceEncodedGraph;

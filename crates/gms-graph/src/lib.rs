@@ -6,15 +6,12 @@
 //! `.gcsr` binary CSR snapshots with an mmap-backed zero-copy read
 //! path), the resident representations a loaded graph is held in
 //! ([`GraphStore`]: raw CSR or gap-compressed, one fingerprint), and
-//! the compression schemes of the paper's storage taxonomy
-//! (Figure 3): varint/gap/run-length/reference encodings, bit packing,
-//! compact offsets, k²-trees, and a compressed CSR that serves the
-//! standard [`Graph`](gms_core::Graph) interface.
+//! the encodings behind the gap-compressed form: varint and gap
+//! coding ([`compress`]) and a compressed CSR that serves the standard
+//! [`Graph`](gms_core::Graph) interface.
 
 #![warn(missing_docs)]
 
-pub mod adjacency_matrix;
-pub mod bitpacked_csr;
 pub mod compress;
 pub mod compressed_csr;
 pub mod io;
@@ -23,8 +20,6 @@ pub mod store;
 pub mod transform;
 pub mod traverse;
 
-pub use adjacency_matrix::AdjacencyMatrix;
-pub use bitpacked_csr::BitPackedCsr;
 pub use compressed_csr::CompressedCsr;
 pub use patch::{patch_csr, EdgeDelta, PatchError};
 pub use store::{fingerprint, fingerprint_graph, GraphStore, GraphView};

@@ -17,13 +17,11 @@
 
 pub mod clustering;
 pub mod community;
-pub mod intersect_routines;
 pub mod linkpred;
 pub mod similarity;
 
 pub use clustering::{jarvis_patrick, num_clusters, JarvisPatrickConfig};
 pub use community::{label_propagation, louvain, louvain_cancellable, modularity, rand_index};
-pub use intersect_routines::{adaptive_choice, common_neighbors_galloping, common_neighbors_merge};
 pub use linkpred::{
     evaluate_accuracy, score_candidates, split_edges, LinkPredictionSplit, ScoredPair,
 };

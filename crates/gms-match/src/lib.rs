@@ -13,17 +13,14 @@
 
 #![warn(missing_docs)]
 
-pub mod fsm;
 pub mod labeled;
 pub mod parallel;
 pub mod vf2;
 
-pub use fsm::{frequent_subgraphs, mni_support, ExplorationStrategy, FrequentPattern, FsmConfig};
 pub use labeled::LabeledGraph;
 pub use parallel::{
     count_embeddings_parallel, count_embeddings_parallel_cancellable, ParallelIsoConfig,
 };
 pub use vf2::{
-    count_embeddings, count_embeddings_cancellable, enumerate_embeddings, is_subgraph, IsoMode,
-    IsoOptions,
+    count_embeddings, count_embeddings_cancellable, enumerate_embeddings, IsoMode, IsoOptions,
 };

@@ -13,11 +13,9 @@
 #![warn(missing_docs)]
 
 pub mod coloring;
-pub mod coloring_orders;
 pub mod mincut;
 pub mod mst;
 
 pub use coloring::{greedy_coloring, johansson, jones_plassmann, verify_coloring};
-pub use coloring_orders::ColoringOrder;
 pub use mincut::{min_cut, min_cut_brute, min_cut_cancellable};
 pub use mst::{boruvka, boruvka_cancellable, forest_weight, kruskal, WeightedEdge};

@@ -531,13 +531,16 @@ pub enum BkVariant {
     /// ParMCE code that the GMS variants' set-layout choices improve
     /// on.
     Das,
-    /// GMS + simple degree ordering, roaring sets.
+    /// GMS + simple degree ordering, dense bitset sets.
     GmsDeg,
-    /// GMS + exact degeneracy order (Eppstein-style), roaring sets.
+    /// GMS + exact degeneracy order (Eppstein-style), dense bitset
+    /// sets.
     GmsDgr,
-    /// GMS + approximate degeneracy order (this paper).
+    /// GMS + approximate degeneracy order (this paper), dense bitset
+    /// sets.
     GmsAdg,
-    /// GMS-ADG plus the induced-subgraph optimization (this paper).
+    /// GMS-ADG plus the induced-subgraph optimization (this paper),
+    /// dense bitset sets.
     GmsAdgS,
 }
 

@@ -19,7 +19,6 @@
 pub mod bk;
 pub mod brute;
 pub mod clique_star;
-pub mod dense;
 pub mod kclique;
 mod local;
 pub mod scratch;
@@ -29,10 +28,6 @@ pub use bk::{
     bron_kerbosch, bron_kerbosch_cancellable, BkConfig, BkOutcome, BkVariant, SubgraphMode,
 };
 pub use clique_star::{k_clique_stars, CliqueStar};
-pub use dense::{
-    densest_subgraph, is_quasi_clique, k_truss_vertices, max_truss, truss_decomposition,
-    DensestSubgraph,
-};
 pub use kclique::{
     k_clique_count, k_clique_count_cancellable, k_clique_count_cancellable_with,
     k_clique_count_with, k_clique_list, KcConfig, KcOutcome, KcParallel, KcVariant,

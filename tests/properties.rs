@@ -2,7 +2,7 @@
 //! must hold for arbitrary generated graphs and arbitrary operation
 //! sequences, spanning multiple crates.
 
-use gms::graph::compress::{gap, rle, varint, BitPacked};
+use gms::graph::compress::{gap, varint};
 use gms::graph::CompressedCsr;
 use gms::order::{approx_degeneracy_order, degeneracy_order, later_neighbor_bound};
 use gms::prelude::*;
@@ -128,22 +128,14 @@ proptest! {
     }
 
     #[test]
-    fn varint_gap_rle_roundtrip(values in proptest::collection::btree_set(0u32..1_000_000, 0..200)) {
+    fn varint_gap_roundtrip(values in proptest::collection::btree_set(0u32..1_000_000, 0..200)) {
         let sorted: Vec<u32> = values.into_iter().collect();
         // Varint.
         let encoded = varint::encode_slice(&sorted);
         prop_assert_eq!(varint::decode_slice(&encoded, sorted.len()), Some(sorted.clone()));
         // Gap.
         let encoded = gap::encode(&sorted);
-        prop_assert_eq!(gap::decode(&encoded, sorted.len()), Some(sorted.clone()));
-        // RLE.
-        let (encoded, runs) = rle::encode(&sorted);
-        prop_assert_eq!(rle::decode(&encoded, runs), Some(sorted.clone()));
-        // Bit packing.
-        if !sorted.is_empty() {
-            let packed = BitPacked::pack_for_universe(&sorted, 1_000_000);
-            prop_assert_eq!(packed.iter().collect::<Vec<_>>(), sorted);
-        }
+        prop_assert_eq!(gap::decode(&encoded, sorted.len()), Some(sorted));
     }
 
     #[test]
