@@ -1,7 +1,8 @@
 //! Dataset I/O throughput probe and format smoke: generates a
 //! Kronecker graph, round-trips it through **every** on-disk format
-//! (SNAP edge list, METIS, `.gcsr` snapshot via both the buffered and
-//! the mmap path), asserts all loads produce the same CSR
+//! (SNAP edge list, METIS, a v1 `.gcsr` snapshot read from bytes and
+//! loaded from its path, a v2 `.gcsr` snapshot loaded from its path
+//! and kept compressed), asserts all loads produce the same content
 //! fingerprint, and pushes the snapshot through a `Session` kernel
 //! run so the cache-across-formats contract is exercised end to end.
 //! CI runs it in release: a format regression fails the pipeline.
@@ -15,7 +16,8 @@
 
 use gms_core::{CsrGraph, Graph};
 use gms_graph::io::{self, GraphFormat, GraphSource};
-use gms_platform::kernel::{fingerprint, Params, Session};
+use gms_graph::CompressedCsr;
+use gms_platform::kernel::{fingerprint, GraphStore, Params, Session};
 use std::path::Path;
 use std::time::Instant;
 
@@ -54,15 +56,15 @@ fn roundtrip(
     graph: &CsrGraph,
     path: &Path,
     write: impl FnOnce(&CsrGraph, &Path),
-    read: impl FnOnce(&Path) -> CsrGraph,
+    read: impl FnOnce(&Path) -> GraphStore,
 ) -> Row {
     let ((), write_ms) = timed(|| write(graph, path));
     let bytes = std::fs::metadata(path).expect("written file").len();
     let (reloaded, read_ms) = timed(|| read(path));
     assert_eq!(
-        fingerprint(&reloaded),
+        reloaded.fingerprint(),
         fingerprint(graph),
-        "{format}: reloaded CSR fingerprint differs from the source graph"
+        "{format}: reloaded graph fingerprint differs from the source graph"
     );
     Row {
         format,
@@ -95,7 +97,7 @@ fn main() {
                 let mut w = std::io::BufWriter::new(std::fs::File::create(p).unwrap());
                 io::write_edge_list(g, &mut w).unwrap();
             },
-            |p| io::load_undirected(p).unwrap(),
+            |p| GraphStore::Csr(io::load_undirected(p).unwrap()),
         ),
         roundtrip(
             "metis",
@@ -105,7 +107,7 @@ fn main() {
                 let mut w = std::io::BufWriter::new(std::fs::File::create(p).unwrap());
                 io::write_metis(g, &mut w).unwrap();
             },
-            |p| io::load_metis(p).unwrap(),
+            |p| GraphStore::Csr(io::load_metis(p).unwrap()),
         ),
         roundtrip(
             "gcsr-read",
@@ -115,15 +117,29 @@ fn main() {
             |p| io::read_snapshot(&std::fs::read(p).unwrap()).unwrap(),
         ),
         roundtrip(
-            "gcsr-mmap",
+            "gcsr-load",
             &graph,
-            &dir.join("g_mmap.gcsr"),
+            &dir.join("g_load.gcsr"),
             |g, p| io::save_snapshot(g, p).unwrap(),
             |p| io::load_snapshot(p).unwrap(),
         ),
+        roundtrip(
+            "gcsr-v2-load",
+            &graph,
+            &dir.join("g_v2.gcsr"),
+            |g, p| io::save_snapshot_compressed(&CompressedCsr::from_csr(g), p).unwrap(),
+            |p| {
+                let loaded = io::load_snapshot(p).unwrap();
+                assert!(
+                    matches!(loaded, GraphStore::Compressed(_)),
+                    "gcsr-v2-load: a v2 snapshot must load compressed"
+                );
+                loaded
+            },
+        ),
     ];
 
-    // Service-layer smoke: snapshot → mmap load → kernel run, then
+    // Service-layer smoke: snapshot → path load → kernel run, then
     // the same graph as an edge list must be served from the cache.
     let mut session = Session::new();
     let from_snapshot = session

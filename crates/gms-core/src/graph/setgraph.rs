@@ -29,19 +29,6 @@ impl<S: Set> SetGraph<S> {
         }
     }
 
-    /// Builds directly from per-vertex sorted adjacency lists.
-    pub fn from_adjacency(adjacency: Vec<Vec<NodeId>>) -> Self {
-        let arcs = adjacency.iter().map(Vec::len).sum();
-        let neighborhoods = adjacency
-            .into_iter()
-            .map(|neigh| S::from_sorted(&neigh))
-            .collect();
-        Self {
-            neighborhoods,
-            arcs,
-        }
-    }
-
     /// Total heap bytes across all neighborhood sets (§8.9).
     pub fn heap_bytes(&self) -> usize {
         self.neighborhoods.iter().map(S::heap_bytes).sum()
@@ -118,13 +105,5 @@ mod tests {
         check::<RoaringSet>();
         check::<DenseBitSet>();
         check::<HashVertexSet>();
-    }
-
-    #[test]
-    fn from_adjacency() {
-        let g: SetGraph<SortedVecSet> =
-            SetGraph::from_adjacency(vec![vec![1], vec![0, 2], vec![1]]);
-        assert_eq!(g.num_arcs(), 4);
-        assert_eq!(g.degree(1), 2);
     }
 }

@@ -189,25 +189,6 @@ pub trait Set: Clone + PartialEq + std::fmt::Debug + Send + Sync + Sized + 'stat
     }
 }
 
-/// Picks an element of `A ∪ B` minimizing `|P ∩ N(u)|`-style scores;
-/// helper used by pivot selection. Kept here because it only needs the
-/// `Set` interface.
-pub fn argmin_over_union<S: Set>(
-    a: &S,
-    b: &S,
-    mut score: impl FnMut(SetElement) -> usize,
-) -> Option<SetElement> {
-    let mut best: Option<(usize, SetElement)> = None;
-    for u in a.iter().chain(b.iter()) {
-        let s = score(u);
-        match best {
-            Some((bs, _)) if bs <= s => {}
-            _ => best = Some((s, u)),
-        }
-    }
-    best.map(|(_, u)| u)
-}
-
 #[cfg(test)]
 pub(crate) mod conformance {
     //! A reusable conformance suite run against every `Set`
@@ -357,15 +338,5 @@ pub(crate) mod conformance {
         assert_ne!(a, c);
         assert!(b.is_subset_of(&S::range(10)));
         assert!(!S::range(10).is_subset_of(&b));
-    }
-
-    #[test]
-    fn argmin_picks_minimum() {
-        let a = SortedVecSet::from_sorted(&[1, 3]);
-        let b = SortedVecSet::from_sorted(&[2]);
-        let got = argmin_over_union(&a, &b, |x| (10 - x) as usize);
-        assert_eq!(got, Some(3));
-        let none = argmin_over_union(&SortedVecSet::empty(), &SortedVecSet::empty(), |_| 0);
-        assert_eq!(none, None);
     }
 }

@@ -184,15 +184,6 @@ impl SortedVecSet {
     pub fn as_slice(&self) -> &[SetElement] {
         &self.elements
     }
-
-    /// Wraps an already-sorted, deduplicated vector without copying.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `elements` is not strictly increasing.
-    pub fn from_sorted_vec(elements: Vec<SetElement>) -> Self {
-        debug_assert!(elements.windows(2).all(|w| w[0] < w[1]));
-        Self { elements }
-    }
 }
 
 impl Set for SortedVecSet {

@@ -28,10 +28,7 @@
 //! carried forward by the decoder, no per-vertex index walk — into
 //! its own disjoint range of one preallocated array:
 //!
-//! * [`CompressedCsr::to_csr`] — the plain CSR; the same function
-//!   serves the mmap-ed `.gcsr` v2 view
-//!   ([`crate::io::MmapSnapshot::to_csr`]) straight off the mapped
-//!   payload;
+//! * [`CompressedCsr::to_csr`] — the plain CSR;
 //! * [`CompressedCsr::orient_by_degree`] — the forward DAG under the
 //!   `(degree, id)` order, filtered while decoding, which is what
 //!   lets set-intersection kernels (triangle counting) run at CSR
@@ -251,7 +248,7 @@ impl Iterator for BlockCursor<'_> {
 /// membership probe binary-searches the samples and decodes at most
 /// one `SAMPLE_EVERY`-entry window.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SkipIndex {
+struct SkipIndex {
     /// Sampled vertices, ascending.
     hubs: Vec<NodeId>,
     /// Start of each hub's samples in `values`/`positions`
@@ -269,7 +266,7 @@ impl SkipIndex {
     /// one `SAMPLE_EVERY`-entry window per bulk-decoder call: the
     /// window's last value and the byte position after it are the
     /// sample.
-    pub(crate) fn build(index: &NbrIndex, payload: &[u8]) -> Self {
+    fn build(index: &NbrIndex, payload: &[u8]) -> Self {
         let mut skips = SkipIndex {
             starts: vec![0],
             ..SkipIndex::default()
@@ -380,18 +377,6 @@ impl CompressedCsr {
         reordered: bool,
     ) -> Self {
         let skips = SkipIndex::build(&index, &payload);
-        Self::assemble(index, skips, payload, arcs, reordered)
-    }
-
-    /// Assembles a compressed graph from parts that already include
-    /// the skip samples (the mmap-to-owned conversion path).
-    pub(crate) fn assemble(
-        index: NbrIndex,
-        skips: SkipIndex,
-        payload: Vec<u8>,
-        arcs: usize,
-        reordered: bool,
-    ) -> Self {
         Self {
             payload,
             index,
@@ -417,11 +402,25 @@ impl CompressedCsr {
         self.reordered
     }
 
-    /// Decompresses back to plain CSR: the offsets come straight from
-    /// the index pair stream, the adjacency is decoded block-parallel
-    /// into one preallocated array (see the module docs).
+    /// Decompresses back to plain CSR, decoding every neighborhood
+    /// exactly once. The offsets are the degree prefix sums of one pass
+    /// over the index pair stream; the adjacency array is allocated
+    /// once at its final size and cut at block boundaries into disjoint
+    /// ranges that decode tasks fill in parallel (see the module
+    /// docs).
     pub fn to_csr(&self) -> CsrGraph {
-        decode_all(&self.index, &self.payload)
+        let (index, payload) = (&self.index, &self.payload[..]);
+        let offsets = index.csr_offsets();
+        let mut targets: Vec<NodeId> = vec![0; offsets[index.len()]];
+        task_regions(index, &offsets, &mut targets)
+            .into_par_iter()
+            .for_each(|(blocks, region)| {
+                let filled = sweep_blocks(index, payload, &offsets, blocks, region, |_, nbrs| {
+                    nbrs.len()
+                });
+                debug_assert_eq!(filled, region.len());
+            });
+        CsrGraph::from_parts(offsets, targets)
     }
 
     /// The forward DAG under the `(degree, id)` order: the arc
@@ -432,8 +431,69 @@ impl CompressedCsr {
     /// neighborhood is decoded exactly once, in parallel; the full raw
     /// adjacency is never held (see the module docs for the transient
     /// cost).
+    ///
+    /// Degrees come from one pass over the index pair stream. The
+    /// blocks are then swept in parallel: each task decodes its
+    /// neighborhoods once, straight into its own range of one buffer,
+    /// and keeps only the forward neighbors, packed at the front of
+    /// the range. A last sequential pass closes the gaps between
+    /// ranges. The buffer has one slot per arc because a task's
+    /// forward count is unknown until it has decoded, and is trimmed
+    /// to the forward half as soon as the sweep is over.
     pub fn orient_by_degree(&self) -> CsrGraph {
-        orient_by_degree(&self.index, &self.payload)
+        let (index, payload) = (&self.index, &self.payload[..]);
+        let n = index.len();
+        let raw = index.csr_offsets();
+        let mut targets: Vec<NodeId> = vec![0; raw[n]];
+        let rank = |v: usize| (raw[v + 1] - raw[v], v);
+
+        // `kept[v + 1]` receives the forward degree of `v`; the counts are
+        // cut at the same block boundaries as the target ranges.
+        let mut kept = vec![0usize; n + 1];
+        let mut counts = &mut kept[1..];
+        let tasks: Vec<_> = task_regions(index, &raw, &mut targets)
+            .into_iter()
+            .map(|(blocks, region)| {
+                let vertices = index.block_vertices(&blocks);
+                let (mine, rest) = std::mem::take(&mut counts).split_at_mut(vertices.len());
+                counts = rest;
+                (blocks, region, mine)
+            })
+            .collect();
+        // Each task reports where its range starts and how long its
+        // packed front is.
+        let fronts: Vec<(usize, usize)> = tasks
+            .into_par_iter()
+            .map(|(blocks, region, counts)| {
+                let first = blocks.start * INDEX_BLOCK;
+                let packed = sweep_blocks(index, payload, &raw, blocks, region, |u, nbrs| {
+                    let key = rank(u);
+                    let mut forward = 0usize;
+                    for i in 0..nbrs.len() {
+                        let v = nbrs[i];
+                        nbrs[forward] = v;
+                        forward += usize::from(rank(v as usize) > key);
+                    }
+                    counts[u - first] = forward;
+                    forward
+                });
+                (raw[first], packed)
+            })
+            .collect();
+
+        // Close the gaps: slide every task's packed front down behind its
+        // predecessor's, then turn the forward degrees into offsets.
+        let mut total = 0usize;
+        for (from, packed) in fronts {
+            targets.copy_within(from..from + packed, total);
+            total += packed;
+        }
+        targets.truncate(total);
+        targets.shrink_to_fit();
+        for v in 0..n {
+            kept[v + 1] += kept[v];
+        }
+        CsrGraph::from_parts(kept, targets)
     }
 
     /// Decodes the neighborhood of `v` into `out`, clearing it first.
@@ -442,7 +502,10 @@ impl CompressedCsr {
     /// scratch buffer, e.g. `gms-pattern`'s `with_worker_scratch`).
     #[inline]
     pub fn decode_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        decode_neighborhood(&self.index, &self.payload, v, out);
+        let entry = self.index.locate(v as usize);
+        let consumed = gap::decode_into(&self.payload[entry.start..], entry.degree, out)
+            .expect("validated payload");
+        debug_assert_eq!(consumed, entry.end - entry.start);
     }
 
     /// Decodes the neighborhood of `v` into a fresh vector.
@@ -496,74 +559,49 @@ impl Graph for CompressedCsr {
         gap::GapDecoder::new(&self.payload[entry.start..entry.end], entry.degree)
     }
 
+    /// The skip-sampled membership probe: jump to the right
+    /// `SAMPLE_EVERY`-entry window via the hub samples, then scan with
+    /// early exit.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        probe_edge(&self.index, &self.skips, &self.payload, u, v)
-    }
-}
-
-/// The skip-sampled membership probe, shared between [`CompressedCsr`]
-/// and the mmap-served compressed snapshot: jump to the right
-/// `SAMPLE_EVERY`-entry window via the hub samples, then scan with
-/// early exit.
-pub(crate) fn probe_edge(
-    index: &NbrIndex,
-    skips: &SkipIndex,
-    payload: &[u8],
-    u: NodeId,
-    v: NodeId,
-) -> bool {
-    let NbrEntry {
-        start, end, degree, ..
-    } = index.locate(u as usize);
-    let mut cursor = &payload[start..end];
-    let mut skipped = 0usize;
-    let mut acc: Option<u32> = None;
-    if degree >= HUB_MIN_DEGREE {
-        if let Some((values, positions)) = skips.samples_of(u) {
-            // Greatest sample strictly below `v` is the resume
-            // point; an exact sample match is already the answer.
-            let j = values.partition_point(|&x| x < v);
-            if j < values.len() && values[j] == v {
-                return true;
-            }
-            if j > 0 {
-                acc = Some(values[j - 1]);
-                cursor = &payload[start + positions[j - 1] as usize..end];
-                skipped = j * SAMPLE_EVERY;
+        let (index, skips, payload) = (&self.index, &self.skips, &self.payload[..]);
+        let NbrEntry {
+            start, end, degree, ..
+        } = index.locate(u as usize);
+        let mut cursor = &payload[start..end];
+        let mut skipped = 0usize;
+        let mut acc: Option<u32> = None;
+        if degree >= HUB_MIN_DEGREE {
+            if let Some((values, positions)) = skips.samples_of(u) {
+                // Greatest sample strictly below `v` is the resume
+                // point; an exact sample match is already the answer.
+                let j = values.partition_point(|&x| x < v);
+                if j < values.len() && values[j] == v {
+                    return true;
+                }
+                if j > 0 {
+                    acc = Some(values[j - 1]);
+                    cursor = &payload[start + positions[j - 1] as usize..end];
+                    skipped = j * SAMPLE_EVERY;
+                }
             }
         }
-    }
-    // Scan forward (≤ SAMPLE_EVERY entries when resumed from a
-    // sample: the next sample is ≥ v) with early exit.
-    for _ in skipped..degree {
-        let Some(gapv) = varint::decode_u32(&mut cursor) else {
-            return false;
-        };
-        let value = match acc {
-            None => gapv,
-            Some(a) => a + gapv,
-        };
-        if value >= v {
-            return value == v;
+        // Scan forward (≤ SAMPLE_EVERY entries when resumed from a
+        // sample: the next sample is ≥ v) with early exit.
+        for _ in skipped..degree {
+            let Some(gapv) = varint::decode_u32(&mut cursor) else {
+                return false;
+            };
+            let value = match acc {
+                None => gapv,
+                Some(a) => a + gapv,
+            };
+            if value >= v {
+                return value == v;
+            }
+            acc = Some(value);
         }
-        acc = Some(value);
+        false
     }
-    false
-}
-
-/// The per-vertex decode shared by the owned and mmap-served
-/// representations: locate `v`, bulk-decode its payload into `out`.
-#[inline]
-pub(crate) fn decode_neighborhood(
-    index: &NbrIndex,
-    payload: &[u8],
-    v: NodeId,
-    out: &mut Vec<NodeId>,
-) {
-    let entry = index.locate(v as usize);
-    let consumed =
-        gap::decode_into(&payload[entry.start..], entry.degree, out).expect("validated payload");
-    debug_assert_eq!(consumed, entry.end - entry.start);
 }
 
 /// Decode tasks per worker: enough slack for stealing to even out
@@ -634,96 +672,6 @@ fn sweep_blocks(
         "decoded bytes must end on the next block anchor"
     );
     front
-}
-
-/// The decode-all path of both the owned [`CompressedCsr`] and the
-/// mmap-served `.gcsr` v2 view: materializes the plain CSR, decoding
-/// every neighborhood exactly once. The offsets are the degree prefix
-/// sums of one pass over the index pair stream; the adjacency array is
-/// allocated once at its final size and cut at block boundaries into
-/// disjoint ranges that [`sweep_blocks`] tasks fill in parallel.
-pub(crate) fn decode_all(index: &NbrIndex, payload: &[u8]) -> CsrGraph {
-    let offsets = index.csr_offsets();
-    let mut targets: Vec<NodeId> = vec![0; offsets[index.len()]];
-    task_regions(index, &offsets, &mut targets)
-        .into_par_iter()
-        .for_each(|(blocks, region)| {
-            let filled = sweep_blocks(index, payload, &offsets, blocks, region, |_, nbrs| {
-                nbrs.len()
-            });
-            debug_assert_eq!(filled, region.len());
-        });
-    CsrGraph::from_parts(offsets, targets)
-}
-
-/// Decode-once degree orientation: the DAG that keeps the arc
-/// `u -> v` iff `(deg u, u) < (deg v, v)`, with vertex IDs unchanged
-/// (no relabel) and forward lists still sorted by ID. Under this
-/// order out-degrees are at most `√(2m)`, which is what bounds the
-/// `|N⁺(u) ∩ N⁺(v)|` work of triangle and clique counting.
-///
-/// Degrees come from one pass over the index pair stream. The blocks
-/// are then swept in parallel ([`sweep_blocks`]): each task decodes
-/// its neighborhoods once, straight into its own range of one buffer,
-/// and keeps only the forward neighbors, packed at the front of the
-/// range. A last sequential pass closes the gaps between ranges.
-/// Transient memory: the buffer has one slot per arc because a task's
-/// forward count is unknown until it has decoded, and is trimmed to
-/// the forward half — one slot per *edge*, which is what the returned
-/// DAG holds — as soon as the sweep is over.
-pub(crate) fn orient_by_degree(index: &NbrIndex, payload: &[u8]) -> CsrGraph {
-    let n = index.len();
-    let raw = index.csr_offsets();
-    let mut targets: Vec<NodeId> = vec![0; raw[n]];
-    let rank = |v: usize| (raw[v + 1] - raw[v], v);
-
-    // `kept[v + 1]` receives the forward degree of `v`; the counts are
-    // cut at the same block boundaries as the target ranges.
-    let mut kept = vec![0usize; n + 1];
-    let mut counts = &mut kept[1..];
-    let tasks: Vec<_> = task_regions(index, &raw, &mut targets)
-        .into_iter()
-        .map(|(blocks, region)| {
-            let vertices = index.block_vertices(&blocks);
-            let (mine, rest) = std::mem::take(&mut counts).split_at_mut(vertices.len());
-            counts = rest;
-            (blocks, region, mine)
-        })
-        .collect();
-    // Each task reports where its range starts and how long its
-    // packed front is.
-    let fronts: Vec<(usize, usize)> = tasks
-        .into_par_iter()
-        .map(|(blocks, region, counts)| {
-            let first = blocks.start * INDEX_BLOCK;
-            let packed = sweep_blocks(index, payload, &raw, blocks, region, |u, nbrs| {
-                let key = rank(u);
-                let mut forward = 0usize;
-                for i in 0..nbrs.len() {
-                    let v = nbrs[i];
-                    nbrs[forward] = v;
-                    forward += usize::from(rank(v as usize) > key);
-                }
-                counts[u - first] = forward;
-                forward
-            });
-            (raw[first], packed)
-        })
-        .collect();
-
-    // Close the gaps: slide every task's packed front down behind its
-    // predecessor's, then turn the forward degrees into offsets.
-    let mut total = 0usize;
-    for (from, packed) in fronts {
-        targets.copy_within(from..from + packed, total);
-        total += packed;
-    }
-    targets.truncate(total);
-    targets.shrink_to_fit();
-    for v in 0..n {
-        kept[v + 1] += kept[v];
-    }
-    CsrGraph::from_parts(kept, targets)
 }
 
 #[cfg(test)]

@@ -17,13 +17,13 @@
 //! the router load through: a [`GraphFormat`] and a path-or-text
 //! [`GraphSource`] in, a [`GraphStore`] out — in
 //! the representation the source stored. The per-format functions
-//! below it stay public for callers that hold a reader or want a
-//! plain CSR.
+//! below it stay public for callers that hold a reader or a buffer.
 //!
 //! Text loaders stream line by line over any [`std::io::BufRead`]
 //! source (a multi-gigabyte dump is never materialized as one
-//! `String`); the binary snapshot has both a copying reader and an
-//! mmap-backed zero-copy view ([`MmapSnapshot`]).
+//! `String`); the binary snapshot is read by one validating reader,
+//! over a byte buffer ([`read_snapshot`]) or a mapped file
+//! ([`load_snapshot`]).
 //!
 //! # The `.gcsr` snapshot layout, byte for byte
 //!
@@ -82,12 +82,9 @@
 //! validation time: every block anchor and block start must agree
 //! with the pair stream, every neighborhood must decode to strictly
 //! ascending in-range vertices in exactly its declared byte length,
-//! and the byte lengths and degrees must sum to `p` and `a`. The v1
-//! header is 40 bytes, so the offsets section starts 8-byte aligned
-//! and the targets section 4-byte aligned: a page-aligned mmap of the
-//! file can serve both sections in place. The v2 payload is a byte
-//! stream with no alignment requirement, served from the mapping
-//! as-is and decompressed per neighborhood on demand.
+//! and the byte lengths and degrees must sum to `p` and `a`. A v2
+//! body loads as a compressed graph: its payload is copied as-is and
+//! decompressed per neighborhood on demand.
 //!
 //! # Errors
 //!
@@ -108,9 +105,8 @@ pub use metis::{
     load_metis, load_metis_from, read_metis_header, write_metis, MetisFmt, MetisHeader,
 };
 pub use snapshot::{
-    load_snapshot, load_snapshot_auto, read_snapshot, read_snapshot_auto, save_snapshot,
-    save_snapshot_compressed, section_checksum, write_snapshot, write_snapshot_compressed,
-    MmapSnapshot, SnapshotNeighbors, GCSR_FLAG_REORDERED, GCSR_HEADER_BYTES, GCSR_MAGIC,
+    load_snapshot, read_snapshot, save_snapshot, save_snapshot_compressed, section_checksum,
+    write_snapshot, write_snapshot_compressed, GCSR_FLAG_REORDERED, GCSR_HEADER_BYTES, GCSR_MAGIC,
     GCSR_SCHEME_GAP, GCSR_V2_HEADER_BYTES, GCSR_VERSION, GCSR_VERSION_COMPRESSED,
 };
 
@@ -177,7 +173,7 @@ pub fn load_graph(
         (GraphFormat::Metis, GraphSource::Text(text)) => {
             GraphStore::Csr(load_metis_from(text.as_bytes())?)
         }
-        (GraphFormat::Gcsr, GraphSource::Path(path)) => load_snapshot_auto(path)?,
+        (GraphFormat::Gcsr, GraphSource::Path(path)) => load_snapshot(path)?,
         (GraphFormat::Gcsr, GraphSource::Text(_)) => {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,

@@ -3,8 +3,7 @@
 //! Graph storage utilities for GraphMineSuite-rs: transformations
 //! (relabeling, rank orientation, induced subgraphs), multi-format
 //! dataset I/O ([`io`]: SNAP edge lists, METIS files, and versioned
-//! `.gcsr` binary CSR snapshots with an mmap-backed zero-copy read
-//! path), the resident representations a loaded graph is held in
+//! `.gcsr` binary CSR snapshots), the resident representations a loaded graph is held in
 //! ([`GraphStore`]: raw CSR or gap-compressed, one fingerprint), and
 //! the encodings behind the gap-compressed form: varint and gap
 //! coding ([`compress`]) and a compressed CSR that serves the standard

@@ -10,8 +10,7 @@
 //! allocator and asserts zero allocations across a full
 //! every-vertex decode sweep and an `has_edge` probe matrix — and
 //! across the same sweeps driven straight off the block cursor
-//! (`degree`, streamed `neighbors`) and off an mmap-served `.gcsr` v2
-//! file, which share that cursor and the bulk decoder.
+//! (`degree`, streamed `neighbors`).
 //!
 //! Everything runs in a single `#[test]` because the allocator is
 //! process-global: concurrent tests would pollute the counter.
@@ -20,7 +19,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gms_core::{Graph, NodeId};
-use gms_graph::io::{save_snapshot_compressed, MmapSnapshot};
 use gms_graph::CompressedCsr;
 
 struct CountingAllocator;
@@ -119,22 +117,4 @@ fn warmed_decode_and_has_edge_never_allocate() {
     });
     assert_eq!((degree_sum, streamed), (graph.num_arcs(), graph.num_arcs()));
     assert_eq!(allocs, 0, "the block-cursor sweep allocated");
-
-    // The mmap-served view of the same graph goes through the same
-    // cursor and decoder: once open and warmed, its sweep is
-    // allocation-free too.
-    let path = std::env::temp_dir().join(format!("gms_alloc_free_{}.gcsr", std::process::id()));
-    save_snapshot_compressed(&compressed, &path).unwrap();
-    let mapped = MmapSnapshot::open(&path).unwrap();
-    mapped.decode_into(hub, &mut scratch);
-    let mut total_decoded = 0usize;
-    let allocs = allocations_during(|| {
-        for v in 0..n {
-            mapped.decode_into(v, &mut scratch);
-            total_decoded += scratch.len() + mapped.degree(v);
-        }
-    });
-    std::fs::remove_file(&path).ok();
-    assert_eq!(total_decoded, 2 * graph.num_arcs(), "mmap sweep lost arcs");
-    assert_eq!(allocs, 0, "the mmap-served decode sweep allocated");
 }

@@ -9,7 +9,7 @@
 //! new generator or format quirk (isolated vertices, empty graphs,
 //! hubs, bipartite halves) is caught automatically.
 
-use gms_core::{CsrGraph, Edge, Graph, NodeId};
+use gms_core::{CsrGraph, Edge, NodeId};
 use gms_graph::io;
 use gms_graph::{CompressedCsr, GraphStore};
 use proptest::collection::vec;
@@ -31,14 +31,14 @@ fn through_metis(g: &CsrGraph) -> CsrGraph {
 fn through_snapshot(g: &CsrGraph) -> CsrGraph {
     let mut buf = Vec::new();
     io::write_snapshot(g, &mut buf).unwrap();
-    io::read_snapshot(&buf).unwrap()
+    io::read_snapshot(&buf).unwrap().into_csr()
 }
 
-fn through_mmap(g: &CsrGraph, tag: &str) -> CsrGraph {
+fn through_snapshot_file(g: &CsrGraph, tag: &str) -> CsrGraph {
     let path =
         std::env::temp_dir().join(format!("gms_roundtrip_{}_{tag}.gcsr", std::process::id()));
     io::save_snapshot(g, &path).unwrap();
-    let reloaded = io::load_snapshot(&path).unwrap();
+    let reloaded = io::load_snapshot(&path).unwrap().into_csr();
     std::fs::remove_file(&path).ok();
     reloaded
 }
@@ -48,28 +48,28 @@ fn through_compressed(g: &CsrGraph) -> CsrGraph {
 }
 
 /// CsrGraph → CompressedCsr → v2 snapshot bytes → CompressedCsr →
-/// CsrGraph, checking the auto-detecting reader keeps the body
-/// compressed.
+/// CsrGraph, checking the reader keeps the body compressed.
 fn through_v2_snapshot(g: &CsrGraph, tag: &str) -> CsrGraph {
     let mut buf = Vec::new();
     io::write_snapshot_compressed(&CompressedCsr::from_csr(g), &mut buf).unwrap();
-    match io::read_snapshot_auto(&buf).unwrap() {
+    match io::read_snapshot(&buf).unwrap() {
         GraphStore::Compressed(c) => c.to_csr(),
         GraphStore::Csr(_) => panic!("{tag}: v2 snapshot must reload compressed"),
     }
 }
 
-fn through_v2_mmap(g: &CsrGraph, tag: &str) -> CsrGraph {
+fn through_v2_snapshot_file(g: &CsrGraph, tag: &str) -> CsrGraph {
     let path = std::env::temp_dir().join(format!(
         "gms_roundtrip_v2_{}_{tag}.gcsr",
         std::process::id()
     ));
     io::save_snapshot_compressed(&CompressedCsr::from_csr(g), &path).unwrap();
-    let snap = io::MmapSnapshot::open(&path).unwrap();
-    assert!(snap.is_compressed(), "{tag}: v2 file must open compressed");
-    let reloaded = snap.to_csr();
+    let loaded = io::load_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    reloaded
+    match loaded {
+        GraphStore::Compressed(c) => c.to_csr(),
+        GraphStore::Csr(_) => panic!("{tag}: v2 file must load compressed"),
+    }
 }
 
 /// The cross-format oracle: every format — text, raw binary, and
@@ -78,10 +78,14 @@ fn assert_all_formats_roundtrip(g: &CsrGraph, tag: &str) {
     assert_eq!(&through_edge_list(g), g, "{tag}: edge list");
     assert_eq!(&through_metis(g), g, "{tag}: METIS");
     assert_eq!(&through_snapshot(g), g, "{tag}: snapshot (buffered)");
-    assert_eq!(&through_mmap(g, tag), g, "{tag}: snapshot (mmap)");
+    assert_eq!(&through_snapshot_file(g, tag), g, "{tag}: snapshot (file)");
     assert_eq!(&through_compressed(g), g, "{tag}: compressed CSR");
     assert_eq!(&through_v2_snapshot(g, tag), g, "{tag}: v2 snapshot");
-    assert_eq!(&through_v2_mmap(g, tag), g, "{tag}: v2 snapshot (mmap)");
+    assert_eq!(
+        &through_v2_snapshot_file(g, tag),
+        g,
+        "{tag}: v2 snapshot (file)"
+    );
 }
 
 proptest! {
@@ -159,24 +163,6 @@ fn every_generator_roundtrips_through_every_format() {
     for (name, g) in &gallery {
         assert_all_formats_roundtrip(g, name);
     }
-}
-
-#[test]
-fn mmap_view_equals_owned_graph_without_copying_targets() {
-    // The zero-copy view must serve the same access interface as the
-    // owned CSR it snapshots.
-    let g = gms_gen::kronecker_default(8, 7, 31);
-    let path = std::env::temp_dir().join(format!("gms_view_eq_{}.gcsr", std::process::id()));
-    io::save_snapshot(&g, &path).unwrap();
-    let snap = io::MmapSnapshot::open(&path).unwrap();
-    assert_eq!(snap.num_vertices(), g.num_vertices());
-    assert_eq!(snap.num_arcs(), g.num_arcs());
-    assert_eq!(snap.offsets(), g.offsets());
-    assert_eq!(snap.targets(), g.adjacency());
-    for v in g.vertices() {
-        assert_eq!(snap.neighbors_slice(v), g.neighbors_slice(v));
-    }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The one loader's matrix: every format by path, the text formats

@@ -3,19 +3,18 @@
 //! [`GraphIoError`] with the right line/cause — and **never** panic.
 //! Together these tests exercise every variant of [`GraphIoCause`].
 //!
-//! Snapshot corruptions are checked through both read paths (the
-//! buffered [`read_snapshot`] and the mmap-backed
-//! [`MmapSnapshot::open`]) so the two validators cannot drift apart,
-//! and every corpus entry is also fed to [`load_graph`] — the one
-//! loader the platform, the server and the router call — which must
-//! stop at the same line for the same cause as the per-format
-//! function.
+//! Snapshot corruptions are checked through both sources of the one
+//! reader (a byte buffer through [`read_snapshot`] and a file through
+//! [`load_snapshot`]), and every corpus entry is also fed to
+//! [`load_graph`] — the one loader the platform, the server and the
+//! router call — which must stop at the same line for the same cause
+//! as the per-format function.
 
 use gms_core::{CsrGraph, Graph};
 use gms_graph::io::{
-    load_graph, load_metis_from, load_undirected, load_undirected_from, read_edge_list,
-    read_snapshot, section_checksum, write_snapshot, write_snapshot_compressed, GraphFormat,
-    GraphIoCause, GraphIoError, GraphSource, MmapSnapshot, GCSR_HEADER_BYTES, GCSR_V2_HEADER_BYTES,
+    load_graph, load_metis_from, load_snapshot, load_undirected, load_undirected_from,
+    read_edge_list, read_snapshot, section_checksum, write_snapshot, write_snapshot_compressed,
+    GraphFormat, GraphIoCause, GraphIoError, GraphSource, GCSR_HEADER_BYTES, GCSR_V2_HEADER_BYTES,
     GCSR_VERSION, GCSR_VERSION_COMPRESSED,
 };
 use gms_graph::CompressedCsr;
@@ -251,8 +250,8 @@ fn sample_bytes() -> Vec<u8> {
     buf
 }
 
-/// Checks one corrupt buffer through both snapshot read paths and
-/// asserts both report the same cause (by discriminant).
+/// Checks one corrupt buffer as bytes and as a file and asserts both
+/// report the same cause (by discriminant).
 fn snapshot_err(bytes: &[u8], what: &str) -> GraphIoError {
     let buffered = read_snapshot(bytes).unwrap_err();
     let path = std::env::temp_dir().join(format!(
@@ -260,13 +259,13 @@ fn snapshot_err(bytes: &[u8], what: &str) -> GraphIoError {
         std::process::id()
     ));
     std::fs::write(&path, bytes).unwrap();
-    let mapped = MmapSnapshot::open(&path).unwrap_err();
-    assert_same_through_load_graph(&mapped, GraphFormat::Gcsr, GraphSource::Path(&path));
+    let loaded = load_snapshot(&path).unwrap_err();
+    assert_same_through_load_graph(&loaded, GraphFormat::Gcsr, GraphSource::Path(&path));
     std::fs::remove_file(&path).ok();
     assert_eq!(
         std::mem::discriminant(&buffered.cause),
-        std::mem::discriminant(&mapped.cause),
-        "{what}: buffered and mmap paths disagree: {buffered:?} vs {mapped:?}"
+        std::mem::discriminant(&loaded.cause),
+        "{what}: bytes and file disagree: {buffered:?} vs {loaded:?}"
     );
     assert_eq!(buffered.line, None, "{what}: binary errors carry no line");
     buffered
@@ -678,6 +677,72 @@ fn v2_overflowing_fifth_varint_byte_is_refused_at_load() {
         ),
         "{err:?}"
     );
+}
+
+/// Re-fixes the section checksums of a corrupted buffer whenever its
+/// header still places the sections inside it, so the corruption
+/// reaches the structural checks behind them.
+fn refix_checksums(bytes: &mut [u8]) {
+    let header = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as u128;
+    let len = bytes.len() as u128;
+    match u32::from_le_bytes(bytes[4..8].try_into().unwrap()) {
+        GCSR_VERSION if GCSR_HEADER_BYTES as u128 + 8 * (header(8) + 1) <= len => {
+            fix_checksums(bytes)
+        }
+        GCSR_VERSION_COMPRESSED if GCSR_V2_HEADER_BYTES as u128 + header(32) <= len => {
+            fix_v2_checksums(bytes)
+        }
+        _ => {}
+    }
+}
+
+/// Every byte of the small v1 and v2 samples, XORed with each of a
+/// few masks and re-checksummed, must either fail with the same typed
+/// error as bytes and as a file, or load — both ways alike — into a
+/// graph that keeps the CSR invariants.
+#[test]
+fn every_byte_flip_is_a_typed_error_or_a_sound_graph() {
+    let path =
+        std::env::temp_dir().join(format!("gms_adversarial_{}_flip.gcsr", std::process::id()));
+    for (version, pristine) in [("v1", sample_bytes()), ("v2", v2_sample_bytes())] {
+        for at in 0..pristine.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let what = format!("{version} byte {at} ^ {mask:#04x}");
+                let mut bytes = pristine.clone();
+                bytes[at] ^= mask;
+                refix_checksums(&mut bytes);
+                std::fs::write(&path, &bytes).unwrap();
+                match (
+                    read_snapshot(&bytes),
+                    load_graph(GraphFormat::Gcsr, GraphSource::Path(&path)),
+                ) {
+                    (Err(buffered), Err(loaded)) => {
+                        assert_eq!(
+                            std::mem::discriminant(&buffered.cause),
+                            std::mem::discriminant(&loaded.cause),
+                            "{what}: {buffered:?} vs {loaded:?}"
+                        );
+                        assert_eq!(buffered.line, None, "{what}");
+                    }
+                    (Ok(buffered), Ok(loaded)) => {
+                        let csr = buffered.to_csr();
+                        let n = csr.num_vertices();
+                        let offsets = csr.offsets();
+                        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                        assert_eq!(offsets[n], csr.num_arcs(), "{what}");
+                        for v in csr.vertices() {
+                            let nbrs = csr.neighbors_slice(v);
+                            assert!(nbrs.iter().all(|&u| (u as usize) < n), "{what}");
+                            assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "{what}");
+                        }
+                        assert_eq!(csr, loaded.to_csr(), "{what}");
+                    }
+                    (buffered, loaded) => panic!("{what}: {buffered:?} vs {loaded:?}"),
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

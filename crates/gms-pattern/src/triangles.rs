@@ -237,13 +237,13 @@ mod tests {
         ]
     }
 
-    /// A `.gcsr` v2 file written and loaded back through the mmap path.
-    fn through_mmap(compressed: &CompressedCsr, name: &str) -> CompressedCsr {
-        use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed};
+    /// A `.gcsr` v2 file written and loaded back.
+    fn through_gcsr(compressed: &CompressedCsr, name: &str) -> CompressedCsr {
+        use gms_graph::io::{load_snapshot, save_snapshot_compressed};
         use gms_graph::GraphStore;
         let path = std::env::temp_dir().join(format!("gms_tri_{}_{name}.gcsr", std::process::id()));
         save_snapshot_compressed(compressed, &path).unwrap();
-        let loaded = load_snapshot_auto(&path).unwrap();
+        let loaded = load_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
         match loaded {
             GraphStore::Compressed(c) => c,
@@ -259,12 +259,12 @@ mod tests {
             // Locality reordering relabels vertices; the triangle count
             // is an isomorphism invariant and must not change.
             let reordered = CompressedCsr::from_csr_ordered(g, &gms_order::bfs_order(g, 0));
-            let mapped = through_mmap(&gap, name);
+            let from_file = through_gcsr(&gap, name);
             assert_eq!(triangle_count_rank_merge(g), expected, "{name} / raw");
             for (resident, compressed) in [
                 ("gap", &gap),
                 ("gap+reorder", &reordered),
-                ("mmap", &mapped),
+                ("gcsr v2", &from_file),
             ] {
                 assert_eq!(
                     triangle_count_compressed(compressed),

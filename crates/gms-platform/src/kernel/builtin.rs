@@ -929,7 +929,7 @@ fn order(cx: &RunCx<'_>, compute: impl FnOnce(&CsrGraph) -> Rank) -> Mined {
 mod tests {
     use super::*;
     use crate::kernel::execute;
-    use gms_graph::io::{load_snapshot_auto, save_snapshot_compressed};
+    use gms_graph::io::{load_snapshot, save_snapshot_compressed};
     use gms_graph::{CompressedCsr, GraphStore};
 
     #[test]
@@ -978,9 +978,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("gms_builtin_tri_{}.gcsr", std::process::id()));
         save_snapshot_compressed(&gap, &path).unwrap();
-        let loaded = load_snapshot_auto(&path).unwrap();
+        let loaded = load_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let GraphStore::Compressed(mapped) = loaded else {
+        let GraphStore::Compressed(from_file) = loaded else {
             panic!("a v2 snapshot stays compressed");
         };
         let kernel = BUILTINS
@@ -991,7 +991,7 @@ mod tests {
             ("raw", GraphView::Raw(&graph)),
             ("gap", GraphView::Compressed(&gap)),
             ("gap+reorder", GraphView::Compressed(&reordered)),
-            ("mmap v2", GraphView::Compressed(&mapped)),
+            ("gcsr v2", GraphView::Compressed(&from_file)),
         ];
         for threads in [1, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -30,7 +30,7 @@ pub struct GraphHandle(pub(super) usize);
 /// How [`Session::save_snapshot_with`] encodes the `.gcsr` body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotCompression {
-    /// Version 1: the raw CSR arrays, mmap-servable in place.
+    /// Version 1: the raw CSR arrays.
     Raw,
     /// Version 2: gap+varint compressed neighborhoods in the original
     /// vertex order — same fingerprint as the raw graph.

@@ -16,10 +16,6 @@
 //!   no `MmapOptions` offsets or lengths.
 //! * The buffered fallback rewinds the file handle it reads from
 //!   (real memmap2 never touches the cursor).
-//! * **Alignment guarantee:** the mapped bytes always start on an
-//!   8-byte boundary — pages from `mmap`, a `u64`-backed buffer in
-//!   the fallback — so zero-copy reinterpretation of little-endian
-//!   `u32`/`u64` sections (the `.gcsr` reader) is always possible.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -51,9 +47,8 @@ enum Inner {
     /// A live `mmap(2)` region, unmapped on drop.
     #[cfg(unix)]
     Mapped { ptr: *const u8, len: usize },
-    /// Owned copy of the file. Backed by a `Vec<u64>` so the base
-    /// address is 8-byte aligned like a page-aligned mapping.
-    Owned { buf: Vec<u64>, len: usize },
+    /// Owned copy of the file.
+    Owned(Vec<u8>),
 }
 
 /// A read-only memory map of an entire file.
@@ -109,13 +104,10 @@ impl Mmap {
 
         let mut reader = file;
         reader.seek(SeekFrom::Start(0))?;
-        let mut buf: Vec<u64> = vec![0; len.div_ceil(8)];
-        // Viewing the u64 buffer as bytes keeps the 8-byte base
-        // alignment the crate docs promise.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), len) };
-        reader.read_exact(bytes)?;
+        let mut buf = Vec::with_capacity(len);
+        reader.read_to_end(&mut buf)?;
         Ok(Mmap {
-            inner: Inner::Owned { buf, len },
+            inner: Inner::Owned(buf),
         })
     }
 }
@@ -127,9 +119,7 @@ impl Deref for Mmap {
         match &self.inner {
             #[cfg(unix)]
             Inner::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            Inner::Owned { buf, len } => unsafe {
-                std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), *len)
-            },
+            Inner::Owned(buf) => buf,
         }
     }
 }
@@ -150,7 +140,7 @@ impl std::fmt::Debug for Mmap {
         let kind = match &self.inner {
             #[cfg(unix)]
             Inner::Mapped { .. } => "mapped",
-            Inner::Owned { .. } => "owned",
+            Inner::Owned(_) => "owned",
         };
         f.debug_struct("Mmap")
             .field("kind", &kind)
@@ -186,18 +176,6 @@ mod tests {
         let file = File::open(&path).unwrap();
         let map = unsafe { Mmap::map(&file) }.unwrap();
         assert!(map.is_empty());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn base_address_is_eight_byte_aligned() {
-        // Both variants promise this; the snapshot reader's zero-copy
-        // section views rely on it.
-        let path = temp_file("aligned", &[7u8; 4096 + 3]);
-        let file = File::open(&path).unwrap();
-        let map = unsafe { Mmap::map(&file) }.unwrap();
-        assert_eq!(map.as_ptr() as usize % 8, 0);
-        assert_eq!(map.len(), 4096 + 3);
         std::fs::remove_file(path).ok();
     }
 

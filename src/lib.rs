@@ -102,7 +102,7 @@
 //! | module | contents | paper section |
 //! |---|---|---|
 //! | [`core`] | `Set` trait + 5 layouts, CSR, set-centric graphs | §5.1–5.3 |
-//! | [`graph`] | transforms, dataset I/O (edge list / METIS / `.gcsr` snapshots + mmap), the gap-compressed CSR (varint + gap coding) | §5, App. B |
+//! | [`graph`] | transforms, dataset I/O (edge list / METIS / `.gcsr` snapshots), the gap-compressed CSR (varint + gap coding) | §5, App. B |
 //! | [`gen`] | ER, Kronecker, planted structures, grids | §4.2 |
 //! | [`order`] | DEG / DGR / ADG / triangle rank, k-cores | §6.1 |
 //! | [`pattern`] | Bron–Kerbosch, k-cliques, clique-stars, triangles | §6.2–6.3, 6.6 |

@@ -54,12 +54,12 @@ fn mining_results_are_representation_independent() {
 #[test]
 fn on_disk_formats_are_equivalent_storage() {
     // Cross-format equivalence oracle: the three dataset formats
-    // (SNAP edge list, METIS, .gcsr snapshot — buffered and mmapped)
-    // are just one more family of interchangeable storage backends.
-    // For the whole gallery, every format must reproduce the CSR
-    // exactly, the mmap view must serve the same access interface
-    // without materializing the graph, and a mining kernel must not
-    // be able to tell the loads apart.
+    // (SNAP edge list, METIS, .gcsr snapshot — from bytes and from a
+    // file) are just one more family of interchangeable storage
+    // backends. For the whole gallery, every format must reproduce
+    // the CSR exactly, the file load must serve the same access
+    // interface, and a mining kernel must not be able to tell the
+    // loads apart.
     use gms::graph::io;
     let dir = std::env::temp_dir().join(format!("gms_storage_io_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -76,8 +76,8 @@ fn on_disk_formats_are_equivalent_storage() {
         io::save_snapshot(&g, &path).unwrap();
         let mut snapshot_bytes = Vec::new();
         io::write_snapshot(&g, &mut snapshot_bytes).unwrap();
-        let via_buffer = io::read_snapshot(&snapshot_bytes).unwrap();
-        let mapped = io::MmapSnapshot::open(&path).unwrap();
+        let via_buffer = io::read_snapshot(&snapshot_bytes).unwrap().into_csr();
+        let via_file = io::load_snapshot(&path).unwrap().into_csr();
 
         for (format, reloaded) in [
             ("edge list", &via_text),
@@ -86,13 +86,17 @@ fn on_disk_formats_are_equivalent_storage() {
         ] {
             assert_eq!(reloaded, &g, "{name} via {format}");
         }
-        // The mmap view serves the access interface in place.
+        // The file load serves the same access interface.
         for v in g.vertices() {
-            assert_eq!(mapped.neighbors_slice(v), g.neighbors_slice(v), "{name}");
+            assert_eq!(via_file.neighbors_slice(v), g.neighbors_slice(v), "{name}");
         }
         for u in g.vertices().step_by(7) {
             for v in g.vertices().step_by(11) {
-                assert_eq!(mapped.has_edge(u, v), g.has_edge(u, v), "{name} mmap edge");
+                assert_eq!(
+                    via_file.has_edge(u, v),
+                    g.has_edge(u, v),
+                    "{name} file edge"
+                );
             }
         }
         // And mining cannot tell the formats apart.
@@ -103,7 +107,7 @@ fn on_disk_formats_are_equivalent_storage() {
             "{name}"
         );
         assert_eq!(
-            BkVariant::GmsDgr.run(&mapped.to_csr()).clique_count,
+            BkVariant::GmsDgr.run(&via_file).clique_count,
             expected,
             "{name}"
         );
