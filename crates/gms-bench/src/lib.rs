@@ -6,7 +6,7 @@
 //! the paper shape it checks):
 //!
 //! ```sh
-//! cargo run --release -p gms-bench --bin fig04_bk_speedups
+//! cargo run --release -p gms-bench --bin fig01_bk_throughput
 //! cargo run --release -p gms-bench --bin tab07_datasets
 //! # ...
 //! ```

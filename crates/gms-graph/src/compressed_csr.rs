@@ -36,17 +36,11 @@
 //!   sweep runs, trimmed to one per *edge* (half the raw adjacency)
 //!   plus `n + 1` offsets for the DAG it returns.
 //!
-//! Around them:
-//!
-//! * [`Graph::has_edge`] is skip-sampled: every 32nd neighbor of a
-//!   high-degree vertex is recorded with its payload byte position at
-//!   build time, so a membership probe jumps to the right 32-entry
-//!   window instead of walking the whole neighborhood;
-//! * [`CompressedCsr::from_csr_ordered`] relabels the graph by a
-//!   locality ordering (e.g. [BFS](https://en.wikipedia.org/wiki/Breadth-first_search)
-//!   order from `gms-order`) before gap-encoding — neighbors get
-//!   nearby IDs, gaps shrink, varints shorten — and
-//!   [`CompressedCsr::bytes_per_arc`] reports the achieved size.
+//! Around them, [`CompressedCsr::from_csr_ordered`] relabels the graph
+//! by a locality ordering (e.g. [BFS](https://en.wikipedia.org/wiki/Breadth-first_search)
+//! order from `gms-order`) before gap-encoding — neighbors get nearby
+//! IDs, gaps shrink, varints shorten — and
+//! [`CompressedCsr::bytes_per_arc`] reports the achieved size.
 
 use crate::compress::{gap, varint};
 use crate::transform::{relabel, Rank};
@@ -58,14 +52,6 @@ use std::ops::Range;
 /// `INDEX_BLOCK` vertices, varint `(byte_len, degree)` pairs in
 /// between. Part of the `.gcsr` v2 on-disk contract.
 pub const INDEX_BLOCK: usize = 64;
-
-/// `has_edge` sampling stride: every `SAMPLE_EVERY`-th decoded
-/// neighbor of a hub vertex is recorded as a skip sample.
-const SAMPLE_EVERY: usize = 32;
-
-/// Minimum degree for a vertex to get skip samples; below this a
-/// linear early-exit scan wins anyway.
-const HUB_MIN_DEGREE: usize = 2 * SAMPLE_EVERY;
 
 /// The per-vertex index of a compressed adjacency payload: absolute
 /// 64-bit payload anchors every [`INDEX_BLOCK`] vertices plus a varint
@@ -198,7 +184,6 @@ impl NbrIndex {
 /// and how many neighbors it encodes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct NbrEntry {
-    pub(crate) vertex: usize,
     /// Payload byte range of the neighborhood.
     pub(crate) start: usize,
     pub(crate) end: usize,
@@ -218,7 +203,7 @@ impl Iterator for BlockCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NbrEntry> {
-        let vertex = self.vertices.next()?;
+        self.vertices.next()?;
         let (len, degree) = match *self.pairs {
             // Two single-byte varints: every vertex with fewer than
             // 128 neighbors in fewer than 128 payload bytes.
@@ -234,7 +219,6 @@ impl Iterator for BlockCursor<'_> {
         let start = self.offset;
         self.offset += len;
         Some(NbrEntry {
-            vertex,
             start,
             end: self.offset,
             degree,
@@ -242,85 +226,14 @@ impl Iterator for BlockCursor<'_> {
     }
 }
 
-/// Skip samples for [`Graph::has_edge`] on high-degree vertices:
-/// for every hub (degree ≥ `HUB_MIN_DEGREE`), the neighbor value and
-/// payload byte position after every `SAMPLE_EVERY`-th entry. A
-/// membership probe binary-searches the samples and decodes at most
-/// one `SAMPLE_EVERY`-entry window.
-#[derive(Clone, Debug, Default)]
-struct SkipIndex {
-    /// Sampled vertices, ascending.
-    hubs: Vec<NodeId>,
-    /// Start of each hub's samples in `values`/`positions`
-    /// (`hubs.len() + 1` entries).
-    starts: Vec<u32>,
-    /// Neighbor value at sampled entry `(j+1) * SAMPLE_EVERY - 1`.
-    values: Vec<u32>,
-    /// Payload byte offset (relative to the hub's payload start)
-    /// just *after* the sampled entry — the decode resume point.
-    positions: Vec<u32>,
-}
-
-impl SkipIndex {
-    /// Builds the samples by decoding every hub neighborhood once,
-    /// one `SAMPLE_EVERY`-entry window per bulk-decoder call: the
-    /// window's last value and the byte position after it are the
-    /// sample.
-    fn build(index: &NbrIndex, payload: &[u8]) -> Self {
-        let mut skips = SkipIndex {
-            starts: vec![0],
-            ..SkipIndex::default()
-        };
-        let mut window = [0u32; SAMPLE_EVERY];
-        for entry in index.walk(0..index.blocks()) {
-            if entry.degree < HUB_MIN_DEGREE {
-                continue;
-            }
-            let section = &payload[entry.start..entry.end];
-            let (mut at, mut last) = (0usize, 0u32);
-            for _ in 0..entry.degree / SAMPLE_EVERY {
-                at +=
-                    gap::decode_run(&section[at..], last, &mut window).expect("validated payload");
-                last = window[SAMPLE_EVERY - 1];
-                skips.values.push(last);
-                skips.positions.push(at as u32);
-            }
-            skips.hubs.push(entry.vertex as NodeId);
-            skips.starts.push(skips.values.len() as u32);
-        }
-        skips.hubs.shrink_to_fit();
-        skips.starts.shrink_to_fit();
-        skips.values.shrink_to_fit();
-        skips.positions.shrink_to_fit();
-        skips
-    }
-
-    /// The `(values, positions)` sample slices of `v`, if sampled.
-    #[inline]
-    fn samples_of(&self, v: NodeId) -> Option<(&[u32], &[u32])> {
-        let i = self.hubs.binary_search(&v).ok()?;
-        let range = self.starts[i] as usize..self.starts[i + 1] as usize;
-        Some((&self.values[range.clone()], &self.positions[range]))
-    }
-
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.hubs.len() * 4
-            + self.starts.len() * 4
-            + self.values.len() * 4
-            + self.positions.len() * 4
-    }
-}
-
-/// A compressed CSR with varint-gap adjacency, a block-sampled
-/// `(byte_len, degree)` index, and `has_edge` skip samples.
+/// A compressed CSR with varint-gap adjacency and a block-sampled
+/// `(byte_len, degree)` index.
 #[derive(Clone, Debug)]
 pub struct CompressedCsr {
     /// Gap-encoded adjacency payload, concatenated per vertex.
     payload: Vec<u8>,
     /// Byte range + degree of each vertex's payload.
     index: NbrIndex,
-    /// `has_edge` acceleration samples for hub vertices.
-    skips: SkipIndex,
     arcs: usize,
     /// Whether a locality reordering was applied before encoding.
     reordered: bool,
@@ -358,29 +271,25 @@ impl CompressedCsr {
         }
         payload.shrink_to_fit();
         index.shrink_to_fit();
-        let skips = SkipIndex::build(&index, &payload);
         Self {
             payload,
             index,
-            skips,
             arcs: csr.num_arcs(),
             reordered,
         }
     }
 
     /// Reassembles a compressed graph from validated `.gcsr` v2
-    /// sections; skip samples are rebuilt from the payload.
+    /// sections.
     pub(crate) fn from_validated_parts(
         index: NbrIndex,
         payload: Vec<u8>,
         arcs: usize,
         reordered: bool,
     ) -> Self {
-        let skips = SkipIndex::build(&index, &payload);
         Self {
             payload,
             index,
-            skips,
             arcs,
             reordered,
         }
@@ -515,11 +424,10 @@ impl CompressedCsr {
         out
     }
 
-    /// Compressed heap bytes actually used (payload + index + skip
-    /// samples; lengths, not capacities — the honest bytes-per-edge
-    /// numerator).
+    /// Compressed heap bytes actually used (payload + index; lengths,
+    /// not capacities — the honest bytes-per-edge numerator).
     pub fn heap_bytes(&self) -> usize {
-        self.payload.len() + self.index.heap_bytes() + self.skips.heap_bytes()
+        self.payload.len() + self.index.heap_bytes()
     }
 
     /// Achieved compression: heap bytes per stored arc (for an
@@ -559,48 +467,10 @@ impl Graph for CompressedCsr {
         gap::GapDecoder::new(&self.payload[entry.start..entry.end], entry.degree)
     }
 
-    /// The skip-sampled membership probe: jump to the right
-    /// `SAMPLE_EVERY`-entry window via the hub samples, then scan with
-    /// early exit.
+    /// An early-exit scan: neighborhoods are sorted, so the decode
+    /// stops at the first neighbor `>= v`.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (index, skips, payload) = (&self.index, &self.skips, &self.payload[..]);
-        let NbrEntry {
-            start, end, degree, ..
-        } = index.locate(u as usize);
-        let mut cursor = &payload[start..end];
-        let mut skipped = 0usize;
-        let mut acc: Option<u32> = None;
-        if degree >= HUB_MIN_DEGREE {
-            if let Some((values, positions)) = skips.samples_of(u) {
-                // Greatest sample strictly below `v` is the resume
-                // point; an exact sample match is already the answer.
-                let j = values.partition_point(|&x| x < v);
-                if j < values.len() && values[j] == v {
-                    return true;
-                }
-                if j > 0 {
-                    acc = Some(values[j - 1]);
-                    cursor = &payload[start + positions[j - 1] as usize..end];
-                    skipped = j * SAMPLE_EVERY;
-                }
-            }
-        }
-        // Scan forward (≤ SAMPLE_EVERY entries when resumed from a
-        // sample: the next sample is ≥ v) with early exit.
-        for _ in skipped..degree {
-            let Some(gapv) = varint::decode_u32(&mut cursor) else {
-                return false;
-            };
-            let value = match acc {
-                None => gapv,
-                Some(a) => a + gapv,
-            };
-            if value >= v {
-                return value == v;
-            }
-            acc = Some(value);
-        }
-        false
+        self.neighbors(u).find(|&w| w >= v) == Some(v)
     }
 }
 
@@ -688,9 +558,8 @@ mod tests {
         CsrGraph::from_undirected_edges(200, &edges)
     }
 
-    /// A graph with hub vertices well past the skip-sampling
-    /// threshold (vertex 0 connects to everyone, and a planted-ish
-    /// block keeps mid-degree vertices interesting).
+    /// A graph with hub vertices (vertex 0 connects to everyone, and a
+    /// planted-ish block keeps mid-degree vertices interesting).
     fn hubby() -> CsrGraph {
         let n = 400u32;
         let mut edges = Vec::new();
@@ -739,8 +608,7 @@ mod tests {
         let csr = hubby();
         let compressed = CompressedCsr::from_csr(&csr);
         // Exhaustive over a vertex sample, covering hub vertex 0
-        // (degree ~400, several skip windows), the mid hub 1, and
-        // ordinary vertices.
+        // (degree ~400), the mid hub 1, and ordinary vertices.
         for u in [0u32, 1, 2, 57, 200, 399] {
             for v in 0..csr.num_vertices() as NodeId {
                 assert_eq!(
@@ -811,9 +679,7 @@ mod tests {
     fn heap_bytes_counts_lengths_not_capacities() {
         let csr = sample();
         let compressed = CompressedCsr::from_csr(&csr);
-        let expected = compressed.payload.len()
-            + compressed.index.heap_bytes()
-            + compressed.skips.heap_bytes();
+        let expected = compressed.payload.len() + compressed.index.heap_bytes();
         assert_eq!(compressed.heap_bytes(), expected);
         // The build shrinks the payload, so len == capacity.
         assert_eq!(compressed.payload.len(), compressed.payload.capacity());

@@ -3,7 +3,7 @@
 //! A kernel loop over a [`CompressedCsr`] calls `decode_into` with a
 //! reused scratch buffer; after one warmup pass that has grown the
 //! buffer to the maximum degree, subsequent decodes — and the
-//! skip-sampled `has_edge` probes — must not touch the allocator at
+//! early-exit `has_edge` probes — must not touch the allocator at
 //! all. A regression that quietly materializes a fresh `Vec` per
 //! neighborhood would still be *correct*, so only an allocation
 //! counter can catch it. This test swaps in a counting global
@@ -89,7 +89,7 @@ fn warmed_decode_and_has_edge_never_allocate() {
         assert_eq!(scratch, expected, "vertex {v} decoded wrong");
     }
 
-    // has_edge runs the skip-sampled probe: no scratch at all, so it
+    // has_edge scans the streamed neighbors: no scratch at all, so it
     // must be allocation-free from the first call.
     let probes: Vec<(NodeId, NodeId)> = (0..n)
         .step_by(13)

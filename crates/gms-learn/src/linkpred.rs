@@ -48,11 +48,13 @@ pub struct ScoredPair {
 /// Scores every non-adjacent vertex pair with ≥1 common neighbor.
 /// (Pairs with no common neighbors score 0 under all
 /// neighborhood-based measures, so enumerating 2-hop pairs is exact
-/// for them while avoiding the full `V × V` sweep.)
+/// for them while avoiding the full `V × V` sweep.) The pairs come
+/// out strictly ascending: `u` ascends, and each `u`'s list is sorted
+/// and deduplicated before the order-keeping collect.
 pub fn score_candidates(graph: &CsrGraph, measure: SimilarityMeasure) -> Vec<ScoredPair> {
     let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(graph);
     let n = graph.num_vertices();
-    let mut candidates: Vec<Edge> = (0..n as NodeId)
+    let candidates: Vec<Edge> = (0..n as NodeId)
         .into_par_iter()
         .flat_map_iter(|u| {
             // 2-hop neighbors greater than u, not adjacent to u.
@@ -67,7 +69,6 @@ pub fn score_candidates(graph: &CsrGraph, measure: SimilarityMeasure) -> Vec<Sco
             twohop.into_iter().map(move |v| (u, v)).collect::<Vec<_>>()
         })
         .collect();
-    candidates.par_sort_unstable();
     candidates
         .into_par_iter()
         .map(|(u, v)| ScoredPair {
@@ -123,6 +124,15 @@ mod tests {
             assert!(!split.sparse.has_edge(u, v));
             assert!(g.has_edge(u, v));
         }
+    }
+
+    #[test]
+    fn candidates_come_out_strictly_ascending() {
+        // Large enough that the pool splits the vertex range.
+        let g = gms_gen::gnp(400, 0.03, 5);
+        let scored = score_candidates(&g, SimilarityMeasure::Jaccard);
+        assert!(scored.len() > 1000);
+        assert!(scored.windows(2).all(|w| w[0].pair < w[1].pair));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! [`Params::validate`](super::Params::validate), and the functions
 //! read resolved values through [`RunCx`]'s accessors. The entry
 //! points stay public in their crates; these rows are how the
-//! registry, the session cache, the batch runner, and the benchmark
-//! harness reach them.
+//! registry, the session cache and the benchmark harness reach
+//! them.
 
 use super::{
     Category, DeltaSensitivity, Kernel, KernelError, Outcome, ParamSpec, Params, Payload, RunCx,

@@ -21,7 +21,7 @@
 //!   fingerprint, and an in-flight computation admitted before the
 //!   stamp discards its insert instead of resurrecting a dropped
 //!   entry — the stale-result window a replace racing a concurrent
-//!   batch would otherwise open ([`CacheStats::stale_drops`]);
+//!   run would otherwise open ([`CacheStats::stale_drops`]);
 //! * **delta migration** — [`ResultCache::migrate_fingerprint`]
 //!   re-keys the entries of a *mutated* graph (old fingerprint → new
 //!   fingerprint) under a caller-supplied per-entry decision: keep
@@ -94,8 +94,8 @@ impl CacheKey {
 }
 
 /// A point-in-time snapshot of the cache's counters — the
-/// observability surface of the result cache (stats endpoint,
-/// `bench_batch` output).
+/// observability surface of the result cache (the `stats`
+/// endpoint).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a cached entry.
@@ -122,7 +122,7 @@ pub struct CacheStats {
     pub refreshed: u64,
     /// Completed computations discarded instead of inserted because
     /// their fingerprint was invalidated while they were in flight —
-    /// the replace-mid-batch stale window, closed.
+    /// the replace-mid-run stale window, closed.
     pub stale_drops: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -459,15 +459,6 @@ impl ResultCache {
         stats
     }
 
-    /// Every key currently cached, sorted — for tests that pin which
-    /// keys a code path produced.
-    #[cfg(test)]
-    pub(super) fn keys(&self) -> Vec<CacheKey> {
-        let mut keys: Vec<CacheKey> = self.lock().entries.keys().cloned().collect();
-        keys.sort_by(|a, b| (a.kernel, &a.params).cmp(&(b.kernel, &b.params)));
-        keys
-    }
-
     /// Resizes the cache; shrinking evicts least-recently-used
     /// entries down to the new capacity.
     pub fn set_capacity(&self, capacity: usize) {
@@ -678,7 +669,7 @@ mod tests {
 
     #[test]
     fn invalidation_mid_flight_discards_the_late_insert() {
-        // The replace-mid-batch race: a computation admitted for
+        // The replace-mid-run race: a computation admitted for
         // fingerprint 1 is still running when the graph is replaced
         // and fp 1 invalidated. Its insert must be discarded — the
         // cache promised "after invalidate returns, fp-1 entries do

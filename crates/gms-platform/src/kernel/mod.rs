@@ -16,8 +16,7 @@
 //!   validated [`Params`], and the request's [`CancelToken`];
 //! * [`execute`] — the only caller of [`Kernel::run`]: it enforces
 //!   the fired-token-is-an-error contract and books the decode time,
-//!   for sessions, batches, benchmarks and the network front end
-//!   alike;
+//!   for sessions, benchmarks and the network front end alike;
 //! * [`Registry`] — enumerates all kernels by name and [`Category`]
 //!   (pattern / matching / learn / opt / order); the benchmark
 //!   binaries iterate it, so registering a kernel automatically adds
@@ -35,9 +34,7 @@
 //!   object in its own right: hit/miss/eviction/coalescing counters,
 //!   single-flight deduplication of identical in-flight requests,
 //!   and fingerprint invalidation for replaced graphs — the piece N
-//!   concurrent serving sessions share;
-//! * [`BatchRunner`] — pushes a slice of [`BatchRequest`]s through
-//!   the work-stealing pool, deduplicating identical requests.
+//!   concurrent serving sessions share.
 //!
 //! One path from a file to an answer, whoever holds the graph:
 //!
@@ -53,8 +50,7 @@
 //!    table { Session: by GraphHandle | gms-serve: by name, under its RwLock }
 //!        │
 //!        ├─► Engine::key ─► Engine::run ── registry → CacheKey → RunCx → single-flight
-//!        │                                 → execute(kernel)      (BatchRunner: key,
-//!        │                                                         dedupe, then run)
+//!        │                                 → execute(kernel)
 //!        └─► Engine::mutate ── patch_csr → fingerprint → migrate cache → next Resident
 //! ```
 //!
@@ -69,7 +65,6 @@
 //! assert!(hit.cached && hit.same_result(&out));
 //! ```
 
-mod batch;
 mod builtin;
 mod cache;
 mod delta;
@@ -80,7 +75,6 @@ mod resident;
 mod run;
 mod session;
 
-pub use batch::{BatchRequest, BatchRunner};
 pub use cache::{next_owner, CacheKey, CacheStats, MigrationDecision, MigrationStats, ResultCache};
 pub use delta::{DeltaSensitivity, GraphLineage, MutationOutcome};
 pub use outcome::{Outcome, Payload, StageTimings};

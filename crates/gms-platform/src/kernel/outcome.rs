@@ -65,8 +65,8 @@ pub struct Outcome {
     pub timings: StageTimings,
     /// Kernel-specific extra data.
     pub payload: Payload,
-    /// Whether this outcome was served from the session cache (or,
-    /// in a batch, deduplicated onto another identical request)
+    /// Whether this outcome was served from the session cache
+    /// (including a wait on an identical request already in flight)
     /// instead of running the kernel.
     pub cached: bool,
 }

@@ -1,9 +1,9 @@
 //! The one way to hold a graph: a [`Resident`] and the three
 //! operations on it — **admit**, **run**, **mutate** — that
-//! [`Session`](super::Session), [`BatchRunner`](super::BatchRunner)
-//! and the `gms-serve` worker all call. The holders differ only in
-//! how they find a resident (by handle, by name) and under which
-//! lock; what registering, running and mutating *mean* is here, once.
+//! [`Session`](super::Session) and the `gms-serve` worker both call.
+//! The holders differ only in how they find a resident (by handle, by
+//! name) and under which lock; what registering, running and mutating
+//! *mean* is here, once.
 //!
 //! ```text
 //!  gms_graph::io::load_graph ─► GraphStore
@@ -139,8 +139,8 @@ impl Engine {
 
     /// The key half of **run**: looks the kernel up, validates
     /// `params` against its schema and builds the request's
-    /// [`CacheKey`] — all a caller needs to probe the cache or
-    /// deduplicate before committing to [`Engine::run`].
+    /// [`CacheKey`] — all a caller needs to probe the cache before
+    /// committing to [`Engine::run`].
     pub fn key<'a>(
         &'a self,
         resident: &'a Resident,

@@ -145,9 +145,9 @@ impl<'a> RunCx<'a> {
 }
 
 /// Runs `kernel` under `cx`. This is the only place a kernel is
-/// invoked: sessions, the batch runner, the registry's uncached entry
-/// point and the serve worker all come through here (the cached ones
-/// from inside [`ResultCache::run_or_wait`](super::ResultCache::run_or_wait)).
+/// invoked: sessions, the registry's uncached entry point and the
+/// serve worker all come through here (the cached ones from inside
+/// [`ResultCache::run_or_wait`](super::ResultCache::run_or_wait)).
 ///
 /// A token that has fired by the time the kernel returns — or before
 /// it starts — always surfaces as [`KernelError::DeadlineExceeded`],

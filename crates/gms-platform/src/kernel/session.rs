@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// An opaque ticket for a graph loaded into a [`Session`]. Cheap to
 /// copy; valid only for the session that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct GraphHandle(pub(super) usize);
+pub struct GraphHandle(usize);
 
 /// How [`Session::save_snapshot_with`] encodes the `.gcsr` body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub struct SessionStats {
 
 impl SessionStats {
     /// Folds one completed request in.
-    pub(super) fn note(&mut self, cached: bool) {
+    fn note(&mut self, cached: bool) {
         if cached {
             self.hits += 1;
         } else {
@@ -71,12 +71,12 @@ impl SessionStats {
 /// entry point the facade quick start demonstrates; `gms-serve` keeps
 /// the same residents by name behind a network front end.
 pub struct Session {
-    pub(super) engine: Engine,
-    pub(super) graphs: Vec<Resident>,
-    pub(super) stats: SessionStats,
+    engine: Engine,
+    graphs: Vec<Resident>,
+    stats: SessionStats,
     /// This session's owner tag on the shared cache (cross-session
     /// hit attribution).
-    pub(super) owner: u64,
+    owner: u64,
 }
 
 impl Session {

@@ -13,8 +13,7 @@
 //! `load_graph` → admit → run / mutate, the [`kernel::Engine`]
 //! operations shared by every holder — diagram in [`kernel`]), the
 //! [`kernel::Session`] that keeps residents by handle over a
-//! fingerprint-keyed result cache, and the pool-driven
-//! [`kernel::BatchRunner`].
+//! fingerprint-keyed result cache.
 
 #![warn(missing_docs)]
 
@@ -25,9 +24,8 @@ pub mod stats;
 
 pub use counters::{CounterRegion, CounterSnapshot, CountingSet};
 pub use kernel::{
-    BatchRequest, BatchRunner, CacheKey, CacheStats, Category, GraphHandle, Kernel, KernelError,
-    Outcome, ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session, SessionStats,
-    StageTimings, Value, ValueKind,
+    CacheKey, CacheStats, Category, GraphHandle, Kernel, KernelError, Outcome, ParamSpec, Params,
+    Payload, Registry, ResultCache, RunCx, Session, SessionStats, StageTimings, Value, ValueKind,
 };
 pub use scaling::{efficiencies, run_scaling, series_json_rows_with, ScalingPoint};
 pub use stats::GraphStats;

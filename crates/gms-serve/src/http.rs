@@ -45,7 +45,7 @@
 
 use crate::json::Json;
 use crate::protocol::{
-    envelope_from, error_json, http_mutate_request, load_request, run_request, ApiError, ErrorCode,
+    envelope_from, error_json, load_request, mutate_request, run_request, ApiError, ErrorCode,
     Request, RequestBuilder,
 };
 use crate::service::{Reply, Service, SyncReply, READ_POLL};
@@ -327,7 +327,7 @@ fn handle_request<S: Service>(
             ("GET", ["v1", "stats"]) => (|_| Ok(Request::Stats), None),
             ("POST", ["v1", "graphs"]) => (load_request, None),
             ("POST", ["v1", "graphs", name, "run"]) => (run_request, Some(*name)),
-            ("POST", ["v1", "graphs", name, "mutate"]) => (http_mutate_request, Some(*name)),
+            ("POST", ["v1", "graphs", name, "mutate"]) => (mutate_request, Some(*name)),
             _ => {
                 let error = ApiError::new(
                     ErrorCode::GraphNotFound,

@@ -361,13 +361,14 @@ pub struct LoadSpec {
     pub compression: LoadCompression,
 }
 
-/// A parsed `add_edges` / `remove_edges` request: one batched edge
-/// mutation against a named graph. Set semantics — already-satisfied
-/// requests are no-ops — so replaying a batch after a lost response
-/// is safe (the client's idempotent-retry path uses this).
+/// A parsed `add_edges` / `remove_edges` / `mutate` request: one
+/// batched edge mutation against a named graph. Set semantics —
+/// already-satisfied requests are no-ops — so replaying a batch after
+/// a lost response is safe (the client's idempotent-retry path uses
+/// this).
 ///
-/// An NDJSON line fills one side (`add_edges` or `remove_edges`);
-/// only the HTTP `mutate` route can fill both.
+/// `add_edges` and `remove_edges` fill one side each; `mutate` (an
+/// NDJSON op and the HTTP `mutate` route) can fill both.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MutateSpec {
     /// Server-side graph name.
@@ -607,6 +608,7 @@ fn request_from_op(obj: &Json) -> Result<Request, ApiError> {
             };
             Request::Mutate(MutateSpec { graph, add, remove })
         }
+        "mutate" => mutate_request(obj)?,
         "run" => run_request(obj)?,
         "batch" => {
             let items = obj
@@ -630,10 +632,11 @@ pub(crate) fn run_request(obj: &Json) -> Result<Request, ApiError> {
     run_spec(obj, "run").map(Request::Run)
 }
 
-/// The body of `POST /v1/graphs/{name}/mutate`: optional `"add"` and
-/// `"remove"` arrays, at least one non-empty — both sides of a batch
-/// in one request, which no single NDJSON op can say.
-pub(crate) fn http_mutate_request(obj: &Json) -> Result<Request, ApiError> {
+/// `mutate` from its members — the NDJSON op and
+/// `POST /v1/graphs/{name}/mutate`: optional `"add"` and `"remove"`
+/// arrays, at least one non-empty — both sides of a batch in one
+/// request.
+pub(crate) fn mutate_request(obj: &Json) -> Result<Request, ApiError> {
     let spec = MutateSpec {
         graph: required_str(obj, "graph", "mutate")?,
         add: edges_from_json(obj, "add", "mutate")?.unwrap_or_default(),
@@ -641,7 +644,7 @@ pub(crate) fn http_mutate_request(obj: &Json) -> Result<Request, ApiError> {
     };
     if spec.add.is_empty() && spec.remove.is_empty() {
         return Err(bad_request(
-            "mutation body requires \"add\" and/or \"remove\" edge arrays",
+            "op \"mutate\" requires \"add\" and/or \"remove\" edge arrays",
         ));
     }
     Ok(Request::Mutate(spec))
@@ -696,13 +699,9 @@ impl Envelope {
     /// equal envelope: `"v":1`, the op and its members, then whichever
     /// of `deadline_ms` / `client` / `weight` / `redirect` / `id`
     /// differ from their defaults. The only place a request is
-    /// rendered — client helpers and router forwarding alike.
-    ///
-    /// # Panics
-    ///
-    /// On a [`MutateSpec`] with both sides filled: the line protocol
-    /// has one op per side, and only the HTTP `mutate` route — which
-    /// is never re-rendered — can produce such a spec.
+    /// rendered — client helpers and router forwarding alike. A
+    /// [`MutateSpec`] with both sides filled renders as `mutate`, a
+    /// one-sided one as `add_edges` / `remove_edges`.
     pub fn to_json(&self) -> Json {
         let (op, members) = match &self.request {
             Request::Health => ("health", Vec::new()),
@@ -724,17 +723,22 @@ impl Envelope {
                 ("load", members)
             }
             Request::Mutate(spec) => {
-                assert!(
-                    spec.add.is_empty() || spec.remove.is_empty(),
-                    "a two-sided mutation has no single-line form"
-                );
-                let (op, edges) = if spec.remove.is_empty() {
-                    ("add_edges", &spec.add)
-                } else {
-                    ("remove_edges", &spec.remove)
-                };
-                let graph = Json::from(spec.graph.as_str());
-                (op, vec![("graph", graph), ("edges", edges_json(edges))])
+                let graph = ("graph", Json::from(spec.graph.as_str()));
+                match (spec.add.is_empty(), spec.remove.is_empty()) {
+                    (false, false) => (
+                        "mutate",
+                        vec![
+                            graph,
+                            ("add", edges_json(&spec.add)),
+                            ("remove", edges_json(&spec.remove)),
+                        ],
+                    ),
+                    (_, true) => ("add_edges", vec![graph, ("edges", edges_json(&spec.add))]),
+                    (true, false) => (
+                        "remove_edges",
+                        vec![graph, ("edges", edges_json(&spec.remove))],
+                    ),
+                }
             }
             Request::Run(spec) => ("run", run_spec_members(spec)),
             Request::Batch(specs) => {
@@ -898,46 +902,17 @@ fn payload_json(payload: &Payload) -> Json {
     }
 }
 
-/// Renders one page of a payload's items — the unit the streaming
-/// HTTP endpoints emit chunk by chunk. `offset`/`limit` select the
-/// page; the returned array is empty once `offset` walks off the
-/// end. Scalar and empty payloads have no items to page.
-pub fn payload_items_json(payload: &Payload, offset: usize, limit: usize) -> Json {
+/// Renders a payload's items — the array the streaming HTTP
+/// endpoints page over chunk by chunk. Scalar and empty payloads
+/// have no items.
+pub fn payload_items_json(payload: &Payload) -> Json {
+    let ints = |xs: &[u32]| Json::Array(xs.iter().map(|&x| Json::Int(i64::from(x))).collect());
     match payload {
         Payload::None | Payload::Scalar(_) => Json::Array(Vec::new()),
-        Payload::VertexGroups(groups) => Json::Array(
-            groups
-                .iter()
-                .skip(offset)
-                .take(limit)
-                .map(|group| Json::Array(group.iter().map(|&v| Json::Int(i64::from(v))).collect()))
-                .collect(),
-        ),
-        Payload::Assignment(a) => Json::Array(
-            a.iter()
-                .skip(offset)
-                .take(limit)
-                .map(|&x| Json::Int(i64::from(x)))
-                .collect(),
-        ),
-        Payload::Rank(r) => Json::Array(
-            r.iter()
-                .skip(offset)
-                .take(limit)
-                .map(|&x| Json::Int(i64::from(x)))
-                .collect(),
-        ),
-    }
-}
-
-/// How many pageable items a payload holds (the total the streaming
-/// meta line announces).
-pub fn payload_item_count(payload: &Payload) -> usize {
-    match payload {
-        Payload::None | Payload::Scalar(_) => 0,
-        Payload::VertexGroups(groups) => groups.len(),
-        Payload::Assignment(a) => a.len(),
-        Payload::Rank(r) => r.len(),
+        Payload::VertexGroups(groups) => {
+            Json::Array(groups.iter().map(|group| ints(group)).collect())
+        }
+        Payload::Assignment(xs) | Payload::Rank(xs) => ints(xs),
     }
 }
 
@@ -980,14 +955,10 @@ pub fn outcome_json_full(spec: &RunSpec, outcome: &Outcome) -> Json {
         .as_object()
         .map(|fields| fields.to_vec())
         .unwrap_or_default();
-    members.push((
-        "items_total".to_string(),
-        Json::from(payload_item_count(&outcome.payload)),
-    ));
-    members.push((
-        "items".to_string(),
-        payload_items_json(&outcome.payload, 0, usize::MAX),
-    ));
+    let items = payload_items_json(&outcome.payload);
+    let total = items.as_array().map_or(0, <[Json]>::len);
+    members.push(("items_total".to_string(), Json::from(total)));
+    members.push(("items".to_string(), items));
     let payload = Json::Object(members);
     response(outcome_members(spec, outcome, payload))
 }
@@ -1087,6 +1058,10 @@ mod tests {
             ),
             (
                 r#"{"op":"batch","requests":[{"kernel":"t","graph":"g"}]}"#,
+                false,
+            ),
+            (
+                r#"{"op":"mutate","graph":"g","add":[[0,1]],"remove":[[2,3]]}"#,
                 false,
             ),
         ] {
@@ -1259,14 +1234,13 @@ mod tests {
     #[test]
     fn payload_items_page_cleanly() {
         let payload = Payload::VertexGroups(vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
-        assert_eq!(payload_item_count(&payload), 3);
-        let page = payload_items_json(&payload, 1, 1);
-        assert_eq!(page.render(), "[[2,3]]");
-        let tail = payload_items_json(&payload, 2, 10);
-        assert_eq!(tail.render(), "[[4,5]]");
-        let off_end = payload_items_json(&payload, 7, 10);
-        assert_eq!(off_end.render(), "[]");
+        assert_eq!(payload_items_json(&payload).render(), "[[0,1],[2,3],[4,5]]");
         let ranks = Payload::Rank(vec![5, 4, 3]);
-        assert_eq!(payload_items_json(&ranks, 0, 2).render(), "[5,4]");
+        assert_eq!(payload_items_json(&ranks).render(), "[5,4,3]");
+        let colors = Payload::Assignment(vec![1, 0]);
+        assert_eq!(payload_items_json(&colors).render(), "[1,0]");
+        for itemless in [Payload::None, Payload::Scalar(0.5)] {
+            assert_eq!(payload_items_json(&itemless).render(), "[]");
+        }
     }
 }

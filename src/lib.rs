@@ -47,21 +47,6 @@
 //! assert!(pattern_kernels.iter().any(|k| k.name() == "triangle-count"));
 //! ```
 //!
-//! Batches ride the work-stealing pool and share the same cache:
-//!
-//! ```
-//! use gms::prelude::*;
-//!
-//! let mut session = Session::new();
-//! let g = session.add_graph(gms::gen::gnp(300, 0.03, 7));
-//! let batch: Vec<BatchRequest> = ["triangle-count", "order-degree", "coloring"]
-//!     .iter()
-//!     .map(|name| BatchRequest::new(name, g, Params::new()))
-//!     .collect();
-//! let outcomes = BatchRunner::new(2).run(&mut session, &batch);
-//! assert!(outcomes.iter().all(|r| r.is_ok()));
-//! ```
-//!
 //! And the whole platform serves over the network: [`serve`] wraps
 //! the session machinery in a TCP front end speaking
 //! newline-delimited JSON, with a bounded admission queue in front of
@@ -110,7 +95,7 @@
 //! | [`learn`] | similarity, link prediction, clustering, communities | §6.5, 6.7 |
 //! | [`opt`] | coloring, Borůvka MST, Karger–Stein min cut | §4.1.4 |
 //! | [`platform`] | software counters, thread scaling, dataset stats | §5.5, 8.1 |
-//! | [`platform::kernel`] | unified kernel API: registry, session + shared result cache, batch runner; outcomes carry per-stage timings and algorithmic throughput | §4.3, 5.4 (service layer) |
+//! | [`platform::kernel`] | unified kernel API: registry, session + shared result cache; outcomes carry per-stage timings and algorithmic throughput | §4.3, 5.4 (service layer) |
 //! | [`serve`] | TCP front end: NDJSON protocol, admission control, concurrent worker sessions | north star |
 //! | [`router`] | fleet front end: consistent-hash sharding over N `serve` backends, scatter-gather batches, failover | north star |
 //!
@@ -155,9 +140,9 @@ pub mod prelude {
         SubgraphMode,
     };
     pub use gms_platform::kernel::{
-        BatchRequest, BatchRunner, CacheKey, CacheStats, Category, GraphHandle, GraphStore, Kernel,
-        KernelError, Outcome, ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session,
-        SessionStats, SnapshotCompression, Value, ValueKind,
+        CacheKey, CacheStats, Category, GraphHandle, GraphStore, Kernel, KernelError, Outcome,
+        ParamSpec, Params, Payload, Registry, ResultCache, RunCx, Session, SessionStats,
+        SnapshotCompression, Value, ValueKind,
     };
     pub use gms_platform::GraphStats;
     pub use gms_router::{Router, RouterConfig, RouterHandle};

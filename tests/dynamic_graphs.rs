@@ -7,7 +7,7 @@
 //! agree on fingerprints and on every kernel answer, across dozens
 //! of generated graphs. On top of the oracle: a provable-survival
 //! check (a mutation a kernel's declared [`DeltaSensitivity`] cannot
-//! affect keeps its cache entry), and the replace-mid-batch stress
+//! affect keeps its cache entry), and the replace-mid-run stress
 //! that pins the epoch guard (a kernel finishing *after* its
 //! graph's content was invalidated must not resurrect the entry).
 //!
@@ -260,13 +260,13 @@ impl Kernel for GatedKernel {
 }
 
 /// The satellite-1 regression: a graph's content is replaced (and
-/// its cached outcomes invalidated) while a `BatchRunner` job for
-/// the old content is still executing. The late insert used to land
+/// its cached outcomes invalidated) while a `Session::run` for the
+/// old content is still executing. The late insert used to land
 /// after the invalidation — a stale entry for content nothing serves
 /// anymore, served verbatim if the content ever came back. The cache
 /// now timestamps invalidations and refuses late inserts.
 #[test]
-fn replacing_mid_batch_never_resurrects_stale_results() {
+fn replacing_mid_run_never_resurrects_stale_results() {
     let started = Arc::new(Barrier::new(2));
     let release = Arc::new(Barrier::new(2));
     let executions = Arc::new(AtomicUsize::new(0));
@@ -288,16 +288,12 @@ fn replacing_mid_batch_never_resurrects_stale_results() {
             }));
             let mut session = Session::with_registry_and_cache(registry, cache);
             let handle = session.add_graph(content);
-            let results = BatchRunner::new(2).run(
-                &mut session,
-                &[BatchRequest::new("gated", handle, Params::new())],
-            );
-            let outcome = results.into_iter().next().unwrap().unwrap();
+            let outcome = session.run("gated", handle, &Params::new()).unwrap();
             (session, handle, outcome)
         })
     };
 
-    // Wait until the batch job is executing, then replace the
+    // Wait until the gated run is executing, then replace the
     // content out from under it through another session sharing the
     // cache — exactly the serve-layer reload race.
     started.wait();

@@ -9,7 +9,7 @@
 //! kernel is covered automatically (and fails fast if it returns
 //! trivial outcomes).
 
-use gms::platform::kernel::{execute, CancelToken, GraphView};
+use gms::platform::kernel::{execute, next_owner, CancelToken, Engine, GraphView, Resident};
 use gms::prelude::*;
 use std::sync::Arc;
 
@@ -283,27 +283,6 @@ fn compressed_backend_shares_cache_lines_with_the_raw_csr() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-#[test]
-fn batch_runner_serves_mixed_requests_through_the_facade() {
-    let mut session = Session::new();
-    let g = session.add_graph(planted_connected());
-    let batch: Vec<BatchRequest> = ["bk-gms-adg", "k-clique", "triangle-count", "bk-gms-adg"]
-        .iter()
-        .map(|name| BatchRequest::new(name, g, Params::new()))
-        .collect();
-    let outcomes = BatchRunner::new(2).run(&mut session, &batch);
-    assert_eq!(outcomes.len(), 4);
-    for outcome in &outcomes {
-        assert!(outcome.as_ref().unwrap().patterns > 0);
-    }
-    // The duplicate bk request was deduplicated, not re-run.
-    assert!(outcomes[3].as_ref().unwrap().cached);
-    assert!(outcomes[3]
-        .as_ref()
-        .unwrap()
-        .same_result(outcomes[0].as_ref().unwrap()));
-}
-
 /// Calls [`RunCx::csr`] twice and reports whether both calls handed
 /// out the same arrays — on a compressed resident, the one decode the
 /// run shares. With `fire` it also trips the request's token before
@@ -452,21 +431,34 @@ fn a_fired_token_is_an_error_for_every_kernel_and_nothing_is_cached() {
         }
     }
 
-    // Through the cached callers: the raw and the relabeled resident
-    // have different fingerprints, so neither batch job is a
-    // duplicate of the other.
+    // Through the cached path — `Engine::key` + `Engine::run`, the
+    // serve worker's own — on the session's cache. The raw and the
+    // relabeled resident have different fingerprints, so neither run
+    // is a duplicate of the other.
     let mut session = Session::new();
     session.registry_mut().register(Box::new(ProbeKernel));
-    let handles = [session.add_graph(graph), session.add_compressed(reordered)];
-    let names = session.registry().names();
-    let requests: Vec<BatchRequest> = names
-        .iter()
-        .flat_map(|name| handles.map(|h| BatchRequest::new(name, h, Params::new())))
-        .collect();
-    for result in BatchRunner::new(2).run_cancellable(&mut session, &requests, &fired) {
-        assert_eq!(result.unwrap_err(), KernelError::DeadlineExceeded);
+    let mut registry = Registry::with_builtins();
+    registry.register(Box::new(ProbeKernel));
+    let engine = Engine {
+        registry,
+        cache: session.shared_cache(),
+    };
+    let residents = [
+        Resident::new(GraphStore::Csr(graph.clone())),
+        Resident::new(GraphStore::Compressed(reordered.clone())),
+    ];
+    for name in engine.registry.names() {
+        for resident in &residents {
+            let keyed = engine.key(resident, name, &params).unwrap();
+            assert_eq!(
+                engine.run(&keyed, &fired, next_owner()).unwrap_err(),
+                KernelError::DeadlineExceeded,
+                "{name}"
+            );
+        }
     }
     assert_eq!(session.cached_outcomes(), 0, "failures are never cached");
+    let handles = [session.add_graph(graph), session.add_compressed(reordered)];
 
     // A token that fires *during* the run: the kernel returns an
     // outcome, the entry point discards it.

@@ -184,25 +184,6 @@ fn invalidation_on_reload_forces_recomputation() {
 }
 
 #[test]
-fn batch_runner_rides_the_shared_cache() {
-    let cache = Arc::new(ResultCache::new(64));
-    let mut a = Session::with_registry_and_cache(Registry::with_builtins(), Arc::clone(&cache));
-    let mut b = Session::with_registry_and_cache(Registry::with_builtins(), Arc::clone(&cache));
-    let ga = a.add_graph(small_graph());
-    let gb = b.add_graph(small_graph());
-
-    let requests = |g: GraphHandle| vec![BatchRequest::new("triangle-count", g, Params::new())];
-    let first = BatchRunner::new(2).run(&mut a, &requests(ga));
-    let second = BatchRunner::new(2).run(&mut b, &requests(gb));
-    assert!(!first[0].as_ref().unwrap().cached);
-    assert!(
-        second[0].as_ref().unwrap().cached,
-        "a batch on session B reuses session A's batch results"
-    );
-    assert!(cache.stats().cross_hits >= 1);
-}
-
-#[test]
 fn facade_serves_over_tcp() {
     let handle = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -278,7 +259,7 @@ fn edge_list_text(graph: &CsrGraph) -> String {
     String::from_utf8(text).unwrap()
 }
 
-/// `Session`, `BatchRunner` and the serve worker hold graphs through
+/// `Session` and the serve worker hold graphs through
 /// one `Resident` and its admit / run / mutate; this drives the same
 /// script through a session and through a real server and demands the
 /// same identity, mutation outcome, `cached` flag and pattern count
@@ -537,8 +518,8 @@ fn a_session_and_a_server_tell_the_same_story_step_by_step() {
 
 /// Strategies for the request model: every op, all four scalar
 /// parameter kinds (floats include integral ones like `2.0`, which
-/// must not come back as integers), edge batches, and the shared
-/// envelope members.
+/// must not come back as integers), one- and two-sided edge batches,
+/// and the shared envelope members.
 mod envelopes {
     use gms::platform::kernel::{Params, Value};
     use gms::serve::{
@@ -614,22 +595,17 @@ mod envelopes {
     }
 
     fn request() -> impl Strategy<Value = Request> {
-        let edges = vec((0u32..u32::MAX, 0u32..u32::MAX), 0..6);
+        let edges = || vec((0u32..u32::MAX, 0u32..u32::MAX), 0..6);
         prop_oneof![
             Just(Request::Health),
             Just(Request::Kernels),
             Just(Request::Stats),
             Just(Request::Shutdown),
             load_spec().prop_map(Request::Load),
-            // One op per line: an NDJSON mutation fills one side.
-            (text(0), edges, 0u8..2).prop_map(|(graph, edges, side)| {
-                let (add, remove) = if side == 0 {
-                    (edges, Vec::new())
-                } else {
-                    (Vec::new(), edges)
-                };
-                Request::Mutate(MutateSpec { graph, add, remove })
-            }),
+            // Either side, both (`mutate`) or neither.
+            (text(0), edges(), edges()).prop_map(|(graph, add, remove)| Request::Mutate(
+                MutateSpec { graph, add, remove }
+            )),
             run_spec().prop_map(Request::Run),
             vec(run_spec(), 0..4).prop_map(Request::Batch),
         ]
