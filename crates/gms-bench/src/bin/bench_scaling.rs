@@ -21,9 +21,9 @@
 //! galloping count kernels against accidental deoptimization.
 //!
 //! With `GMS_ENFORCE_SPEEDUP_FLOOR=1` (the CI release-smoke setting)
-//! the binary exits nonzero if the `bk` kernel's 4-thread speedup
-//! falls below 1.0 — parallel mining must never be slower than
-//! sequential on a multi-core runner.
+//! the binary exits nonzero if any Bron–Kerbosch kernel's (`bk` and
+//! every `bk-*` variant) 4-thread speedup falls below 1.0 — parallel
+//! mining must never be slower than sequential on a multi-core runner.
 //!
 //! ```sh
 //! cargo run --release -p gms-bench --bin bench_scaling
@@ -122,14 +122,20 @@ fn main() {
     eprintln!("wrote {path}");
 
     if std::env::var("GMS_ENFORCE_SPEEDUP_FLOOR").is_ok_and(|v| v == "1") {
-        let bk_4t = speedups
+        let bk_4t: Vec<_> = speedups
             .iter()
-            .find(|(k, t, _)| k == "bk" && *t == 4)
-            .map(|&(_, _, s)| s)
-            .expect("bk kernel present in registry");
-        eprintln!("speedup floor check: bk @4T = {bk_4t:.3}");
-        if bk_4t < 1.0 {
-            eprintln!("FAIL: bk 4-thread speedup {bk_4t:.3} < 1.0 — parallel slowdown");
+            .filter(|(k, t, _)| k.starts_with("bk") && *t == 4)
+            .collect();
+        assert!(!bk_4t.is_empty(), "bk kernels present in registry");
+        let mut slow = false;
+        for (kernel, _, speedup) in bk_4t {
+            eprintln!("speedup floor check: {kernel} @4T = {speedup:.3}");
+            if *speedup < 1.0 {
+                eprintln!("FAIL: {kernel} 4-thread speedup {speedup:.3} < 1.0 — parallel slowdown");
+                slow = true;
+            }
+        }
+        if slow {
             std::process::exit(1);
         }
     }

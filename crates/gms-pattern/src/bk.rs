@@ -40,13 +40,21 @@
 //!
 //! Pivoting follows Tomita et al.: choose `u ∈ P ∪ X` maximizing
 //! `|P ∩ N(u)|`, then only `P \ N(u)` spawns recursive calls.
+//!
+//! Work moves between workers only on demand (lazy binary splitting,
+//! Tzannes et al., PPoPP 2010, gated by a heartbeat as in Acar et al.,
+//! PLDI 2018): a worker walks its roots, and each node's pivot branches
+//! down to [`BkConfig::par_depth`], in order, and hands the back half of
+//! what remains off only once all it published before has been taken
+//! and a heartbeat has passed. A 1-wide run is the sequential kernel.
 
 use crate::local::Universe;
-use crate::scratch::{with_worker_checkout, with_worker_scratch, SetPool};
+use crate::scratch::{with_worker_checkout, SetPool};
 use gms_core::hash::FxHashMap;
 use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, Set, SetGraph};
 use gms_order::OrderingKind;
-use rayon::prelude::*;
+use std::cell::Cell;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// How the induced subgraph `H` on `P ∪ X` is (re)built (§6.2).
@@ -75,13 +83,12 @@ pub struct BkConfig {
     pub subgraph: SubgraphMode,
     /// Materialize the cliques (otherwise only count them).
     pub collect: bool,
-    /// Pivot-branch depth down to which subtrees are spawned as
-    /// `rayon::join` tasks (stealable by idle workers). Depth is
-    /// counted from each root vertex; below it the subtree runs
-    /// sequentially on whichever worker owns it, reusing scratch
-    /// sets. `0` disables subtree parallelism entirely — with a
-    /// 1-thread pool the traversal is then byte-identical to the
-    /// purely sequential kernel.
+    /// The deepest level of each root's search tree whose remaining
+    /// pivot branches may be handed to an idle worker (the root's own
+    /// branches are level 1); `0` splits only the range of roots.
+    /// Splits happen only when another worker is idle (see the module
+    /// docs), so a deep setting costs nothing where no one waits. A
+    /// 1-thread pool never splits, whatever the depth.
     pub par_depth: usize,
 }
 
@@ -233,6 +240,44 @@ fn per_level_subgraph<S: Set>(
     h
 }
 
+/// How long a worker keeps its work to itself after it last handed
+/// some off. On 2 vCPUs at width 2 (release, medians of 5, two rounds)
+/// `bk` took 1.44–1.45 / 1.48–1.54 / 1.66–1.80 ms on `er-6k` at 10 /
+/// 50 / 200 µs and 64–65 / 69–70 / 130–136 ms on `gnp(600, 0.25, 7)`;
+/// on `mid-kron` 50 µs read 1.00 s in both rounds, 10 µs 1.01 and
+/// 1.12 s. Unit tests use zero, so they split at every chance.
+const HEARTBEAT: Duration = if cfg!(test) {
+    Duration::ZERO
+} else {
+    Duration::from_micros(50)
+};
+
+thread_local! {
+    /// When this worker last handed work off.
+    static LAST_HAND_OFF: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// Whether the calling worker should hand work to an idle one: all it
+/// published before has been taken (its deque is empty) and a heartbeat
+/// has passed since its last [`hand_off`]. Never off-pool, so a 1-wide
+/// run is the sequential kernel.
+fn hungry() -> bool {
+    rayon::current_thread_has_pending_tasks() == Some(false)
+        && LAST_HAND_OFF.with(|last| last.get().is_none_or(|at| at.elapsed() >= HEARTBEAT))
+}
+
+/// `rayon::join`, stamped as this worker's latest hand-off.
+fn hand_off<RA: Send, RB: Send>(
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB) {
+    LAST_HAND_OFF.with(|last| last.set(Some(Instant::now())));
+    rayon::join(a, b)
+}
+
+/// The search node `(R, P, X)`, lines 19-28. Down to `depth_left`
+/// levels below it, the branches still to run go to
+/// [`bk_split_branches`] as soon as this worker is [`hungry`].
 fn bk_pivot<S: Set>(
     ctx: &SearchCtx<'_, S>,
     p: &mut S,
@@ -240,6 +285,7 @@ fn bk_pivot<S: Set>(
     x: &mut S,
     scratch: &mut SetPool<S>,
     out: &mut LocalOut,
+    depth_left: usize,
 ) {
     if ctx.cancel.is_cancelled() {
         return;
@@ -262,136 +308,94 @@ fn bk_pivot<S: Set>(
     let mut candidates = scratch.take();
     candidates.clone_from(p);
     candidates.diff_inplace(ctx.neigh(u));
-    for v in candidates.iter() {
-        let nv = ctx.neigh(v);
-        let mut p_new = scratch.take();
-        p_new.clone_from(p);
-        p_new.intersect_inplace(nv);
-        let mut x_new = scratch.take();
-        x_new.clone_from(x);
-        x_new.intersect_inplace(nv);
-        r.push(v);
-        if ctx.per_level {
-            let h = per_level_subgraph(ctx, &p_new, &x_new);
-            bk_pivot(&ctx.over(&h), &mut p_new, r, &mut x_new, scratch, out);
-        } else {
-            bk_pivot(ctx, &mut p_new, r, &mut x_new, scratch, out);
+    let mut rest = Vec::new();
+    {
+        let mut branches = candidates.iter();
+        while let Some(v) = branches.next() {
+            if depth_left > 0 && hungry() {
+                rest.push(v);
+                rest.extend(branches);
+                break;
+            }
+            let nv = ctx.neigh(v);
+            let mut p_new = scratch.take();
+            p_new.clone_from(p);
+            p_new.intersect_inplace(nv);
+            let mut x_new = scratch.take();
+            x_new.clone_from(x);
+            x_new.intersect_inplace(nv);
+            r.push(v);
+            let depth = depth_left.saturating_sub(1);
+            if ctx.per_level {
+                let h = per_level_subgraph(ctx, &p_new, &x_new);
+                let ctx = ctx.over(&h);
+                bk_pivot(&ctx, &mut p_new, r, &mut x_new, scratch, out, depth);
+            } else {
+                bk_pivot(ctx, &mut p_new, r, &mut x_new, scratch, out, depth);
+            }
+            r.pop();
+            p.remove(v);
+            x.add(v);
+            scratch.put(p_new);
+            scratch.put(x_new);
         }
-        r.pop();
-        p.remove(v);
-        x.add(v);
-        scratch.put(p_new);
-        scratch.put(x_new);
     }
     scratch.put(candidates);
+    if !rest.is_empty() {
+        out.absorb(bk_split_branches(ctx, p, x, r, &rest, depth_left));
+    }
 }
 
-/// Parallel subtree expansion: above the remaining `depth_left`
-/// budget, pivot branches are spawned as `join` tasks so idle workers
-/// steal skewed subtrees; at the budget's edge (or on a 1-wide pool)
-/// each branch falls into the sequential scratch-reusing kernel.
-fn bk_pivot_par<S: Set>(
-    ctx: &SearchCtx<'_, S>,
-    p: &S,
-    r: &[NodeId],
-    x: &S,
-    depth_left: usize,
-) -> LocalOut {
-    if ctx.cancel.is_cancelled() {
-        return LocalOut::empty();
-    }
-    if depth_left == 0 || rayon::current_num_threads() <= 1 {
-        // Sequential subtree: borrow the calling worker's scratch
-        // pool instead of growing a fresh one per task — stolen
-        // subtrees land on a worker whose previous tasks already grew
-        // the buffers, so the leaf runs allocation-free.
-        let mut p = p.clone();
-        let mut x = x.clone();
-        let mut r = r.to_vec();
-        let mut out = LocalOut::empty();
-        with_worker_scratch::<SetPool<S>, _>(|scratch| {
-            bk_pivot(ctx, &mut p, &mut r, &mut x, scratch, &mut out);
-        });
-        return out;
-    }
-    if p.is_empty() {
-        let mut out = LocalOut::empty();
-        if x.is_empty() {
-            out.count = 1;
-            out.largest = r.len();
-            if ctx.collect {
-                out.cliques.push(ctx.original(r));
-            }
-        }
-        return out;
-    }
-    let u = select_pivot(ctx, p, x);
-    let candidates: Vec<NodeId> = p.diff(ctx.neigh(u)).to_vec();
-    let range = 0..candidates.len();
-    bk_split_branches(ctx, p, x, r, &candidates, range, depth_left)
-}
-
-/// Processes the pivot branches `candidates[range]`, where `p`/`x`
-/// are already adjusted for `range.start` (earlier candidates moved
-/// from P to X). Ranges split via `join` — the right half (with its
-/// adjusted P/X) is published for stealing while the left half runs
-/// on the calling worker — down to single branches, which descend
-/// with one less level of parallel budget.
+/// Runs the pivot branches `candidates`, where `p`/`x` already have
+/// every earlier branch moved from P to X. The back half, with its own
+/// adjusted P/X, is published via `join` while the front half runs
+/// here, down to single branches, which descend one level deeper into
+/// the sequential kernel.
 fn bk_split_branches<S: Set>(
     ctx: &SearchCtx<'_, S>,
     p: &S,
     x: &S,
     r: &[NodeId],
     candidates: &[NodeId],
-    range: std::ops::Range<usize>,
     depth_left: usize,
 ) -> LocalOut {
-    match range.len() {
-        0 => LocalOut::empty(),
-        1 => {
-            let v = candidates[range.start];
+    let mut out = LocalOut::empty();
+    match *candidates {
+        [] => {}
+        [v] => {
             let nv = ctx.neigh(v);
-            let p_new = p.intersect(nv);
-            let x_new = x.intersect(nv);
-            let mut r_new = r.to_vec();
-            r_new.push(v);
-            if ctx.per_level {
-                let h = per_level_subgraph(ctx, &p_new, &x_new);
-                bk_pivot_par(&ctx.over(&h), &p_new, &r_new, &x_new, depth_left - 1)
-            } else {
-                bk_pivot_par(ctx, &p_new, &r_new, &x_new, depth_left - 1)
-            }
+            let (mut p, mut x) = (p.intersect(nv), x.intersect(nv));
+            let (mut r, depth) = ([r, &[v]].concat(), depth_left - 1);
+            with_worker_checkout(|scratch: &mut SetPool<S>| {
+                if ctx.per_level {
+                    let h = per_level_subgraph(ctx, &p, &x);
+                    let ctx = ctx.over(&h);
+                    bk_pivot(&ctx, &mut p, &mut r, &mut x, scratch, &mut out, depth);
+                } else {
+                    bk_pivot(ctx, &mut p, &mut r, &mut x, scratch, &mut out, depth);
+                }
+            });
         }
-        len => {
-            let mid = range.start + len / 2;
-            // The right half sees the left half's candidates moved
+        _ => {
+            let (front, back) = candidates.split_at(candidates.len() / 2);
+            // The back half sees the front half's candidates moved
             // P → X (the sequential loop's post-iteration updates,
             // applied in bulk).
-            let mut p_right = p.clone();
-            let mut x_right = x.clone();
-            for &w in &candidates[range.start..mid] {
-                p_right.remove(w);
-                x_right.add(w);
+            let mut p_back = p.clone();
+            let mut x_back = x.clone();
+            for &w in front {
+                p_back.remove(w);
+                x_back.add(w);
             }
-            let (left_start, left_end) = (range.start, mid);
-            let (mut left, right) = rayon::join(
-                || bk_split_branches(ctx, p, x, r, candidates, left_start..left_end, depth_left),
-                || {
-                    bk_split_branches(
-                        ctx,
-                        &p_right,
-                        &x_right,
-                        r,
-                        candidates,
-                        mid..range.end,
-                        depth_left,
-                    )
-                },
+            let (front, back) = hand_off(
+                || bk_split_branches(ctx, p, x, r, front, depth_left),
+                || bk_split_branches(ctx, &p_back, &x_back, r, back, depth_left),
             );
-            left.absorb(right);
-            left
+            out.absorb(front);
+            out.absorb(back);
         }
     }
+    out
 }
 
 /// Line 13: the root's neighbors, each flagged "later in the order",
@@ -414,22 +418,48 @@ fn search<S: Set>(
     ctx: &SearchCtx<'_, S>,
     root: NodeId,
     par_depth: usize,
+    scratch: &mut SetPool<S>,
     fill: impl FnOnce(&mut S, &mut S),
 ) -> LocalOut {
-    if par_depth > 0 && rayon::current_num_threads() > 1 {
-        // Subtree tasks below the root: skewed branches are published
-        // for stealing down to `par_depth` levels.
-        let (mut p, mut x) = (S::empty(), S::empty());
-        fill(&mut p, &mut x);
-        return bk_pivot_par(ctx, &p, &[root], &x, par_depth);
-    }
-    with_worker_scratch::<SetPool<S>, _>(|scratch| {
-        let (mut p, mut x) = (scratch.take(), scratch.take());
-        fill(&mut p, &mut x);
+    let (mut p, mut x) = (scratch.take(), scratch.take());
+    fill(&mut p, &mut x);
+    let (mut r, mut out) = (vec![root], LocalOut::empty());
+    bk_pivot(ctx, &mut p, &mut r, &mut x, scratch, &mut out, par_depth);
+    scratch.put(p);
+    scratch.put(x);
+    out
+}
+
+/// Runs `search` on the roots `0..n` and merges the results. One
+/// `join` enters the pool; from there each worker walks its range of
+/// roots in order, and hands the back half of what remains to another
+/// worker whenever it is [`hungry`].
+fn drive_roots<S: Set>(
+    n: NodeId,
+    search: &(impl Fn(NodeId, &mut SetPool<S>) -> LocalOut + Sync),
+) -> LocalOut {
+    rayon::join(|| (), || walk_roots(0..n, search)).1
+}
+
+fn walk_roots<S: Set>(
+    roots: Range<NodeId>,
+    search: &(impl Fn(NodeId, &mut SetPool<S>) -> LocalOut + Sync),
+) -> LocalOut {
+    with_worker_checkout(|scratch| {
         let mut out = LocalOut::empty();
-        bk_pivot(ctx, &mut p, &mut vec![root], &mut x, scratch, &mut out);
-        scratch.put(p);
-        scratch.put(x);
+        for v in roots.clone() {
+            if roots.end - v > 1 && hungry() {
+                let mid = v + (roots.end - v) / 2;
+                let (front, back) = hand_off(
+                    || walk_roots(v..mid, search),
+                    || walk_roots(mid..roots.end, search),
+                );
+                out.absorb(front);
+                out.absorb(back);
+                break;
+            }
+            out.absorb(search(v, scratch));
+        }
         out
     })
 }
@@ -453,7 +483,7 @@ pub fn bron_kerbosch_cancellable<S: Set>(
     let preprocess = t0.elapsed();
 
     let t1 = Instant::now();
-    let roots = (0..graph.num_vertices() as NodeId).into_par_iter();
+    let n = graph.num_vertices() as NodeId;
     let later = |v: NodeId, w: NodeId| rank.precedes(v, w);
     let merged = if config.subgraph == SubgraphMode::None {
         let set_graph: SetGraph<S> = SetGraph::from_csr(graph);
@@ -464,17 +494,17 @@ pub fn bron_kerbosch_cancellable<S: Set>(
             collect: config.collect,
             cancel,
         };
-        roots.map(|v| {
+        drive_roots(n, &|v, scratch| {
             if cancel.is_cancelled() {
                 return LocalOut::empty();
             }
             let members = graph.neighbors_slice(v);
-            search(&ctx, v, config.par_depth, |p, x| {
+            search(&ctx, v, config.par_depth, scratch, |p, x| {
                 split(members.iter().map(|&w| (w, later(v, w))), p, x)
             })
         })
     } else {
-        roots.map(|v| {
+        drive_roots(n, &|v, scratch| {
             if cancel.is_cancelled() {
                 return LocalOut::empty();
             }
@@ -492,16 +522,12 @@ pub fn bron_kerbosch_cancellable<S: Set>(
                     collect: config.collect,
                     cancel,
                 };
-                search(&ctx, root, config.par_depth, |p, x| {
+                search(&ctx, root, config.par_depth, scratch, |p, x| {
                     split((0..members.len()).map(|i| (i as NodeId, in_p(i))), p, x)
                 })
             })
         })
-    }
-    .reduce(LocalOut::empty, |mut a, b| {
-        a.absorb(b);
-        a
-    });
+    };
     let mine = t1.elapsed();
 
     let cliques = config.collect.then(|| {
@@ -790,6 +816,87 @@ mod tests {
         // An unfired token changes nothing.
         let live = BkVariant::GmsAdg.run_cancellable(&g, false, &CancelToken::manual());
         assert_eq!(live.clique_count, BkVariant::GmsAdg.run(&g).clique_count);
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    // The heartbeat is zero under `cfg(test)`: a worker of a 2- or
+    // 4-wide pool splits at every check that finds its deque empty.
+    // The first root check always does, so every run below splits the
+    // root range; deeper checks split subtrees whenever a thief has
+    // taken what was published.
+    #[test]
+    fn every_split_gives_the_width_1_answer() {
+        let graphs = [
+            gms_gen::gnp(70, 0.3, 5),
+            gms_gen::planted_cliques(150, 0.04, 3, 8, 2).0,
+        ];
+        let pools = [1, 2, 4].map(pool);
+        for (i, g) in graphs.iter().enumerate() {
+            for subgraph in [
+                SubgraphMode::None,
+                SubgraphMode::Outermost,
+                SubgraphMode::PerLevel,
+            ] {
+                for par_depth in [0, 1, 4, 16] {
+                    let config = BkConfig {
+                        ordering: OrderingKind::Degeneracy,
+                        subgraph,
+                        collect: true,
+                        par_depth,
+                    };
+                    let runs = pools
+                        .each_ref()
+                        .map(|pool| pool.install(|| bron_kerbosch::<DenseBitSet>(g, &config)));
+                    for (run, threads) in runs[1..].iter().zip([2, 4]) {
+                        let at = format!("graph {i} {subgraph:?} depth {par_depth} {threads}T");
+                        assert_eq!(run.clique_count, runs[0].clique_count, "{at}");
+                        assert_eq!(run.cliques, runs[0].cliques, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_subtree_split_inside_one_root_gives_the_sequential_answer() {
+        // A hub over a ring of 40 leaves with chords `i — i+2`: with
+        // every leaf in `P`, the hub's node has 36 pivot branches. A
+        // walk over the hub alone (root `0` of a one-root range) has no
+        // root range to split, so on a 2-wide pool the node's first
+        // check hands its branches off.
+        let mut edges: Vec<(NodeId, NodeId)> = (1..=40).map(|v| (0, v)).collect();
+        edges.extend((0..40).flat_map(|i| [(1 + i, 1 + (i + 1) % 40), (1 + i, 1 + (i + 2) % 40)]));
+        let g = CsrGraph::from_undirected_edges(41, &edges);
+        let sets: SetGraph<DenseBitSet> = SetGraph::from_csr(&g);
+        let cancel = CancelToken::none();
+        let ctx = SearchCtx {
+            neighborhoods: Neighborhoods::Rows(sets.neighborhoods()),
+            ids: &[],
+            per_level: false,
+            collect: true,
+            cancel: &cancel,
+        };
+        let hub = |_: NodeId, scratch: &mut SetPool<DenseBitSet>| {
+            let leaves = g.neighbors_slice(0);
+            search(&ctx, 0, 1, scratch, |p, x| {
+                split(leaves.iter().map(|&w| (w, true)), p, x)
+            })
+        };
+        let run = |threads| {
+            let mut out = pool(threads).install(|| drive_roots(1, &hub));
+            out.cliques.sort();
+            out
+        };
+        let (sequential, split) = (run(1), run(2));
+        assert_eq!(sequential.count, 40, "one 4-clique per ring position");
+        assert_eq!(split.count, sequential.count);
+        assert_eq!(split.cliques, sequential.cliques);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Per-worker scratch storage for the parallel mining kernels.
 //!
-//! Subtree tasks produced by `rayon::join` and `par_iter` run to
-//! completion on a single worker, so scratch buffers only need to be
-//! per-*worker*, not per-*task*. Before this module each leaf task
-//! started with empty buffers and re-grew them from scratch, which put
-//! an allocation burst on every stolen subtree — measurable as the
-//! scheduler-adjacent slowdown at 2–4 threads. Here each OS thread
-//! keeps one type-erased pool keyed by `TypeId`; a task borrows the
-//! pool for its set type, and whatever buffer capacity the previous
-//! task on this worker grew is reused.
+//! Tasks produced by `rayon::join` and `par_iter` — root ranges and
+//! subtrees a kernel hands to an idle worker — run to completion on a
+//! single worker, so scratch buffers only need to be per-*worker*, not
+//! per-*task*. Before this module each task started with empty buffers
+//! and re-grew them from scratch, which put an allocation burst on
+//! every stolen subtree — measurable as the scheduler-adjacent
+//! slowdown at 2–4 threads. Here each OS thread keeps one type-erased
+//! pool keyed by `TypeId`; a task borrows the pool for its set type,
+//! and whatever buffer capacity the previous task on this worker grew
+//! is reused.
 //!
 //! The pool entry is *taken out* of the thread-local for the duration
 //! of the closure (and restored afterwards), so a re-entrant borrow of

@@ -1,13 +1,15 @@
 //! Scheduler-facing determinism suite: the work-stealing execution of
 //! the mining kernels must be *semantically invisible*. Parallel runs
-//! (multi-worker pool, join-split subtrees, edge-parallel recursive
-//! split) must produce exactly the results of the sequential kernels
-//! on the same inputs, for any interleaving the scheduler happens to
-//! pick — which is exercised here on 20 seeded graphs per kernel.
+//! (multi-worker pool, Bron–Kerbosch's demand-driven root-range and
+//! subtree splits, edge-parallel recursive split) must produce exactly
+//! the results of the sequential kernels on the same inputs, for any
+//! interleaving the scheduler happens to pick — which is exercised
+//! here on 20 seeded graphs per kernel, and on one graph heavy enough
+//! that BK's splits wait out their real heartbeat.
 //!
 //! The clique miners solve each root in a universe of its own
 //! neighborhood's local ids, so the same suite pins them to the
-//! brute-force oracles for every set layout, pool width and task depth,
+//! brute-force oracles for every set layout, pool width and split depth,
 //! on shapes whose local sets cross 64-bit word boundaries.
 
 use gms_core::{
@@ -71,8 +73,7 @@ fn parallel_bk_matches_sequential_on_20_seeded_graphs() {
 
 #[test]
 fn parallel_bk_subtree_depths_all_agree() {
-    // The split point between join-task levels and the sequential
-    // scratch-reusing kernel must not matter.
+    // How deep branches may be handed off must not matter.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
@@ -93,8 +94,8 @@ fn parallel_bk_subtree_depths_all_agree() {
 
 #[test]
 fn parallel_bk_consistent_across_subgraph_modes() {
-    // The induced-subgraph variants route through the same join-split
-    // machinery (including the per-level rebuild in branch leaves).
+    // The induced-subgraph variants route through the same splitter
+    // (including the per-level rebuild in handed-off branches).
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
@@ -115,6 +116,35 @@ fn parallel_bk_consistent_across_subgraph_modes() {
             };
             let outcome = pool.install(|| bron_kerbosch::<DenseBitSet>(&graph, &config));
             assert_eq!(outcome.clique_count, seq_count, "seed {seed} {subgraph:?}");
+        }
+    }
+}
+
+#[test]
+fn parallel_bk_past_the_heartbeat_lists_the_width_1_cliques() {
+    // Tens of milliseconds of search per run: workers hand off roots
+    // and subtrees many heartbeats apart, in every mode and depth.
+    let graph = gms_gen::gnp(300, 0.3, 9);
+    for subgraph in [
+        SubgraphMode::None,
+        SubgraphMode::Outermost,
+        SubgraphMode::PerLevel,
+    ] {
+        for par_depth in [0, 4] {
+            let config = BkConfig {
+                ordering: OrderingKind::Degeneracy,
+                subgraph,
+                collect: true,
+                par_depth,
+            };
+            let sequential = pool(1).install(|| bron_kerbosch::<DenseBitSet>(&graph, &config));
+            for threads in [2, 4] {
+                let outcome =
+                    pool(threads).install(|| bron_kerbosch::<DenseBitSet>(&graph, &config));
+                let at = format!("{subgraph:?} depth {par_depth} {threads}T");
+                assert_eq!(outcome.clique_count, sequential.clique_count, "{at}");
+                assert_eq!(outcome.cliques, sequential.cliques, "{at}");
+            }
         }
     }
 }

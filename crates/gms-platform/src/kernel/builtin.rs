@@ -367,7 +367,8 @@ const BK: &[ParamSpec] = &[
         "par-depth",
         4,
         0..=NO_UPPER,
-        "task-spawn depth of the parallel search",
+        "deepest search level whose remaining branches may be handed to an idle \
+         worker (0 = root ranges only)",
     ),
     COLLECT,
 ];

@@ -4,8 +4,11 @@
 //! The build environment cannot reach crates.io, so this workspace
 //! vendors a data-parallelism layer with rayon's surface syntax:
 //! [`join`], `par_iter` / `into_par_iter` / `par_chunks`, the usual
-//! combinators, `ThreadPoolBuilder` + `ThreadPool::install`, and
-//! `current_num_threads`.
+//! combinators, `ThreadPoolBuilder` + `ThreadPool::install`,
+//! `current_num_threads`, and [`current_thread_has_pending_tasks`]
+//! (rayon-core's hunger probe: `Some(false)` on a worker whose
+//! published jobs have all been taken, which lets a kernel split work
+//! only when another worker is idle).
 //!
 //! Execution works like real rayon, not like the eager fixed-chunk
 //! fan-out this shim used before PR 2: there is a persistent pool of
@@ -53,7 +56,7 @@ use std::fmt;
 pub mod iter;
 mod pool;
 
-pub use pool::join;
+pub use pool::{current_thread_has_pending_tasks, join};
 
 /// The rayon-style prelude: import the traits that put `par_iter`
 /// and friends in scope.
@@ -389,6 +392,19 @@ mod tests {
         assert_eq!(&log[..2], &["a", "b"]);
         assert_eq!(log.len(), 102);
         assert!(log[2..].chunks(2).all(|w| w == ["even", "odd"]));
+    }
+
+    #[test]
+    fn pending_tasks_probe_is_none_off_pool_and_false_on_an_idle_worker() {
+        assert_eq!(current_thread_has_pending_tasks(), None);
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        // `install` runs the closure on the caller, still off-pool.
+        assert_eq!(pool.install(current_thread_has_pending_tasks), None);
+        // A join's second arm runs either on its publisher, after
+        // taking itself back, or on a thief, which steals only with
+        // its own deque empty: either way nothing is pending.
+        let (_, inside) = pool.install(|| join(|| (), current_thread_has_pending_tasks));
+        assert_eq!(inside, Some(false));
     }
 
     #[test]

@@ -397,7 +397,9 @@ impl Deque {
     }
 
     /// Racy emptiness probe for the park re-check; precise enough
-    /// because the parker fences before calling it (module docs).
+    /// because the parker fences before calling it (module docs). The
+    /// owner's hunger probe reads it too, where a stale `top` only
+    /// delays a split by one poll.
     fn is_visibly_nonempty(&self) -> bool {
         let t = self.top.0.load(Ordering::Acquire);
         let b = self.bottom.0.load(Ordering::Acquire);
@@ -639,6 +641,17 @@ fn current_worker() -> Option<WorkerCtx> {
     WORKER.with(|cell| cell.borrow().clone())
 }
 
+/// Whether the calling worker's deque holds jobs no one has taken
+/// yet; `None` off-pool. Reads the deque in place (no `Arc` clone),
+/// so a kernel can poll it once per search node.
+pub fn current_thread_has_pending_tasks() -> Option<bool> {
+    WORKER.with(|cell| {
+        cell.borrow()
+            .as_ref()
+            .map(|ctx| ctx.registry.deques[ctx.index].is_visibly_nonempty())
+    })
+}
+
 // ------------------------------------------------- registry acquisition
 
 static REGISTRIES: OnceLock<Mutex<HashMap<usize, Arc<Registry>>>> = OnceLock::new();
@@ -798,22 +811,34 @@ mod tests {
     #[test]
     fn park_publish_race_has_no_lost_wakeups() {
         // Every round injects one tiny job into a pool whose workers
-        // are all parked (workers park immediately when idle). Under
-        // the fenced publish/park protocol each round completes in
-        // microseconds; a lost wakeup strands the round until the
-        // 100ms park-timeout backstop. The budget below tolerates a
-        // heavily loaded machine but fails if even a small fraction
-        // of rounds fall back to the timeout, which is exactly what
-        // happens if the publisher's fence or the parker's re-check
-        // ordering is removed.
+        // are all parked: the round first waits until every worker
+        // has raised the sleeper count (a worker can be slow to go
+        // idle on a loaded machine, and a pool that never parked
+        // would exercise nothing). Under the fenced publish/park
+        // protocol each round completes in microseconds; a lost
+        // wakeup strands the round until the 100ms park-timeout
+        // backstop. The budget below tolerates a heavily loaded
+        // machine but fails if even a small fraction of rounds fall
+        // back to the timeout, which is exactly what happens if the
+        // publisher's fence or the parker's re-check ordering is
+        // removed.
         let registry = registry_for(5);
         const ROUNDS: u64 = 200;
-        let start = Instant::now();
+        let mut elapsed = Duration::ZERO;
         for i in 0..ROUNDS {
+            let idle_by = Instant::now() + Duration::from_secs(10);
+            while registry.sleepers.load(Ordering::SeqCst) < registry.width {
+                assert!(
+                    Instant::now() < idle_by,
+                    "round {i}: workers never went idle"
+                );
+                std::thread::yield_now();
+            }
+            let start = Instant::now();
             let got = in_worker(&registry, || std::hint::black_box(i) + 1);
+            elapsed += start.elapsed();
             assert_eq!(got, i + 1);
         }
-        let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_millis(ROUNDS * 50),
             "{ROUNDS} inject/park round-trips took {elapsed:?}: \
@@ -852,6 +877,31 @@ mod tests {
             elapsed < Duration::from_millis(ROUNDS * 50),
             "{ROUNDS} stolen-join rounds took {elapsed:?}: \
              latch sets are not waking parked waiters"
+        );
+    }
+
+    #[test]
+    fn pending_tasks_probe_tracks_push_take_and_steal() {
+        // `current_thread_has_pending_tasks` is this probe on the
+        // caller's own deque. Job pointers are synthesized, never
+        // executed.
+        let deque = Deque::new();
+        let fake = JobRef::from_raw(std::ptr::dangling_mut());
+        assert!(!deque.is_visibly_nonempty());
+        assert!(deque.push(fake));
+        assert!(deque.push(fake));
+        assert!(deque.is_visibly_nonempty());
+        assert!(deque.take().is_some());
+        assert!(deque.is_visibly_nonempty(), "one job still pending");
+        assert!(deque.take().is_some());
+        assert!(!deque.is_visibly_nonempty());
+        assert!(deque.push(fake));
+        assert!(matches!(deque.steal(), Steal::Job(_)));
+        assert!(!deque.is_visibly_nonempty(), "a stolen job is taken");
+        assert!(deque.take().is_none());
+        assert!(
+            !deque.is_visibly_nonempty(),
+            "a failed take restores bottom"
         );
     }
 
