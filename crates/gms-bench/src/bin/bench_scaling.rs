@@ -22,8 +22,9 @@
 //!
 //! With `GMS_ENFORCE_SPEEDUP_FLOOR=1` (the CI release-smoke setting)
 //! the binary exits nonzero if any Bron–Kerbosch kernel's (`bk` and
-//! every `bk-*` variant) 4-thread speedup falls below 1.0 — parallel
-//! mining must never be slower than sequential on a multi-core runner.
+//! every `bk-*` variant) or `k-clique`'s 4-thread speedup falls below
+//! 1.0 — the kernels that split work on demand must never be slower
+//! in parallel than sequentially on a multi-core runner.
 //!
 //! ```sh
 //! cargo run --release -p gms-bench --bin bench_scaling
@@ -122,13 +123,13 @@ fn main() {
     eprintln!("wrote {path}");
 
     if std::env::var("GMS_ENFORCE_SPEEDUP_FLOOR").is_ok_and(|v| v == "1") {
-        let bk_4t: Vec<_> = speedups
+        let floored: Vec<_> = speedups
             .iter()
-            .filter(|(k, t, _)| k.starts_with("bk") && *t == 4)
+            .filter(|(k, t, _)| (k.starts_with("bk") || k == "k-clique") && *t == 4)
             .collect();
-        assert!(!bk_4t.is_empty(), "bk kernels present in registry");
+        assert!(!floored.is_empty(), "bk kernels present in registry");
         let mut slow = false;
-        for (kernel, _, speedup) in bk_4t {
+        for (kernel, _, speedup) in floored {
             eprintln!("speedup floor check: {kernel} @4T = {speedup:.3}");
             if *speedup < 1.0 {
                 eprintln!("FAIL: {kernel} 4-thread speedup {speedup:.3} < 1.0 — parallel slowdown");

@@ -10,14 +10,14 @@
 //! Every variant takes its candidates from neighborhood intersections
 //! and differences; `+simd` switches those from a plain merge to the
 //! adaptive galloping / block-skipping one, and `+precompute` filters
-//! the root candidates by label and degree up front. Each point asks
-//! the driver for an explicit thread count, so it builds a pool of
-//! that width per run (with `threads` = 0 it would run on the caller's
-//! pool).
+//! the root candidates by label and degree up front. Each point runs
+//! on an installed pool of its width through `run_scaling`, so its
+//! time is the median of three runs after a warm-up.
 
 use gms_bench::print_csv;
 use gms_match::{count_embeddings_parallel, IsoMode, IsoOptions, LabeledGraph, ParallelIsoConfig};
-use std::time::Instant;
+use gms_platform::run_scaling;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn main() {
     let scale = gms_bench::scale_from_env();
@@ -33,29 +33,29 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut expected = None;
-    for threads in [1usize, 2, 4, 8] {
-        for (label, stealing, galloping, precompute) in variants {
-            let config = ParallelIsoConfig {
-                threads,
-                work_stealing: stealing,
-                options: IsoOptions {
-                    mode: IsoMode::Induced,
-                    precompute,
-                    galloping,
-                    limit: u64::MAX,
-                },
-            };
-            let t = Instant::now();
-            let found = count_embeddings_parallel(&query, &target, &config);
-            let elapsed = t.elapsed();
-            match expected {
-                None => expected = Some(found),
-                Some(e) => assert_eq!(e, found, "configs must agree"),
-            }
-            rows.push(format!(
-                "{threads},{label},{found},{:.4}",
-                elapsed.as_secs_f64()
-            ));
+    for (label, stealing, galloping, precompute) in variants {
+        let config = ParallelIsoConfig {
+            work_stealing: stealing,
+            options: IsoOptions {
+                mode: IsoMode::Induced,
+                precompute,
+                galloping,
+                limit: u64::MAX,
+            },
+        };
+        let found = AtomicU64::new(0);
+        let points = run_scaling(&[1, 2, 4, 8], || {
+            let count = count_embeddings_parallel(&query, &target, &config);
+            found.store(count, Ordering::Relaxed);
+        });
+        let found = found.into_inner();
+        match expected {
+            None => expected = Some(found),
+            Some(e) => assert_eq!(e, found, "configs must agree"),
+        }
+        for point in points {
+            let (threads, time_s) = (point.threads, point.elapsed.as_secs_f64());
+            rows.push(format!("{threads},{label},{found},{time_s:.4}"));
         }
     }
     print_csv("threads,variant,embeddings,time_s", &rows);

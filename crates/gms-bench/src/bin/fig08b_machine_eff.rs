@@ -88,18 +88,13 @@ fn main() {
     });
     rows.extend(rows_for("kclique4/social-kron", &kc_series, &[]));
 
-    // Parallel subgraph isomorphism: an explicit `threads` makes the
-    // driver build a pool of that width, so each scaling point hands
-    // it the point's thread count, and reports the kernel-stage time
-    // from the outcome.
+    // Parallel subgraph isomorphism on each point's installed pool,
+    // reporting the kernel-stage time from the outcome.
     let iso_target = gms_gen::gnp(600 * s, 0.02, 5);
     let iso_series: Vec<ScalingPoint> = THREADS
         .iter()
         .map(|&t| {
-            let params = Params::new()
-                .with("query", "path4")
-                .with("threads", t)
-                .with("stealing", true);
+            let params = Params::new().with("query", "path4").with("stealing", true);
             let kernel_nanos = std::sync::atomic::AtomicU64::new(0);
             run_scaling(&[t], || {
                 let outcome = registry

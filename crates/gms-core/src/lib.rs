@@ -25,6 +25,7 @@ pub mod cancel;
 pub mod graph;
 pub mod hash;
 pub mod set;
+pub mod split;
 pub mod types;
 
 pub use cancel::CancelToken;

@@ -4,47 +4,54 @@
 //!
 //! * **Work splitting** — the root-candidate list (target vertices
 //!   from which backtracking starts) is split across threads.
-//! * **Work stealing** — idle workers steal further root chunks from
-//!   busy ones instead of being stuck with a static chunk; the paper
-//!   implements this with a CAS-retrieved queue of vertex IDs, which
-//!   maps directly onto the `rayon` scheduler's stealable range
-//!   tasks, so this driver is a parallel iterator over root chunks.
+//! * **Work stealing** — idle workers take further roots from busy
+//!   ones instead of being stuck with a static chunk; the paper
+//!   implements this with a CAS-retrieved queue of vertex IDs. Here a
+//!   worker walks its roots in order with [`gms_core::split::walk`] and
+//!   hands the back half of what remains to an idle worker, with one
+//!   `MatchState` per walked segment. Without stealing, the roots are
+//!   cut into one static chunk per thread.
 //!
-//! The chunks run on the ambient pool — the caller's, as every other
-//! kernel does (a benchmark's `pool().install`, a server's worker
-//! pool) — unless [`ParallelIsoConfig::threads`] asks for a width, in
-//! which case a pool of that width is built for the call: the thread
-//! sweeps of Fig. 7 need it.
+//! Both run on the ambient pool — the caller's, as every other kernel
+//! does (a benchmark's `pool().install`, a server's worker pool); the
+//! thread sweeps of Fig. 7 install a pool of each width around the
+//! call.
 //!
 //! Diverse backtracking depths per root vertex make some threads
 //! finish early; stealing flattens that imbalance (the effect Fig. 7
 //! measures thread-by-thread).
 
 use crate::labeled::LabeledGraph;
-use crate::vf2::{build_plan, IsoOptions, MatchState};
+use crate::vf2::{build_plan, IsoOptions, MatchPlan, MatchState};
+use gms_core::split::{walk, HEARTBEAT};
 use gms_core::CancelToken;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+/// The driver's [`gms_core::split`] heartbeat; zero in unit tests, so
+/// they split at every chance.
+const SPLIT_AFTER: Duration = if cfg!(test) {
+    Duration::ZERO
+} else {
+    HEARTBEAT
+};
 
 /// Parallel driver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelIsoConfig {
-    /// Worker thread count; `0` (the default) runs on the ambient
-    /// pool, any other value on a pool of that width built per call.
-    pub threads: usize,
     /// Dynamic work stealing (vs. static per-thread chunks).
     pub work_stealing: bool,
     /// Matching options (semantics + §6.4 optimizations). The `limit`
-    /// field is treated as a soft limit in parallel runs: the driver
-    /// stops starting new root chunks once reached, but chunks already
-    /// in flight complete; the result is capped at `limit`.
+    /// field is treated as a soft limit in parallel runs: no new root
+    /// starts once the embeddings found reach it, but roots already in
+    /// flight complete; the result is capped at `limit`.
     pub options: IsoOptions,
 }
 
 impl Default for ParallelIsoConfig {
     fn default() -> Self {
         Self {
-            threads: 0,
             work_stealing: true,
             options: IsoOptions::default(),
         }
@@ -61,7 +68,7 @@ pub fn count_embeddings_parallel(
 }
 
 /// [`count_embeddings_parallel`] under a cooperative [`CancelToken`]
-/// probed at every chunk boundary and extension step. A fired token
+/// probed at every root and extension step. A fired token
 /// yields a partial count the caller must discard.
 pub fn count_embeddings_parallel_cancellable(
     query: &LabeledGraph,
@@ -76,46 +83,55 @@ pub fn count_embeddings_parallel_cancellable(
         return 0;
     }
     let plan = build_plan(query, target, &config.options);
-    let limit = config.options.limit;
+    count_roots(target, &plan, config, cancel).min(config.options.limit)
+}
+
+/// The embeddings found from `plan`'s roots before the result is capped
+/// at the limit: no root starts once the total reaches it, but roots in
+/// flight then complete.
+fn count_roots(
+    target: &LabeledGraph,
+    plan: &MatchPlan,
+    config: &ParallelIsoConfig,
+    cancel: &CancelToken,
+) -> u64 {
+    let (roots, limit) = (plan.roots(), config.options.limit);
     let total = AtomicU64::new(0);
-    let search = || {
-        let roots = plan.roots();
-        let threads = rayon::current_num_threads();
-        // Chunk granularity is the splitting/stealing knob: with
-        // stealing on, roots fan out as many small stealable tasks
-        // (each chunk amortizes one `MatchState`); with stealing off,
-        // one contiguous chunk per thread reproduces static work
-        // splitting.
-        let chunk = if config.work_stealing {
-            roots.len().div_ceil(threads * 8).max(1)
-        } else {
-            roots.len().div_ceil(threads).max(1)
-        };
-        roots.par_chunks(chunk).for_each(|chunk_roots| {
-            if total.load(Ordering::Relaxed) >= limit || cancel.is_cancelled() {
-                return;
-            }
-            let mut state = MatchState::new(target, &plan, &config.options, cancel);
-            state.count_from(chunk_roots);
-            total.fetch_add(state.found, Ordering::Relaxed);
-        });
+    // The embeddings `state` finds from `roots`: none once the total
+    // has reached the limit or the token has fired.
+    let count = |state: &mut MatchState, roots: &[_]| {
+        if total.load(Ordering::Relaxed) >= limit || cancel.is_cancelled() {
+            return 0;
+        }
+        let before = state.found;
+        state.count_from(roots);
+        let found = state.found - before;
+        total.fetch_add(found, Ordering::Relaxed);
+        found
     };
-    match config.threads {
-        0 => search(),
-        threads => rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("a pool of the requested width")
-            .install(search),
+    let state = || MatchState::new(target, plan, &config.options, cancel);
+    if config.work_stealing {
+        walk(
+            0..roots.len(),
+            SPLIT_AFTER,
+            &|segment| segment(&mut state()),
+            &|state, i, _| count(state, &roots[i..=i]),
+        )
+    } else {
+        // One contiguous chunk per thread: static work splitting.
+        let chunk = roots.len().div_ceil(rayon::current_num_threads()).max(1);
+        roots
+            .par_chunks(chunk)
+            .map(|chunk| count(&mut state(), chunk))
+            .sum()
     }
-    total.load(Ordering::Relaxed).min(limit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vf2::count_embeddings;
-    use gms_core::CsrGraph;
+    use gms_core::{CsrGraph, NodeId};
 
     fn triangle() -> LabeledGraph<'static> {
         LabeledGraph::unlabeled(CsrGraph::from_undirected_edges(
@@ -124,6 +140,16 @@ mod tests {
         ))
     }
 
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    // Under `cfg(test)` a worker of a 2- or 4-wide pool hands roots off
+    // at every check that finds its deque empty; the first check always
+    // does.
     #[test]
     fn parallel_matches_sequential() {
         let target = LabeledGraph::random_labels(gms_gen::gnp(80, 0.15, 2), 2, 4);
@@ -132,12 +158,11 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             for stealing in [false, true] {
                 let config = ParallelIsoConfig {
-                    threads,
                     work_stealing: stealing,
                     options: IsoOptions::default(),
                 };
                 assert_eq!(
-                    count_embeddings_parallel(&query, &target, &config),
+                    pool(threads).install(|| count_embeddings_parallel(&query, &target, &config)),
                     sequential,
                     "threads {threads} stealing {stealing}"
                 );
@@ -148,26 +173,66 @@ mod tests {
     #[test]
     fn triangle_in_k5() {
         let target = LabeledGraph::unlabeled(gms_gen::complete(5));
-        let config = ParallelIsoConfig {
-            threads: 3,
-            ..ParallelIsoConfig::default()
-        };
+        let config = ParallelIsoConfig::default();
         // C(5,3) × 3! = 60.
-        assert_eq!(count_embeddings_parallel(&triangle(), &target, &config), 60);
+        let found = pool(3).install(|| count_embeddings_parallel(&triangle(), &target, &config));
+        assert_eq!(found, 60);
     }
 
     #[test]
     fn soft_limit_caps_result() {
         let target = LabeledGraph::unlabeled(gms_gen::complete(9));
         let config = ParallelIsoConfig {
-            threads: 4,
             work_stealing: true,
             options: IsoOptions {
                 limit: 10,
                 ..IsoOptions::default()
             },
         };
-        assert_eq!(count_embeddings_parallel(&triangle(), &target, &config), 10);
+        let found = pool(4).install(|| count_embeddings_parallel(&triangle(), &target, &config));
+        assert_eq!(found, 10);
+    }
+
+    #[test]
+    fn the_limit_holds_across_walker_splits() {
+        // 300 disjoint triangles: each of the 900 roots starts 2
+        // triangle embeddings. Every walk splits its roots at its
+        // first check, so without a limit shared across segments each
+        // segment would run on to the limit by itself.
+        let edges: Vec<(NodeId, NodeId)> = (0..300)
+            .flat_map(|t| {
+                [
+                    (3 * t, 3 * t + 1),
+                    (3 * t + 1, 3 * t + 2),
+                    (3 * t, 3 * t + 2),
+                ]
+            })
+            .collect();
+        let target = LabeledGraph::unlabeled(CsrGraph::from_undirected_edges(900, &edges));
+        let query = triangle();
+        for limit in [1, 12, 101] {
+            let options = IsoOptions {
+                limit,
+                ..IsoOptions::default()
+            };
+            let plan = build_plan(&query, &target, &options);
+            let config = ParallelIsoConfig {
+                work_stealing: true,
+                options,
+            };
+            for threads in [1, 2, 4] {
+                let pool = pool(threads);
+                let at = format!("limit {limit} threads {threads}");
+                let found = pool.install(|| count_embeddings_parallel(&query, &target, &config));
+                assert_eq!(found, limit, "{at}");
+                // Once the total reaches the limit no root starts; at
+                // most one root per worker is still in flight.
+                let uncapped =
+                    pool.install(|| count_roots(&target, &plan, &config, &CancelToken::none()));
+                assert!(uncapped >= limit, "{at}: {uncapped}");
+                assert!(uncapped < limit + 2 * threads as u64, "{at}: {uncapped}");
+            }
+        }
     }
 
     #[test]

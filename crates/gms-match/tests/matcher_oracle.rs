@@ -144,7 +144,6 @@ fn every_driver_and_switch_counts_what_the_oracle_counts() {
                         for (threads, pool) in &pools {
                             for work_stealing in [false, true] {
                                 let config = ParallelIsoConfig {
-                                    threads: 0,
                                     work_stealing,
                                     options,
                                 };
@@ -167,6 +166,10 @@ fn every_driver_and_switch_counts_what_the_oracle_counts() {
 
 #[test]
 fn limits_cap_the_count_exactly() {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(3)
+        .build()
+        .unwrap();
     let target = LabeledGraph::unlabeled(gms_gen::complete(7));
     for (query_name, query) in &queries() {
         let total = oracle(query, &target, IsoMode::NonInduced).len() as u64;
@@ -181,15 +184,14 @@ fn limits_cap_the_count_exactly() {
                 expected,
                 "{query_name}: sequential, limit {limit}"
             );
-            // Soft in the work it does — chunks in flight finish — but
-            // the result is capped, and no chunk stops short of it.
+            // Soft in the work it does — roots in flight finish — but
+            // the result is capped, and no root stops short of it.
             let config = ParallelIsoConfig {
-                threads: 3,
                 work_stealing: true,
                 options,
             };
             assert_eq!(
-                count_embeddings_parallel(query, &target, &config),
+                pool.install(|| count_embeddings_parallel(query, &target, &config)),
                 expected,
                 "{query_name}: parallel, limit {limit}"
             );

@@ -41,20 +41,21 @@
 //! Pivoting follows Tomita et al.: choose `u ∈ P ∪ X` maximizing
 //! `|P ∩ N(u)|`, then only `P \ N(u)` spawns recursive calls.
 //!
-//! Work moves between workers only on demand (lazy binary splitting,
-//! Tzannes et al., PPoPP 2010, gated by a heartbeat as in Acar et al.,
-//! PLDI 2018): a worker walks its roots, and each node's pivot branches
-//! down to [`BkConfig::par_depth`], in order, and hands the back half of
-//! what remains off only once all it published before has been taken
-//! and a heartbeat has passed. A 1-wide run is the sequential kernel.
+//! Work moves between workers only on demand, by the rule of
+//! [`gms_core::split`]: a worker walks its roots, and each node's pivot
+//! branches down to [`BkConfig::par_depth`], in order, and hands the
+//! back half of what remains off only once all it published before has
+//! been taken and a heartbeat has passed. A 1-wide run is the
+//! sequential kernel.
 
 use crate::local::Universe;
 use crate::scratch::{with_worker_checkout, SetPool};
+use crate::SPLIT_AFTER;
 use gms_core::hash::FxHashMap;
+use gms_core::split::{hand_off, hungry, walk};
 use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, Set, SetGraph};
 use gms_order::OrderingKind;
-use std::cell::Cell;
-use std::ops::Range;
+use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 /// How the induced subgraph `H` on `P ∪ X` is (re)built (§6.2).
@@ -184,22 +185,15 @@ impl<S: Set> SearchCtx<'_, S> {
     }
 }
 
+#[derive(Default)]
 struct LocalOut {
     count: u64,
     largest: usize,
     cliques: Vec<Vec<NodeId>>,
 }
 
-impl LocalOut {
-    fn empty() -> Self {
-        LocalOut {
-            count: 0,
-            largest: 0,
-            cliques: Vec::new(),
-        }
-    }
-
-    fn absorb(&mut self, mut other: LocalOut) {
+impl AddAssign for LocalOut {
+    fn add_assign(&mut self, mut other: LocalOut) {
         self.count += other.count;
         self.largest = self.largest.max(other.largest);
         self.cliques.append(&mut other.cliques);
@@ -240,41 +234,6 @@ fn per_level_subgraph<S: Set>(
     h
 }
 
-/// How long a worker keeps its work to itself after it last handed
-/// some off. On 2 vCPUs at width 2 (release, medians of 5, two rounds)
-/// `bk` took 1.44–1.45 / 1.48–1.54 / 1.66–1.80 ms on `er-6k` at 10 /
-/// 50 / 200 µs and 64–65 / 69–70 / 130–136 ms on `gnp(600, 0.25, 7)`;
-/// on `mid-kron` 50 µs read 1.00 s in both rounds, 10 µs 1.01 and
-/// 1.12 s. Unit tests use zero, so they split at every chance.
-const HEARTBEAT: Duration = if cfg!(test) {
-    Duration::ZERO
-} else {
-    Duration::from_micros(50)
-};
-
-thread_local! {
-    /// When this worker last handed work off.
-    static LAST_HAND_OFF: Cell<Option<Instant>> = const { Cell::new(None) };
-}
-
-/// Whether the calling worker should hand work to an idle one: all it
-/// published before has been taken (its deque is empty) and a heartbeat
-/// has passed since its last [`hand_off`]. Never off-pool, so a 1-wide
-/// run is the sequential kernel.
-fn hungry() -> bool {
-    rayon::current_thread_has_pending_tasks() == Some(false)
-        && LAST_HAND_OFF.with(|last| last.get().is_none_or(|at| at.elapsed() >= HEARTBEAT))
-}
-
-/// `rayon::join`, stamped as this worker's latest hand-off.
-fn hand_off<RA: Send, RB: Send>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    LAST_HAND_OFF.with(|last| last.set(Some(Instant::now())));
-    rayon::join(a, b)
-}
-
 /// The search node `(R, P, X)`, lines 19-28. Down to `depth_left`
 /// levels below it, the branches still to run go to
 /// [`bk_split_branches`] as soon as this worker is [`hungry`].
@@ -312,7 +271,7 @@ fn bk_pivot<S: Set>(
     {
         let mut branches = candidates.iter();
         while let Some(v) = branches.next() {
-            if depth_left > 0 && hungry() {
+            if depth_left > 0 && hungry(SPLIT_AFTER) {
                 rest.push(v);
                 rest.extend(branches);
                 break;
@@ -342,7 +301,7 @@ fn bk_pivot<S: Set>(
     }
     scratch.put(candidates);
     if !rest.is_empty() {
-        out.absorb(bk_split_branches(ctx, p, x, r, &rest, depth_left));
+        *out += bk_split_branches(ctx, p, x, r, &rest, depth_left);
     }
 }
 
@@ -359,7 +318,7 @@ fn bk_split_branches<S: Set>(
     candidates: &[NodeId],
     depth_left: usize,
 ) -> LocalOut {
-    let mut out = LocalOut::empty();
+    let mut out = LocalOut::default();
     match *candidates {
         [] => {}
         [v] => {
@@ -391,8 +350,8 @@ fn bk_split_branches<S: Set>(
                 || bk_split_branches(ctx, p, x, r, front, depth_left),
                 || bk_split_branches(ctx, &p_back, &x_back, r, back, depth_left),
             );
-            out.absorb(front);
-            out.absorb(back);
+            out += front;
+            out += back;
         }
     }
     out
@@ -423,45 +382,26 @@ fn search<S: Set>(
 ) -> LocalOut {
     let (mut p, mut x) = (scratch.take(), scratch.take());
     fill(&mut p, &mut x);
-    let (mut r, mut out) = (vec![root], LocalOut::empty());
+    let (mut r, mut out) = (vec![root], LocalOut::default());
     bk_pivot(ctx, &mut p, &mut r, &mut x, scratch, &mut out, par_depth);
     scratch.put(p);
     scratch.put(x);
     out
 }
 
-/// Runs `search` on the roots `0..n` and merges the results. One
-/// `join` enters the pool; from there each worker walks its range of
-/// roots in order, and hands the back half of what remains to another
-/// worker whenever it is [`hungry`].
-fn drive_roots<S: Set>(
+/// Runs `search` on the roots `0..n` and merges the results, walking
+/// them with [`walk`]; a walked segment of roots shares one scratch
+/// pool.
+fn mine_roots<S: Set>(
     n: NodeId,
     search: &(impl Fn(NodeId, &mut SetPool<S>) -> LocalOut + Sync),
 ) -> LocalOut {
-    rayon::join(|| (), || walk_roots(0..n, search)).1
-}
-
-fn walk_roots<S: Set>(
-    roots: Range<NodeId>,
-    search: &(impl Fn(NodeId, &mut SetPool<S>) -> LocalOut + Sync),
-) -> LocalOut {
-    with_worker_checkout(|scratch| {
-        let mut out = LocalOut::empty();
-        for v in roots.clone() {
-            if roots.end - v > 1 && hungry() {
-                let mid = v + (roots.end - v) / 2;
-                let (front, back) = hand_off(
-                    || walk_roots(v..mid, search),
-                    || walk_roots(mid..roots.end, search),
-                );
-                out.absorb(front);
-                out.absorb(back);
-                break;
-            }
-            out.absorb(search(v, scratch));
-        }
-        out
-    })
+    walk(
+        0..n as usize,
+        SPLIT_AFTER,
+        &|segment| with_worker_checkout(segment),
+        &|scratch, v, _| search(v as NodeId, scratch),
+    )
 }
 
 /// Runs Bron–Kerbosch with pivoting over set representation `S`.
@@ -494,9 +434,9 @@ pub fn bron_kerbosch_cancellable<S: Set>(
             collect: config.collect,
             cancel,
         };
-        drive_roots(n, &|v, scratch| {
+        mine_roots(n, &|v, scratch| {
             if cancel.is_cancelled() {
-                return LocalOut::empty();
+                return LocalOut::default();
             }
             let members = graph.neighbors_slice(v);
             search(&ctx, v, config.par_depth, scratch, |p, x| {
@@ -504,9 +444,9 @@ pub fn bron_kerbosch_cancellable<S: Set>(
             })
         })
     } else {
-        drive_roots(n, &|v, scratch| {
+        mine_roots(n, &|v, scratch| {
             if cancel.is_cancelled() {
-                return LocalOut::empty();
+                return LocalOut::default();
             }
             // §6.2: H is the subgraph induced by P ∪ X = N(v), over
             // local ids; under `Outermost` it serves the whole tree.
@@ -889,7 +829,7 @@ mod tests {
             })
         };
         let run = |threads| {
-            let mut out = pool(threads).install(|| drive_roots(1, &hub));
+            let mut out = pool(threads).install(|| mine_roots(1, &hub));
             out.cliques.sort();
             out
         };

@@ -26,22 +26,24 @@
 //! unbuilt, so a `k` above every forward degree answers 0 at once.
 //!
 //! The two drivers of the paper's concurrency analysis (§7.2) share
-//! that recursion and differ in what a task is. Roots are cut into
-//! consecutive runs of equal cost, `d⁺(u)²` (the size of the root's
-//! local graph), so the hubs of a skewed graph do not pile into one
-//! run. The *node-parallel* driver never splits a root: each one is
-//! solved whole by the worker that runs its run. The *edge-parallel*
-//! driver builds a root's local graph once and, when the root alone
-//! outweighs a run, fans its top-level branches — `u`'s oriented
-//! edges — out as range tasks.
+//! that recursion and walk the roots in order with
+//! [`gms_core::split::walk`], which hands the back half of a worker's
+//! remaining roots to an idle worker. They differ in what else may
+//! move. The *node-parallel* driver never splits a root: each one is
+//! solved whole by the worker that walks it. The *edge-parallel*
+//! driver also walks the top-level branches of the last root of a
+//! walked segment — `u`'s oriented edges, over its local graph built
+//! once — so that once a worker's roots are down to one, an idle
+//! worker takes branches of that root. Splitting stays outermost-first:
+//! a root's branches move only when no root is left to give.
 
 use crate::local::Universe;
-use crate::scratch::{with_worker_checkout, with_worker_scratch, SetPool};
+use crate::scratch::{with_worker_checkout, SetPool};
+use crate::SPLIT_AFTER;
+use gms_core::split::walk;
 use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, NodeId, Set, SortedVecSet};
 use gms_graph::orient_by_rank;
 use gms_order::OrderingKind;
-use rayon::prelude::*;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Parallelization driver (§7.2 trade-off).
@@ -50,9 +52,9 @@ pub enum KcParallel {
     /// Each root solved whole by one worker (lower space, higher
     /// depth).
     Node,
-    /// A root's oriented edges — its top-level branches — as range
-    /// tasks over its local graph (higher space, lower depth; the
-    /// practical winner in the paper).
+    /// A root's oriented edges — its top-level branches — may also go
+    /// to idle workers, once the root is the last of a walked segment
+    /// (higher space, lower depth; the practical winner in the paper).
     Edge,
 }
 
@@ -92,41 +94,6 @@ impl KcOutcome {
     }
 }
 
-/// Root runs per pool worker: slack for stealing to even out what the
-/// cost model misjudges.
-const ROOT_TASKS_PER_WORKER: usize = 4;
-
-/// What a root costs, as the code can see before building it: its local
-/// graph has at most `d⁺(u)²` arcs, plus one for the visit.
-fn root_cost(dag: &CsrGraph, u: usize) -> u64 {
-    let d = dag.degree(u as NodeId) as u64;
-    d * d + 1
-}
-
-/// Cuts the roots into consecutive runs of about equal [`root_cost`],
-/// [`ROOT_TASKS_PER_WORKER`] per pool worker, and returns them with the
-/// cost one run is cut at.
-fn balanced_runs(dag: &CsrGraph) -> (Vec<Range<usize>>, u64) {
-    let n = dag.num_vertices();
-    let tasks = ROOT_TASKS_PER_WORKER * rayon::current_num_threads();
-    let total: u64 = (0..n).map(|u| root_cost(dag, u)).sum();
-    let share = total.div_ceil(tasks as u64).max(1);
-    // Every run but the last costs at least `share`.
-    let mut runs = Vec::with_capacity(tasks + 1);
-    let (mut start, mut cost) = (0, 0);
-    for u in 0..n {
-        cost += root_cost(dag, u);
-        if cost >= share {
-            runs.push(start..u + 1);
-            (start, cost) = (u + 1, 0);
-        }
-    }
-    if start < n {
-        runs.push(start..n);
-    }
-    (runs, share)
-}
-
 /// `k`-cliques of the oriented graph, `k ≥ 3`.
 fn count_oriented<S: Set>(
     dag: &CsrGraph,
@@ -134,28 +101,26 @@ fn count_oriented<S: Set>(
     parallel: KcParallel,
     cancel: &CancelToken,
 ) -> u64 {
-    let (runs, share) = balanced_runs(dag);
-    runs.into_par_iter()
-        .map(|run| {
-            run.map(|u| {
-                let tasks = match parallel {
-                    KcParallel::Node => 1,
-                    KcParallel::Edge => root_cost(dag, u).div_ceil(share) as usize,
-                };
-                count_root::<S>(dag, u as NodeId, k, tasks, cancel)
-            })
-            .sum::<u64>()
-        })
-        .sum()
+    walk(
+        0..dag.num_vertices(),
+        SPLIT_AFTER,
+        &|segment| with_worker_checkout(segment),
+        &|pool, u, last| {
+            let split = last && parallel == KcParallel::Edge;
+            count_root::<S>(dag, u as NodeId, k, split, pool, cancel)
+        },
+    )
 }
 
-/// The `k`-cliques whose first vertex in the order is `u`, with the
-/// root's top-level branches split into `tasks` range tasks.
+/// The `k`-cliques whose first vertex in the order is `u`; with `split`
+/// the root's top-level branches are walked so that idle workers can
+/// take them.
 fn count_root<S: Set>(
     dag: &CsrGraph,
     u: NodeId,
     k: usize,
-    tasks: usize,
+    split: bool,
+    pool: &mut SetPool<S>,
     cancel: &CancelToken,
 ) -> u64 {
     let members = dag.neighbors_slice(u);
@@ -168,32 +133,19 @@ fn count_root<S: Set>(
         }
         universe.induce(dag, members, |_| true);
         let rows = universe.rows();
-        count_branches(rows, 0..rows.len(), tasks, k, cancel)
+        let branch =
+            |pool: &mut SetPool<S>, i: usize, _| count_from(rows, 2, k, &rows[i], pool, cancel);
+        if split {
+            walk(
+                0..rows.len(),
+                SPLIT_AFTER,
+                &|segment| with_worker_checkout(segment),
+                &branch,
+            )
+        } else {
+            (0..rows.len()).map(|i| branch(pool, i, false)).sum()
+        }
     })
-}
-
-/// `Σ count(2, row(i))` over the top-level branches `i ∈ range`, split
-/// via `join` into `tasks` range tasks.
-fn count_branches<S: Set>(
-    rows: &[S],
-    range: Range<usize>,
-    tasks: usize,
-    k: usize,
-    cancel: &CancelToken,
-) -> u64 {
-    if tasks <= 1 || range.len() <= 1 {
-        return with_worker_scratch(|pool: &mut SetPool<S>| {
-            range
-                .map(|i| count_from(rows, 2, k, &rows[i], pool, cancel))
-                .sum()
-        });
-    }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = rayon::join(
-        || count_branches(rows, range.start..mid, tasks / 2, k, cancel),
-        || count_branches(rows, mid..range.end, tasks - tasks / 2, k, cancel),
-    );
-    left + right
 }
 
 /// The `k`-cliques that extend a clique of `level` vertices, `2 ≤ level
@@ -518,6 +470,54 @@ mod tests {
             live.count,
             k_clique_count(&g, 4, &KcConfig::default()).count
         );
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    // The heartbeat is zero under `cfg(test)`: a worker of a 2- or
+    // 4-wide pool splits at every check that finds its deque empty,
+    // and the first check of a walk always does.
+    #[test]
+    fn a_hub_root_walked_branch_by_branch_gives_the_width_1_count() {
+        // Hub 0 over a ring of 40 leaves, each leaf adjacent to the
+        // next four. In natural order the hub's 40 leaves are all
+        // forward, so its local graph is the whole ring; the ring's
+        // k-cliques are k-subsets of 5 consecutive leaves.
+        let mut edges: Vec<(NodeId, NodeId)> = (1..=40).map(|v| (0, v)).collect();
+        edges.extend((0..40).flat_map(|i| (1..=4).map(move |d| (1 + i, 1 + (i + d) % 40))));
+        let g = CsrGraph::from_undirected_edges(41, &edges);
+        let dag = orient_by_rank(&g, &OrderingKind::Natural.compute(&g));
+        let ring = |j: u64| if j == 1 { 40 } else { 40 * binomial(4, j - 1) };
+        let cancel = CancelToken::none();
+        let pools = [1, 2, 4].map(pool);
+        for k in 3..=6 {
+            let expected = ring(k as u64) + ring(k as u64 - 1);
+            // The hub alone with its branches walked: on a 2- or 4-wide
+            // pool the walk's first check hands the back half off.
+            let hub = pools.each_ref().map(|pool| {
+                pool.install(|| {
+                    with_worker_checkout(|scratch: &mut SetPool<DenseBitSet>| {
+                        count_root(&dag, 0, k, true, scratch, &cancel) + ring(k as u64)
+                    })
+                })
+            });
+            assert_eq!(hub, [expected; 3], "k = {k}, hub alone at widths 1/2/4");
+            for parallel in [KcParallel::Node, KcParallel::Edge] {
+                let config = KcConfig {
+                    ordering: OrderingKind::Natural,
+                    parallel,
+                };
+                let runs = pools
+                    .each_ref()
+                    .map(|pool| pool.install(|| k_clique_count(&g, k, &config).count));
+                assert_eq!(runs, [expected; 3], "k = {k} {parallel:?} at widths 1/2/4");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,14 @@ mod local;
 pub mod scratch;
 pub mod triangles;
 
+/// The kernels' [`gms_core::split`] heartbeat; zero in unit tests, so
+/// they split at every chance.
+const SPLIT_AFTER: std::time::Duration = if cfg!(test) {
+    std::time::Duration::ZERO
+} else {
+    gms_core::split::HEARTBEAT
+};
+
 pub use bk::{
     bron_kerbosch, bron_kerbosch_cancellable, BkConfig, BkOutcome, BkVariant, SubgraphMode,
 };

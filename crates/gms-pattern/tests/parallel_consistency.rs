@@ -1,7 +1,8 @@
 //! Scheduler-facing determinism suite: the work-stealing execution of
 //! the mining kernels must be *semantically invisible*. Parallel runs
-//! (multi-worker pool, Bron–Kerbosch's demand-driven root-range and
-//! subtree splits, edge-parallel recursive split) must produce exactly
+//! (multi-worker pool, work split on demand through `gms_core::split`:
+//! Bron–Kerbosch's root ranges and subtrees, k-clique's root ranges and
+//! the edge driver's branch walks in a segment's last root) must produce exactly
 //! the results of the sequential kernels on the same inputs, for any
 //! interleaving the scheduler happens to pick — which is exercised
 //! here on 20 seeded graphs per kernel, and on one graph heavy enough

@@ -424,17 +424,12 @@ const LIMIT: ParamSpec = ParamSpec::int_in(
     "stop after this many embeddings (0 = enumerate all)",
 );
 const ISO: &[ParamSpec] = &[QUERY, MODE, LIMIT];
-/// The shim keeps one pool per width, so the width is capped.
+/// No parameter picks a pool width: the run splits over the caller's
+/// pool, as every kernel does.
 const ISO_PAR: &[ParamSpec] = &[
     QUERY,
     MODE,
     LIMIT,
-    ParamSpec::int_in(
-        "threads",
-        0,
-        0..=64,
-        "worker threads (0 = the caller's pool)",
-    ),
     ParamSpec::bool("stealing", true, "dynamic work stealing vs. static chunks"),
 ];
 const MEASURE: ParamSpec = ParamSpec::choice(
@@ -703,13 +698,11 @@ fn subgraph_iso(cx: &RunCx<'_>) -> Mined {
 }
 
 /// The parallel VF3-Light-style driver over the same named queries and
-/// the same borrowed target. Root chunks run on the caller's pool
-/// unless `threads` asks for a pool of its own.
+/// the same borrowed target, on the caller's pool.
 fn subgraph_iso_par(cx: &RunCx<'_>) -> Mined {
     let query = LabeledGraph::unlabeled(query_graph(cx.str("query")));
     let target = LabeledGraph::view(cx.csr());
     let config = ParallelIsoConfig {
-        threads: cx.int("threads") as usize,
         work_stealing: cx.bool("stealing"),
         options: iso_options(cx),
     };

@@ -180,7 +180,8 @@ fn spawn_mode_serves_a_two_child_fleet_and_shuts_it_down() {
 
 /// The line that once aborted a shard on a 2^40-worker pool
 /// allocation — and, replayed by failover, its survivor too — is a
-/// typed `bad-param` from the owning shard, and the fleet stays whole.
+/// typed `unknown-param` from the owning shard (no kernel takes a
+/// `threads` parameter), and the fleet stays whole.
 #[test]
 fn a_two_to_the_forty_thread_request_leaves_the_fleet_healthy() {
     let (mut router, addr) = spawn_fleet("threads");
@@ -204,7 +205,10 @@ fn a_two_to_the_forty_thread_request_leaves_the_fleet_healthy() {
     let error = reply
         .get("error")
         .unwrap_or_else(|| panic!("{}", reply.render()));
-    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-param"));
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("unknown-param")
+    );
 
     let health = client.health().unwrap();
     assert_eq!(

@@ -4,9 +4,7 @@
 //! wire `shutdown`. The in-process tests in `server_e2e.rs` cover the
 //! protocol; only this file runs the real executable.
 
-use gms_serve::{ClientBuilder, HttpClient, Json};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use gms_serve::{Client, ClientBuilder, HttpClient, Json};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -78,19 +76,6 @@ fn spawn_server(tag: &str) -> (Running, String) {
     (server, addr)
 }
 
-/// Sends one raw NDJSON line and parses the one-line reply; a process
-/// that died on the line leaves nothing to parse.
-fn exchange_line(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    writeln!(stream, "{line}").unwrap();
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply).unwrap();
-    Json::parse(&reply).unwrap_or_else(|e| panic!("no reply to {line} ({e:?}): {reply:?}"))
-}
-
 #[test]
 fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
     let (mut server, addr) = spawn_server("lifecycle");
@@ -131,62 +116,92 @@ fn the_binary_publishes_its_address_serves_and_exits_cleanly_on_shutdown() {
     assert!(status.success(), "gms-serve exited with {status}");
 }
 
-/// A `threads` width of 2^40 once reached the pool shim, whose
-/// allocation of that many workers aborted the process. The schema
-/// bounds `threads`, so the line is a typed `bad-param` and the
-/// process keeps serving.
+/// No request can pick a pool width. `subgraph-iso-par` once took a
+/// `threads` parameter that built the pool shim a registry of workers
+/// per width (and at 2^40 aborted the process on the allocation); the
+/// parameter is gone, so once every kernel has run, a second round of
+/// every kernel plus width requests leaves the thread count where it
+/// was.
 #[test]
-fn a_two_to_the_forty_thread_request_is_a_bad_param_and_the_process_lives() {
+fn once_every_kernel_has_run_no_request_adds_a_thread() {
     let (mut server, addr) = spawn_server("threads");
     let mut client = ClientBuilder::new()
         .read_timeout(Duration::from_secs(30))
         .connect(addr.as_str())
         .unwrap();
-    let loaded = client
-        .load_inline("g", "edge-list", "0 1\n1 2\n2 0\n")
-        .unwrap();
-    assert_eq!(
-        loaded.get("ok"),
-        Some(&Json::Bool(true)),
-        "{}",
-        loaded.render()
-    );
-
-    let reply = exchange_line(
-        &addr,
-        r#"{"op":"run","kernel":"subgraph-iso-par","graph":"g","params":{"threads":1099511627776}}"#,
-    );
-    let error = reply
-        .get("error")
-        .unwrap_or_else(|| panic!("{}", reply.render()));
-    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-param"));
-
-    assert!(server.0.try_wait().unwrap().is_none(), "gms-serve exited");
-    // `kernels` reports the bound the line broke.
+    // Two graphs of different content, so the second round runs every
+    // kernel again instead of answering from the cache: K5 with a tail
+    // of one edge, then of two.
+    let k5 = "0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n";
+    for (graph, tail) in [("g", "4 5\n"), ("h", "4 5\n5 6\n")] {
+        let loaded = client
+            .load_inline(graph, "edge-list", &format!("{k5}{tail}"))
+            .unwrap();
+        assert_eq!(
+            loaded.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            loaded.render()
+        );
+    }
     let kernels = client.kernels().unwrap();
-    let threads = kernels
+    let names: Vec<String> = kernels
         .get("kernels")
         .and_then(Json::as_array)
         .unwrap()
         .iter()
-        .find(|k| k.get("name").and_then(Json::as_str) == Some("subgraph-iso-par"))
-        .and_then(|k| k.get("params").and_then(Json::as_array))
-        .unwrap()
-        .iter()
-        .find(|p| p.get("name").and_then(Json::as_str) == Some("threads"))
-        .cloned()
-        .unwrap();
-    assert_eq!(threads.get("min"), Some(&Json::Int(0)));
-    assert_eq!(threads.get("max"), Some(&Json::Int(64)));
-    let health = client.health().unwrap();
+        .map(|k| k.get("name").and_then(Json::as_str).unwrap().to_string())
+        .collect();
+    assert!(names.len() > 20, "{}", kernels.render());
+    let run_every_kernel = |client: &mut Client, graph: &str| {
+        for name in &names {
+            let reply = client.run(name, graph, &[]).unwrap();
+            assert!(reply.get("error").is_none(), "{name}: {}", reply.render());
+        }
+    };
+    let tasks = |pid: u32| {
+        std::fs::read_dir(format!("/proc/{pid}/task"))
+            .unwrap()
+            .count()
+    };
+
+    run_every_kernel(&mut client, "g");
+    let warm = tasks(server.0.id());
+    run_every_kernel(&mut client, "h");
+    let widths: Vec<Json> = [3, 5, 1 << 40]
+        .into_iter()
+        .map(|width| {
+            client
+                .run("subgraph-iso-par", "h", &[("threads", Json::Int(width))])
+                .unwrap()
+        })
+        .collect();
     assert_eq!(
-        health.get("ok"),
-        Some(&Json::Bool(true)),
-        "{}",
-        health.render()
+        tasks(server.0.id()),
+        warm,
+        "threads after a second round of every kernel and the width requests"
     );
-    let run = client
-        .run("subgraph-iso-par", "g", &[("threads", Json::Int(2))])
-        .unwrap();
-    assert_eq!(run.get("patterns"), Some(&Json::Int(6)), "{}", run.render());
+    for reply in &widths {
+        let error = reply
+            .get("error")
+            .unwrap_or_else(|| panic!("{}", reply.render()));
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("unknown-param"),
+            "{}",
+            reply.render()
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("\"threads\""), "{message}");
+    }
+
+    assert!(server.0.try_wait().unwrap().is_none(), "gms-serve exited");
+    let run = client.run("subgraph-iso-par", "h", &[]).unwrap();
+    // C(5, 3) triangles, each embedded 3! times.
+    assert_eq!(
+        run.get("patterns"),
+        Some(&Json::Int(60)),
+        "{}",
+        run.render()
+    );
 }

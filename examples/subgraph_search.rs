@@ -41,35 +41,36 @@ fn main() {
         "{:<34} {:>10} {:>12}",
         "configuration", "embeddings", "time"
     );
-    let configs: [(&str, ParallelIsoConfig); 4] = [
+    // (label, pool width, config): each runs on an installed pool.
+    let configs: [(&str, usize, ParallelIsoConfig); 4] = [
         (
             "1 thread (baseline)",
+            1,
             ParallelIsoConfig {
-                threads: 1,
                 work_stealing: false,
                 options,
             },
         ),
         (
             "4 threads, work splitting",
+            4,
             ParallelIsoConfig {
-                threads: 4,
                 work_stealing: false,
                 options,
             },
         ),
         (
             "4 threads, + work stealing",
+            4,
             ParallelIsoConfig {
-                threads: 4,
                 work_stealing: true,
                 options,
             },
         ),
         (
             "4 threads, stealing, no precompute",
+            4,
             ParallelIsoConfig {
-                threads: 4,
                 work_stealing: true,
                 options: IsoOptions {
                     precompute: false,
@@ -78,9 +79,13 @@ fn main() {
             },
         ),
     ];
-    for (label, config) in configs {
+    for (label, threads, config) in configs {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("a pool of the configured width");
         let t = Instant::now();
-        let found = count_embeddings_parallel(&query, &target, &config);
+        let found = pool.install(|| count_embeddings_parallel(&query, &target, &config));
         println!("{label:<34} {found:>10} {:>12.2?}", t.elapsed());
         assert_eq!(found, expected, "all drivers must agree");
     }
