@@ -1,7 +1,8 @@
 //! Writes `BENCH_scaling.json`: thread-scaling rows for every
 //! registered pattern-mining kernel on a seeded Kronecker graph at
 //! 1/2/4 threads (each point the median of repeated runs after a
-//! warmup — see `run_scaling`), plus a set-algebra microbenchmark
+//! warmup — see `run_scaling` — and every kernel first run once
+//! untimed at every width), plus a set-algebra microbenchmark
 //! lane reporting count-kernel throughput per set layout.
 //!
 //! The kernels come from the unified [`Registry`], not from
@@ -89,14 +90,27 @@ fn main() {
     // Every pattern kernel at its default parameters: the paper's BK
     // variants, the parameterized BK, k-cliques, triangles,
     // clique-stars — and whatever the registry gains next.
-    for kernel in registry.by_category(Category::Pattern) {
-        let params = Params::new();
-        let series = run_scaling(&thread_counts, || {
-            let outcome = registry
-                .run(kernel.name(), &graph, &params)
-                .expect("default params are valid");
-            std::hint::black_box(outcome.patterns);
-        });
+    let kernels = registry.by_category(Category::Pattern);
+    let params = Params::new();
+    let run = |name: &str| {
+        let outcome = registry
+            .run(name, &graph, &params)
+            .expect("default params are valid");
+        std::hint::black_box(outcome.patterns);
+    };
+    // One untimed pass of every kernel at every width before the first
+    // series: `run_scaling` warms each point up, but only the process's
+    // first runs pay its cold start (pool spawns, page faults, allocator
+    // growth), which moved the first kernel's rows by half between runs.
+    for &threads in &thread_counts {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(|| kernels.iter().for_each(|kernel| run(kernel.name())));
+    }
+    for kernel in kernels {
+        let series = run_scaling(&thread_counts, || run(kernel.name()));
         if let Some(first) = series.first() {
             for point in &series {
                 speedups.push((

@@ -1,7 +1,9 @@
 //! Figure 7: subgraph isomorphism thread scaling — the baseline
 //! static-split driver vs the GMS optimizations (work stealing,
 //! galloping/"SIMD" set algebra, candidate precompute) on a labeled
-//! Erdős–Rényi target (the §8.5 dataset, scaled down; the original is
+//! Erdős–Rényi target (the §8.5 dataset, scaled down to
+//! `examples/subgraph_search.rs`'s `gnp(250, 0.2)` with 5 labels, so
+//! a full run takes well under a minute on 2 vCPUs; the original is
 //! n=10000, p=0.2 with induced queries). Paper shape: runtime falls
 //! with threads; each optimization layer lowers the curve, with
 //! stealing mattering most at high thread counts and the SIMD +
@@ -21,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 fn main() {
     let scale = gms_bench::scale_from_env();
-    let target = LabeledGraph::random_labels(gms_gen::gnp(400 * scale, 0.2, 5), 4, 5);
-    let query = target.induced(&[3, 57, 101, 200, 311, 17]);
+    let target = LabeledGraph::random_labels(gms_gen::gnp(250 * scale, 0.2, 5), 5, 5);
+    let query = target.induced(&[3, 57, 101, 200, 211, 17]);
 
     let variants: [(&str, bool, bool, bool); 4] = [
         // (label, stealing, galloping, precompute)

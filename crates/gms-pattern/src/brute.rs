@@ -3,6 +3,7 @@
 //! graphs — every fast algorithm in this crate is tested against
 //! these.
 
+use crate::clique_star::CliqueStar;
 use gms_core::{CsrGraph, Graph, NodeId};
 
 /// `true` iff `vertices` induce a complete subgraph.
@@ -70,37 +71,55 @@ pub fn maximal_cliques_brute(graph: &CsrGraph) -> Vec<Vec<NodeId>> {
     result
 }
 
-/// Counts `k`-cliques by enumerating all `k`-subsets of each vertex's
-/// forward neighborhood — O(n^k); keep inputs tiny.
-pub fn count_k_cliques_brute(graph: &CsrGraph, k: usize) -> u64 {
-    if k == 0 {
-        return 0;
-    }
-    if k == 1 {
-        return graph.num_vertices() as u64;
-    }
+/// Lists every `k`-clique, each sorted, in lexicographic order by
+/// enumerating `k`-subsets — O(n^k); keep inputs tiny.
+pub fn k_cliques_brute(graph: &CsrGraph, k: usize) -> Vec<Vec<NodeId>> {
     fn extend(
         graph: &CsrGraph,
         chosen: &mut Vec<NodeId>,
         start: NodeId,
         k: usize,
-        count: &mut u64,
+        out: &mut Vec<Vec<NodeId>>,
     ) {
         if chosen.len() == k {
-            *count += 1;
+            out.push(chosen.clone());
             return;
         }
         for v in start..graph.num_vertices() as NodeId {
             if chosen.iter().all(|&u| graph.has_edge(u, v)) {
                 chosen.push(v);
-                extend(graph, chosen, v + 1, k, count);
+                extend(graph, chosen, v + 1, k, out);
                 chosen.pop();
             }
         }
     }
-    let mut count = 0;
-    extend(graph, &mut Vec::new(), 0, k, &mut count);
-    count
+    let mut out = Vec::new();
+    extend(graph, &mut Vec::new(), 0, k, &mut out);
+    out
+}
+
+/// Counts `k`-cliques by brute force (0 for `k = 0`).
+pub fn count_k_cliques_brute(graph: &CsrGraph, k: usize) -> u64 {
+    if k == 0 {
+        return 0;
+    }
+    k_cliques_brute(graph, k).len() as u64
+}
+
+/// Every `k`-clique with the vertices adjacent to all of it, kept when
+/// it has at least `max(min_satellites, 1)` of them; sorted by core.
+pub fn clique_stars_brute(graph: &CsrGraph, k: usize, min_satellites: usize) -> Vec<CliqueStar> {
+    k_cliques_brute(graph, k)
+        .into_iter()
+        .map(|core| {
+            let satellites = graph
+                .vertices()
+                .filter(|&w| core.iter().all(|&c| graph.has_edge(c, w)))
+                .collect();
+            CliqueStar { core, satellites }
+        })
+        .filter(|star| star.satellites.len() >= min_satellites.max(1))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Parallel `k`-clique listing/counting (§6.3, Algorithm 7) after
+//! Parallel `k`-clique counting (§6.3, Algorithm 7) after
 //! Danisch et al., reformulated over set algebra.
 //!
 //! Preprocessing (③) orients the graph by a chosen order (`dir(G)`: an
@@ -41,7 +41,7 @@ use crate::local::Universe;
 use crate::scratch::{with_worker_checkout, SetPool};
 use crate::SPLIT_AFTER;
 use gms_core::split::walk;
-use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, NodeId, Set, SortedVecSet};
+use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, NodeId, Set};
 use gms_graph::orient_by_rank;
 use gms_order::OrderingKind;
 use std::time::{Duration, Instant};
@@ -230,50 +230,6 @@ pub fn k_clique_count_cancellable(
     k_clique_count_cancellable_with::<DenseBitSet>(graph, k, config, cancel)
 }
 
-/// Lists all `k`-cliques (original vertex IDs, each sorted; the whole
-/// list sorted). Intended for tests, examples and small graphs — the
-/// output itself can be exponential in size.
-pub fn k_clique_list(graph: &CsrGraph, k: usize, config: &KcConfig) -> Vec<Vec<NodeId>> {
-    assert!(k >= 2);
-    let dag = orient_by_rank(graph, &config.ordering.compute(graph));
-
-    fn list_rec(
-        dag: &CsrGraph,
-        k: usize,
-        prefix: &mut Vec<NodeId>,
-        candidates: &SortedVecSet,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        if prefix.len() == k {
-            out.push(prefix.clone());
-            return;
-        }
-        for v in candidates.iter() {
-            let forward = SortedVecSet::from_sorted(dag.neighbors_slice(v));
-            let next = forward.intersect(candidates);
-            prefix.push(v);
-            if prefix.len() == k {
-                out.push(prefix.clone());
-            } else {
-                list_rec(dag, k, prefix, &next, out);
-            }
-            prefix.pop();
-        }
-    }
-
-    let mut out = Vec::new();
-    for u in 0..dag.num_vertices() as NodeId {
-        let c = SortedVecSet::from_sorted(dag.neighbors_slice(u));
-        let mut prefix = vec![u];
-        list_rec(&dag, k, &mut prefix, &c, &mut out);
-    }
-    for clique in &mut out {
-        clique.sort_unstable();
-    }
-    out.sort();
-    out
-}
-
 /// Named k-clique baselines compared in Fig. 9.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KcVariant {
@@ -304,28 +260,19 @@ impl KcVariant {
 
     /// Runs the variant.
     pub fn run(&self, graph: &CsrGraph, k: usize) -> KcOutcome {
-        let config = match self {
-            KcVariant::Gms => KcConfig {
-                ordering: OrderingKind::ApproxDegeneracy(0.25),
-                parallel: KcParallel::Edge,
-            },
-            KcVariant::GbbsStyle => KcConfig {
-                ordering: OrderingKind::Degeneracy,
-                parallel: KcParallel::Node,
-            },
-            KcVariant::DanischStyle => KcConfig {
-                ordering: OrderingKind::Degeneracy,
-                parallel: KcParallel::Edge,
-            },
+        let (ordering, parallel) = match self {
+            KcVariant::Gms => (OrderingKind::ApproxDegeneracy(0.25), KcParallel::Edge),
+            KcVariant::GbbsStyle => (OrderingKind::Degeneracy, KcParallel::Node),
+            KcVariant::DanischStyle => (OrderingKind::Degeneracy, KcParallel::Edge),
         };
-        k_clique_count(graph, k, &config)
+        k_clique_count(graph, k, &KcConfig { ordering, parallel })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::count_k_cliques_brute;
+    use crate::brute::{count_k_cliques_brute, k_cliques_brute};
     use gms_core::{RoaringSet, SortedVecSet};
 
     fn binomial(n: u64, k: u64) -> u64 {
@@ -434,7 +381,7 @@ mod tests {
     fn listing_matches_counting() {
         let g = gms_gen::gnp(25, 0.4, 8);
         for k in 3..=4 {
-            let cliques = k_clique_list(&g, k, &KcConfig::default());
+            let cliques = k_cliques_brute(&g, k);
             let count = k_clique_count(&g, k, &KcConfig::default()).count;
             assert_eq!(cliques.len() as u64, count);
             // Every listed clique is distinct and complete.

@@ -192,7 +192,7 @@ const BUILTINS: &[Builtin] = &[
     row(
         "clique-star",
         Pattern,
-        "k-clique-star listing via (k+1)-cliques (§6.6)",
+        "k-clique-star listing: each k-clique core with the vertices adjacent to all of it (§6.6)",
         CLIQUE_STAR,
         clique_stars,
     ),
@@ -638,21 +638,18 @@ fn triangles_delta(
     ))
 }
 
-/// k-clique-star listing via (k+1)-cliques (§6.6).
+/// k-clique-star listing (§6.6): every k-clique core with the
+/// vertices adjacent to all of it, streamed over one walked recursion.
 fn clique_stars(cx: &RunCx<'_>) -> Mined {
-    let graph = cx.csr();
-    let (k, min_satellites) = (cx.int("k") as usize, cx.int("min-satellites") as usize);
-    let config = KcConfig {
-        ordering: ordering(cx),
-        parallel: KcParallel::Edge,
-    };
-    let (stars, timings) = timed(|| k_clique_stars(graph, k, min_satellites, &config));
-    let payload = if cx.bool("collect") {
-        Payload::VertexGroups(stars.iter().map(|s| s.core.clone()).collect())
+    let (k, min) = (cx.int("k") as usize, cx.int("min-satellites") as usize);
+    let (ordering, collect) = (ordering(cx), cx.bool("collect"));
+    let (out, timings) = timed(|| k_clique_stars(cx.csr(), k, min, ordering, collect, cx.cancel()));
+    let payload = if collect {
+        Payload::VertexGroups(out.stars.into_iter().map(|s| s.core).collect())
     } else {
         Payload::None
     };
-    (stars.len() as u64, timings, payload)
+    (out.count, timings, payload)
 }
 
 // ---------------------------------------------------------------- matching

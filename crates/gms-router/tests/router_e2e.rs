@@ -47,17 +47,22 @@ fn edge_list_text(graph: &gms_core::CsrGraph) -> String {
 /// Loads `count` distinct graphs through `client` as g0..g{count-1}.
 fn load_graphs(client: &mut Client, count: usize) {
     for i in 0..count {
-        let graph = gms_gen::gnp(120 + 10 * i, 0.06, 1000 + i as u64);
-        let response = client
-            .load_inline(&format!("g{i}"), "edge-list", &edge_list_text(&graph))
-            .expect("load round trip");
-        assert_eq!(
-            response.get("ok"),
-            Some(&Json::Bool(true)),
-            "load g{i}: {}",
-            response.render()
-        );
+        load_graph(client, i);
     }
+}
+
+/// Loads `g{i}`, a seeded graph of its own.
+fn load_graph(client: &mut Client, i: usize) {
+    let graph = gms_gen::gnp(120 + 10 * i, 0.06, 1000 + i as u64);
+    let response = client
+        .load_inline(&format!("g{i}"), "edge-list", &edge_list_text(&graph))
+        .expect("load round trip");
+    assert_eq!(
+        response.get("ok"),
+        Some(&Json::Bool(true)),
+        "load g{i}: {}",
+        response.render()
+    );
 }
 
 fn batch_request(count: usize) -> Json {
@@ -162,8 +167,22 @@ fn router_answers_match_a_single_backend() {
 fn batch_scatters_across_shards_and_gathers_in_order() {
     let (backends, router) = start_fleet(3);
     let mut client = Client::connect(router.addr()).expect("connect router");
-    let count = 6;
-    load_graphs(&mut client, count);
+    // The ring hashes the backends' addresses, whose ports vary from
+    // run to run, so graphs are added until they span two shards.
+    load_graphs(&mut client, 6);
+    let mut count = 6;
+    let owners = loop {
+        let stats = client.stats().expect("stats");
+        let owners: std::collections::HashSet<String> = (0..count)
+            .map(|i| shard_of(&stats, &format!("g{i}")))
+            .collect();
+        if owners.len() >= 2 {
+            break owners;
+        }
+        assert!(count < 40, "{count} graphs all placed on one shard");
+        load_graph(&mut client, count);
+        count += 1;
+    };
 
     let response = client.request(&batch_request(count)).expect("batch");
     assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
@@ -174,16 +193,12 @@ fn batch_scatters_across_shards_and_gathers_in_order() {
     assert_eq!(results.len(), count, "one result per request, in order");
     let patterns = patterns_of(results);
 
-    // Placement is fingerprint-driven: six distinct graphs land on
-    // more than one shard of a three-shard fleet.
+    // The batch scatters to exactly the shards that own its graphs.
     let shards = response
         .get("shards")
         .and_then(Json::as_i64)
         .expect("shards");
-    assert!(
-        (2..=3).contains(&shards),
-        "batch touched {shards} shards (expected 2..=3)"
-    );
+    assert_eq!(shards, owners.len() as i64, "batch shards vs graph owners");
 
     // The same batch again answers identically (now cache-warm).
     let again = client.request(&batch_request(count)).expect("batch again");

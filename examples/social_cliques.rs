@@ -10,7 +10,7 @@
 //! ```
 
 use gms::order::{approx_degeneracy_order, degeneracy_order, k_core_by_peeling};
-use gms::pattern::{k_clique_stars, KcConfig};
+use gms::pattern::k_clique_stars;
 use gms::prelude::*;
 
 fn main() {
@@ -52,7 +52,8 @@ fn main() {
     );
 
     // Clique-stars (§6.6): relaxed communities around triangle cores.
-    let stars = k_clique_stars(&graph, 3, 2, &KcConfig::default());
+    let adg = OrderingKind::ApproxDegeneracy(0.25);
+    let stars = k_clique_stars(&graph, 3, 2, adg, true, &gms::core::CancelToken::none()).stars;
     println!(
         "3-clique-stars with ≥2 satellites: {} (largest satellite set: {})",
         stars.len(),

@@ -112,7 +112,9 @@ fn clique_star_satellites_match_isomorphism_counts_on_k5() {
     // Sanity chain across three crates on K5: C(5,3)=10 triangles,
     // each with 2 satellites.
     let g = gms::gen::complete(5);
-    let stars = gms::pattern::k_clique_stars(&g, 3, 1, &KcConfig::default());
+    let adg = OrderingKind::ApproxDegeneracy(0.25);
+    let stars =
+        gms::pattern::k_clique_stars(&g, 3, 1, adg, true, &gms::core::CancelToken::none()).stars;
     assert_eq!(stars.len(), 10);
     assert!(stars.iter().all(|s| s.satellites.len() == 2));
 }

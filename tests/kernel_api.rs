@@ -728,28 +728,40 @@ fn k_core_refuses_a_k_beyond_u32_and_refreshes_like_a_rebuild_at_its_edge() {
     }
 }
 
-/// `min-cut` had no cancellation probe: its default 32 trials on a
-/// few-thousand-vertex graph ran for minutes whatever the deadline.
-/// The probe sits before each trial, at each recursion node and at
-/// each contraction.
+/// Kernels that once ran for seconds whatever the deadline, each on a
+/// graph that shows it:
+/// - `min-cut` had no probe: its default 32 trials on a
+///   few-thousand-vertex graph ran for minutes. The probe sits before
+///   each trial, at each recursion node and at each contraction.
+/// - `clique-star` listed every (k+1)-clique unprobed before
+///   regrouping them: 3.6 s on `kron(13)` at the default `k` = 3 in
+///   release. Its recursion now probes at every root and node; `k` = 4
+///   keeps its full run near a second even in release, well past the
+///   deadline.
 #[test]
-fn a_deadline_stops_min_cut_within_two_seconds() {
-    let graph = gms::gen::gnp(3000, 0.004, 3);
-    let (done, result) = std::sync::mpsc::channel();
-    let case = std::thread::spawn(move || {
-        let registry = Registry::with_builtins();
-        let kernel = registry.get("min-cut").expect("built-in kernel");
-        let (params, deadline) = (
-            Params::new(),
-            CancelToken::after(std::time::Duration::from_millis(200)),
-        );
-        let cx =
-            RunCx::new(GraphView::Raw(&graph), &params, kernel.params()).with_cancel(&deadline);
-        let _ = done.send(execute(kernel, &cx));
-    });
-    let result = result
-        .recv_timeout(std::time::Duration::from_secs(2))
-        .expect("min-cut still running 2 s into a 200 ms deadline");
-    case.join().expect("the min-cut thread ended");
-    assert_eq!(result.unwrap_err(), KernelError::DeadlineExceeded);
+fn a_deadline_stops_slow_kernels_within_two_seconds() {
+    let cases = [
+        ("min-cut", gms::gen::gnp(3000, 0.004, 3), Params::new()),
+        (
+            "clique-star",
+            gms::gen::kronecker_default(13, 8, 101),
+            Params::new().with("k", 4),
+        ),
+    ];
+    for (name, graph, params) in cases {
+        let (done, result) = std::sync::mpsc::channel();
+        let case = std::thread::spawn(move || {
+            let registry = Registry::with_builtins();
+            let kernel = registry.get(name).expect("built-in kernel");
+            let deadline = CancelToken::after(std::time::Duration::from_millis(200));
+            let cx =
+                RunCx::new(GraphView::Raw(&graph), &params, kernel.params()).with_cancel(&deadline);
+            let _ = done.send(execute(kernel, &cx));
+        });
+        let result = result
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{name} still running 2 s into a 200 ms deadline"));
+        case.join().expect("the kernel thread ended");
+        assert_eq!(result.unwrap_err(), KernelError::DeadlineExceeded, "{name}");
+    }
 }
