@@ -12,7 +12,6 @@ mod setgraph;
 pub use csr::{CsrBuilder, CsrGraph};
 pub use setgraph::SetGraph;
 
-use crate::set::Set;
 use crate::types::NodeId;
 
 /// The graph-access interface of the GMS platform.
@@ -47,16 +46,4 @@ pub trait Graph: Send + Sync {
     fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
-}
-
-/// A graph whose neighborhoods are materialized as [`Set`]s — the
-/// paper's "set-centric" representation (§5.3): one set implements one
-/// neighborhood, and graph algorithms manipulate neighborhoods with
-/// set algebra directly.
-pub trait SetNeighborhoods: Graph {
-    /// The set type implementing each neighborhood.
-    type NSet: Set;
-
-    /// Borrows `N(v)` as a set.
-    fn neighborhood(&self, v: NodeId) -> &Self::NSet;
 }

@@ -3,7 +3,7 @@
 //! is a generic parameter, so swapping `SortedVecSet` for `RoaringSet`
 //! swaps the layout of every neighborhood without touching algorithms.
 
-use super::{CsrGraph, Graph, SetNeighborhoods};
+use super::{CsrGraph, Graph};
 use crate::set::Set;
 use crate::types::NodeId;
 use rayon::prelude::*;
@@ -34,6 +34,12 @@ impl<S: Set> SetGraph<S> {
         self.neighborhoods.iter().map(S::heap_bytes).sum()
     }
 
+    /// Borrows `N(v)` as a set.
+    #[inline]
+    pub fn neighborhood(&self, v: NodeId) -> &S {
+        &self.neighborhoods[v as usize]
+    }
+
     /// Immutable view of all neighborhoods.
     pub fn neighborhoods(&self) -> &[S] {
         &self.neighborhoods
@@ -59,15 +65,6 @@ impl<S: Set> Graph for SetGraph<S> {
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.neighborhoods[u as usize].contains(v)
-    }
-}
-
-impl<S: Set> SetNeighborhoods for SetGraph<S> {
-    type NSet = S;
-
-    #[inline]
-    fn neighborhood(&self, v: NodeId) -> &S {
-        &self.neighborhoods[v as usize]
     }
 }
 

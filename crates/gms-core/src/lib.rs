@@ -29,7 +29,7 @@ pub mod split;
 pub mod types;
 
 pub use cancel::CancelToken;
-pub use graph::{CsrBuilder, CsrGraph, Graph, SetGraph, SetNeighborhoods};
+pub use graph::{CsrBuilder, CsrGraph, Graph, SetGraph};
 pub use set::{
     DenseBitSet, HashVertexSet, RoaringSet, Set, SetElement, SortedVecSet, SparseBitSet,
 };

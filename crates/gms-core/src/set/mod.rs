@@ -23,8 +23,8 @@ pub use dense::DenseBitSet;
 pub use hashset::HashVertexSet;
 pub use roaring::RoaringSet;
 pub use sorted::{
-    diff_sorted_slices_into, intersect_count_sorted_slices, intersect_sorted_slices_into,
-    SortedVecSet,
+    diff_sorted_slices_into, for_each_common, intersect_count_sorted_slices,
+    intersect_sorted_slices_into, SortedVecSet,
 };
 pub use sparse_bits::SparseBitSet;
 

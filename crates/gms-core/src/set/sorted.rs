@@ -97,10 +97,11 @@ fn gallop(haystack: &[SetElement], lo: usize, x: SetElement) -> usize {
     prev + haystack[prev..upper].partition_point(|&y| y < x)
 }
 
-/// Calls `common` on every element of `a ∩ b`, in ascending order:
-/// the one dispatch behind the count and the materializing twin.
+/// Calls `common` on every element of `a ∩ b`, in ascending order,
+/// materializing nothing: the one dispatch behind the count, the
+/// materializing twin and any other fold over two neighbourhoods.
 #[inline]
-fn for_each_common(a: &[SetElement], b: &[SetElement], common: impl FnMut(SetElement)) {
+pub fn for_each_common(a: &[SetElement], b: &[SetElement], common: impl FnMut(SetElement)) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
     let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };

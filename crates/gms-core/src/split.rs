@@ -13,8 +13,15 @@
 //! item range (Bron–Kerbosch's pivot branches) calls [`hungry`] and
 //! [`hand_off`] itself. The heartbeat is a parameter so that a crate's
 //! unit tests can pass zero and split at every chance.
+//!
+//! A task runs to completion on one worker, so a kernel's scratch
+//! buffers are per worker, not per task: [`with_worker_scratch`] and
+//! [`with_worker_checkout`] keep them in thread-local storage keyed by
+//! type, and whatever capacity the previous task on a worker grew is
+//! reused by the next.
 
-use std::cell::Cell;
+use std::any::{Any, TypeId};
+use std::cell::{Cell, RefCell};
 use std::ops::{AddAssign, Range};
 use std::time::{Duration, Instant};
 
@@ -29,6 +36,8 @@ pub const HEARTBEAT: Duration = Duration::from_micros(50);
 thread_local! {
     /// When this worker last handed work off.
     static LAST_HAND_OFF: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// This worker's scratch values, one per type.
+    static SCRATCH: RefCell<Vec<(TypeId, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether the calling worker should hand work to an idle one: all it
@@ -94,4 +103,38 @@ fn segment<W, T: Default + AddAssign + Send>(
         }
     });
     out
+}
+
+/// Borrows this worker's scratch value of type `T`, creating it on
+/// first use. The value is taken out of the thread-local while `f`
+/// runs, so a re-entrant borrow of the same type (a nested task run
+/// inline while helping a `join`) gets a fresh value instead of
+/// aborting.
+pub fn with_worker_scratch<T: Default + 'static, R>(f: impl FnOnce(&mut T) -> R) -> R {
+    let key = TypeId::of::<T>();
+    let mut value: Box<T> = SCRATCH
+        .with(|pool| {
+            let mut pool = pool.borrow_mut();
+            pool.iter()
+                .position(|(k, _)| *k == key)
+                .map(|i| pool.swap_remove(i).1)
+        })
+        .and_then(|boxed| boxed.downcast().ok())
+        .unwrap_or_default();
+    let result = f(&mut value);
+    SCRATCH.with(|pool| pool.borrow_mut().push((key, value)));
+    result
+}
+
+/// Checks a `T` out of this worker's free list of `T`s for the duration
+/// of `f`. Unlike [`with_worker_scratch`], the worker's slot is not held
+/// while `f` runs: a task that `f` waits on in a `join` may run on this
+/// worker and check out a `T` of its own, and the free list grows to
+/// the deepest such nesting once instead of handing every nested task
+/// a fresh value. This is the `scoped` argument a [`walk`] usually gets.
+pub fn with_worker_checkout<T: Default + 'static, R>(f: impl FnOnce(&mut T) -> R) -> R {
+    let mut value = with_worker_scratch(|free: &mut Vec<T>| free.pop()).unwrap_or_default();
+    let result = f(&mut value);
+    with_worker_scratch(|free: &mut Vec<T>| free.push(value));
+    result
 }

@@ -408,7 +408,7 @@ impl CompressedCsr {
     /// Decodes the neighborhood of `v` into `out`, clearing it first.
     /// Allocation-free once `out`'s capacity has reached the maximum
     /// degree — the kernel-loop decode path (pair it with a per-worker
-    /// scratch buffer, e.g. `gms-pattern`'s `with_worker_scratch`).
+    /// scratch buffer, e.g. `gms_core::split::with_worker_scratch`).
     #[inline]
     pub fn decode_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
         let entry = self.index.locate(v as usize);

@@ -4,8 +4,8 @@
 //! each lists the other among its `k` most similar neighbors and the
 //! two shared-neighbor lists overlap enough — all of it set algebra.
 
-use crate::similarity::{similarity, SimilarityMeasure};
-use gms_core::{CsrGraph, Graph, NodeId, Set, SetGraph, SortedVecSet};
+use crate::similarity::{similarity, SimilarityMeasure, PROBE_STRIDE};
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId, Set, SortedVecSet};
 use rayon::prelude::*;
 
 /// Jarvis–Patrick parameters.
@@ -30,21 +30,28 @@ impl Default for JarvisPatrickConfig {
 }
 
 /// Clusters the graph; returns a cluster ID per vertex (clusters are
-/// the connected components of the JP merge graph).
-pub fn jarvis_patrick(graph: &CsrGraph, config: &JarvisPatrickConfig) -> Vec<u32> {
+/// the connected components of the JP merge graph). A fired `cancel`
+/// yields a partial result the caller must discard.
+pub fn jarvis_patrick(
+    graph: &CsrGraph,
+    config: &JarvisPatrickConfig,
+    cancel: &CancelToken,
+) -> Vec<u32> {
     let n = graph.num_vertices();
-    let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(graph);
 
     // k-nearest-neighbor lists by similarity (ties by vertex ID for
     // determinism), stored as sorted sets for O(log)-membership and
-    // fast intersection.
+    // fast intersection. The token is probed once per stride of a
+    // vertex's scored neighbours, so a hub cannot hold it up.
     let knn: Vec<SortedVecSet> = (0..n as NodeId)
         .into_par_iter()
         .map(|u| {
             let mut scored: Vec<(f64, NodeId)> = graph
                 .neighbors_slice(u)
-                .iter()
-                .map(|&v| (similarity(&sg, config.measure, u, v), v))
+                .chunks(PROBE_STRIDE)
+                .take_while(|_| !cancel.is_cancelled())
+                .flatten()
+                .map(|&v| (similarity(graph, config.measure, u, v), v))
                 .collect();
             scored.sort_by(|a, b| {
                 b.0.partial_cmp(&a.0)
@@ -55,6 +62,9 @@ pub fn jarvis_patrick(graph: &CsrGraph, config: &JarvisPatrickConfig) -> Vec<u32
             scored.into_iter().map(|(_, v)| v).collect()
         })
         .collect();
+    if cancel.is_cancelled() {
+        return Vec::new();
+    }
 
     // Union-find over merge edges.
     let mut parent: Vec<u32> = (0..n as u32).collect();
@@ -129,6 +139,7 @@ mod tests {
                 min_shared: 2,
                 measure: SimilarityMeasure::Jaccard,
             },
+            &CancelToken::none(),
         );
         // Both cliques are internally merged...
         for group in [0..5u32, 5..10u32] {
@@ -151,6 +162,7 @@ mod tests {
                 min_shared: 2,
                 measure: SimilarityMeasure::Jaccard,
             },
+            &CancelToken::none(),
         );
         // Most same-community pairs must share a cluster; most
         // cross-community pairs must not.
@@ -182,15 +194,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = gms_gen::gnp(60, 0.1, 8);
-        let a = jarvis_patrick(&g, &JarvisPatrickConfig::default());
-        let b = jarvis_patrick(&g, &JarvisPatrickConfig::default());
+        let a = jarvis_patrick(&g, &JarvisPatrickConfig::default(), &CancelToken::none());
+        let b = jarvis_patrick(&g, &JarvisPatrickConfig::default(), &CancelToken::none());
         assert_eq!(a, b);
     }
 
     #[test]
     fn isolated_vertices_are_singletons() {
         let g = CsrGraph::from_undirected_edges(4, &[(0, 1)]);
-        let clusters = jarvis_patrick(&g, &JarvisPatrickConfig::default());
+        let clusters = jarvis_patrick(&g, &JarvisPatrickConfig::default(), &CancelToken::none());
         // 0-1 are mutual nearest neighbors but share no third vertex,
         // so nothing merges: four singleton clusters.
         assert_eq!(num_clusters(&clusters), 4);

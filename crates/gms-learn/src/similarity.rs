@@ -1,10 +1,13 @@
 //! Vertex similarity measures (§6.5, Table 4): the seven measures the
-//! paper prescribes, all built on neighborhood set algebra — common
-//! neighbors `|N(u) ∩ N(v)|` is the shared kernel, computed with
-//! either merge or galloping intersection (⑤⁺, chosen inside the
-//! [`gms_core::SortedVecSet`] implementation by operand sizes).
+//! paper prescribes, all built on neighborhood set algebra. The shared
+//! kernel is one fused pass over the two sorted CSR neighbour slices
+//! ([`for_each_common`], merging or galloping by operand sizes, ⑤⁺)
+//! that counts `|N(u) ∩ N(v)|` and, for the two degree-weighted
+//! measures, folds their weights; [`score`] turns those into a score.
 
-use gms_core::{NodeId, Set, SetGraph, SetNeighborhoods};
+use gms_core::set::{for_each_common, intersect_count_sorted_slices};
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId};
+use rayon::prelude::*;
 
 /// The vertex-similarity measures of Table 4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,104 +52,100 @@ impl SimilarityMeasure {
             SimilarityMeasure::PreferentialAttachment => "PreferentialAttachment",
         }
     }
-}
 
-/// Computes `measure(u, v)` on a set-centric graph.
-pub fn similarity<G: SetNeighborhoods>(
-    graph: &G,
-    measure: SimilarityMeasure,
-    u: NodeId,
-    v: NodeId,
-) -> f64 {
-    let nu = graph.neighborhood(u);
-    let nv = graph.neighborhood(v);
-    let du = nu.cardinality() as f64;
-    let dv = nv.cardinality() as f64;
-    match measure {
-        SimilarityMeasure::Jaccard => {
-            let common = nu.intersect_count(nv) as f64;
-            let union = du + dv - common;
-            if union == 0.0 {
-                0.0
-            } else {
-                common / union
-            }
+    /// What a common neighbour of degree `dw` adds to the sum of the
+    /// two degree-weighted measures (Adamic–Adar, resource
+    /// allocation); `None` for the others.
+    pub(crate) fn weight(self) -> Option<fn(usize) -> f64> {
+        match self {
+            SimilarityMeasure::AdamicAdar => Some(|dw| match dw {
+                0 | 1 => 0.0,
+                _ => 1.0 / (dw as f64).ln(),
+            }),
+            SimilarityMeasure::ResourceAllocation => Some(|dw| match dw {
+                0 => 0.0,
+                _ => 1.0 / dw as f64,
+            }),
+            _ => None,
         }
-        SimilarityMeasure::Overlap => {
-            let common = nu.intersect_count(nv) as f64;
-            let denom = du.min(dv);
-            if denom == 0.0 {
-                0.0
-            } else {
-                common / denom
-            }
-        }
-        SimilarityMeasure::AdamicAdar => nu
-            .intersect(nv)
-            .iter()
-            .map(|w| {
-                let dw = graph.degree(w) as f64;
-                if dw > 1.0 {
-                    1.0 / dw.ln()
-                } else {
-                    0.0
-                }
-            })
-            .sum(),
-        SimilarityMeasure::ResourceAllocation => nu
-            .intersect(nv)
-            .iter()
-            .map(|w| {
-                let dw = graph.degree(w) as f64;
-                if dw > 0.0 {
-                    1.0 / dw
-                } else {
-                    0.0
-                }
-            })
-            .sum(),
-        SimilarityMeasure::CommonNeighbors => nu.intersect_count(nv) as f64,
-        SimilarityMeasure::TotalNeighbors => nu.union_count(nv) as f64,
-        SimilarityMeasure::PreferentialAttachment => du * dv,
     }
 }
+
+/// Table 4's formulas: `measure` of two vertices of degrees `du` and
+/// `dv` with `common` common neighbours, whose weights (see
+/// [`SimilarityMeasure::AdamicAdar`] and
+/// [`SimilarityMeasure::ResourceAllocation`]) sum to `weighted`.
+pub fn score(
+    measure: SimilarityMeasure,
+    du: usize,
+    dv: usize,
+    common: usize,
+    weighted: f64,
+) -> f64 {
+    use SimilarityMeasure::*;
+    let (du, dv, common) = (du as f64, dv as f64, common as f64);
+    let union = du + dv - common;
+    match measure {
+        Jaccard if union > 0.0 => common / union,
+        Overlap if du.min(dv) > 0.0 => common / du.min(dv),
+        Jaccard | Overlap => 0.0,
+        AdamicAdar | ResourceAllocation => weighted,
+        CommonNeighbors => common,
+        TotalNeighbors => union,
+        PreferentialAttachment => du * dv,
+    }
+}
+
+/// Computes `measure(u, v)` from one pass over the two neighbour
+/// slices. The weights are summed in ascending `w` from `-0.0`, as
+/// `Iterator::sum` does, so a pair with no common neighbour scores
+/// `-0.0` under the degree-weighted measures.
+pub fn similarity(graph: &CsrGraph, measure: SimilarityMeasure, u: NodeId, v: NodeId) -> f64 {
+    let (nu, nv) = (graph.neighbors_slice(u), graph.neighbors_slice(v));
+    let (mut common, mut weighted) = (0, -0.0);
+    match measure.weight() {
+        Some(weight) => for_each_common(nu, nv, |w| {
+            common += 1;
+            weighted += weight(graph.degree(w));
+        }),
+        None if measure != SimilarityMeasure::PreferentialAttachment => {
+            common = intersect_count_sorted_slices(nu, nv);
+        }
+        None => {}
+    }
+    score(measure, nu.len(), nv.len(), common, weighted)
+}
+
+/// Pairs scored between two probes of a run's token.
+pub(crate) const PROBE_STRIDE: usize = 256;
 
 /// Computes a measure for every given vertex pair in parallel; returns
 /// the scores aligned with `pairs`. This is the bulk entry point whose
 /// rate defines the paper's "vertex pairs with similarity derived per
-/// second" algorithmic throughput.
-pub fn similarity_batch<G: SetNeighborhoods>(
-    graph: &G,
+/// second" algorithmic throughput. A fired `cancel` yields a partial
+/// result the caller must discard.
+pub fn similarity_batch(
+    graph: &CsrGraph,
     measure: SimilarityMeasure,
     pairs: &[(NodeId, NodeId)],
+    cancel: &CancelToken,
 ) -> Vec<f64> {
-    use rayon::prelude::*;
     pairs
-        .par_iter()
-        .map(|&(u, v)| similarity(graph, measure, u, v))
+        .par_chunks(PROBE_STRIDE)
+        .flat_map_iter(|chunk| {
+            let chunk = if cancel.is_cancelled() { &[] } else { chunk };
+            chunk.iter().map(|&(u, v)| similarity(graph, measure, u, v))
+        })
         .collect()
-}
-
-/// Convenience: builds a sorted-set graph and scores all pairs.
-pub fn similarity_batch_csr(
-    graph: &gms_core::CsrGraph,
-    measure: SimilarityMeasure,
-    pairs: &[(NodeId, NodeId)],
-) -> Vec<f64> {
-    let sg: SetGraph<gms_core::SortedVecSet> = SetGraph::from_csr(graph);
-    similarity_batch(&sg, measure, pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gms_core::{CsrGraph, SortedVecSet};
 
-    fn sample() -> SetGraph<SortedVecSet> {
+    fn sample() -> CsrGraph {
         // 0 and 1 share neighbors {2, 3}; 0 also sees 4; 1 also sees 5.
-        let csr =
-            CsrGraph::from_undirected_edges(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]);
-        SetGraph::from_csr(&csr)
+        CsrGraph::from_undirected_edges(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)])
     }
 
     #[test]
@@ -178,8 +177,7 @@ mod tests {
 
     #[test]
     fn degenerate_pairs_are_zero() {
-        let csr = CsrGraph::from_undirected_edges(3, &[(0, 1)]);
-        let g: SetGraph<SortedVecSet> = SetGraph::from_csr(&csr);
+        let g = CsrGraph::from_undirected_edges(3, &[(0, 1)]);
         // Vertex 2 is isolated.
         assert_eq!(similarity(&g, SimilarityMeasure::Jaccard, 0, 2), 0.0);
         assert_eq!(similarity(&g, SimilarityMeasure::Overlap, 0, 2), 0.0);
@@ -191,7 +189,7 @@ mod tests {
         let g = sample();
         let pairs = [(0u32, 1u32), (2, 3), (4, 5)];
         for measure in SimilarityMeasure::ALL {
-            let batch = similarity_batch(&g, measure, &pairs);
+            let batch = similarity_batch(&g, measure, &pairs, &CancelToken::none());
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 assert_eq!(
                     batch[i],

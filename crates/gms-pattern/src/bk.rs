@@ -49,10 +49,10 @@
 //! sequential kernel.
 
 use crate::local::Universe;
-use crate::scratch::{with_worker_checkout, SetPool};
+use crate::scratch::SetPool;
 use crate::SPLIT_AFTER;
 use gms_core::hash::FxHashMap;
-use gms_core::split::{hand_off, hungry, walk};
+use gms_core::split::{hand_off, hungry, walk, with_worker_checkout};
 use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, Set, SetGraph};
 use gms_order::OrderingKind;
 use std::ops::AddAssign;

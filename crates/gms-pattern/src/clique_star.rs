@@ -8,10 +8,9 @@
 //! every root and recursion node. A star is a core inside some
 //! (k+1)-clique, so a core needs `max(min_satellites, 1)` satellites.
 
-use crate::scratch::with_worker_checkout;
 use crate::SPLIT_AFTER;
 use gms_core::set::intersect_sorted_slices_into;
-use gms_core::split::walk;
+use gms_core::split::{walk, with_worker_checkout};
 use gms_core::{CancelToken, CsrGraph, Graph, NodeId};
 use gms_graph::orient_by_rank;
 use gms_order::OrderingKind;

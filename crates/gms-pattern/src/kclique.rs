@@ -38,9 +38,9 @@
 //! a root's branches move only when no root is left to give.
 
 use crate::local::Universe;
-use crate::scratch::{with_worker_checkout, SetPool};
+use crate::scratch::SetPool;
 use crate::SPLIT_AFTER;
-use gms_core::split::walk;
+use gms_core::split::{walk, with_worker_checkout};
 use gms_core::{CancelToken, CsrGraph, DenseBitSet, Graph, NodeId, Set};
 use gms_graph::orient_by_rank;
 use gms_order::OrderingKind;

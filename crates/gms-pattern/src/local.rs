@@ -14,7 +14,7 @@
 //! ids already in ascending order: every row is built with
 //! `assign_sorted` or ascending `add`s, never a sort. A [`Universe`]
 //! is per-worker scratch (see
-//! [`with_worker_checkout`](crate::scratch::with_worker_checkout)):
+//! [`with_worker_checkout`](gms_core::split::with_worker_checkout)):
 //! its `n`-entry marker array and its rows are reused across roots and
 //! jobs, so a warm worker builds a root's rows without allocating.
 

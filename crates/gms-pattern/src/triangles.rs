@@ -15,8 +15,8 @@
 //! its marks — `|N⁺(u) ∩ N⁺(v)|` at one bit probe per element of
 //! `N⁺(v)`, with no branchy merge.
 
-use crate::scratch::with_worker_scratch;
-use gms_core::{CancelToken, CsrGraph, Graph, NodeId, Set, SetGraph, SetNeighborhoods};
+use gms_core::split::with_worker_scratch;
+use gms_core::{CancelToken, CsrGraph, Graph, NodeId, Set, SetGraph};
 use gms_graph::{orient_by_degree, CompressedCsr, GraphView};
 use rayon::prelude::*;
 

@@ -22,7 +22,7 @@ use gms_core::{
 use gms_graph::{EdgeDelta, GraphView, Rank};
 use gms_learn::{
     evaluate_accuracy, jarvis_patrick, label_propagation, louvain_cancellable, num_clusters,
-    similarity_batch_csr, JarvisPatrickConfig, SimilarityMeasure,
+    similarity_batch, JarvisPatrickConfig, SimilarityMeasure,
 };
 use gms_match::{
     count_embeddings_cancellable, count_embeddings_parallel_cancellable, IsoMode, IsoOptions,
@@ -237,7 +237,7 @@ const BUILTINS: &[Builtin] = &[
                 min_shared: cx.int("min-shared") as usize,
                 measure: measure(cx),
             };
-            clusters(cx, |graph| jarvis_patrick(graph, &config))
+            clusters(cx, |graph| jarvis_patrick(graph, &config, cx.cancel()))
         },
     ),
     row(
@@ -728,7 +728,7 @@ fn similarity(cx: &RunCx<'_>) -> Mined {
     let t = Instant::now();
     let pairs: Vec<(NodeId, NodeId)> = graph.edges_undirected().collect();
     let convert = t.elapsed();
-    let (scores, timings) = timed(|| similarity_batch_csr(graph, measure(cx), &pairs));
+    let (scores, timings) = timed(|| similarity_batch(graph, measure(cx), &pairs, cx.cancel()));
     let mean = if scores.is_empty() {
         0.0
     } else {
@@ -743,7 +743,7 @@ fn link_prediction(cx: &RunCx<'_>) -> Mined {
     let graph = cx.csr();
     let (fraction, seed) = (cx.float("fraction"), cx.int("seed") as u64);
     let ((hits, held_out), timings) =
-        timed(|| evaluate_accuracy(graph, measure(cx), fraction, seed));
+        timed(|| evaluate_accuracy(graph, measure(cx), fraction, seed, cx.cancel()));
     let accuracy = if held_out == 0 {
         0.0
     } else {

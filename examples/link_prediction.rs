@@ -6,6 +6,7 @@
 //! cargo run --release --example link_prediction
 //! ```
 
+use gms::core::CancelToken;
 use gms::learn::{
     evaluate_accuracy, jarvis_patrick, label_propagation, louvain, modularity, rand_index,
     JarvisPatrickConfig,
@@ -23,7 +24,7 @@ fn main() {
     // candidates with each similarity measure, count recovered edges.
     println!("link prediction, eff = |E_predict ∩ E_rndm| (higher is better):");
     for measure in SimilarityMeasure::ALL {
-        let (hits, k) = evaluate_accuracy(&graph, measure, 0.1, 3);
+        let (hits, k) = evaluate_accuracy(&graph, measure, 0.1, 3, &CancelToken::none());
         println!(
             "  {:<24} {:>5} / {:<5} ({:>5.1}%)",
             measure.label(),
@@ -64,6 +65,7 @@ fn main() {
             min_shared: 2,
             measure: SimilarityMeasure::Jaccard,
         },
+        &CancelToken::none(),
     );
     println!(
         "\nJarvis-Patrick: {} clusters, rand-index vs truth {:.3}",

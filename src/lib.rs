@@ -128,7 +128,7 @@ pub use gms_serve as serve;
 pub mod prelude {
     pub use gms_core::{
         CsrGraph, DenseBitSet, Graph, HashVertexSet, NodeId, RoaringSet, Set, SetGraph,
-        SetNeighborhoods, SortedVecSet,
+        SortedVecSet,
     };
     pub use gms_graph::io::{GraphFormat, GraphIoCause, GraphIoError, GraphSource};
     pub use gms_graph::{orient_by_rank, relabel, CompressedCsr, Rank};

@@ -99,10 +99,9 @@ fn coloring_bounded_by_clique_and_degeneracy() {
 fn similarity_common_neighbors_equals_triangles_on_edges() {
     // Σ_{(u,v) ∈ E} |N(u) ∩ N(v)| counts each triangle 3 times.
     let graph = gms::gen::gnp(100, 0.1, 8);
-    let sg: SetGraph<SortedVecSet> = SetGraph::from_csr(&graph);
     let total: f64 = graph
         .edges_undirected()
-        .map(|(u, v)| gms::learn::similarity(&sg, SimilarityMeasure::CommonNeighbors, u, v))
+        .map(|(u, v)| gms::learn::similarity(&graph, SimilarityMeasure::CommonNeighbors, u, v))
         .sum();
     assert_eq!(total as u64, 3 * triangle_count(&graph));
 }

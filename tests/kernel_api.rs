@@ -738,15 +738,21 @@ fn k_core_refuses_a_k_beyond_u32_and_refreshes_like_a_rebuild_at_its_edge() {
 ///   release. Its recursion now probes at every root and node; `k` = 4
 ///   keeps its full run near a second even in release, well past the
 ///   deadline.
+/// - `similarity`, `jarvis-patrick` and `link-prediction` scored every
+///   pair unprobed. In the test profile on 2 vCPUs their full runs
+///   took 5.7 s (`similarity`, `kron(16)`), 10.0 s (`jarvis-patrick`,
+///   `kron(16)`) and 6.1 s (`link-prediction`, `kron(13)`). They now
+///   probe once per stride of scored pairs, a hub's included, and the
+///   link-prediction wedge walk once per vertex.
 #[test]
 fn a_deadline_stops_slow_kernels_within_two_seconds() {
+    let kron = |scale| gms::gen::kronecker_default(scale, 8, 101);
     let cases = [
         ("min-cut", gms::gen::gnp(3000, 0.004, 3), Params::new()),
-        (
-            "clique-star",
-            gms::gen::kronecker_default(13, 8, 101),
-            Params::new().with("k", 4),
-        ),
+        ("clique-star", kron(13), Params::new().with("k", 4)),
+        ("similarity", kron(16), Params::new()),
+        ("jarvis-patrick", kron(16), Params::new()),
+        ("link-prediction", kron(13), Params::new()),
     ];
     for (name, graph, params) in cases {
         let (done, result) = std::sync::mpsc::channel();
