@@ -2,9 +2,10 @@
 //! curves for the compressed serving backend — every gallery
 //! archetype in the selected subset, held raw, gap-compressed, and
 //! gap-compressed after a BFS locality reordering, with the pattern
-//! kernels (triangle-count, bk, k-clique) timed on each resident
-//! representation through the same entry point the serving layer
-//! uses ([`execute`] over a raw or compressed [`GraphView`]).
+//! kernels (triangle-count, bk, k-clique) and the decode-native
+//! k-core peel timed on each resident representation through the
+//! same entry point the serving layer uses ([`execute`] over a raw or
+//! compressed [`GraphView`]).
 //!
 //! Each row reports the representation's adjacency heap footprint in
 //! bytes per stored arc and the kernel's wall-clock slowdown against
@@ -35,7 +36,7 @@ use gms_graph::CompressedCsr;
 use gms_platform::kernel::{execute, GraphView, Kernel, Params, Registry, RunCx};
 use std::time::Instant;
 
-const KERNELS: [&str; 3] = ["triangle-count", "bk", "k-clique"];
+const KERNELS: [&str; 4] = ["triangle-count", "bk", "k-clique", "k-core"];
 const DATASETS: [&str; 3] = ["social-kron", "clique-rich", "road-grid"];
 
 /// Timed runs per cell, after one warm-up run.

@@ -36,6 +36,16 @@
 //!   sweep runs, trimmed to one per *edge* (half the raw adjacency)
 //!   plus `n + 1` offsets for the DAG it returns.
 //!
+//! Beside them sits the *sequential sweep* ([`Sweep`](crate::Sweep),
+//! implemented in [`crate::store`]): one walk of the block cursor over
+//! the whole index, yielding every vertex with its degree and decoding
+//! a neighborhood in place, at the cursor's byte offset, only when the
+//! caller asks. The `k-core` peel (`gms_order::k_core_by_peeling`)
+//! runs in one such sweep and decodes only the vertices it removes;
+//! the content fingerprint ([`fingerprint_graph`](crate::fingerprint_graph))
+//! hashes the degrees in one sweep and the neighborhoods, decoded in
+//! ID order, in a second.
+//!
 //! Around them, [`CompressedCsr::from_csr_ordered`] relabels the graph
 //! by a locality ordering (e.g. [BFS](https://en.wikipedia.org/wiki/Breadth-first_search)
 //! order from `gms-order`) before gap-encoding — neighbors get nearby

@@ -21,6 +21,6 @@ pub mod traverse;
 
 pub use compressed_csr::CompressedCsr;
 pub use patch::{patch_csr, EdgeDelta, PatchError};
-pub use store::{fingerprint, fingerprint_graph, GraphStore, GraphView};
+pub use store::{fingerprint, fingerprint_graph, GraphStore, GraphView, Sweep, SweptVertex};
 pub use transform::{degrees, induced_subgraph, orient_by_degree, orient_by_rank, relabel, Rank};
 pub use traverse::{bfs_distances, connected_components, largest_component_size, pseudo_diameter};

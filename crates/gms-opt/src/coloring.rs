@@ -13,29 +13,24 @@ use rayon::prelude::*;
 /// Sequential greedy coloring in a given vertex order: each vertex
 /// takes the smallest color unused by already-colored neighbors.
 /// With a degeneracy order this uses at most `d + 1` colors.
+///
+/// Linear time: the `i`-th vertex colored stamps its neighbors' colors
+/// with `i` in one array indexed by color, then takes the first color
+/// not stamped `i`. A vertex of degree `d` takes a color `<= d`, so only
+/// colors up to `d` are stamped and the array never outgrows `Δ + 1`.
 pub fn greedy_coloring(graph: &CsrGraph, order: &Rank) -> Vec<u32> {
     let n = graph.num_vertices();
     let mut colors = vec![u32::MAX; n];
-    let mut forbidden: Vec<u32> = Vec::new();
-    for v in order.order() {
-        forbidden.clear();
-        forbidden.extend(
-            graph
-                .neighbors(v)
-                .map(|w| colors[w as usize])
-                .filter(|&c| c != u32::MAX),
-        );
-        forbidden.sort_unstable();
-        forbidden.dedup();
-        let mut color = 0u32;
-        for &f in &forbidden {
-            if f == color {
-                color += 1;
-            } else if f > color {
-                break;
+    let mut stamp = vec![0usize; graph.max_degree() + 1];
+    for (step, v) in order.order().into_iter().enumerate() {
+        let (step, nbrs) = (step + 1, graph.neighbors_slice(v));
+        for &w in nbrs {
+            if let Some(seen) = stamp.get_mut(colors[w as usize] as usize) {
+                *seen = step;
             }
         }
-        colors[v as usize] = color;
+        let free = stamp[..=nbrs.len()].iter().position(|&s| s != step);
+        colors[v as usize] = free.expect("a color <= degree is free") as u32;
     }
     colors
 }
@@ -135,8 +130,28 @@ pub fn verify_coloring(graph: &CsrGraph, colors: &[u32]) -> Result<usize, (NodeI
             return Err((u, v));
         }
     }
-    let distinct: std::collections::HashSet<u32> = colors.iter().copied().collect();
-    Ok(distinct.len())
+    Ok(count_distinct(colors))
+}
+
+/// The number of distinct values in `colors`: one bit per color in a
+/// bitmap up to the largest color, or a sorted copy when the colors are
+/// too sparse for that (more bitmap words than entries).
+fn count_distinct(colors: &[u32]) -> usize {
+    let Some(&max) = colors.iter().max() else {
+        return 0;
+    };
+    let words = max as usize / 64 + 1;
+    if words > colors.len() {
+        let mut sorted = colors.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        return sorted.len();
+    }
+    let mut seen = vec![0u64; words];
+    for &c in colors {
+        seen[c as usize / 64] |= 1 << (c % 64);
+    }
+    seen.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 #[cfg(test)]
@@ -202,5 +217,17 @@ mod tests {
         let g = gms_gen::complete(3);
         assert!(verify_coloring(&g, &[0, 0, 1]).is_err());
         assert_eq!(verify_coloring(&g, &[0, 1, 2]), Ok(3));
+    }
+
+    #[test]
+    fn verify_counts_dense_and_sparse_palettes() {
+        let edgeless = CsrGraph::from_undirected_edges(6, &[]);
+        assert_eq!(verify_coloring(&edgeless, &[0, 63, 64, 64, 0, 127]), Ok(4));
+        assert_eq!(
+            verify_coloring(&edgeless, &[0, u32::MAX, 5, 5, u32::MAX, 1 << 20]),
+            Ok(4)
+        );
+        let empty = CsrGraph::from_undirected_edges(0, &[]);
+        assert_eq!(verify_coloring(&empty, &[]), Ok(0));
     }
 }

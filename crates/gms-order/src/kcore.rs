@@ -2,9 +2,18 @@
 //! every vertex has degree at least `k`. The paper derives k-cores
 //! directly from a degeneracy ordering: orient the graph by the order
 //! and iteratively remove vertices of insufficient degree.
+//!
+//! [`k_core_by_peeling`] is that removal on its own, without core
+//! numbers, and the one peel the `k-core` kernel runs on every
+//! resident: raw CSR arrays or a gap-compressed graph, through one
+//! sequential [`Sweep`] that reads only the neighborhoods of the
+//! vertices it removes — on a compressed graph, the only ones it
+//! decodes. [`k_core_vertices`] and [`approx_core_numbers`] read CSR
+//! arrays.
 
 use crate::degeneracy::degeneracy_order;
 use gms_core::{CsrGraph, Graph, NodeId};
+use gms_graph::{GraphView, Sweep};
 
 /// Vertices of the `k`-core, computed exactly from core numbers.
 pub fn k_core_vertices(graph: &CsrGraph, k: u32) -> Vec<NodeId> {
@@ -17,33 +26,69 @@ pub fn k_core_vertices(graph: &CsrGraph, k: u32) -> Vec<NodeId> {
 
 /// Iterative peeling restricted to a target `k` (the paper's recipe:
 /// repeatedly delete vertices with fewer than `k` surviving
-/// neighbors). Equivalent to [`k_core_vertices`] but does not need
-/// core numbers; the *approximate* core below applies the same peel
-/// incrementally across geometric thresholds.
-pub fn k_core_by_peeling(graph: &CsrGraph, k: u32) -> Vec<NodeId> {
-    let n = graph.num_vertices();
-    let mut degree: Vec<u32> = (0..n).map(|v| graph.degree(v as NodeId) as u32).collect();
-    let mut removed = vec![false; n];
-    let mut stack: Vec<NodeId> = graph
-        .vertices()
-        .filter(|&v| degree[v as usize] < k)
-        .collect();
-    for &v in &stack {
-        removed[v as usize] = true;
+/// neighbors), on any resident. Equivalent to [`k_core_vertices`] but
+/// does not need core numbers; the *approximate* core below applies
+/// the same peel incrementally across geometric thresholds. Returns
+/// the core in ascending ID order.
+///
+/// The k-core is unique whatever the peel order (Batagelj–Zaversnik),
+/// so the peel follows one sequential [`Sweep::sweep`] — on a
+/// compressed resident, one walk of the block cursor. Each vertex's
+/// residual degree is settled when the sweep reaches it: its degree
+/// less the neighbors already peeled. A vertex below `k` there is
+/// peeled, its neighborhood read where the sweep stands. A neighbor
+/// that drops below `k` *behind* the sweep is peeled at once through a
+/// stack (random access); one *ahead* of it only has the loss counted,
+/// and is settled when the sweep reaches it. Only the peeled vertices'
+/// neighborhoods are read — on a compressed resident only they are
+/// decoded, and no CSR is materialized.
+pub fn k_core_by_peeling<'a>(graph: impl Into<GraphView<'a>>, k: u32) -> Vec<NodeId> {
+    match graph.into() {
+        GraphView::Raw(graph) => peel(graph, k),
+        GraphView::Compressed(graph) => peel(graph, k),
     }
-    while let Some(v) = stack.pop() {
-        for w in graph.neighbors(v) {
-            if removed[w as usize] {
-                continue;
+}
+
+/// The sweep-ordered peel behind [`k_core_by_peeling`].
+fn peel(graph: &impl Sweep, k: u32) -> Vec<NodeId> {
+    /// The state of a peeled vertex.
+    const PEELED: u32 = u32::MAX;
+    // Ahead of the sweep: how many neighbors were peeled. At or
+    // behind it: the residual degree, or `PEELED`.
+    let mut state = vec![0u32; graph.num_vertices()];
+    let (mut stack, mut buf) = (Vec::new(), Vec::new());
+    for swept in graph.sweep() {
+        let at = swept.vertex as usize;
+        let residual = swept.degree as u32 - state[at];
+        if residual >= k {
+            state[at] = residual;
+            continue;
+        }
+        state[at] = PEELED;
+        let mut nbrs = swept.neighbors_in(&mut buf);
+        loop {
+            for &w in nbrs {
+                let w = w as usize;
+                if state[w] == PEELED {
+                    continue;
+                }
+                if w > at {
+                    state[w] += 1;
+                    continue;
+                }
+                state[w] -= 1;
+                if state[w] < k {
+                    state[w] = PEELED;
+                    stack.push(w as NodeId);
+                }
             }
-            degree[w as usize] -= 1;
-            if degree[w as usize] < k {
-                removed[w as usize] = true;
-                stack.push(w);
-            }
+            let Some(v) = stack.pop() else { break };
+            nbrs = graph.neighbors_in(v, &mut buf);
         }
     }
-    graph.vertices().filter(|&v| !removed[v as usize]).collect()
+    (0..state.len() as NodeId)
+        .filter(|&v| state[v as usize] != PEELED)
+        .collect()
 }
 
 /// Approximate core decomposition by geometric thresholding (the
@@ -147,12 +192,11 @@ mod tests {
     fn peeling_matches_core_numbers_on_random_graphs() {
         for seed in 0..4 {
             let g = gms_gen::gnp(150, 0.06, seed);
-            for k in 1..6 {
-                assert_eq!(
-                    k_core_by_peeling(&g, k),
-                    k_core_vertices(&g, k),
-                    "seed {seed} k {k}"
-                );
+            let gap = gms_graph::CompressedCsr::from_csr(&g);
+            for k in 0..7 {
+                let want = k_core_vertices(&g, k);
+                assert_eq!(k_core_by_peeling(&g, k), want, "raw seed {seed} k {k}");
+                assert_eq!(k_core_by_peeling(&gap, k), want, "gap seed {seed} k {k}");
             }
         }
     }

@@ -12,7 +12,8 @@
 //!   (2+ε)-approximate degeneracy order (ADG, Algorithm 5) in
 //!   O(log n) rounds — the key enabler of the BK-ADG and KC-ADG
 //!   algorithms;
-//! * [`kcore`] — exact and approximate k-core decomposition;
+//! * [`kcore`] — exact and approximate k-core decomposition, and the
+//!   k-core peel that runs on either resident representation;
 //! * [`triangle_rank`] — triangle counts and triangle-count ordering.
 //!
 //! Kernels reach every ordering through [`OrderingKind::compute`],

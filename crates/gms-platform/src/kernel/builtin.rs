@@ -810,14 +810,13 @@ fn mst(cx: &RunCx<'_>) -> Mined {
     (forest.len() as u64, timings, Payload::Scalar(weight))
 }
 
-/// k-core membership by iterative peeling.
+/// k-core membership by iterative peeling, decode-native: the peel
+/// sweeps the resident as it is held and, on a compressed one, decodes
+/// only the neighborhoods of the vertices it removes — nothing is
+/// charged to `convert` because no CSR is materialized.
 fn k_core(cx: &RunCx<'_>) -> Mined {
-    let (graph, k) = (cx.csr(), cx.int("k") as u32);
-    let (core, timings) = timed(|| {
-        let mut core = k_core_by_peeling(graph, k);
-        core.sort_unstable();
-        core
-    });
+    let k = cx.int("k") as u32;
+    let (core, timings) = timed(|| k_core_by_peeling(cx.view(), k));
     (
         core.len() as u64,
         timings,

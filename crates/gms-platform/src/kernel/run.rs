@@ -27,7 +27,9 @@ static NEVER: CancelToken = CancelToken::none();
 /// return the same arrays, and [`execute`] books the decode under
 /// `timings.convert` — once per run however often the kernel asks.
 /// A decode-native kernel takes [`RunCx::view`] instead and never pays
-/// that decode.
+/// that decode: `triangle-count` decodes every neighborhood once into
+/// its oriented DAG, and `k-core` sweeps the index once and decodes
+/// only the vertices it peels.
 pub struct RunCx<'a> {
     view: GraphView<'a>,
     params: &'a Params,
@@ -58,7 +60,8 @@ impl<'a> RunCx<'a> {
     }
 
     /// The graph as CSR arrays: the resident arrays themselves, or
-    /// the one decode of a compressed resident this run shares.
+    /// the one decode of a compressed resident this run shares —
+    /// every arc, whatever the kernel then reads.
     pub fn csr(&self) -> &CsrGraph {
         match self.view {
             GraphView::Raw(graph) => graph,
@@ -76,7 +79,9 @@ impl<'a> RunCx<'a> {
     }
 
     /// The graph as it is resident — the entry for kernels that run
-    /// on either representation, decoding straight into what they use.
+    /// on either representation, decoding straight into what they use
+    /// (e.g. a match on the view that enters one routine generic over
+    /// [`Sweep`](gms_graph::Sweep)).
     pub fn view(&self) -> GraphView<'a> {
         self.view
     }

@@ -353,13 +353,94 @@ fn one_entry_point_gives_one_answer_on_every_representation() {
 
         // Every kernel pays one whole-graph decode on a compressed
         // resident, booked under `convert` — except the decode-native
-        // one, which never materializes a CSR.
+        // ones, which never materialize a CSR.
         for (scheme, outcome) in [("gap", &on_gap), ("gap+reorder", &on_reordered)] {
             let convert = outcome.timings.convert;
-            if name == "triangle-count" {
+            if ["triangle-count", "k-core"].contains(&name) {
                 assert!(convert.is_zero(), "{name} on {scheme}: decode-native");
             } else {
                 assert!(!convert.is_zero(), "{name} on {scheme}: decode not booked");
+            }
+        }
+    }
+}
+
+/// Graphs whose peel takes every path of `k-core`'s sweep: isolated
+/// vertices and leaves; a tail whose cascade runs to *lower* ids,
+/// behind the sweep; one whose cascade runs to higher ids, ahead of
+/// it; and one whose ids zig-zag, so the cascade runs both ways.
+fn peel_corners() -> Vec<(&'static str, CsrGraph)> {
+    let k4 = |base: NodeId| {
+        let mut edges = Vec::new();
+        for u in base..base + 4 {
+            edges.extend((u + 1..base + 4).map(|v| (u, v)));
+        }
+        edges
+    };
+    let path = |ids: &[NodeId]| ids.windows(2).map(|w| (w[0], w[1])).collect::<Vec<_>>();
+
+    let mut leaves = k4(2);
+    leaves.extend([(6, 2), (7, 3), (8, 7)]);
+    let mut behind = k4(0);
+    behind.extend(path(&(3..=20).collect::<Vec<_>>()));
+    let mut ahead = k4(17);
+    ahead.extend(path(&(0..=17).collect::<Vec<_>>()));
+    let mut zigzag = k4(0);
+    let order: Vec<NodeId> = std::iter::once(3)
+        .chain((0..16).map(|i| 4 + (i * 7) % 16))
+        .collect();
+    zigzag.extend(path(&order));
+    vec![
+        (
+            "isolated and leaves",
+            CsrGraph::from_undirected_edges(12, &leaves),
+        ),
+        (
+            "cascade behind",
+            CsrGraph::from_undirected_edges(21, &behind),
+        ),
+        ("cascade ahead", CsrGraph::from_undirected_edges(21, &ahead)),
+        (
+            "cascade zig-zag",
+            CsrGraph::from_undirected_edges(20, &zigzag),
+        ),
+        ("planted", planted_connected()),
+    ]
+}
+
+#[test]
+fn k_core_peels_every_representation_alike_without_a_decode() {
+    let registry = Registry::with_builtins();
+    let kernel = registry.get("k-core").expect("built-in kernel");
+    for (name, graph) in peel_corners() {
+        let gap = CompressedCsr::from_csr(&graph);
+        let reordered = CompressedCsr::from_csr_ordered(&graph, &gms::order::bfs_order(&graph, 0));
+        let relabeled = reordered.to_csr();
+        for k in [0, 1, 2, 3, graph.max_degree() as u32 + 1] {
+            let params = Params::new().with("k", i64::from(k));
+            let run = |view| {
+                execute(kernel, &RunCx::new(view, &params, kernel.params()))
+                    .unwrap_or_else(|e| panic!("{name} k {k}: {e}"))
+            };
+            let raw = run(GraphView::Raw(&graph));
+            let Payload::VertexGroups(groups) = &raw.payload else {
+                panic!("{name} k {k}: {:?}", raw.payload);
+            };
+            assert_eq!(
+                groups,
+                &[gms::order::k_core_vertices(&graph, k)],
+                "{name} k {k}: raw against the core numbers"
+            );
+            let on_gap = run(GraphView::Compressed(&gap));
+            assert!(on_gap.same_result(&raw), "{name} k {k}: gap != raw");
+            let on_reordered = run(GraphView::Compressed(&reordered));
+            assert!(
+                on_reordered.same_result(&run(GraphView::Raw(&relabeled))),
+                "{name} k {k}: gap+reorder != raw arrays of the relabeled graph"
+            );
+            assert_eq!(on_reordered.patterns, raw.patterns, "{name} k {k}");
+            for outcome in [&on_gap, &on_reordered] {
+                assert!(outcome.timings.convert.is_zero(), "{name} k {k}: decoded");
             }
         }
     }
